@@ -306,7 +306,9 @@ pub fn s6_3(agg: &NotaryAggregate) -> Table {
     }
     let total: u64 = lifetime.values().sum();
     let mut rows: Vec<(u16, u64)> = lifetime.into_iter().collect();
-    rows.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+    // Ties break by curve id so the six rows shown do not depend on
+    // the map's per-process iteration order.
+    rows.sort_by_key(|&(curve, n)| (std::cmp::Reverse(n), curve));
     let mut t = Table::new(
         "s6.3",
         "Negotiated curves (paper: secp256r1 84.4%, secp384r1 8.6%, x25519 6.7%, sect571r1 0.2%, secp521r1 0.1%; x25519 22.2% in 2018-02)",
@@ -466,7 +468,7 @@ pub fn scan_accounting(s: &ScanMetricsSnapshot) -> Table {
         "Active-scan accounting (sharded sweep engine; dispatched == probed + dropped and completed + refused + timed_out == sent are the engine invariants)",
         vec!["Counter", "Value"],
     );
-    let rows: [(&str, String); 12] = [
+    let rows: [(&str, String); 11] = [
         ("sweeps completed", s.sweeps_completed.to_string()),
         ("hosts dispatched", s.hosts_dispatched.to_string()),
         ("hosts probed", s.hosts_probed.to_string()),
@@ -477,7 +479,6 @@ pub fn scan_accounting(s: &ScanMetricsSnapshot) -> Table {
         ("handshakes refused", s.handshakes_refused.to_string()),
         ("probes timed out", s.probes_timed_out.to_string()),
         ("workers lost", s.workers_lost.to_string()),
-        ("hosts/s (cpu)", format!("{:.0}", s.hosts_per_sec())),
         (
             "accounting holds",
             if s.accounting_holds() { "yes" } else { "NO" }.to_string(),
@@ -518,4 +519,51 @@ pub fn censys_series(scans: &[ScanSnapshot]) -> Figure {
         grab(|s| s.export_supported),
     ));
     fig
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests_support::record;
+    use tlscope_chron::Date;
+    use tlscope_notary::ServerOutcome;
+    use tlscope_wire::NamedGroup;
+
+    #[test]
+    fn s6_3_breaks_count_ties_by_curve_id() {
+        // Seven curves where the 6th and 7th most negotiated tie: only
+        // six rows are shown, so the lower id (secp224r1, 21) must win
+        // over secp256k1 (22) in every process.
+        let mut agg = NotaryAggregate::new();
+        for (curve, n) in [
+            (23, 70),
+            (24, 60),
+            (29, 50),
+            (25, 40),
+            (30, 30),
+            (22, 10),
+            (21, 10),
+        ] {
+            let mut rec = record(Date::ymd(2016, 1, 1), &[0xc02f], Some(0xc02f));
+            if let ServerOutcome::Answered(answer) = &mut rec.server {
+                answer.curve = Some(NamedGroup(curve));
+            }
+            for _ in 0..n {
+                agg.ingest(&rec);
+            }
+        }
+        let table = s6_3(&agg);
+        let names: Vec<&str> = table.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "secp256r1",
+                "secp384r1",
+                "x25519",
+                "secp521r1",
+                "x448",
+                "secp224r1"
+            ]
+        );
+    }
 }

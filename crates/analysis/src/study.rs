@@ -7,21 +7,27 @@
 //! same loop — no month is ever materialized. Partial aggregates are
 //! merged at the end (aggregation is commutative, so the result is
 //! identical to a serial run), and every stage reports into a shared
-//! [`PipelineMetrics`].
+//! [`PipelineMetrics`]. The panic boundary sits on the month: a month
+//! whose fold panics is replayed flow by flow and only the poison flow
+//! is quarantined.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use tlscope_durable::{install_quiet_panic_hook, quiet_thread_panics};
 use tlscope_obs::Progress;
 
 use tlscope_chron::Month;
 use tlscope_notary::{
-    checkpoint, ingest_borrowed, CheckpointError, NotaryAggregate, PipelineMetrics,
+    checkpoint, flush_parse_cache_metrics, ingest_borrowed, CheckpointError, NotaryAggregate,
+    PipelineMetrics,
 };
 use tlscope_scanner::{ScanCampaign, ScanCheckpointError, ScanFaults, ScanMetrics, ScanSnapshot};
 use tlscope_servers::ServerPopulation;
+use tlscope_traffic::generator::FlowRef;
 use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
 
 /// Configuration of a full study run.
@@ -151,13 +157,33 @@ impl Study {
     /// produces a final aggregate bit-identical to an uninterrupted
     /// one.
     ///
-    /// A worker panic loses only that worker's current months (counted
-    /// in `metrics`); the surviving partials are still merged and
+    /// Each month is folded behind a panic boundary. A month that
+    /// panics is replayed flow by flow (it is pure in `(seed, month)`),
+    /// the flow that panics alone is quarantined, and the month then
+    /// commits as usual. A panic outside that boundary kills its
+    /// worker; the months that worker had merged are counted in
+    /// `shards_lost`, and every other month is still merged and
     /// returned.
     pub fn try_run_passive_metered(
         &self,
         metrics: &PipelineMetrics,
     ) -> Result<NotaryAggregate, CheckpointError> {
+        self.run_months(metrics, |agg, _, _, flow| {
+            ingest_borrowed(agg, flow.date, flow.port, flow.client, flow.server)
+        })
+    }
+
+    /// The month-sharded runner behind [`Study::try_run_passive_metered`],
+    /// generic over the per-flow fold `(partial, month, flow index,
+    /// flow)` so tests can inject a fold that panics.
+    fn run_months<F>(
+        &self,
+        metrics: &PipelineMetrics,
+        fold: F,
+    ) -> Result<NotaryAggregate, CheckpointError>
+    where
+        F: Fn(&mut NotaryAggregate, Month, u64, FlowRef<'_>) + Sync,
+    {
         let (mut result, completed) = match &self.cfg.checkpoint_dir {
             Some(dir) => {
                 let load_started = Instant::now();
@@ -184,6 +210,10 @@ impl Study {
         // (workers stop claiming months once one is recorded).
         let ckpt_error: Mutex<Option<CheckpointError>> = Mutex::new(None);
         let stop_heartbeat = AtomicBool::new(false);
+        // Months merged into a surviving worker's aggregate; every
+        // other month was lost to a panic.
+        let mut months_merged = 0u64;
+        install_quiet_panic_hook();
         std::thread::scope(|scope| {
             if progress.is_enabled() {
                 scope.spawn(|| {
@@ -199,6 +229,7 @@ impl Study {
                 .map(|_| {
                     scope.spawn(|| {
                         let mut agg = NotaryAggregate::new();
+                        let mut committed = 0u64;
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(&month) = months.get(i) else { break };
@@ -210,31 +241,8 @@ impl Study {
                                 break;
                             }
                             let month_started = Instant::now();
-                            let mut partial = NotaryAggregate::new();
-                            let mut flows = 0u64;
-                            let mut ingest_time = std::time::Duration::ZERO;
-                            // Borrowed fast path: fold straight from
-                            // the generator's scratch buffers into the
-                            // aggregate — no flow buffer is ever owned.
-                            let mut stream = self.generator.stream_month(month).metered(metrics);
-                            while let Some(flow) = stream.next_flow() {
-                                let started = Instant::now();
-                                ingest_borrowed(
-                                    &mut partial,
-                                    flow.date,
-                                    flow.port,
-                                    flow.client,
-                                    flow.server,
-                                );
-                                ingest_time += started.elapsed();
-                                flows += 1;
-                            }
-                            metrics.record_dispatched(flows);
-                            // One month shard = one accounting batch.
-                            metrics.record_batch(flows, ingest_time);
-                            metrics.record_parse_failures(partial.not_tls, partial.garbled_client);
-                            metrics.record_salvaged(partial.salvaged);
-                            tlscope_notary::flush_parse_cache_metrics(metrics);
+                            let (partial, month_metrics) =
+                                self.fold_month_supervised(month, &fold, metrics);
                             if let Some(dir) = &self.cfg.checkpoint_dir {
                                 let write_started = Instant::now();
                                 if let Err(e) = checkpoint::write_month(dir, month, &partial) {
@@ -248,29 +256,124 @@ impl Study {
                                 metrics.record_checkpoint_written();
                             }
                             metrics.record_month(month_started.elapsed());
+                            metrics.absorb(&month_metrics);
                             months_done.fetch_add(1, Ordering::Relaxed);
                             agg.merge(partial);
+                            committed += 1;
                         }
-                        agg
+                        (agg, committed)
                     })
                 })
                 .collect();
             for h in handles {
-                match h.join() {
-                    Ok(partial) => {
-                        let started = Instant::now();
-                        result.merge(partial);
-                        metrics.record_merge(started.elapsed());
-                    }
-                    Err(_) => metrics.record_shard_lost(),
+                // A worker that died outside the month boundary takes
+                // its merged months with it; they count as lost below.
+                if let Ok((partial, committed)) = h.join() {
+                    let started = Instant::now();
+                    result.merge(partial);
+                    metrics.record_merge(started.elapsed());
+                    months_merged += committed;
                 }
             }
             stop_heartbeat.store(true, Ordering::Release);
         });
         match ckpt_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
             Some(e) => Err(e),
-            None => Ok(result),
+            None => {
+                metrics.record_shards_lost(months.len() as u64 - months_merged);
+                Ok(result)
+            }
         }
+    }
+
+    /// Fold `month` into a fresh partial behind a panic boundary, so a
+    /// fold panic never reaches the worker's accumulated aggregate.
+    ///
+    /// On a panic the attempt is discarded and the month replayed: each
+    /// flow is folded into a one-flow partial behind its own boundary,
+    /// survivors are merged, and a flow that panics alone is
+    /// quarantined by `(month, flow index)`. Counters go to a
+    /// month-local bag that the caller absorbs on commit, so the
+    /// discarded attempt is never counted.
+    fn fold_month_supervised<F>(
+        &self,
+        month: Month,
+        fold: &F,
+        metrics: &PipelineMetrics,
+    ) -> (NotaryAggregate, PipelineMetrics)
+    where
+        F: Fn(&mut NotaryAggregate, Month, u64, FlowRef<'_>),
+    {
+        let first = PipelineMetrics::new();
+        quiet_thread_panics(true);
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            self.fold_month(month, &first, |partial, index, flow| {
+                fold(partial, month, index, flow);
+                true
+            })
+        }));
+        quiet_thread_panics(false);
+        // Parse-cache deltas go to the attempt's own bag, kept or not.
+        flush_parse_cache_metrics(&first);
+        if let Ok(partial) = attempt {
+            return (partial, first);
+        }
+        metrics.record_month_replayed();
+        let replay = PipelineMetrics::new();
+        let partial = self.fold_month(month, &replay, |partial, index, flow| {
+            quiet_thread_panics(true);
+            let one = catch_unwind(AssertUnwindSafe(|| {
+                let mut one = NotaryAggregate::new();
+                fold(&mut one, month, index, flow);
+                one
+            }));
+            quiet_thread_panics(false);
+            match one {
+                Ok(one) => {
+                    partial.merge(one);
+                    true
+                }
+                Err(_) => {
+                    replay.record_quarantined(1);
+                    tlscope_obs::flight::report(&format!(
+                        "poison flow quarantined (month {month}, flow {index})"
+                    ));
+                    false
+                }
+            }
+        });
+        flush_parse_cache_metrics(&replay);
+        (partial, replay)
+    }
+
+    /// Stream `month` into a fresh partial, metering generation and
+    /// ingestion into `metrics`. `fold` reports whether it ingested the
+    /// flow (`false`: quarantined).
+    fn fold_month(
+        &self,
+        month: Month,
+        metrics: &PipelineMetrics,
+        mut fold: impl FnMut(&mut NotaryAggregate, u64, FlowRef<'_>) -> bool,
+    ) -> NotaryAggregate {
+        let mut partial = NotaryAggregate::new();
+        let (mut dispatched, mut ingested) = (0u64, 0u64);
+        let mut ingest_time = Duration::ZERO;
+        // Borrowed fast path: fold straight from the generator's
+        // scratch buffers into the aggregate — no flow buffer is ever
+        // owned.
+        let mut stream = self.generator.stream_month(month).metered(metrics);
+        while let Some(flow) = stream.next_flow() {
+            let started = Instant::now();
+            ingested += u64::from(fold(&mut partial, dispatched, flow));
+            ingest_time += started.elapsed();
+            dispatched += 1;
+        }
+        metrics.record_dispatched(dispatched);
+        // One month shard = one accounting batch.
+        metrics.record_batch(ingested, ingest_time);
+        metrics.record_parse_failures(partial.not_tls, partial.garbled_client);
+        metrics.record_salvaged(partial.salvaged);
+        partial
     }
 
     /// Run the active campaign (monthly cadence over the Censys window).
@@ -333,6 +436,8 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use tlscope_notary::MetricsSnapshot;
 
     #[test]
     fn quick_study_runs_end_to_end() {
@@ -608,6 +713,128 @@ mod tests {
             s.flows_ingested,
             agg.total() + agg.not_tls + agg.garbled_client
         );
+        assert_eq!(
+            (s.not_tls, s.garbled_client),
+            (agg.not_tls, agg.garbled_client)
+        );
         assert!(s.gen_nanos > 0 && s.ingest_nanos > 0);
+    }
+
+    /// A fold that ingests every flow except the one at `at`, a
+    /// `(month, flow index)` pair, where it panics (`poison`) or skips
+    /// the flow.
+    fn fold_except(
+        at: (Month, u64),
+        poison: bool,
+    ) -> impl Fn(&mut NotaryAggregate, Month, u64, FlowRef<'_>) + Sync {
+        move |agg: &mut NotaryAggregate, month: Month, index: u64, flow: FlowRef<'_>| {
+            if (month, index) != at {
+                ingest_borrowed(agg, flow.date, flow.port, flow.client, flow.server);
+            } else if poison {
+                panic!("poison flow {index} of {month}");
+            }
+        }
+    }
+
+    /// The generation-side counters a replayed month must commit
+    /// exactly once.
+    fn generation_ledger(s: &MetricsSnapshot) -> [u64; 5] {
+        [
+            s.flows_generated,
+            s.bytes_generated,
+            s.flows_outage_dropped,
+            s.flows_duplicated,
+            s.flows_dispatched,
+        ]
+    }
+
+    /// Serialises the tests that file flight reports: the black box is
+    /// process-wide, and the poison property drains it.
+    static FLIGHT_BOX: Mutex<()> = Mutex::new(());
+
+    /// A fold that panics on every flow costs one replay per month and
+    /// quarantines every flow; no month is lost.
+    #[test]
+    fn fully_poisoned_run_quarantines_every_flow() {
+        let _flight_box = FLIGHT_BOX.lock().unwrap_or_else(|p| p.into_inner());
+        let mut cfg = StudyConfig::quick();
+        cfg.start = Month::ym(2017, 1);
+        cfg.end = Month::ym(2017, 3);
+        cfg.connections_per_month = 60;
+        cfg.workers = 2;
+        let metrics = PipelineMetrics::new();
+        let agg = Study::new(cfg)
+            .run_months(&metrics, |_, _, _, _| panic!("always fails"))
+            .unwrap();
+        tlscope_obs::flight::drain_reports();
+        assert_eq!(agg, NotaryAggregate::new());
+        let s = metrics.snapshot();
+        assert_eq!(s.months_replayed, 3);
+        assert_eq!(s.flows_quarantined, s.flows_dispatched);
+        assert_eq!(s.flows_ingested, 0);
+        assert_eq!(s.shards_lost, 0);
+        assert!(s.flows_dispatched > 0 && s.accounting_holds());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// A flow that panics the fold costs that flow and nothing
+        /// else: at every worker count 1–8 and under every fault
+        /// profile, the run equals the same run with the flow skipped,
+        /// its month is replayed once, the flow is quarantined and
+        /// named in a flight report, and the generation-side counters
+        /// match the clean run's.
+        #[test]
+        fn poison_flow_is_quarantined_alone(
+            seed in 0u64..1_000_000,
+            n in 40u32..120,
+            month_of_year in 1u8..=3,
+            draw in 0u64..1_000_000,
+        ) {
+            let _flight_box = FLIGHT_BOX.lock().unwrap_or_else(|p| p.into_inner());
+            let month = Month::ym(2016, month_of_year);
+            for faults in [
+                FaultInjector::none(),
+                FaultInjector::tap_defaults(),
+                FaultInjector::stress(),
+            ] {
+                let mut cfg = StudyConfig::quick();
+                cfg.seed = seed;
+                cfg.connections_per_month = n;
+                cfg.start = Month::ym(2016, 1);
+                cfg.end = Month::ym(2016, 3);
+                cfg.faults = faults;
+                cfg.workers = 1;
+                let study = Study::new(cfg.clone());
+                let flows = study.generator().stream_month(month).count() as u64;
+                if flows == 0 {
+                    continue;
+                }
+                let at = (month, draw % flows);
+                let clean = PipelineMetrics::new();
+                study.try_run_passive_metered(&clean).unwrap();
+                let skipped = study
+                    .run_months(&PipelineMetrics::new(), fold_except(at, false))
+                    .unwrap();
+                for workers in 1..=8 {
+                    cfg.workers = workers;
+                    let metrics = PipelineMetrics::new();
+                    let poisoned = Study::new(cfg.clone())
+                        .run_months(&metrics, fold_except(at, true))
+                        .unwrap();
+                    prop_assert_eq!(&poisoned, &skipped, "workers={} {:?}", workers, faults);
+                    let s = metrics.snapshot();
+                    prop_assert!(s.accounting_holds());
+                    prop_assert_eq!(s.flows_quarantined, 1);
+                    prop_assert_eq!(s.months_replayed, 1);
+                    prop_assert_eq!(s.shards_lost, 0);
+                    prop_assert_eq!(generation_ledger(&s), generation_ledger(&clean.snapshot()));
+                    let named = format!("month {}, flow {}", at.0, at.1);
+                    let reports = tlscope_obs::flight::drain_reports();
+                    prop_assert!(reports.iter().any(|r| r.contains(&named)), "{:?}", reports);
+                }
+            }
+        }
     }
 }

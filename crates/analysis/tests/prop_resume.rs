@@ -1,19 +1,18 @@
-//! Property test for the checkpoint/resume tentpole: for any tap
-//! fault mix — including the extended faults (mid-flow gaps, flow
-//! duplication, outage windows) — any worker count 1–8 and any batch
-//! size 1–300, a study killed mid-window and resumed from its
-//! checkpoint directory produces an aggregate bit-identical to the
-//! uninterrupted serial run, and the flow-accounting invariant
-//! `dispatched = ingested + quarantined` holds throughout. The same
-//! traffic through the batched worker pipeline must agree too.
+//! Property test for checkpoint/resume: for any tap fault mix —
+//! including the extended faults (mid-flow gaps, flow duplication,
+//! outage windows) — and any worker count 1–8, a study killed
+//! mid-window and resumed from its checkpoint directory produces an
+//! aggregate bit-identical to the uninterrupted serial run, and the
+//! flow-accounting invariant `dispatched = ingested + quarantined`
+//! holds throughout.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 use tlscope_analysis::{Study, StudyConfig};
 use tlscope_chron::Month;
-use tlscope_notary::{ingest_batched, ingest_serial, PipelineMetrics, TappedFlow};
-use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
+use tlscope_notary::PipelineMetrics;
+use tlscope_traffic::FaultInjector;
 
 fn fault_mix() -> impl Strategy<Value = FaultInjector> {
     (0usize..4).prop_map(|i| match i {
@@ -35,15 +34,13 @@ fn fault_mix() -> impl Strategy<Value = FaultInjector> {
     })
 }
 
-fn unique_dir(seed: u64, workers: usize, batch: usize) -> PathBuf {
+fn unique_dir(seed: u64, workers: usize) -> PathBuf {
     let pid = std::process::id();
     let t = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .unwrap()
         .as_nanos();
-    std::env::temp_dir().join(format!(
-        "tlscope-prop-resume-{seed}-{workers}-{batch}-{pid}-{t}"
-    ))
+    std::env::temp_dir().join(format!("tlscope-prop-resume-{seed}-{workers}-{pid}-{t}"))
 }
 
 proptest! {
@@ -53,7 +50,6 @@ proptest! {
     fn resumed_checkpoint_equals_uninterrupted_serial(
         seed in 0u64..1_000_000,
         workers in 1usize..=8,
-        batch in 1usize..300,
         n in 40u32..120,
         faults in fault_mix(),
     ) {
@@ -67,7 +63,7 @@ proptest! {
         let serial = Study::new(cfg.clone()).run_passive();
 
         // A run killed after two completed months...
-        let dir = unique_dir(seed, workers, batch);
+        let dir = unique_dir(seed, workers);
         let mut killed = cfg.clone();
         killed.end = Month::ym(2016, 2);
         killed.workers = workers;
@@ -85,22 +81,5 @@ proptest! {
         let s = metrics.snapshot();
         prop_assert!(s.accounting_holds());
         prop_assert_eq!(s.shards_lost, 0);
-
-        // The batched worker pipeline agrees on the same traffic for
-        // this worker/batch combination.
-        let g = Generator::new(TrafficConfig {
-            seed,
-            connections_per_month: n,
-            faults,
-        });
-        let flows: Vec<TappedFlow> = g
-            .month(Month::ym(2016, 2))
-            .into_iter()
-            .map(TappedFlow::from)
-            .collect();
-        let batch_metrics = PipelineMetrics::new();
-        let batched = ingest_batched(flows.clone(), workers, batch, &batch_metrics);
-        prop_assert_eq!(&batched, &ingest_serial(flows));
-        prop_assert!(batch_metrics.snapshot().accounting_holds());
     }
 }

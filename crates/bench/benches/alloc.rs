@@ -17,11 +17,10 @@
 //! allocation regression.
 //!
 //! The per-stage breakdown reports where the remaining allocations
-//! live: `gen` pulls borrowed flows from the generator's scratch,
-//! `channel` is the producer side of the pool-recycled batch channel
-//! over a warm pool, and `ingest` extracts-and-aggregates borrowed
-//! bytes through the thread-local record slot. The `pipeline` row is
-//! the fused borrowed path the study runner uses.
+//! live: `gen` pulls borrowed flows from the generator's scratch, and
+//! `ingest` extracts-and-aggregates borrowed bytes through the
+//! thread-local record slot. The `pipeline` row is the fused borrowed
+//! path the study runner uses.
 //!
 //! Two cache rows report how well the wire roundtrip is amortised on
 //! the clean profile: `template_cache` (generation-side hello template
@@ -35,8 +34,7 @@ use std::time::{Duration, Instant};
 
 use tlscope::chron::Month;
 use tlscope::notary::{
-    ingest_borrowed, ingest_flow, ingest_pooled_scope, parse_cache_stats, FlowPool,
-    NotaryAggregate, PipelineConfig, PipelineMetrics, TappedFlow, DEFAULT_BATCH,
+    ingest_borrowed, ingest_flow, parse_cache_stats, NotaryAggregate, TappedFlow,
 };
 use tlscope::obs::Progress;
 use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
@@ -164,7 +162,7 @@ fn main() {
 
     // Warm up thread-local scratch and lazy runtime state outside the
     // counted regions; `warm` also serves as the pre-built owned flow
-    // set for the ingest and channel stages.
+    // set for the ingest stage.
     let warm: Vec<TappedFlow> = gen.stream_month(month).map(TappedFlow::from).collect();
     let mut agg = NotaryAggregate::new();
     for flow in warm.iter().take(64) {
@@ -182,25 +180,6 @@ fn main() {
     };
     let (_, gen_allocs) = alloc_counter::counted(gen_stage);
     let gen_secs = best_secs(reps, gen_stage);
-
-    // --- Channel stage: producer side of the pool-recycled batch
-    // channel, measured over a warm pool so the one-time circulation
-    // population is excluded (counters are thread-local, so worker
-    // extraction does not pollute the producer's count). ---
-    let cfg = PipelineConfig::clamped(2, DEFAULT_BATCH);
-    let pool = FlowPool::for_config(&cfg);
-    let channel_stage = || {
-        let metrics = PipelineMetrics::new();
-        let (agg, ()) = ingest_pooled_scope(&pool, &cfg, &metrics, |feeder| {
-            for f in &warm {
-                feeder.push(f.date, f.port, &f.client, f.server.as_deref());
-            }
-        });
-        std::hint::black_box(&agg);
-    };
-    channel_stage(); // cold run: fills the pool's circulation.
-    let (_, channel_allocs) = alloc_counter::counted(channel_stage);
-    let channel_secs = best_secs(reps, channel_stage);
 
     // --- Ingestion stage (extract + aggregate) over pre-built flows,
     // through the borrowed path. ---
@@ -294,7 +273,6 @@ fn main() {
 
     let n = conns as f64;
     let gen_apc = gen_allocs as f64 / n;
-    let channel_apc = channel_allocs as f64 / n;
     let ingest_apc = ingest_allocs as f64 / n;
     let pipeline_apc = pipeline_allocs as f64 / n;
     let pipeline_cps = n / pipeline_secs;
@@ -329,7 +307,6 @@ fn main() {
             "  \"month\": \"2015-06\",\n",
             "  \"alloc_counter\": {counting},\n",
             "  \"gen\": {{ \"allocs_per_conn\": {gen_apc:.3}, \"conns_per_sec\": {gen_cps:.0} }},\n",
-            "  \"channel\": {{ \"allocs_per_conn\": {chan_apc:.3}, \"conns_per_sec\": {chan_cps:.0} }},\n",
             "  \"ingest\": {{ \"allocs_per_conn\": {ing_apc:.3}, \"conns_per_sec\": {ing_cps:.0}, \"bytes_per_sec\": {ing_bps:.0} }},\n",
             "  \"pipeline\": {{ \"allocs_per_conn\": {pipe_apc:.3}, \"conns_per_sec\": {pipe_cps:.0}, \"bytes_per_sec\": {pipe_bps:.0} }},\n",
             "  \"heartbeat\": {{ \"conns_per_sec\": {beat_cps:.0}, \"ratio_vs_pipeline\": {beat_ratio:.4} }},\n",
@@ -346,8 +323,6 @@ fn main() {
         counting = counting,
         gen_apc = gen_apc,
         gen_cps = n / gen_secs,
-        chan_apc = channel_apc,
-        chan_cps = n / channel_secs,
         ing_apc = ingest_apc,
         ing_cps = n / ingest_secs,
         ing_bps = total_bytes as f64 / ingest_secs,

@@ -1,14 +1,11 @@
 //! Pipeline benchmarks: generation, negotiation, ingestion — plus the
-//! DESIGN.md ablations of single-thread vs worker-pool ingestion and
-//! of the serial vs month-sharded streaming study runner.
+//! DESIGN.md ablation of the serial vs month-sharded streaming study
+//! runner.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use tlscope::analysis::{Study, StudyConfig};
 use tlscope::chron::{Date, Month};
-use tlscope::notary::{
-    ingest_flow, ingest_parallel, ingest_serial, ingest_supervised_with, NotaryAggregate,
-    PipelineConfig, PipelineMetrics, TappedFlow,
-};
+use tlscope::notary::ingest_serial;
 use tlscope::scanner;
 use tlscope::servers::{negotiate, ServerPopulation};
 use tlscope::traffic::FaultInjector;
@@ -43,15 +40,6 @@ fn bench_ingestion(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    for workers in [2usize, 4, 8] {
-        g.bench_function(format!("parallel_{workers}"), |b| {
-            b.iter_batched(
-                || flows.clone(),
-                |f| ingest_parallel(f, workers).total(),
-                BatchSize::LargeInput,
-            )
-        });
-    }
     g.finish();
 }
 
@@ -87,44 +75,6 @@ fn bench_study_runner(c: &mut Criterion) {
     g.finish();
 }
 
-/// Cost of supervision under fault: the same 4000-flow workload
-/// through the supervised pipeline with a clean processor versus one
-/// where 1 % of flows are poison (panic the extractor and must be
-/// bisected down to quarantine). Measures the recovery overhead of
-/// respawn + bisection relative to the fault-free path.
-fn bench_supervised_recovery(c: &mut Criterion) {
-    let clean = bench_flows(Month::ym(2016, 3), 4000, 11);
-    let mut poisoned = clean.clone();
-    for flow in poisoned.iter_mut().step_by(100) {
-        flow.client = b"\xde\xad poison marker".to_vec();
-    }
-    let poison = |agg: &mut NotaryAggregate, flow: &TappedFlow| {
-        if flow.client.starts_with(b"\xde\xad") {
-            panic!("poison flow");
-        }
-        ingest_flow(agg, flow);
-    };
-    let cfg = PipelineConfig::default();
-    let mut g = c.benchmark_group("pipeline/supervised");
-    g.throughput(Throughput::Elements(clean.len() as u64));
-    g.sample_size(10);
-    g.bench_function("clean", |b| {
-        b.iter_batched(
-            || clean.clone(),
-            |f| ingest_supervised_with(f, &cfg, &PipelineMetrics::new(), poison).total(),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("poison_1pct", |b| {
-        b.iter_batched(
-            || poisoned.clone(),
-            |f| ingest_supervised_with(f, &cfg, &PipelineMetrics::new(), poison).total(),
-            BatchSize::LargeInput,
-        )
-    });
-    g.finish();
-}
-
 fn bench_scan_sweep(c: &mut Criterion) {
     let pop = ServerPopulation::new();
     let mut g = c.benchmark_group("pipeline/scan");
@@ -141,7 +91,6 @@ criterion_group!(
     bench_negotiation,
     bench_ingestion,
     bench_study_runner,
-    bench_supervised_recovery,
     bench_scan_sweep
 );
 criterion_main!(benches);

@@ -248,6 +248,22 @@ fn main() -> ExitCode {
             }
         }
     }
+    // A lost month silently thins every passive artefact, so it fails
+    // the run; a quarantined flow is a single connection, so it warns.
+    let passive = ctx.metrics().snapshot();
+    if passive.flows_quarantined > 0 {
+        eprintln!(
+            "warning: {} poison flow(s) quarantined by the passive runner",
+            passive.flows_quarantined
+        );
+    }
+    if passive.shards_lost > 0 {
+        eprintln!(
+            "error: {} passive month(s) lost to worker panics",
+            passive.shards_lost
+        );
+        failed = true;
+    }
     if let Some(path) = &opts.save {
         match ctx.passive_ref() {
             Some(agg) => {

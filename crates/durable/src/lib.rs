@@ -16,8 +16,8 @@
 //!   caller can recompute its contents without destroying forensic
 //!   evidence;
 //! - [`install_quiet_panic_hook`] / [`quiet_thread_panics`] — the
-//!   shared panic hook for supervised workers (previously duplicated
-//!   in the notary pipeline and the scanner sweep engine).
+//!   shared panic hook for supervised workers (the passive study
+//!   runner and the scanner sweep engine).
 //!
 //! Everything here is `std`-only and deliberately free of any tlscope
 //! domain types: the notary and scanner crates own their formats; this

@@ -4,9 +4,10 @@
 //! the ICSI SSL Notary (§3.1 of *Coming of Age*, IMC 2018). It consumes
 //! raw tapped flows (bytes only), extracts per-connection records with
 //! the tolerant wire parsers, and aggregates them into the monthly
-//! counters behind every figure of the paper. A batched worker
-//! pipeline on scoped threads mirrors the real system's Bro worker
-//! fan-out, with per-stage accounting in [`PipelineMetrics`].
+//! counters behind every figure of the paper. The per-flow fold
+//! ([`ingest_borrowed`]) is what the month-sharded study runner in
+//! `tlscope-analysis` drives on its worker threads, with per-stage
+//! accounting in [`PipelineMetrics`].
 //!
 //! ```
 //! use tlscope_notary::{ingest_serial, TappedFlow};
@@ -41,7 +42,6 @@ pub mod checkpoint;
 pub mod conn;
 pub mod metrics;
 pub mod pipeline;
-pub mod pool;
 pub mod store;
 
 pub use aggregate::{
@@ -53,13 +53,5 @@ pub use conn::{
     ConnectionRecord, ExtractError, ExtractScratch, ParseCacheStats, ServerAnswer, ServerOutcome,
 };
 pub use metrics::{MetricsSnapshot, PipelineLatency, PipelineMetrics};
-pub use pipeline::{
-    ingest_batched, ingest_borrowed, ingest_flow, ingest_parallel, ingest_parallel_metered,
-    ingest_serial, ingest_serial_metered, ingest_supervised_with, ingest_with, PipelineConfig,
-    PipelineConfigError, TappedFlow, DEFAULT_BATCH,
-};
-pub use pool::{
-    ingest_pooled, ingest_pooled_flow, ingest_pooled_scope, ingest_pooled_supervised, FlowBuf,
-    FlowPool, PoolStats, PooledBatch, PooledFeeder, PooledFlow,
-};
+pub use pipeline::{ingest_borrowed, ingest_flow, ingest_serial, TappedFlow};
 pub use store::{from_text, to_text, StoreError};

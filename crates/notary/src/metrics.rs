@@ -8,16 +8,17 @@
 //! All methods take `&self`, so one instance can be threaded through
 //! any number of worker threads without locks.
 //!
-//! Stage wall-clocks are *CPU-summed* across workers: with `N` workers
-//! busy for a second each, a stage records `N` seconds. Divide by the
-//! elapsed wall time to read out effective parallelism.
+//! Stage clocks are *thread-time sums*: each worker adds the wall time
+//! it spent in a stage, so with `N` workers busy for a second each a
+//! stage records `N` seconds. That is not CPU time — a descheduled
+//! worker's clock keeps running — so on an oversubscribed host the sum
+//! can exceed the process's CPU time. Divide by the elapsed wall time
+//! to read out effective parallelism.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use tlscope_obs::{Histogram, HistogramSnapshot, JsonObj};
-
-use crate::pool::PoolStats;
 
 /// Shared, lock-free pipeline counters.
 ///
@@ -28,9 +29,9 @@ use crate::pool::PoolStats;
 /// * **ingestion** — flows/batches through the notary, parse failures
 ///   by class, records salvaged from damaged flows, plus extraction
 ///   wall-clock;
-/// * **recovery** — batch retries, worker respawns, and quarantined
-///   poison flows from the supervised pipeline;
-/// * **merge / fault** — aggregate-merge wall-clock and shards lost to
+/// * **recovery** — months replayed after a worker panic, and poison
+///   flows quarantined by the replay;
+/// * **merge / fault** — aggregate-merge wall-clock and months lost to
 ///   worker panics (best-effort collection, paper §3.1).
 #[derive(Debug, Default)]
 pub struct PipelineMetrics {
@@ -48,8 +49,7 @@ pub struct PipelineMetrics {
     flows_salvaged: AtomicU64,
     ingest_nanos: AtomicU64,
 
-    batch_retries: AtomicU64,
-    worker_respawns: AtomicU64,
+    months_replayed: AtomicU64,
     flows_quarantined: AtomicU64,
 
     merge_nanos: AtomicU64,
@@ -65,13 +65,6 @@ pub struct PipelineMetrics {
     parse_cache_hits: AtomicU64,
     parse_cache_misses: AtomicU64,
     parse_cache_evictions: AtomicU64,
-
-    pool_bufs_created: AtomicU64,
-    pool_bufs_recycled: AtomicU64,
-    pool_bufs_dropped: AtomicU64,
-    pool_batches_created: AtomicU64,
-    pool_batches_recycled: AtomicU64,
-    pool_batches_dropped: AtomicU64,
 
     // Latency distributions (observational only: never part of
     // snapshot equality or any bit-identity property).
@@ -126,25 +119,6 @@ impl PipelineMetrics {
         self.ckpt_load_hist.record(elapsed);
     }
 
-    /// Fold a [`PoolStats`] *delta* (after-minus-before of
-    /// [`crate::FlowPool::stats`]) into the pool counters, so the
-    /// buffer drops the pool used to count invisibly show up in
-    /// `--stats`.
-    pub fn record_pool(&self, delta: &PoolStats) {
-        self.pool_bufs_created
-            .fetch_add(delta.bufs_created, Ordering::Relaxed);
-        self.pool_bufs_recycled
-            .fetch_add(delta.bufs_recycled, Ordering::Relaxed);
-        self.pool_bufs_dropped
-            .fetch_add(delta.bufs_dropped, Ordering::Relaxed);
-        self.pool_batches_created
-            .fetch_add(delta.batches_created, Ordering::Relaxed);
-        self.pool_batches_recycled
-            .fetch_add(delta.batches_recycled, Ordering::Relaxed);
-        self.pool_batches_dropped
-            .fetch_add(delta.batches_dropped, Ordering::Relaxed);
-    }
-
     /// Record parse failures by class.
     pub fn record_parse_failures(&self, not_tls: u64, garbled_client: u64) {
         self.not_tls.fetch_add(not_tls, Ordering::Relaxed);
@@ -170,18 +144,14 @@ impl PipelineMetrics {
         self.flows_salvaged.fetch_add(flows, Ordering::Relaxed);
     }
 
-    /// Record one bisection re-dispatch of a failed (sub-)batch.
-    pub fn record_batch_retry(&self) {
-        self.batch_retries.fetch_add(1, Ordering::Relaxed);
+    /// Record one month replayed flow by flow after its first pass
+    /// panicked.
+    pub fn record_month_replayed(&self) {
+        self.months_replayed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one worker respawn after a caught processing panic.
-    pub fn record_worker_respawn(&self) {
-        self.worker_respawns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `flows` quarantined as poison (they panicked the
-    /// processor even in isolation and were excluded from the run).
+    /// Record `flows` quarantined as poison (they panicked the fold
+    /// even in isolation and were excluded from the run).
     pub fn record_quarantined(&self, flows: u64) {
         self.flows_quarantined.fetch_add(flows, Ordering::Relaxed);
     }
@@ -192,9 +162,10 @@ impl PipelineMetrics {
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Record one worker shard lost to a panic.
-    pub fn record_shard_lost(&self) {
-        self.shards_lost.fetch_add(1, Ordering::Relaxed);
+    /// Record `months` lost to worker panics: neither committed nor
+    /// recovered by a replay.
+    pub fn record_shards_lost(&self, months: u64) {
+        self.shards_lost.fetch_add(months, Ordering::Relaxed);
     }
 
     /// Record one checkpoint file written to the durable store.
@@ -234,11 +205,53 @@ impl PipelineMetrics {
             .fetch_add(evictions, Ordering::Relaxed);
     }
 
-    /// Shards lost so far (also available via [`snapshot`]).
+    /// Months lost so far (also available via [`snapshot`]).
     ///
     /// [`snapshot`]: PipelineMetrics::snapshot
     pub fn shards_lost(&self) -> u64 {
         self.shards_lost.load(Ordering::Relaxed)
+    }
+
+    /// Fold `other` into this bag: every counter is added and every
+    /// latency histogram merged. The study runner meters each month
+    /// into a month-local bag and absorbs it only when the month
+    /// commits, so a month replayed after a panic is counted once.
+    pub fn absorb(&self, other: &PipelineMetrics) {
+        for (into, from) in [
+            (&self.flows_generated, &other.flows_generated),
+            (&self.bytes_generated, &other.bytes_generated),
+            (&self.gen_nanos, &other.gen_nanos),
+            (&self.flows_outage_dropped, &other.flows_outage_dropped),
+            (&self.flows_duplicated, &other.flows_duplicated),
+            (&self.flows_dispatched, &other.flows_dispatched),
+            (&self.flows_ingested, &other.flows_ingested),
+            (&self.batches_ingested, &other.batches_ingested),
+            (&self.not_tls, &other.not_tls),
+            (&self.garbled_client, &other.garbled_client),
+            (&self.flows_salvaged, &other.flows_salvaged),
+            (&self.ingest_nanos, &other.ingest_nanos),
+            (&self.months_replayed, &other.months_replayed),
+            (&self.flows_quarantined, &other.flows_quarantined),
+            (&self.merge_nanos, &other.merge_nanos),
+            (&self.shards_lost, &other.shards_lost),
+            (&self.checkpoints_written, &other.checkpoints_written),
+            (&self.checkpoints_loaded, &other.checkpoints_loaded),
+            (
+                &self.checkpoints_quarantined,
+                &other.checkpoints_quarantined,
+            ),
+            (&self.template_hits, &other.template_hits),
+            (&self.template_misses, &other.template_misses),
+            (&self.parse_cache_hits, &other.parse_cache_hits),
+            (&self.parse_cache_misses, &other.parse_cache_misses),
+            (&self.parse_cache_evictions, &other.parse_cache_evictions),
+        ] {
+            into.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.month_hist.merge(&other.month_hist);
+        self.ingest_batch_hist.merge(&other.ingest_batch_hist);
+        self.ckpt_write_hist.merge(&other.ckpt_write_hist);
+        self.ckpt_load_hist.merge(&other.ckpt_load_hist);
     }
 
     /// A consistent-enough point-in-time copy of all counters.
@@ -256,8 +269,7 @@ impl PipelineMetrics {
             garbled_client: self.garbled_client.load(Ordering::Relaxed),
             flows_salvaged: self.flows_salvaged.load(Ordering::Relaxed),
             ingest_nanos: self.ingest_nanos.load(Ordering::Relaxed),
-            batch_retries: self.batch_retries.load(Ordering::Relaxed),
-            worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
+            months_replayed: self.months_replayed.load(Ordering::Relaxed),
             flows_quarantined: self.flows_quarantined.load(Ordering::Relaxed),
             merge_nanos: self.merge_nanos.load(Ordering::Relaxed),
             shards_lost: self.shards_lost.load(Ordering::Relaxed),
@@ -269,12 +281,6 @@ impl PipelineMetrics {
             parse_cache_hits: self.parse_cache_hits.load(Ordering::Relaxed),
             parse_cache_misses: self.parse_cache_misses.load(Ordering::Relaxed),
             parse_cache_evictions: self.parse_cache_evictions.load(Ordering::Relaxed),
-            pool_bufs_created: self.pool_bufs_created.load(Ordering::Relaxed),
-            pool_bufs_recycled: self.pool_bufs_recycled.load(Ordering::Relaxed),
-            pool_bufs_dropped: self.pool_bufs_dropped.load(Ordering::Relaxed),
-            pool_batches_created: self.pool_batches_created.load(Ordering::Relaxed),
-            pool_batches_recycled: self.pool_batches_recycled.load(Ordering::Relaxed),
-            pool_batches_dropped: self.pool_batches_dropped.load(Ordering::Relaxed),
         }
     }
 
@@ -344,7 +350,7 @@ pub struct MetricsSnapshot {
     pub flows_generated: u64,
     /// Wire bytes emitted by the generator (client + server flows).
     pub bytes_generated: u64,
-    /// CPU-summed generator wall-clock, nanoseconds.
+    /// Generator wall-clock summed over worker threads, nanoseconds.
     pub gen_nanos: u64,
     /// Flows lost to tap outage windows (never dispatched).
     pub flows_outage_dropped: u64,
@@ -363,17 +369,16 @@ pub struct MetricsSnapshot {
     /// Connections salvaged from damaged flows (prefix-recovered
     /// records instead of a garbled drop).
     pub flows_salvaged: u64,
-    /// CPU-summed ingestion wall-clock, nanoseconds.
+    /// Ingestion wall-clock summed over worker threads, nanoseconds.
     pub ingest_nanos: u64,
-    /// Bisection re-dispatches of failed (sub-)batches.
-    pub batch_retries: u64,
-    /// Worker respawns after caught processing panics.
-    pub worker_respawns: u64,
-    /// Poison flows quarantined by the supervisor.
+    /// Months replayed flow by flow after their first pass panicked.
+    pub months_replayed: u64,
+    /// Poison flows quarantined by a month replay.
     pub flows_quarantined: u64,
     /// Wall-clock spent merging partial aggregates, nanoseconds.
     pub merge_nanos: u64,
-    /// Worker shards lost to panics.
+    /// Months lost to worker panics (neither committed nor recovered
+    /// by a replay).
     pub shards_lost: u64,
     /// Checkpoint files written to the durable store.
     pub checkpoints_written: u64,
@@ -395,19 +400,6 @@ pub struct MetricsSnapshot {
     pub parse_cache_misses: u64,
     /// Parse-cache entries evicted by capacity pressure.
     pub parse_cache_evictions: u64,
-    /// Flow buffers the pool allocated fresh.
-    pub pool_bufs_created: u64,
-    /// Flow buffers the pool recycled instead of allocating.
-    pub pool_bufs_recycled: u64,
-    /// Flow buffers dropped because the pool's return channel was full.
-    pub pool_bufs_dropped: u64,
-    /// Batch vectors the pool allocated fresh.
-    pub pool_batches_created: u64,
-    /// Batch vectors the pool recycled instead of allocating.
-    pub pool_batches_recycled: u64,
-    /// Batch vectors dropped because the pool's return channel was
-    /// full.
-    pub pool_batches_dropped: u64,
 }
 
 fn rate(count: u64, nanos: u64) -> f64 {
@@ -431,25 +423,24 @@ fn scaled(v: f64) -> String {
 }
 
 impl MetricsSnapshot {
-    /// Generator throughput in flows per CPU-second.
+    /// Generator throughput in flows per thread-second.
     pub fn gen_flows_per_sec(&self) -> f64 {
         rate(self.flows_generated, self.gen_nanos)
     }
 
-    /// Ingestion throughput in flows per CPU-second.
+    /// Ingestion throughput in flows per thread-second.
     pub fn ingest_flows_per_sec(&self) -> f64 {
         rate(self.flows_ingested, self.ingest_nanos)
     }
 
-    /// Flows dispatched but never processed (lost with panicked
-    /// shards or dropped batches).
+    /// Flows dispatched but never ingested (quarantined as poison).
     pub fn flows_lost(&self) -> u64 {
         self.flows_dispatched.saturating_sub(self.flows_ingested)
     }
 
-    /// The end-to-end flow-accounting invariant of the supervised
-    /// pipeline: every dispatched flow is either ingested or
-    /// quarantined (nothing silently vanishes).
+    /// The end-to-end flow-accounting invariant of the study runner:
+    /// every dispatched flow is either ingested or quarantined
+    /// (nothing silently vanishes).
     pub fn accounting_holds(&self) -> bool {
         self.flows_dispatched == self.flows_ingested + self.flows_quarantined
     }
@@ -463,7 +454,7 @@ impl MetricsSnapshot {
     pub fn render(&self) -> String {
         let mut out = String::from("pipeline metrics\n");
         out.push_str(&format!(
-            "  {:<11} {:>11} flows  {:>10} bytes  {:>9.3}s cpu  {:>10} flows/s\n",
+            "  {:<11} {:>11} flows  {:>10} bytes  {:>9.3}s thread  {:>10} flows/s\n",
             "generate",
             self.flows_generated,
             scaled(self.bytes_generated as f64),
@@ -471,7 +462,7 @@ impl MetricsSnapshot {
             scaled(self.gen_flows_per_sec()),
         ));
         out.push_str(&format!(
-            "  {:<11} {:>11} flows  {:>10} batches {:>8.3}s cpu  {:>10} flows/s\n",
+            "  {:<11} {:>11} flows  {:>10} batches {:>8.3}s thread  {:>10} flows/s\n",
             "ingest",
             self.flows_ingested,
             self.batches_ingested,
@@ -487,11 +478,11 @@ impl MetricsSnapshot {
             "tap", self.flows_outage_dropped, self.flows_duplicated,
         ));
         out.push_str(&format!(
-            "  {:<11} {:>11} retries {:>9} respawns {:>8} quarantined\n",
-            "recovery", self.batch_retries, self.worker_respawns, self.flows_quarantined,
+            "  {:<11} {:>11} months_replayed {:>8} quarantined\n",
+            "recovery", self.months_replayed, self.flows_quarantined,
         ));
         out.push_str(&format!(
-            "  {:<11} {:>10.3}s cpu\n",
+            "  {:<11} {:>10.3}s thread\n",
             "merge",
             self.merge_nanos as f64 / 1e9
         ));
@@ -519,14 +510,6 @@ impl MetricsSnapshot {
             self.parse_cache_misses,
             self.parse_cache_evictions,
         ));
-        out.push_str(&format!(
-            "  {:<11} {:>11} bufs recycled {:>7} dropped  {:>6} batches recycled {:>5} dropped\n",
-            "pool",
-            self.pool_bufs_recycled,
-            self.pool_bufs_dropped,
-            self.pool_batches_recycled,
-            self.pool_batches_dropped,
-        ));
         out
     }
 
@@ -534,7 +517,7 @@ impl MetricsSnapshot {
     /// it whenever the key set changes.
     ///
     /// [`to_json`]: MetricsSnapshot::to_json
-    pub const SCHEMA: &'static str = "tlscope-pipeline-stats-v1";
+    pub const SCHEMA: &'static str = "tlscope-pipeline-stats-v2";
 
     /// Machine-readable export with empty latency sections (no
     /// histograms observed).
@@ -561,8 +544,7 @@ impl MetricsSnapshot {
             .u64("garbled_client", self.garbled_client)
             .u64("flows_salvaged", self.flows_salvaged)
             .u64("ingest_nanos", self.ingest_nanos)
-            .u64("batch_retries", self.batch_retries)
-            .u64("worker_respawns", self.worker_respawns)
+            .u64("months_replayed", self.months_replayed)
             .u64("flows_quarantined", self.flows_quarantined)
             .u64("merge_nanos", self.merge_nanos)
             .u64("shards_lost", self.shards_lost)
@@ -574,12 +556,6 @@ impl MetricsSnapshot {
             .u64("parse_cache_hits", self.parse_cache_hits)
             .u64("parse_cache_misses", self.parse_cache_misses)
             .u64("parse_cache_evictions", self.parse_cache_evictions)
-            .u64("pool_bufs_created", self.pool_bufs_created)
-            .u64("pool_bufs_recycled", self.pool_bufs_recycled)
-            .u64("pool_bufs_dropped", self.pool_bufs_dropped)
-            .u64("pool_batches_created", self.pool_batches_created)
-            .u64("pool_batches_recycled", self.pool_batches_recycled)
-            .u64("pool_batches_dropped", self.pool_batches_dropped)
             .finish();
         let derived = JsonObj::new()
             .f64("gen_flows_per_sec", self.gen_flows_per_sec())
@@ -608,7 +584,7 @@ mod tests {
         m.record_dispatched(2);
         m.record_batch(2, Duration::from_micros(3));
         m.record_parse_failures(1, 0);
-        m.record_shard_lost();
+        m.record_shards_lost(1);
         let s = m.snapshot();
         assert_eq!(s.flows_generated, 2);
         assert_eq!(s.bytes_generated, 200);
@@ -638,9 +614,7 @@ mod tests {
         let m = PipelineMetrics::new();
         m.record_dispatched(10);
         m.record_batch(7, Duration::from_micros(1));
-        m.record_batch_retry();
-        m.record_batch_retry();
-        m.record_worker_respawn();
+        m.record_month_replayed();
         m.record_quarantined(3);
         m.record_salvaged(2);
         m.record_outage_dropped(5);
@@ -653,8 +627,7 @@ mod tests {
         assert_eq!(s.checkpoints_written, 2);
         assert_eq!(s.checkpoints_loaded, 4);
         assert_eq!(s.checkpoints_quarantined, 1);
-        assert_eq!(s.batch_retries, 2);
-        assert_eq!(s.worker_respawns, 1);
+        assert_eq!(s.months_replayed, 1);
         assert_eq!(s.flows_quarantined, 3);
         assert_eq!(s.flows_salvaged, 2);
         assert_eq!(s.flows_outage_dropped, 5);
@@ -665,8 +638,7 @@ mod tests {
         );
         let text = s.render();
         for needle in [
-            "retries",
-            "respawns",
+            "months_replayed",
             "quarantined",
             "salvaged",
             "outage-dropped",
@@ -707,7 +679,7 @@ mod tests {
         m.record_template(15, 2);
         let text = m.snapshot().render();
         let body: Vec<&str> = text.lines().skip(1).collect();
-        assert!(body.len() >= 11, "expected all sections rendered: {text}");
+        assert!(body.len() >= 10, "expected all sections rendered: {text}");
         for line in body {
             assert!(line.starts_with("  "), "indent: {line:?}");
             let label = &line[2..13];
@@ -736,34 +708,33 @@ mod tests {
     }
 
     #[test]
-    fn pool_counters_surface_in_snapshot_and_render() {
-        let m = PipelineMetrics::new();
-        m.record_pool(&PoolStats {
-            bufs_created: 10,
-            bufs_recycled: 90,
-            bufs_dropped: 4,
-            batches_created: 2,
-            batches_recycled: 8,
-            batches_dropped: 1,
-        });
-        m.record_pool(&PoolStats {
-            bufs_created: 1,
-            bufs_recycled: 0,
-            bufs_dropped: 0,
-            batches_created: 0,
-            batches_recycled: 0,
-            batches_dropped: 0,
-        });
-        let s = m.snapshot();
-        assert_eq!(s.pool_bufs_created, 11);
-        assert_eq!(s.pool_bufs_recycled, 90);
-        assert_eq!(s.pool_bufs_dropped, 4);
-        assert_eq!(s.pool_batches_created, 2);
-        assert_eq!(s.pool_batches_recycled, 8);
-        assert_eq!(s.pool_batches_dropped, 1);
-        let text = s.render();
-        assert!(text.contains("pool"), "{text}");
-        assert!(text.contains("bufs recycled"), "{text}");
+    fn absorb_adds_counters_and_merges_latency() {
+        let month = PipelineMetrics::new();
+        month.record_generated(120, Duration::from_nanos(500));
+        month.record_dispatched(3);
+        month.record_batch(2, Duration::from_micros(3));
+        month.record_quarantined(1);
+        month.record_template(4, 1);
+        month.record_parse_cache(2, 1, 0);
+        month.record_month(Duration::from_millis(2));
+        let run = PipelineMetrics::new();
+        run.record_checkpoint_written();
+        run.absorb(&month);
+        run.absorb(&month);
+        let s = run.snapshot();
+        assert_eq!(s.flows_generated, 2);
+        assert_eq!(s.bytes_generated, 240);
+        assert_eq!(s.flows_dispatched, 6);
+        assert_eq!(s.flows_ingested, 4);
+        assert_eq!(s.batches_ingested, 2);
+        assert_eq!(s.flows_quarantined, 2);
+        assert_eq!((s.template_hits, s.template_misses), (8, 2));
+        assert_eq!((s.parse_cache_hits, s.parse_cache_misses), (4, 2));
+        assert_eq!(s.checkpoints_written, 1);
+        assert!(s.accounting_holds());
+        let lat = run.latency();
+        assert_eq!(lat.month.count, 2);
+        assert_eq!(lat.ingest_batch.count, 2);
     }
 
     #[test]
@@ -832,8 +803,7 @@ mod tests {
                 "garbled_client",
                 "flows_salvaged",
                 "ingest_nanos",
-                "batch_retries",
-                "worker_respawns",
+                "months_replayed",
                 "flows_quarantined",
                 "merge_nanos",
                 "shards_lost",
@@ -845,12 +815,6 @@ mod tests {
                 "parse_cache_hits",
                 "parse_cache_misses",
                 "parse_cache_evictions",
-                "pool_bufs_created",
-                "pool_bufs_recycled",
-                "pool_bufs_dropped",
-                "pool_batches_created",
-                "pool_batches_recycled",
-                "pool_batches_dropped",
             ]
         );
         assert_eq!(

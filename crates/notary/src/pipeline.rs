@@ -1,36 +1,17 @@
-//! Supervised parallel ingestion pipeline.
+//! Flow ingestion: extract one tapped flow and fold it into an
+//! aggregate.
 //!
-//! The real Notary fans captured flows out to parallel Bro workers; we
-//! mirror that with a batched MPMC pipeline on scoped threads: one
-//! producer chunks flows into batches of [`DEFAULT_BATCH`] and feeds
-//! them over a bounded channel to N workers, each extracting and
-//! aggregating locally, with the partial aggregates merged at the end.
-//! Batching amortises channel synchronisation over hundreds of flows,
-//! which is what lets throughput scale with workers instead of being
-//! capped by per-flow send/recv overhead.
-//!
-//! Collection is best-effort, like the paper's (§3.1) — but unlike the
-//! paper's cluster we *supervise* it: a processing panic no longer
-//! loses the worker's whole shard. Each batch is processed into a
-//! fresh partial aggregate behind a panic boundary; when a batch
-//! panics, the worker's batch state is discarded and rebuilt (counted
-//! as a respawn in [`PipelineMetrics`]) and the failed batch is
-//! re-dispatched by **bisection** — halves retried recursively, with
-//! optional backoff — until the individual poison flow(s) are isolated
-//! and quarantined. The end-to-end accounting invariant
-//! `dispatched = ingested + quarantined` is exact and tested.
-
-use std::panic::AssertUnwindSafe;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+//! The real Notary fans captured flows out to parallel Bro workers; the
+//! reproduction's fan-out is the month-sharded study runner
+//! (`tlscope_analysis::Study`), which folds the generator's borrowed
+//! flows straight through [`ingest_borrowed`] and puts its panic
+//! boundary on the month. This module holds the per-flow fold it uses,
+//! plus the owned [`TappedFlow`] form and a serial reference runner.
 
 use tlscope_chron::Date;
-use tlscope_durable::{install_quiet_panic_hook, quiet_thread_panics};
 
 use crate::aggregate::NotaryAggregate;
 use crate::conn::{extract_into, with_thread_scratch};
-use crate::metrics::PipelineMetrics;
 
 /// A flow handed to the monitor: everything a tap knows.
 #[derive(Debug, Clone)]
@@ -45,129 +26,9 @@ pub struct TappedFlow {
     pub server: Option<Vec<u8>>,
 }
 
-/// Flows per channel batch: large enough to amortise channel
-/// synchronisation, small enough to keep workers load-balanced.
-pub const DEFAULT_BATCH: usize = 256;
-
-/// Batches buffered in the producer→worker channel before the
-/// producer blocks (bounds memory at roughly
-/// `CHANNEL_DEPTH × batch × flow size`).
-pub(crate) const CHANNEL_DEPTH: usize = 64;
-
-/// Retry backoff is doubled per bisection level but never exceeds
-/// this, so a deeply poisoned batch cannot stall a worker for long.
-const MAX_BACKOFF: Duration = Duration::from_millis(100);
-
-/// Invalid pipeline configuration (the documented, non-panicking
-/// replacement for the old `assert!(workers > 0)` crash path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineConfigError {
-    /// `workers` was zero.
-    ZeroWorkers,
-    /// `batch` was zero.
-    ZeroBatch,
-}
-
-impl std::fmt::Display for PipelineConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipelineConfigError::ZeroWorkers => write!(f, "pipeline needs at least one worker"),
-            PipelineConfigError::ZeroBatch => write!(f, "pipeline needs a positive batch size"),
-        }
-    }
-}
-
-impl std::error::Error for PipelineConfigError {}
-
-/// Validated pipeline configuration.
-///
-/// Invariants (`workers ≥ 1`, `batch ≥ 1`) are enforced at
-/// construction, so the pipeline itself has no panicking
-/// precondition: a caller with a zero-worker config gets a
-/// [`PipelineConfigError`] from [`PipelineConfig::new`] instead of a
-/// crashed study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineConfig {
-    workers: usize,
-    batch: usize,
-    retry_backoff: Duration,
-}
-
-impl Default for PipelineConfig {
-    /// Four workers, [`DEFAULT_BATCH`] flows per batch, no backoff.
-    fn default() -> Self {
-        PipelineConfig {
-            workers: 4,
-            batch: DEFAULT_BATCH,
-            retry_backoff: Duration::ZERO,
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// Checked constructor: rejects zero workers / zero batch.
-    pub fn new(workers: usize, batch: usize) -> Result<Self, PipelineConfigError> {
-        if workers == 0 {
-            return Err(PipelineConfigError::ZeroWorkers);
-        }
-        if batch == 0 {
-            return Err(PipelineConfigError::ZeroBatch);
-        }
-        Ok(PipelineConfig {
-            workers,
-            batch,
-            retry_backoff: Duration::ZERO,
-        })
-    }
-
-    /// Lenient constructor: zero values are clamped to 1 (documented
-    /// alternative to the error path for best-effort callers).
-    pub fn clamped(workers: usize, batch: usize) -> Self {
-        PipelineConfig {
-            workers: workers.max(1),
-            batch: batch.max(1),
-            retry_backoff: Duration::ZERO,
-        }
-    }
-
-    /// Base delay before a failed batch's halves are re-dispatched
-    /// (doubled per bisection level, capped at 100 ms). Zero — the
-    /// default — retries immediately.
-    pub fn with_retry_backoff(mut self, backoff: Duration) -> Self {
-        self.retry_backoff = backoff;
-        self
-    }
-
-    /// Worker thread count (≥ 1).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Flows per channel batch (≥ 1).
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Configured base retry backoff.
-    pub fn retry_backoff(&self) -> Duration {
-        self.retry_backoff
-    }
-}
-
-/// Extract one flow and fold it into `agg`.
-///
-/// Thin owned wrapper over [`ingest_borrowed`], with a flight-recorder
-/// breadcrumb per flow: if this flow panics the extractor, the
-/// supervisor's postmortem report shows exactly which flow died. (The
-/// fused borrowed fast path skips the breadcrumb by design — it never
-/// runs under a panic boundary.)
+/// Extract one flow and fold it into `agg`: the owned wrapper over
+/// [`ingest_borrowed`].
 pub fn ingest_flow(agg: &mut NotaryAggregate, flow: &TappedFlow) {
-    tlscope_obs::flight::record(
-        "flow",
-        flow.date.to_epoch_days() as u64,
-        flow.port as u64,
-        flow.client.len() as u64,
-    );
     ingest_borrowed(
         agg,
         flow.date,
@@ -198,414 +59,12 @@ pub fn ingest_borrowed(
     )
 }
 
-/// Ingest a stream of flows on the current thread.
+/// Ingest a stream of flows on the current thread: the reference every
+/// sharded run is compared against.
 pub fn ingest_serial(flows: impl IntoIterator<Item = TappedFlow>) -> NotaryAggregate {
     let mut agg = NotaryAggregate::new();
     for flow in flows {
         ingest_flow(&mut agg, &flow);
     }
     agg
-}
-
-/// [`ingest_serial`] with pipeline accounting.
-pub fn ingest_serial_metered(
-    flows: impl IntoIterator<Item = TappedFlow>,
-    metrics: &PipelineMetrics,
-) -> NotaryAggregate {
-    let mut agg = NotaryAggregate::new();
-    let mut n = 0u64;
-    let started = Instant::now();
-    for flow in flows {
-        ingest_flow(&mut agg, &flow);
-        n += 1;
-    }
-    metrics.record_dispatched(n);
-    metrics.record_batch(n, started.elapsed());
-    metrics.record_parse_failures(agg.not_tls, agg.garbled_client);
-    metrics.record_salvaged(agg.salvaged);
-    crate::conn::flush_parse_cache_metrics(metrics);
-    agg
-}
-
-/// Ingest a stream of flows on `workers` threads; the result is
-/// identical to [`ingest_serial`] (aggregation is commutative).
-/// `workers == 0` is clamped to 1.
-pub fn ingest_parallel(
-    flows: impl IntoIterator<Item = TappedFlow>,
-    workers: usize,
-) -> NotaryAggregate {
-    ingest_parallel_metered(flows, workers, &PipelineMetrics::new())
-}
-
-/// [`ingest_parallel`] with pipeline accounting: batches, per-stage
-/// wall-clock, parse-failure classes, and the supervised-recovery
-/// counters (retries, respawns, quarantined flows).
-pub fn ingest_parallel_metered(
-    flows: impl IntoIterator<Item = TappedFlow>,
-    workers: usize,
-    metrics: &PipelineMetrics,
-) -> NotaryAggregate {
-    ingest_with(
-        flows,
-        &PipelineConfig::clamped(workers, DEFAULT_BATCH),
-        metrics,
-    )
-}
-
-/// [`ingest_parallel_metered`] with an explicit batch size — exposed
-/// so equivalence tests can sweep batch sizes (any batch size must
-/// produce a result identical to [`ingest_serial`]). Zero workers or
-/// batch are clamped to 1 instead of panicking.
-pub fn ingest_batched(
-    flows: impl IntoIterator<Item = TappedFlow>,
-    workers: usize,
-    batch: usize,
-    metrics: &PipelineMetrics,
-) -> NotaryAggregate {
-    ingest_with(flows, &PipelineConfig::clamped(workers, batch), metrics)
-}
-
-/// Ingest with a validated [`PipelineConfig`].
-pub fn ingest_with(
-    flows: impl IntoIterator<Item = TappedFlow>,
-    cfg: &PipelineConfig,
-    metrics: &PipelineMetrics,
-) -> NotaryAggregate {
-    ingest_supervised_with(flows, cfg, metrics, ingest_flow)
-}
-
-/// Process one slice behind a panic boundary into a fresh partial
-/// aggregate, so a mid-flow panic can never leave half-ingested state
-/// in the worker's running aggregate.
-fn process_slice<T, F>(flows: &[T], process: F) -> std::thread::Result<NotaryAggregate>
-where
-    F: Fn(&mut NotaryAggregate, &T) + Copy,
-{
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut agg = NotaryAggregate::new();
-        for flow in flows {
-            process(&mut agg, flow);
-        }
-        agg
-    }))
-}
-
-/// Supervised processing of one batch: on success the partial is
-/// merged and accounted; on panic the batch is bisected and both
-/// halves re-dispatched (with capped exponential backoff) until the
-/// poison flow(s) are isolated and quarantined. Generic over the flow
-/// representation so the pool-recycled channel path shares the exact
-/// recovery machinery.
-pub(crate) fn supervise_batch<T, F>(
-    batch: &[T],
-    depth: u32,
-    cfg: &PipelineConfig,
-    metrics: &PipelineMetrics,
-    process: F,
-    agg: &mut NotaryAggregate,
-) where
-    F: Fn(&mut NotaryAggregate, &T) + Copy,
-{
-    // Process-unique batch id, purely for flight-recorder correlation.
-    static BATCH_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let batch_id = BATCH_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    tlscope_obs::flight::record("batch", batch_id, batch.len() as u64, depth as u64);
-    let started = Instant::now();
-    match process_slice(batch, process) {
-        Ok(partial) => {
-            metrics.record_batch(batch.len() as u64, started.elapsed());
-            metrics.record_parse_failures(partial.not_tls, partial.garbled_client);
-            metrics.record_salvaged(partial.salvaged);
-            crate::conn::flush_parse_cache_metrics(metrics);
-            agg.merge(partial);
-        }
-        Err(_) => {
-            // The worker's batch context died with the panic; it is
-            // rebuilt from scratch for the retries below — that
-            // discard-and-rebuild is the respawn.
-            metrics.record_worker_respawn();
-            if batch.len() == 1 {
-                metrics.record_quarantined(1);
-                tlscope_obs::flight::report(&format!(
-                    "poison flow quarantined (batch {batch_id}, bisection depth {depth})"
-                ));
-                return;
-            }
-            if !cfg.retry_backoff.is_zero() {
-                let backoff = cfg
-                    .retry_backoff
-                    .saturating_mul(1u32 << depth.min(10))
-                    .min(MAX_BACKOFF);
-                std::thread::sleep(backoff);
-            }
-            let mid = batch.len() / 2;
-            for half in [&batch[..mid], &batch[mid..]] {
-                metrics.record_batch_retry();
-                supervise_batch(half, depth + 1, cfg, metrics, process, agg);
-            }
-        }
-    }
-}
-
-/// The supervised batched worker pipeline, generic over the per-flow
-/// processor so the recovery path is testable (and benchmarkable)
-/// with a deliberately faulty processor.
-///
-/// Guarantees, all visible through `metrics`:
-/// * no shard loss — worker panics are contained per batch
-///   (`shards_lost` stays 0 unless something outside the processing
-///   boundary fails);
-/// * poison isolation — a flow that panics the processor is bisected
-///   down to and quarantined alone; its batch neighbours are ingested;
-/// * exact accounting — `dispatched = ingested + quarantined`.
-pub fn ingest_supervised_with<T, F>(
-    flows: impl IntoIterator<Item = T>,
-    cfg: &PipelineConfig,
-    metrics: &PipelineMetrics,
-    process: F,
-) -> NotaryAggregate
-where
-    T: Send,
-    F: Fn(&mut NotaryAggregate, &T) + Copy + Send + Sync,
-{
-    install_quiet_panic_hook();
-    let (workers, batch) = (cfg.workers(), cfg.batch());
-    let (tx, rx) = mpsc::sync_channel::<Vec<T>>(CHANNEL_DEPTH);
-    // Workers share the receiver through Arc so that if every worker
-    // somehow died, the channel would disconnect and the producer
-    // unblock with a send error instead of deadlocking.
-    let rx = Arc::new(Mutex::new(rx));
-    let mut result = NotaryAggregate::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                scope.spawn(move || {
-                    quiet_thread_panics(true);
-                    let mut agg = NotaryAggregate::new();
-                    loop {
-                        let received = {
-                            let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-                            guard.recv()
-                        };
-                        let Ok(batch) = received else { break };
-                        supervise_batch(&batch, 0, cfg, metrics, process, &mut agg);
-                    }
-                    agg
-                })
-            })
-            .collect();
-        drop(rx);
-        let mut buf = Vec::with_capacity(batch);
-        for flow in flows {
-            buf.push(flow);
-            if buf.len() == batch {
-                metrics.record_dispatched(batch as u64);
-                if tx
-                    .send(std::mem::replace(&mut buf, Vec::with_capacity(batch)))
-                    .is_err()
-                {
-                    // Every worker is gone; stop producing.
-                    buf.clear();
-                    break;
-                }
-            }
-        }
-        if !buf.is_empty() {
-            metrics.record_dispatched(buf.len() as u64);
-            let _ = tx.send(buf);
-        }
-        drop(tx);
-        for h in handles {
-            match h.join() {
-                Ok(agg) => {
-                    let started = Instant::now();
-                    result.merge(agg);
-                    metrics.record_merge(started.elapsed());
-                }
-                Err(_) => metrics.record_shard_lost(),
-            }
-        }
-    });
-    result
-}
-
-// Generator-driven equivalence tests live in `tests/pipeline.rs`: the
-// traffic crate's `From<ConnectionEvent> for TappedFlow` impl targets
-// the *library* build of this crate, which unit tests (a separate
-// compilation of the same source) cannot name. Unit tests here cover
-// the worker machinery itself with synthetic flows.
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Synthetic non-TLS flows — the worker machinery doesn't care
-    /// about flow contents; `ingest_flow` classifies these as not-TLS.
-    fn synthetic_flows(n: usize) -> Vec<TappedFlow> {
-        (0..n)
-            .map(|i| TappedFlow {
-                date: Date::ymd(2016, 1, 1 + (i % 28) as u8),
-                port: 443,
-                client: vec![i as u8; 8 + i % 32],
-                server: None,
-            })
-            .collect()
-    }
-
-    /// A processor that counts every flow into the not-TLS bucket —
-    /// cheap, deterministic, and visible through the public field.
-    fn count_flow(agg: &mut NotaryAggregate, _flow: &TappedFlow) {
-        agg.not_tls += 1;
-    }
-
-    #[test]
-    fn config_rejects_zero_values() {
-        assert_eq!(
-            PipelineConfig::new(0, 64),
-            Err(PipelineConfigError::ZeroWorkers)
-        );
-        assert_eq!(
-            PipelineConfig::new(2, 0),
-            Err(PipelineConfigError::ZeroBatch)
-        );
-        let cfg = PipelineConfig::new(2, 64).unwrap();
-        assert_eq!((cfg.workers(), cfg.batch()), (2, 64));
-        let clamped = PipelineConfig::clamped(0, 0);
-        assert_eq!((clamped.workers(), clamped.batch()), (1, 1));
-        assert!(!PipelineConfigError::ZeroWorkers.to_string().is_empty());
-        assert!(!PipelineConfigError::ZeroBatch.to_string().is_empty());
-    }
-
-    #[test]
-    fn zero_worker_request_no_longer_crashes() {
-        // The old pipeline asserted on this; now it is clamped and the
-        // run completes with full accounting.
-        let metrics = PipelineMetrics::new();
-        let agg = ingest_batched(synthetic_flows(100), 0, 0, &metrics);
-        assert_eq!(agg.not_tls, 100);
-        assert!(metrics.snapshot().accounting_holds());
-    }
-
-    #[test]
-    fn batches_are_sized_and_metered() {
-        let metrics = PipelineMetrics::new();
-        // 700 flows at a 256-flow batch = ceil(700/256) = 3 batches.
-        let agg = ingest_supervised_with(
-            synthetic_flows(700),
-            &PipelineConfig::new(3, DEFAULT_BATCH).unwrap(),
-            &metrics,
-            count_flow,
-        );
-        assert_eq!(agg.not_tls, 700);
-        let s = metrics.snapshot();
-        assert_eq!(s.flows_dispatched, 700);
-        assert_eq!(s.flows_ingested, 700);
-        assert_eq!(s.flows_lost(), 0);
-        assert_eq!(s.batches_ingested, 3);
-        assert_eq!(s.shards_lost, 0);
-        assert!(s.ingest_nanos > 0);
-    }
-
-    #[test]
-    fn parse_failures_are_metered_by_class() {
-        let metrics = PipelineMetrics::new();
-        let agg = ingest_parallel_metered(synthetic_flows(300), 2, &metrics);
-        let s = metrics.snapshot();
-        assert_eq!(s.not_tls, agg.not_tls);
-        assert_eq!(s.garbled_client, agg.garbled_client);
-        assert_eq!(s.not_tls + s.garbled_client, 300);
-    }
-
-    #[test]
-    fn poison_flow_is_quarantined_alone() {
-        // A processor that panics on one specific flow: with
-        // supervision, exactly that flow is quarantined and every
-        // other flow in its batch survives — no shard loss.
-        let fs = synthetic_flows(900);
-        let poison_len = fs[500].client.len();
-        let poison_byte = fs[500].client[0];
-        let poison_count = fs
-            .iter()
-            .filter(|f| f.client.len() == poison_len && f.client[0] == poison_byte)
-            .count() as u64;
-        let metrics = PipelineMetrics::new();
-        let agg = ingest_supervised_with(
-            fs,
-            &PipelineConfig::new(4, 64).unwrap(),
-            &metrics,
-            move |agg: &mut NotaryAggregate, flow: &TappedFlow| {
-                if flow.client.len() == poison_len && flow.client[0] == poison_byte {
-                    panic!("poisoned flow");
-                }
-                count_flow(agg, flow);
-            },
-        );
-        let s = metrics.snapshot();
-        assert_eq!(s.shards_lost, 0, "supervision must prevent shard loss");
-        assert_eq!(s.flows_quarantined, poison_count);
-        assert_eq!(agg.not_tls, 900 - poison_count);
-        assert_eq!(s.flows_dispatched, 900);
-        assert_eq!(s.flows_ingested, 900 - poison_count);
-        assert!(s.accounting_holds(), "dispatched = ingested + quarantined");
-        assert!(s.worker_respawns >= 1, "each panic is a respawn");
-        assert!(s.batch_retries >= 2, "bisection re-dispatches halves");
-    }
-
-    #[test]
-    fn fully_poisoned_input_quarantines_everything() {
-        let metrics = PipelineMetrics::new();
-        let agg = ingest_supervised_with(
-            synthetic_flows(2_000),
-            &PipelineConfig::new(2, 16).unwrap(),
-            &metrics,
-            |_agg: &mut NotaryAggregate, _flow: &TappedFlow| panic!("always fails"),
-        );
-        assert_eq!(agg.total(), 0);
-        let s = metrics.snapshot();
-        assert_eq!(s.shards_lost, 0);
-        assert_eq!(s.flows_quarantined, 2_000);
-        assert_eq!(s.flows_ingested, 0);
-        assert!(s.accounting_holds());
-        // Bisecting a b-flow batch to singletons costs ~2b retries;
-        // the supervisor must stay within that bound.
-        assert!(s.batch_retries <= 2 * 2_000);
-    }
-
-    #[test]
-    fn retry_backoff_is_applied_and_capped() {
-        let fs = synthetic_flows(8);
-        let metrics = PipelineMetrics::new();
-        let cfg = PipelineConfig::new(1, 8)
-            .unwrap()
-            .with_retry_backoff(Duration::from_micros(50));
-        assert_eq!(cfg.retry_backoff(), Duration::from_micros(50));
-        let started = Instant::now();
-        let _ = ingest_supervised_with(
-            fs,
-            &cfg,
-            &metrics,
-            |_agg: &mut NotaryAggregate, flow: &TappedFlow| {
-                if flow.client.len() == 8 {
-                    panic!("poison");
-                }
-            },
-        );
-        let s = metrics.snapshot();
-        assert_eq!(s.flows_quarantined, 1);
-        assert!(s.accounting_holds());
-        // Backoff slept at least once but stayed well under the cap
-        // even with doubling.
-        assert!(started.elapsed() >= Duration::from_micros(50));
-        assert!(started.elapsed() < Duration::from_secs(2));
-    }
-
-    #[test]
-    fn tiny_batches_and_single_worker_still_exact() {
-        let fs = synthetic_flows(150);
-        let serial = ingest_serial(fs.clone());
-        let metrics = PipelineMetrics::new();
-        let batched = ingest_batched(fs, 1, 1, &metrics);
-        assert_eq!(serial, batched);
-        assert_eq!(metrics.snapshot().batches_ingested, 150);
-    }
 }

@@ -1,13 +1,12 @@
-//! Generator-driven pipeline tests: serial vs parallel equivalence on
-//! realistic traffic. These live outside the crate so the traffic
-//! crate's `From<ConnectionEvent> for TappedFlow` impl applies (it
-//! targets the library build of tlscope-notary).
+//! Generator-driven pipeline tests: serial ingestion on realistic
+//! traffic, and the month-sharded study runner checked against it.
+//! These live outside the crate so the traffic crate's
+//! `From<ConnectionEvent> for TappedFlow` impl applies (it targets the
+//! library build of tlscope-notary).
 
+use tlscope_analysis::{Study, StudyConfig};
 use tlscope_chron::Month;
-use tlscope_notary::{
-    ingest_batched, ingest_flow, ingest_parallel, ingest_parallel_metered, ingest_serial,
-    ingest_supervised_with, NotaryAggregate, PipelineConfig, PipelineMetrics, TappedFlow,
-};
+use tlscope_notary::{ingest_serial, NotaryAggregate, PipelineMetrics, TappedFlow};
 use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
 
 fn flows(month: Month, n: u32) -> Vec<TappedFlow> {
@@ -17,6 +16,29 @@ fn flows(month: Month, n: u32) -> Vec<TappedFlow> {
         faults: FaultInjector::none(),
     });
     g.month(month).into_iter().map(TappedFlow::from).collect()
+}
+
+/// A study over `start..=end` with `n` connections per month.
+fn study_config(seed: u64, start: Month, end: Month, n: u32, faults: FaultInjector) -> StudyConfig {
+    StudyConfig {
+        seed,
+        connections_per_month: n,
+        start,
+        end,
+        faults,
+        ..StudyConfig::quick()
+    }
+}
+
+/// Serial ingestion of every flow the study's generator draws.
+fn serial_reference(study: &Study) -> NotaryAggregate {
+    ingest_serial(
+        study
+            .months()
+            .into_iter()
+            .flat_map(|m| study.generator().month(m))
+            .map(TappedFlow::from),
+    )
 }
 
 #[test]
@@ -29,25 +51,25 @@ fn serial_ingestion_counts_everything() {
 }
 
 #[test]
-fn parallel_matches_serial_exactly() {
-    let fs = flows(Month::ym(2015, 9), 600);
-    let serial = ingest_serial(fs.clone());
-    let parallel = ingest_parallel(fs, 4);
-    // Aggregation is commutative and integer-exact, so the whole
-    // aggregate — counters, fingerprints, sightings, position means —
-    // must be bit-identical.
-    assert_eq!(serial, parallel);
-}
-
-#[test]
-fn batch_size_never_changes_the_result() {
-    let fs = flows(Month::ym(2014, 8), 500);
-    let serial = ingest_serial(fs.clone());
-    for batch in [1, 7, 64, 256, 1024] {
-        let metrics = PipelineMetrics::new();
-        let batched = ingest_batched(fs.clone(), 3, batch, &metrics);
-        assert_eq!(serial, batched, "batch size {batch} diverged");
-        assert_eq!(metrics.snapshot().flows_ingested, fs.len() as u64);
+fn study_matches_serial_at_every_worker_count() {
+    let mut cfg = study_config(
+        7,
+        Month::ym(2015, 8),
+        Month::ym(2015, 10),
+        300,
+        FaultInjector::none(),
+    );
+    let serial = serial_reference(&Study::new(cfg.clone()));
+    for workers in 1..=8 {
+        cfg.workers = workers;
+        // Aggregation is commutative and integer-exact, so the whole
+        // aggregate — counters, fingerprints, sightings, position
+        // means — must be bit-identical.
+        assert_eq!(
+            Study::new(cfg.clone()).run_passive(),
+            serial,
+            "workers={workers}"
+        );
     }
 }
 
@@ -75,48 +97,6 @@ fn faulty_flows_are_tolerated() {
     assert!(agg.garbled_client > 0);
 }
 
-/// The ISSUE's poison-flow acceptance criterion, on realistic traffic
-/// with the real extractor: a flow that panics the processor results
-/// in exactly that flow quarantined — `shards_lost` stays 0, every
-/// surviving flow is ingested (bit-identical to a serial run over the
-/// survivors), and `dispatched = ingested + quarantined`.
-#[test]
-fn poison_flow_is_quarantined_not_the_shard() {
-    let fs = flows(Month::ym(2016, 5), 600);
-    let poison = fs[123].client.clone();
-    let expected = fs.iter().filter(|f| f.client == poison).count() as u64;
-    assert!(expected >= 1);
-    let metrics = PipelineMetrics::new();
-    let needle = poison.clone();
-    // The processor is shared by reference across workers (`F: Copy`),
-    // so the non-`Copy` capture is borrowed, not duplicated.
-    let process = move |agg: &mut NotaryAggregate, flow: &TappedFlow| {
-        if flow.client == needle {
-            panic!("poisoned flow reached the extractor");
-        }
-        ingest_flow(agg, flow);
-    };
-    let agg = ingest_supervised_with(
-        fs.clone(),
-        &PipelineConfig::new(4, 50).unwrap(),
-        &metrics,
-        &process,
-    );
-    let s = metrics.snapshot();
-    assert_eq!(s.shards_lost, 0, "supervision must prevent shard loss");
-    assert_eq!(s.flows_quarantined, expected);
-    assert_eq!(s.flows_dispatched, 600);
-    assert_eq!(s.flows_ingested, 600 - expected);
-    assert!(
-        s.accounting_holds(),
-        "dispatched = ingested + quarantined must hold"
-    );
-    assert!(s.worker_respawns >= 1);
-    assert!(s.batch_retries >= 2);
-    let survivors = ingest_serial(fs.into_iter().filter(|f| f.client != poison));
-    assert_eq!(agg, survivors, "batch neighbours must all survive");
-}
-
 /// Runs under whatever `TLSCOPE_FAULT_PROFILE` names — the CI
 /// fault-matrix job sets `stress`, forcing heavy drops, truncation,
 /// corruption, gaps, duplication, and outages through the full
@@ -125,22 +105,19 @@ fn poison_flow_is_quarantined_not_the_shard() {
 fn env_fault_profile_never_breaks_equivalence() {
     let faults = FaultInjector::from_env(FaultInjector::tap_defaults());
     faults.validate().expect("profile must be valid");
-    let g = Generator::new(TrafficConfig {
-        seed: 31,
-        connections_per_month: 800,
-        faults,
-    });
-    let fs: Vec<TappedFlow> = g
-        .month(Month::ym(2017, 9))
+    let mut cfg = study_config(31, Month::ym(2017, 8), Month::ym(2017, 10), 800, faults);
+    cfg.workers = 4;
+    let study = Study::new(cfg);
+    let serial = serial_reference(&study);
+    let dispatched: usize = study
+        .months()
         .into_iter()
-        .map(TappedFlow::from)
-        .collect();
-    let serial = ingest_serial(fs.clone());
+        .map(|m| study.generator().month(m).len())
+        .sum();
     let metrics = PipelineMetrics::new();
-    let batched = ingest_batched(fs.clone(), 4, 64, &metrics);
-    assert_eq!(serial, batched);
+    assert_eq!(study.run_passive_metered(&metrics), serial);
     let s = metrics.snapshot();
-    assert_eq!(s.flows_dispatched, fs.len() as u64);
+    assert_eq!(s.flows_dispatched, dispatched as u64);
     assert!(s.accounting_holds());
     assert_eq!(s.shards_lost, 0);
 }
@@ -152,40 +129,23 @@ fn env_fault_profile_never_breaks_equivalence() {
 /// flow through both the aggregate and the pipeline metrics.
 #[test]
 fn damaged_flows_are_salvaged_not_discarded() {
-    let g = Generator::new(TrafficConfig {
-        seed: 17,
-        connections_per_month: 2000,
-        faults: FaultInjector {
-            truncate_prob: 0.5,
-            gap_prob: 0.5,
-            ..FaultInjector::none()
-        },
-    });
-    let fs: Vec<TappedFlow> = g
-        .month(Month::ym(2016, 4))
-        .into_iter()
-        .map(TappedFlow::from)
-        .collect();
+    let faults = FaultInjector {
+        truncate_prob: 0.5,
+        gap_prob: 0.5,
+        ..FaultInjector::none()
+    };
+    let mut cfg = study_config(17, Month::ym(2016, 4), Month::ym(2016, 5), 1000, faults);
+    cfg.workers = 2;
+    let study = Study::new(cfg);
     let metrics = PipelineMetrics::new();
-    let agg = ingest_batched(fs.clone(), 4, 128, &metrics);
+    let agg = study.run_passive_metered(&metrics);
     assert!(agg.salvaged > 0, "no flow was salvaged under 50% damage");
     assert!(agg.garbled_client > 0, "some damage should be fatal");
     let s = metrics.snapshot();
     assert_eq!(s.flows_salvaged, agg.salvaged);
-    assert_eq!(agg, ingest_serial(fs), "salvage must stay deterministic");
-}
-
-#[test]
-fn realistic_traffic_failures_are_metered() {
-    let fs = flows(Month::ym(2016, 1), 700);
-    let metrics = PipelineMetrics::new();
-    let agg = ingest_parallel_metered(fs, 3, &metrics);
-    let s = metrics.snapshot();
-    assert_eq!(s.flows_dispatched, 700);
-    assert_eq!(s.flows_ingested, 700);
-    assert_eq!(s.batches_ingested, 3);
     assert_eq!(
-        s.not_tls + s.garbled_client,
-        agg.not_tls + agg.garbled_client
+        agg,
+        serial_reference(&study),
+        "salvage must stay deterministic"
     );
 }

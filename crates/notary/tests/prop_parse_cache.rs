@@ -1,8 +1,8 @@
 //! Property test: hello-parse memoisation is invisible in the output.
-//! For any seed, month, worker count 1–8, batch size, and fault
-//! profile (clean, tap defaults, stress), ingestion with the parse
-//! cache enabled produces a [`NotaryAggregate`] bit-identical to
-//! ingestion with the cache disabled — every monthly counter,
+//! For any seed, month, study worker count 1–8, and fault profile
+//! (clean, tap defaults, stress), ingestion with the parse cache
+//! enabled produces a [`NotaryAggregate`] bit-identical to ingestion
+//! with the cache disabled — every monthly counter,
 //! fingerprint count, sighting, and failure class. Dedicated threads
 //! give each run a fresh thread-local cache so capacities can be
 //! pinned per case. Run with `TLSCOPE_VERIFY_PARSE_CACHE=1` (the CI
@@ -10,10 +10,11 @@
 //! equality inline.
 
 use proptest::prelude::*;
+use tlscope_analysis::{Study, StudyConfig};
 use tlscope_chron::Month;
 use tlscope_notary::{
-    ingest_batched, ingest_serial, parse_cache_set_capacity, parse_cache_stats, ParseCacheStats,
-    PipelineMetrics, TappedFlow,
+    ingest_serial, parse_cache_set_capacity, parse_cache_stats, ParseCacheStats, PipelineMetrics,
+    TappedFlow,
 };
 use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
 
@@ -49,25 +50,35 @@ proptest! {
     fn cached_ingestion_is_bit_identical(
         seed in 0u64..1_000_000,
         year in 2012i32..=2018,
-        mon in 1u8..=12,
+        mon in 1u8..=11,
         n in 50u32..200,
         workers in 1usize..=8,
-        batch in 1usize..300,
         faults in profile(),
     ) {
-        let flows = flows_for(seed, year, mon, n, faults);
+        let flows: Vec<TappedFlow> = (mon..mon + 2)
+            .flat_map(|m| flows_for(seed, year, m, n, faults))
+            .collect();
         let uncached = on_fresh_thread(|| {
             parse_cache_set_capacity(0);
             ingest_serial(flows.clone())
         });
         let cached_serial = on_fresh_thread(|| ingest_serial(flows.clone()));
         prop_assert_eq!(&uncached, &cached_serial);
-        // Parallel workers each carry their own cache; the merge must
+        // Study workers each carry their own cache; the merge must
         // still be bit-identical to the uncached serial pass.
         let metrics = PipelineMetrics::new();
-        let parallel = ingest_batched(flows.clone(), workers, batch, &metrics);
+        let parallel = Study::new(StudyConfig {
+            seed,
+            connections_per_month: n,
+            start: Month::ym(year, mon),
+            end: Month::ym(year, mon + 1),
+            workers,
+            faults,
+            ..StudyConfig::quick()
+        })
+        .run_passive_metered(&metrics);
         prop_assert_eq!(&uncached, &parallel);
-        // Per-worker cache counters rolled up through the batch flush:
+        // Per-worker cache counters rolled up through the month flush:
         // every hit or miss is a dispatched flow.
         let s = metrics.snapshot();
         prop_assert!(s.parse_cache_hits + s.parse_cache_misses <= s.flows_dispatched);

@@ -1,8 +1,8 @@
 //! The panic flight recorder.
 //!
 //! The pipelines already survive worker panics (`catch_unwind` around
-//! batch ingestion and sweep chunks) but until now a quarantined flow
-//! or dropped chunk left no trace of *what the worker was doing*. This
+//! each passive month and each sweep chunk) but until now a quarantined
+//! flow or dropped chunk left no trace of *what the worker was doing*. This
 //! module is the black box: each worker thread keeps a bounded,
 //! thread-local ring of recent [`FlightEvent`]s ([`record`] is a
 //! `VecDeque` push — no locks, no allocation after warm-up), and when

@@ -10,10 +10,11 @@
 //! `PipelineMetrics`: a bag of atomic counters threaded through any
 //! number of sweep workers, all methods `&self`.
 //!
-//! Sweep wall-clocks are *CPU-summed* across workers, like the passive
-//! stage clocks: with `N` workers busy a second each, `scan_nanos`
-//! reads `N` seconds. Divide by elapsed wall time for effective
-//! parallelism.
+//! Sweep clocks are *thread-time sums*, like the passive stage clocks:
+//! each worker adds the wall time it spent sweeping, so with `N` workers
+//! busy a second each `scan_nanos` reads `N` seconds. That is not CPU
+//! time — a descheduled worker's clock keeps running. Divide by elapsed
+//! wall time for effective parallelism.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -300,7 +301,7 @@ pub struct ScanMetricsSnapshot {
     pub workers_lost: u64,
     /// Sweeps finished.
     pub sweeps_completed: u64,
-    /// CPU-summed sweep wall-clock, nanoseconds.
+    /// Sweep wall-clock summed over worker threads, nanoseconds.
     pub scan_nanos: u64,
     /// Checkpoint files written to the durable store.
     pub checkpoints_written: u64,
@@ -332,12 +333,12 @@ fn scaled(v: f64) -> String {
 }
 
 impl ScanMetricsSnapshot {
-    /// Scan throughput in hosts per CPU-second.
+    /// Scan throughput in hosts per thread-second.
     pub fn hosts_per_sec(&self) -> f64 {
         rate(self.hosts_probed, self.scan_nanos)
     }
 
-    /// Scan throughput in probes per CPU-second.
+    /// Scan throughput in probes per thread-second.
     pub fn probes_per_sec(&self) -> f64 {
         rate(self.probes_sent, self.scan_nanos)
     }
@@ -364,7 +365,7 @@ impl ScanMetricsSnapshot {
     pub fn render(&self) -> String {
         let mut out = String::from("scan metrics\n");
         out.push_str(&format!(
-            "  {:<11} {:>11} sweeps {:>10} hosts  {:>9.3}s cpu  {:>10} hosts/s\n",
+            "  {:<11} {:>11} sweeps {:>10} hosts  {:>9.3}s thread  {:>10} hosts/s\n",
             "sweep",
             self.sweeps_completed,
             self.hosts_probed,

@@ -36,8 +36,8 @@
 //! accounting only when it completes: a panicking chunk is recorded as
 //! dropped in full, the worker retires, and the surviving workers'
 //! partials still merge — a dead worker costs its in-flight chunk,
-//! never the sweep (the `ingest_parallel` pattern from the passive
-//! pipeline).
+//! never the sweep (the passive study runner puts the same boundary on
+//! the month).
 
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;

@@ -416,7 +416,7 @@ pub struct FlowRef<'a> {
 /// instead of allocating fresh intermediates — including the flow
 /// bytes themselves: `client_buf`/`server_buf` hold the current
 /// connection's wire bytes, and only callers that need owned flows
-/// (the owned iterator, the channel path) copy them out.
+/// (the owned iterator) copy them out.
 #[derive(Default)]
 struct GenScratch {
     /// Normalised market shares, cached per day of the month (slot

@@ -3,7 +3,7 @@
 
 use tlscope::analysis::{figures, Study, StudyConfig};
 use tlscope::chron::Month;
-use tlscope::notary::{ingest_parallel, ingest_serial, TappedFlow};
+use tlscope::notary::{ingest_serial, TappedFlow};
 use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
 
 fn flows(seed: u64, month: Month, n: u32) -> Vec<TappedFlow> {
@@ -34,10 +34,19 @@ fn pipeline_is_deterministic() {
 
 #[test]
 fn parallel_ingestion_is_exact() {
-    let fs = flows(5, Month::ym(2015, 7), 800);
-    let serial = ingest_serial(fs.clone());
-    for workers in [2, 3, 8] {
-        let par = ingest_parallel(fs.clone(), workers);
+    let (start, end) = (Month::ym(2015, 7), Month::ym(2015, 9));
+    let serial = ingest_serial(start.iter_through(end).flat_map(|m| flows(5, m, 300)));
+    for workers in 1..=8 {
+        let par = Study::new(StudyConfig {
+            seed: 5,
+            connections_per_month: 300,
+            start,
+            end,
+            workers,
+            faults: FaultInjector::none(),
+            ..StudyConfig::quick()
+        })
+        .run_passive();
         // Exact equality: every counter, fingerprint, and sighting.
         assert_eq!(par, serial, "workers={workers}");
     }
