@@ -17,15 +17,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use tlscope_durable::{install_quiet_panic_hook, quiet_thread_panics};
+use tlscope_durable::{install_quiet_panic_hook, quiet_thread_panics, StoreError};
 use tlscope_obs::Progress;
 
 use tlscope_chron::Month;
 use tlscope_notary::{
-    checkpoint, flush_parse_cache_metrics, ingest_borrowed, CheckpointError, NotaryAggregate,
-    PipelineMetrics,
+    checkpoint, flush_parse_cache_metrics, ingest_borrowed, NotaryAggregate, PipelineMetrics,
 };
-use tlscope_scanner::{ScanCampaign, ScanCheckpointError, ScanFaults, ScanMetrics, ScanSnapshot};
+use tlscope_scanner::{ScanCampaign, ScanFaults, ScanMetrics, ScanSnapshot};
 use tlscope_servers::ServerPopulation;
 use tlscope_traffic::generator::FlowRef;
 use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
@@ -54,11 +53,15 @@ pub struct StudyConfig {
     pub scan_faults: ScanFaults,
     /// When set, each completed month's partial aggregate is written
     /// to this directory, and months already checkpointed there are
-    /// loaded instead of re-simulated (`repro --resume <dir>`).
+    /// loaded instead of re-simulated (`repro --resume <dir>`). The
+    /// directory serves one passive study: `seed`,
+    /// `connections_per_month` and `faults`.
     pub checkpoint_dir: Option<PathBuf>,
     /// When set, each completed campaign date's snapshot + ledger is
     /// written to this directory, and dates already checkpointed there
     /// are loaded instead of re-swept (`repro --resume-scan <dir>`).
+    /// The directory serves one campaign: `seed`, `scan_hosts` and
+    /// `scan_faults`.
     pub scan_checkpoint_dir: Option<PathBuf>,
 }
 
@@ -90,6 +93,25 @@ impl StudyConfig {
             scan_hosts: 800,
             ..StudyConfig::default()
         }
+    }
+
+    /// The study a month store is claimed for (see `checkpoint_dir`).
+    /// The window and the worker count change no month, so they are
+    /// left out.
+    fn passive_study(&self) -> String {
+        format!(
+            "passive seed={} connections_per_month={} faults={:?}",
+            self.seed, self.connections_per_month, self.faults
+        )
+    }
+
+    /// The campaign a scan store is claimed for (see
+    /// `scan_checkpoint_dir`).
+    fn scan_study(&self) -> String {
+        format!(
+            "scan seed={} scan_hosts={} scan_faults={:?}",
+            self.seed, self.scan_hosts, self.scan_faults
+        )
     }
 }
 
@@ -155,7 +177,9 @@ impl Study {
     /// skipped — so an interrupted run resumes from the last completed
     /// month and, because merging is commutative and integer-exact,
     /// produces a final aggregate bit-identical to an uninterrupted
-    /// one.
+    /// one. The directory is claimed for this study first
+    /// ([`tlscope_durable::claim`]): a store another study wrote is
+    /// refused with [`StoreError::Foreign`], never loaded.
     ///
     /// Each month is folded behind a panic boundary. A month that
     /// panics is replayed flow by flow (it is pure in `(seed, month)`),
@@ -167,7 +191,7 @@ impl Study {
     pub fn try_run_passive_metered(
         &self,
         metrics: &PipelineMetrics,
-    ) -> Result<NotaryAggregate, CheckpointError> {
+    ) -> Result<NotaryAggregate, StoreError> {
         self.run_months(metrics, |agg, _, _, flow| {
             ingest_borrowed(agg, flow.date, flow.port, flow.client, flow.server)
         })
@@ -180,12 +204,13 @@ impl Study {
         &self,
         metrics: &PipelineMetrics,
         fold: F,
-    ) -> Result<NotaryAggregate, CheckpointError>
+    ) -> Result<NotaryAggregate, StoreError>
     where
         F: Fn(&mut NotaryAggregate, Month, u64, FlowRef<'_>) + Sync,
     {
         let (mut result, completed) = match &self.cfg.checkpoint_dir {
             Some(dir) => {
+                tlscope_durable::claim(dir, &self.cfg.passive_study())?;
                 let load_started = Instant::now();
                 let load = checkpoint::load_dir(dir)?;
                 metrics.observe_checkpoint_load(load_started.elapsed());
@@ -208,7 +233,7 @@ impl Study {
         let next = AtomicUsize::new(0);
         // First checkpoint write error, reported after the scope ends
         // (workers stop claiming months once one is recorded).
-        let ckpt_error: Mutex<Option<CheckpointError>> = Mutex::new(None);
+        let ckpt_error: Mutex<Option<StoreError>> = Mutex::new(None);
         let stop_heartbeat = AtomicBool::new(false);
         // Months merged into a surviving worker's aggregate; every
         // other month was lost to a panic.
@@ -405,11 +430,15 @@ impl Study {
     /// so an interrupted campaign resumes from the last completed date
     /// and produces snapshots and counters bit-identical to an
     /// uninterrupted run. Damaged checkpoint files are quarantined to
-    /// `*.ckpt.bad` and their dates re-swept.
+    /// `*.ckpt.bad` and their dates re-swept. As on the passive side,
+    /// the directory is claimed for this campaign before it is loaded.
     pub fn try_run_active_metered(
         &self,
         metrics: &ScanMetrics,
-    ) -> Result<Vec<ScanSnapshot>, ScanCheckpointError> {
+    ) -> Result<Vec<ScanSnapshot>, StoreError> {
+        if let Some(dir) = &self.cfg.scan_checkpoint_dir {
+            tlscope_durable::claim(dir, &self.cfg.scan_study())?;
+        }
         ScanCampaign::censys_monthly(self.cfg.scan_hosts, self.cfg.seed)
             .with_faults(self.cfg.scan_faults)
             .run_durable(
@@ -585,6 +614,7 @@ mod tests {
         let mut files: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
             .collect();
         files.sort();
         let total = files.len();
@@ -626,6 +656,7 @@ mod tests {
         let mut files: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
             .collect();
         files.sort();
         let total = files.len();
@@ -690,6 +721,52 @@ mod tests {
         assert_eq!(s.checkpoints_written, 1);
         assert!(victim.with_extension("ckpt.bad").exists());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store serves only the study that claimed it: another seed is
+    /// refused on both apertures, while another worker count is the
+    /// same study and loads everything.
+    #[test]
+    fn stores_refuse_another_study() {
+        let mut cfg = StudyConfig::quick();
+        cfg.start = Month::ym(2016, 1);
+        cfg.end = Month::ym(2016, 2);
+        cfg.connections_per_month = 100;
+        cfg.scan_hosts = 40;
+        cfg.workers = 2;
+        let months = unique_dir("claim-months");
+        let dates = unique_dir("claim-dates");
+        cfg.checkpoint_dir = Some(months.clone());
+        cfg.scan_checkpoint_dir = Some(dates.clone());
+        let study = Study::new(cfg.clone());
+        let (passive, scans) = (study.run_passive(), study.run_active());
+
+        let mut serial = cfg.clone();
+        serial.workers = 1;
+        let study = Study::new(serial);
+        let metrics = PipelineMetrics::new();
+        assert_eq!(study.try_run_passive_metered(&metrics).unwrap(), passive);
+        assert_eq!(metrics.snapshot().flows_generated, 0);
+        let scan_metrics = ScanMetrics::new();
+        assert_eq!(study.try_run_active_metered(&scan_metrics).unwrap(), scans);
+        assert_eq!(scan_metrics.snapshot().checkpoints_written, 0);
+
+        let mut reseeded = cfg;
+        reseeded.seed += 1;
+        let study = Study::new(reseeded);
+        let passive = study.try_run_passive_metered(&PipelineMetrics::new());
+        let scans = study.try_run_active_metered(&ScanMetrics::new());
+        for (err, dir) in [
+            (passive.unwrap_err(), &months),
+            (scans.unwrap_err(), &dates),
+        ] {
+            assert!(
+                matches!(&err, StoreError::Foreign(d, _) if d == dir),
+                "{err}"
+            );
+        }
+        std::fs::remove_dir_all(&months).unwrap();
+        std::fs::remove_dir_all(&dates).unwrap();
     }
 
     #[test]

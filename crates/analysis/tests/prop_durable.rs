@@ -81,6 +81,7 @@ fn store_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map(|rd| rd.map(|e| e.unwrap().path()).collect())
         .unwrap_or_default();
+    files.retain(|p| p.extension().is_some_and(|x| x == "ckpt"));
     files.sort();
     files
 }

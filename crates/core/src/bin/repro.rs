@@ -18,17 +18,19 @@
 //!   --scan-stats-json <path>
 //!                  write the scan accounting as JSON to <path>
 //!   --resume <dir> checkpoint completed months into <dir> and resume
-//!                  from whatever is already there
+//!                  from whatever is already there; <dir> serves one
+//!                  study, and a complete <dir> is the saved run
 //!   --resume-scan <dir>
 //!                  checkpoint completed scan dates into <dir> and
-//!                  resume the campaign from whatever is already there
+//!                  resume the campaign from whatever is already there;
+//!                  not the same directory as --resume
 //!   --list         list experiment ids and exit
 //! ```
 
 use std::process::ExitCode;
 
 use tlscope::analysis::StudyConfig;
-use tlscope::report::{needs, ReportContext, EXPERIMENT_IDS};
+use tlscope::report::{needs, ReportContext, RunError, EXPERIMENT_IDS};
 
 struct Options {
     full: bool,
@@ -39,8 +41,6 @@ struct Options {
     scan_stats_json: Option<String>,
     width: usize,
     seed: Option<u64>,
-    save: Option<String>,
-    load: Option<String>,
     resume: Option<String>,
     resume_scan: Option<String>,
     ids: Vec<String>,
@@ -64,8 +64,6 @@ fn parse_args() -> Result<Options, String> {
         scan_stats_json: None,
         width: 84,
         seed: None,
-        save: None,
-        load: None,
         resume: None,
         resume_scan: None,
         ids: Vec::new(),
@@ -98,12 +96,6 @@ fn parse_args() -> Result<Options, String> {
                         .parse()
                         .map_err(|_| "--seed needs a number")?,
                 );
-            }
-            "--save" => {
-                opts.save = Some(args.next().ok_or("--save needs a path")?);
-            }
-            "--load" => {
-                opts.load = Some(args.next().ok_or("--load needs a path")?);
             }
             "--resume" => {
                 opts.resume = Some(args.next().ok_or("--resume needs a directory")?);
@@ -178,9 +170,7 @@ fn main() -> ExitCode {
             eprintln!("error: cannot create checkpoint dir {dir}: {e}");
             return ExitCode::FAILURE;
         }
-        if opts.load.is_some() {
-            eprintln!("warning: --resume has no effect: --load supplies the passive aggregate");
-        } else if !needs_passive {
+        if !needs_passive {
             eprintln!(
                 "warning: --resume has no effect: requested experiments run no passive study"
             );
@@ -201,6 +191,17 @@ fn main() -> ExitCode {
         eprintln!("# checkpointing completed scan dates to {dir}");
         cfg.scan_checkpoint_dir = Some(std::path::PathBuf::from(dir));
     }
+    // Each store is claimed for its own aperture's study, so one
+    // directory cannot serve both.
+    if let (Some(months), Some(dates)) = (&opts.resume, &opts.resume_scan) {
+        let same = (std::fs::canonicalize(months), std::fs::canonicalize(dates));
+        if matches!(same, (Ok(a), Ok(b)) if a == b) {
+            eprintln!(
+                "error: --resume and --resume-scan both name {months}; give each its own directory"
+            );
+            return ExitCode::FAILURE;
+        }
+    }
     eprintln!(
         "# tlscope repro: {} months x {} connections/month, {} scan hosts/sweep, seed {:#x}",
         cfg.start.iter_through(cfg.end).count(),
@@ -209,28 +210,7 @@ fn main() -> ExitCode {
         cfg.seed
     );
 
-    let mut ctx = match &opts.load {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match tlscope::notary::store::from_text(&text) {
-                Ok(agg) => {
-                    eprintln!("# loaded passive aggregate from {path}");
-                    ReportContext::with_passive(cfg, agg)
-                }
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => ReportContext::new(cfg),
-    };
+    let mut ctx = ReportContext::new(cfg);
     let mut failed = false;
     for id in &opts.ids {
         match ctx.run(id) {
@@ -245,6 +225,11 @@ fn main() -> ExitCode {
             Err(e) => {
                 eprintln!("error: {e}");
                 failed = true;
+                // Every later artefact that needs that store would
+                // repeat the same error.
+                if matches!(e, RunError::Store(_)) {
+                    break;
+                }
             }
         }
     }
@@ -263,20 +248,6 @@ fn main() -> ExitCode {
             passive.shards_lost
         );
         failed = true;
-    }
-    if let Some(path) = &opts.save {
-        match ctx.passive_ref() {
-            Some(agg) => {
-                let text = tlscope::notary::store::to_text(agg);
-                if let Err(e) = std::fs::write(path, text) {
-                    eprintln!("error: cannot write {path}: {e}");
-                    failed = true;
-                } else {
-                    eprintln!("# saved passive aggregate to {path}");
-                }
-            }
-            None => eprintln!("# --save: no passive run was needed; nothing saved"),
-        }
     }
     if opts.stats {
         // Stats go to stderr so --csv output stays machine-readable.

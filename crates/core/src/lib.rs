@@ -25,8 +25,8 @@
 //!   and schedule;
 //! * [`analysis`] — figure/table/section generators and attack-impact
 //!   estimation;
-//! * [`durable`] — checksummed, atomic file persistence shared by the
-//!   checkpoint stores;
+//! * [`durable`] — the checkpoint store both apertures persist through:
+//!   sealed unit files, quarantine on load, and study stamps;
 //! * [`obs`] — dependency-free observability: latency histograms,
 //!   hand-rolled JSON, progress heartbeats, and a panic flight
 //!   recorder.

@@ -3,8 +3,9 @@
 //! serves many experiments.
 
 use tlscope_analysis::{figures, sections, tables, Figure, Study, StudyConfig, Table};
-use tlscope_notary::{CheckpointError, NotaryAggregate, PipelineMetrics};
-use tlscope_scanner::{ScanCheckpointError, ScanMetrics, ScanSnapshot};
+use tlscope_durable::StoreError;
+use tlscope_notary::{NotaryAggregate, PipelineMetrics};
+use tlscope_scanner::{ScanMetrics, ScanSnapshot};
 
 /// A rendered experiment result.
 #[derive(Debug, Clone)]
@@ -46,18 +47,16 @@ impl Artifact {
 pub enum RunError {
     /// The id is not in the registry.
     UnknownExperiment(String),
-    /// The passive run hit a checkpoint-store error.
-    Passive(CheckpointError),
-    /// The active campaign hit a scan-checkpoint-store error.
-    Scan(ScanCheckpointError),
+    /// A checkpoint store of either aperture failed or belongs to
+    /// another study.
+    Store(StoreError),
 }
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::UnknownExperiment(id) => write!(f, "unknown experiment '{id}'"),
-            RunError::Passive(e) => write!(f, "{e}"),
-            RunError::Scan(e) => write!(f, "{e}"),
+            RunError::Store(e) => write!(f, "{e}"),
         }
     }
 }
@@ -66,21 +65,14 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::UnknownExperiment(_) => None,
-            RunError::Passive(e) => Some(e),
-            RunError::Scan(e) => Some(e),
+            RunError::Store(e) => Some(e),
         }
     }
 }
 
-impl From<CheckpointError> for RunError {
-    fn from(e: CheckpointError) -> Self {
-        RunError::Passive(e)
-    }
-}
-
-impl From<ScanCheckpointError> for RunError {
-    fn from(e: ScanCheckpointError) -> Self {
-        RunError::Scan(e)
+impl From<StoreError> for RunError {
+    fn from(e: StoreError) -> Self {
+        RunError::Store(e)
     }
 }
 
@@ -150,8 +142,8 @@ impl ReportContext {
         }
     }
 
-    /// Create a context with a pre-computed passive aggregate (e.g.
-    /// reloaded via [`tlscope_notary::store`]) instead of re-simulating.
+    /// Create a context with a pre-computed passive aggregate instead
+    /// of re-simulating.
     pub fn with_passive(cfg: StudyConfig, passive: NotaryAggregate) -> Self {
         ReportContext {
             study: Study::new(cfg),
@@ -173,10 +165,10 @@ impl ReportContext {
     }
 
     /// Pipeline accounting for the passive run (all zeros until
-    /// [`passive`] triggers a simulation; a `--load`-injected aggregate
-    /// never populates it).
+    /// [`passive`] triggers a simulation; an aggregate injected with
+    /// [`ReportContext::with_passive`] never populates it).
     ///
-    /// [`passive`]: ReportContext::passive
+    /// [`passive`]: ReportContext::try_passive
     pub fn metrics(&self) -> &PipelineMetrics {
         &self.metrics
     }
@@ -184,42 +176,23 @@ impl ReportContext {
     /// Scan accounting for the active campaign (all zeros until
     /// [`scans`] triggers the sweeps).
     ///
-    /// [`scans`]: ReportContext::scans
+    /// [`scans`]: ReportContext::try_scans
     pub fn scan_metrics(&self) -> &ScanMetrics {
         &self.scan_metrics
     }
 
-    /// The passive aggregate, running it on first use.
-    ///
-    /// Panics on checkpoint-store errors; contexts with a checkpoint
-    /// directory configured should use [`ReportContext::try_passive`].
-    pub fn passive(&mut self) -> &NotaryAggregate {
-        self.try_passive()
-            .unwrap_or_else(|e| panic!("passive checkpoint error: {e}"))
-    }
-
     /// The passive aggregate, running it on first use and surfacing
     /// checkpoint-store errors instead of panicking.
-    pub fn try_passive(&mut self) -> Result<&NotaryAggregate, CheckpointError> {
+    pub fn try_passive(&mut self) -> Result<&NotaryAggregate, StoreError> {
         if self.passive.is_none() {
             self.passive = Some(self.study.try_run_passive_metered(&self.metrics)?);
         }
         Ok(self.passive.as_ref().unwrap())
     }
 
-    /// The active campaign results, running them on first use.
-    ///
-    /// Panics on scan-checkpoint-store errors; contexts with a scan
-    /// checkpoint directory configured should use
-    /// [`ReportContext::try_scans`].
-    pub fn scans(&mut self) -> &[ScanSnapshot] {
-        self.try_scans()
-            .unwrap_or_else(|e| panic!("scan checkpoint error: {e}"))
-    }
-
     /// The active campaign results, running them on first use and
     /// surfacing scan-checkpoint-store errors instead of panicking.
-    pub fn try_scans(&mut self) -> Result<&[ScanSnapshot], ScanCheckpointError> {
+    pub fn try_scans(&mut self) -> Result<&[ScanSnapshot], StoreError> {
         if self.scans.is_none() {
             self.scans = Some(self.study.try_run_active_metered(&self.scan_metrics)?);
         }
@@ -468,12 +441,12 @@ mod tests {
         cfg.scan_checkpoint_dir = Some(scan_base.clone());
         let mut ctx = ReportContext::new(cfg);
         match ctx.run("fig1") {
-            Err(RunError::Passive(_)) => {}
-            other => panic!("expected Passive error, got {other:?}"),
+            Err(RunError::Store(StoreError::Io(p, _))) if p.starts_with(&base) => {}
+            other => panic!("expected a passive store error, got {other:?}"),
         }
         match ctx.run("censys") {
-            Err(RunError::Scan(_)) => {}
-            other => panic!("expected Scan error, got {other:?}"),
+            Err(RunError::Store(StoreError::Io(p, _))) if p.starts_with(&scan_base) => {}
+            other => panic!("expected a scan store error, got {other:?}"),
         }
         std::fs::remove_file(&base).unwrap();
         std::fs::remove_file(&scan_base).unwrap();

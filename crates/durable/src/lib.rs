@@ -1,27 +1,33 @@
-//! Durability primitives shared by the passive (`tlscope-notary`) and
-//! active (`tlscope-scanner`) checkpoint stores.
+//! Checkpoint stores shared by the passive (`tlscope-notary`) and
+//! active (`tlscope-scanner`) apertures.
 //!
-//! Long-running campaigns persist intermediate state to disk and must
-//! survive the three classic failure modes of that state: torn writes
-//! (crash mid-`write`), truncation (crash mid-`rename`, full disk),
-//! and bit-rot (storage corruption). This crate provides the pieces
-//! both stores build on:
+//! A store is a directory holding one sealed text file per completed
+//! unit of work (`<key>.ckpt`: a month, a sweep date) and a stamp
+//! naming the study the units belong to. Long-running campaigns must
+//! survive the classic failure modes of such state: torn writes (crash
+//! mid-`write`), truncation (crash mid-`rename`, full disk), bit rot,
+//! and a store left behind by another study. This crate owns every
+//! part of a store except the record codec, which each aperture keeps:
 //!
 //! - [`seal`] / [`open_sealed`] — append and verify an FNV-1a content
 //!   checksum footer, so any damaged file is *detected* at load time
 //!   instead of silently mis-parsed;
+//! - [`write_unit`] / [`open_unit`] — write one unit file atomically,
+//!   and check a unit text's header line and checksum;
+//! - [`load_units`] — fold every unit of a store in key order,
+//!   quarantining damaged files (`<key>.ckpt.bad`) so the caller
+//!   recomputes their units;
+//! - [`claim`] — stamp a store for one study and refuse it to any
+//!   other;
+//! - [`StoreError`] — the one error type of both stores;
 //! - [`write_atomic`] — tmp+rename writes, so a crash never leaves a
 //!   half-written file under the final name;
-//! - [`quarantine`] — rename a damaged file to `<name>.bad` so the
-//!   caller can recompute its contents without destroying forensic
-//!   evidence;
 //! - [`install_quiet_panic_hook`] / [`quiet_thread_panics`] — the
 //!   shared panic hook for supervised workers (the passive study
 //!   runner and the scanner sweep engine).
 //!
 //! Everything here is `std`-only and deliberately free of any tlscope
-//! domain types: the notary and scanner crates own their formats; this
-//! crate owns the bytes-on-disk guarantees.
+//! domain types.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +36,7 @@ use std::cell::Cell;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::Once;
 
 /// FNV-1a 64-bit offset basis.
@@ -130,12 +137,185 @@ pub fn write_atomic(dir: &Path, file_name: &str, text: &str) -> io::Result<()> {
 /// (e.g. `2016-03.ckpt` → `2016-03.ckpt.bad`). The caller then
 /// recomputes the lost state; the damaged bytes stay on disk for
 /// inspection. Returns the quarantine path.
-pub fn quarantine(path: &Path) -> io::Result<PathBuf> {
+fn quarantine(path: &Path) -> io::Result<PathBuf> {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".bad");
     let bad = path.with_file_name(name);
     fs::rename(path, &bad)?;
     Ok(bad)
+}
+
+/// Suffix of a unit file. Nothing else in a store — the stamp, a
+/// `.tmp` left by a crash, a quarantined `.bad` file — is a unit.
+const UNIT_SUFFIX: &str = ".ckpt";
+/// The stamp file [`claim`] writes; not a unit, by its suffix.
+const STAMP_FILE: &str = "study.stamp";
+/// First line of the stamp file.
+const STAMP_HEADER: &str = "# tlscope study stamp v1";
+
+/// Why a checkpoint store could not be read, written or claimed.
+#[derive(Debug)]
+pub enum StoreError {
+    /// Filesystem failure (path carried for context).
+    Io(PathBuf, io::Error),
+    /// A unit file failed to parse, or holds another unit than its
+    /// name claims; carries path and 1-based line.
+    Malformed(PathBuf, usize),
+    /// A unit file failed its content-checksum check (truncated, torn,
+    /// or bit-rotted on disk).
+    Corrupt(PathBuf),
+    /// The store belongs to another study: its stamp names another
+    /// study or is damaged, or it holds units but no stamp. Carries
+    /// the store directory and the reason.
+    Foreign(PathBuf, String),
+}
+
+impl StoreError {
+    /// True when the error describes a damaged unit *file*
+    /// (recoverable by quarantining it and recomputing its unit)
+    /// rather than a failure that must abort the run.
+    pub fn is_damage(&self) -> bool {
+        matches!(self, StoreError::Malformed(..) | StoreError::Corrupt(..))
+    }
+}
+
+impl std::fmt::Display for StoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StoreError::Io(p, e) => write!(f, "checkpoint io error at {}: {e}", p.display()),
+            StoreError::Malformed(p, line) => {
+                write!(f, "malformed checkpoint {} (line {line})", p.display())
+            }
+            StoreError::Corrupt(p) => {
+                write!(f, "corrupt checkpoint {} (checksum failed)", p.display())
+            }
+            StoreError::Foreign(dir, why) => write!(
+                f,
+                "checkpoint store {} belongs to another study: {why}",
+                dir.display()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for StoreError {}
+
+/// Atomically write one unit's sealed text to `dir/<key>.ckpt` (see
+/// [`write_atomic`]).
+pub fn write_unit(dir: &Path, key: impl std::fmt::Display, text: &str) -> Result<(), StoreError> {
+    let name = format!("{key}{UNIT_SUFFIX}");
+    write_atomic(dir, &name, text).map_err(|e| StoreError::Io(dir.join(name), e))
+}
+
+/// Check a unit text read from `path`: its first line must start with
+/// the format's `header` ([`StoreError::Malformed`] at line 1
+/// otherwise), and its checksum footer must verify
+/// ([`StoreError::Corrupt`] otherwise). Returns the non-blank body
+/// lines after the header with their 1-based line numbers.
+pub fn open_unit<'a>(
+    text: &'a str,
+    header: &str,
+    path: &Path,
+) -> Result<impl Iterator<Item = (usize, &'a str)>, StoreError> {
+    if !text.lines().next().unwrap_or("").starts_with(header) {
+        return Err(StoreError::Malformed(path.to_path_buf(), 1));
+    }
+    let body = open_sealed(text).map_err(|_| StoreError::Corrupt(path.to_path_buf()))?;
+    Ok((2..)
+        .zip(body.lines().skip(1))
+        .filter(|(_, line)| !line.trim().is_empty()))
+}
+
+/// Every unit file in `dir` whose stem parses as a `K`, with its path;
+/// a missing directory holds none.
+fn unit_files<K: FromStr>(dir: &Path) -> Result<Vec<(K, PathBuf)>, StoreError> {
+    let io_err = |e| StoreError::Io(dir.to_path_buf(), e);
+    let entries = match fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(io_err(e)),
+    };
+    let mut units = Vec::new();
+    for entry in entries {
+        let entry = entry.map_err(io_err)?;
+        let name = entry.file_name();
+        let stem = name.to_str().and_then(|n| n.strip_suffix(UNIT_SUFFIX));
+        if let Some(key) = stem.and_then(|s| s.parse().ok()) {
+            units.push((key, entry.path()));
+        }
+    }
+    Ok(units)
+}
+
+/// Fold every unit of the store at `dir`, in key order.
+///
+/// Each `<key>.ckpt` whose stem parses as a `K` is read and handed to
+/// `fold` with its key, text and path. `fold` parses the text, rejects
+/// records of another unit than `key` as [`StoreError::Malformed`],
+/// and keeps what it parsed before the next file is read, so one
+/// unit's text is held at a time. A damaged file — invalid UTF-8, or
+/// rejected by `fold` with a damage error ([`StoreError::is_damage`])
+/// — is renamed to `<key>.ckpt.bad` and its quarantine path returned,
+/// so the caller recomputes its unit. Any other error aborts the load.
+/// A missing directory is a cold start.
+pub fn load_units<K: FromStr + Ord>(
+    dir: &Path,
+    mut fold: impl FnMut(K, &str, &Path) -> Result<(), StoreError>,
+) -> Result<Vec<PathBuf>, StoreError> {
+    let mut units = unit_files::<K>(dir)?;
+    units.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut quarantined = Vec::new();
+    for (key, path) in units {
+        let folded = match fs::read_to_string(&path) {
+            Ok(text) => fold(key, &text, &path),
+            // Bit rot can make a file invalid UTF-8; that is damage to
+            // the file's content, not a filesystem failure.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                Err(StoreError::Corrupt(path.clone()))
+            }
+            Err(e) => Err(StoreError::Io(path.clone(), e)),
+        };
+        match folded {
+            Err(e) if e.is_damage() => {
+                let bad = quarantine(&path).map_err(|e| StoreError::Io(path, e))?;
+                quarantined.push(bad);
+            }
+            other => other?,
+        }
+    }
+    Ok(quarantined)
+}
+
+/// Claim the store at `dir` for `study`, one line naming every input
+/// its units depend on. Claim a store before loading it, so a run
+/// never folds units that another study wrote.
+///
+/// The first claim writes a sealed stamp file holding `study` (and
+/// creates `dir`). A later claim succeeds only when the stamp names
+/// the same study. It fails with [`StoreError::Foreign`] when the
+/// stamp names another study or is damaged, or when the directory
+/// holds units but no stamp.
+pub fn claim(dir: &Path, study: &str) -> Result<(), StoreError> {
+    let path = dir.join(STAMP_FILE);
+    let stamp = seal(format!("{STAMP_HEADER}\n{study}\n"));
+    let why = match fs::read(&path) {
+        Ok(found) if found == stamp.as_bytes() => return Ok(()),
+        Ok(found) => match std::str::from_utf8(&found).map(open_sealed) {
+            Ok(Ok(body)) => format!(
+                "it is stamped `{}`, this run is `{study}`",
+                body.lines().nth(1).unwrap_or_default()
+            ),
+            _ => "its study stamp is damaged".to_string(),
+        },
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            if unit_files::<String>(dir)?.is_empty() {
+                return write_atomic(dir, STAMP_FILE, &stamp).map_err(|e| StoreError::Io(path, e));
+            }
+            "it holds checkpoints but no study stamp".to_string()
+        }
+        Err(e) => return Err(StoreError::Io(path, e)),
+    };
+    Err(StoreError::Foreign(dir.to_path_buf(), why))
 }
 
 // The default panic hook prints every caught worker panic, which
@@ -243,16 +423,20 @@ mod tests {
         assert_eq!(open_sealed(&short), Err(SealViolation::MalformedFooter));
     }
 
-    #[test]
-    fn atomic_write_then_quarantine() {
-        let dir = std::env::temp_dir().join(format!(
-            "tlscope-durable-{}-{}",
+    fn unique_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "tlscope-durable-{tag}-{}-{}",
             std::process::id(),
             std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .unwrap()
-                .subsec_nanos()
-        ));
+                .as_nanos()
+        ))
+    }
+
+    #[test]
+    fn atomic_write_then_quarantine() {
+        let dir = unique_dir("atomic");
         write_atomic(&dir, "x.ckpt", "hello\n").unwrap();
         let path = dir.join("x.ckpt");
         assert_eq!(fs::read_to_string(&path).unwrap(), "hello\n");
@@ -261,6 +445,92 @@ mod tests {
         assert_eq!(bad, dir.join("x.ckpt.bad"));
         assert!(!path.exists());
         assert_eq!(fs::read_to_string(&bad).unwrap(), "hello\n");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    const HEADER: &str = "# test unit v1";
+
+    /// A fold that keeps each unit whose one record is `n\t<key>`.
+    fn keep_into(
+        kept: &mut Vec<u32>,
+    ) -> impl FnMut(u32, &str, &Path) -> Result<(), StoreError> + '_ {
+        |key, text, path| {
+            for (n, line) in open_unit(text, HEADER, path)? {
+                if line != format!("n\t{key}") {
+                    return Err(StoreError::Malformed(path.to_path_buf(), n));
+                }
+            }
+            kept.push(key);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn load_units_folds_in_key_order_and_quarantines_damage() {
+        let dir = unique_dir("load");
+        claim(&dir, "study").unwrap();
+        for key in [3u32, 1, 2, 4] {
+            write_unit(&dir, key, &seal(format!("{HEADER}\nn\t{key}\n"))).unwrap();
+        }
+        // Unit 2's file holds unit 1's record; unit 4 is not UTF-8.
+        fs::copy(dir.join("1.ckpt"), dir.join("2.ckpt")).unwrap();
+        fs::write(dir.join("4.ckpt"), b"\xff\xfe").unwrap();
+        // Not units: the stamp, a torn write, a stem that is no key.
+        fs::write(dir.join("5.ckpt.tmp"), "torn").unwrap();
+        fs::write(dir.join("x.ckpt"), "junk").unwrap();
+        let mut kept = Vec::new();
+        let quarantined = load_units(&dir, keep_into(&mut kept)).unwrap();
+        assert_eq!(kept, vec![1, 3]);
+        assert_eq!(
+            quarantined,
+            vec![dir.join("2.ckpt.bad"), dir.join("4.ckpt.bad")]
+        );
+        assert!(dir.join(STAMP_FILE).exists() && dir.join("x.ckpt").exists());
+        // A second load finds only the intact units.
+        let mut again = Vec::new();
+        assert!(load_units(&dir, keep_into(&mut again)).unwrap().is_empty());
+        assert_eq!(again, vec![1, 3]);
+        // A fold error that is not damage aborts the load.
+        let abort = load_units(&dir, |_: u32, _, p| {
+            Err(StoreError::Foreign(p.into(), "x".into()))
+        });
+        assert!(matches!(abort, Err(StoreError::Foreign(..))));
+        fs::remove_dir_all(&dir).unwrap();
+        // A missing store is a cold start.
+        assert!(load_units(&dir, keep_into(&mut again)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn claim_stamps_once_and_refuses_other_studies() {
+        let dir = unique_dir("claim");
+        claim(&dir, "passive seed=1").unwrap();
+        claim(&dir, "passive seed=1").unwrap();
+        write_unit(&dir, 1, "unit").unwrap();
+        claim(&dir, "passive seed=1").unwrap();
+        let err = claim(&dir, "passive seed=7").unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Foreign(d, _) if *d == dir),
+            "{err}"
+        );
+        let msg = err.to_string();
+        assert!(msg.contains(&dir.display().to_string()), "{msg}");
+        assert!(msg.contains("seed=1`") && msg.contains("seed=7`"), "{msg}");
+        assert!(!err.is_damage());
+
+        // A damaged stamp is refused, not repaired.
+        let stamp = dir.join(STAMP_FILE);
+        let mut bytes = fs::read(&stamp).unwrap();
+        bytes[3] ^= 0x01;
+        fs::write(&stamp, &bytes).unwrap();
+        let err = claim(&dir, "passive seed=1").unwrap_err();
+        assert!(err.to_string().contains("damaged"), "{err}");
+
+        // Units with no stamp are refused; an empty store is claimed.
+        fs::remove_file(&stamp).unwrap();
+        let err = claim(&dir, "passive seed=1").unwrap_err();
+        assert!(err.to_string().contains("no study stamp"), "{err}");
+        fs::remove_file(dir.join("1.ckpt")).unwrap();
+        claim(&dir, "passive seed=1").unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
 

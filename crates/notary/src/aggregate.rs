@@ -134,8 +134,8 @@ impl AeadCounts {
 /// tests check exactly.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PositionMean {
-    sum_micro: u64,
-    n: u64,
+    pub(crate) sum_micro: u64,
+    pub(crate) n: u64,
 }
 
 impl PositionMean {
@@ -144,17 +144,6 @@ impl PositionMean {
             self.sum_micro += (p * 1e6).round() as u64;
             self.n += 1;
         }
-    }
-
-    /// Raw accumulator parts `(sum_micro, n)` — lossless, for exact
-    /// serialization (checkpoints must round-trip bit-identically).
-    pub fn raw_parts(&self) -> (u64, u64) {
-        (self.sum_micro, self.n)
-    }
-
-    /// Rebuild from [`PositionMean::raw_parts`] output.
-    pub fn from_raw_parts(sum_micro: u64, n: u64) -> Self {
-        PositionMean { sum_micro, n }
     }
 
     /// Mean relative position in percent (0 = head of list).

@@ -8,81 +8,155 @@
 //! commutative and accumulation is integer-exact, the resumed final
 //! aggregate is **bit-identical** (`PartialEq`) to an uninterrupted
 //! run — an acceptance criterion, property-tested in the analysis
-//! crate.
+//! crate. A complete directory is therefore also the saved run:
+//! rerunning the study on it generates no flow.
 //!
-//! Unlike the analysis store (`store.rs`), which deliberately drops
-//! the data-dependent fingerprint state, a checkpoint must be
-//! *lossless*: it carries the month counters (reusing the store's
-//! month-line codec, which includes the raw `PositionMean`
-//! accumulators), per-month fingerprint class flags, the
-//! fingerprint coverage counts, sighting windows, and the
-//! aggregate-level failure/salvage counters.
+//! A checkpoint is *lossless*: it carries the month counters (the
+//! month-line codec below, including the raw `PositionMean`
+//! accumulators), per-month fingerprint class flags, the fingerprint
+//! coverage counts, sighting windows, and the aggregate-level
+//! failure/salvage counters. All sections are emitted in sorted order
+//! so equal partials serialize to equal bytes.
 //!
-//! Files are written atomically (temp file + rename) so an interrupt
-//! mid-write leaves either no checkpoint or a complete one, never a
-//! torn file; all sections are emitted in sorted order so identical
-//! partials serialize to identical bytes. Since format v2 every file
-//! carries an FNV-1a content-checksum footer ([`tlscope_durable`]), so
-//! truncation and bit-rot are *detected* at load time; [`load_dir`]
-//! quarantines damaged files (rename to `*.ckpt.bad`) and reports
-//! their months as incomplete so the runner recomputes them, instead
-//! of aborting the whole resume. The v1 format (no footer) is still
-//! readable.
+//! This module owns only the record codec. The store — atomic writes,
+//! the checksum footer, the directory scan that quarantines damaged
+//! files to `*.ckpt.bad`, and the study stamp — is
+//! [`tlscope_durable`]'s.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
 use tlscope_chron::{Date, Month};
+use tlscope_durable::StoreError;
 use tlscope_fingerprint::Fingerprint;
 
-use crate::aggregate::{FpClassFlags, NotaryAggregate};
-use crate::store::{month_line, parse_month_line};
+use crate::aggregate::{FpClassFlags, MonthlyStats, NotaryAggregate};
 
-/// Legacy header: files without a checksum footer.
-const HEADER_V1: &str = "# tlscope checkpoint v1";
-/// Current header: body sealed with a `sum\tfnv1a:` footer.
+/// First line of every month checkpoint; the body is sealed with a
+/// `sum\tfnv1a:` footer.
 const HEADER: &str = "# tlscope checkpoint v2";
 
-/// Errors from checkpoint IO or parsing.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Filesystem failure (path carried for context).
-    Io(PathBuf, std::io::Error),
-    /// A checkpoint file failed to parse; carries path and 1-based line.
-    Malformed(PathBuf, usize),
-    /// A v2 checkpoint file failed its content-checksum check
-    /// (truncated, torn, or bit-rotted on disk).
-    Corrupt(PathBuf),
+/// The `month` line's scalar counters, each named once, in on-disk key
+/// order: the macro emits the writer and the setter from this table.
+macro_rules! scalars {
+    ($($key:literal => $($field:ident).+,)*) => {
+        /// Append `\t<key>=<value>` for every scalar counter of `s`.
+        fn write_scalars(out: &mut String, s: &MonthlyStats) {
+            $(out.push_str(&format!("\t{}={}", $key, s.$($field).+));)*
+        }
+
+        /// Set the scalar counter `key` of `s`; `None` for an unknown
+        /// key, which would otherwise silently drop a counter.
+        fn set_scalar(s: &mut MonthlyStats, key: &str, val: u64) -> Option<()> {
+            match key {
+                $($key => s.$($field).+ = val,)*
+                _ => return None,
+            }
+            Some(())
+        }
+    };
 }
 
-impl CheckpointError {
-    /// True when the error describes a damaged *file* (recoverable by
-    /// quarantining it and recomputing its month) rather than a
-    /// filesystem failure that must abort the resume.
-    pub fn is_damage(&self) -> bool {
-        matches!(
-            self,
-            CheckpointError::Malformed(..) | CheckpointError::Corrupt(..)
-        )
+scalars! {
+    "total" => total,
+    "sslv2" => sslv2,
+    "rejected" => rejected,
+    "missing_server" => missing_server,
+    "garbled_server" => garbled_server,
+    "answered" => answered,
+    "v_ssl2" => neg_version.ssl2,
+    "v_ssl3" => neg_version.ssl3,
+    "v_tls10" => neg_version.tls10,
+    "v_tls11" => neg_version.tls11,
+    "v_tls12" => neg_version.tls12,
+    "v_tls13" => neg_version.tls13,
+    "v_other" => neg_version.other,
+    "neg_rc4" => neg_rc4,
+    "neg_cbc" => neg_cbc,
+    "neg_aead" => neg_aead,
+    "neg_null" => neg_null,
+    "neg_null_null" => neg_null_null,
+    "neg_3des" => neg_3des,
+    "neg_des" => neg_des,
+    "neg_export" => neg_export,
+    "neg_anon" => neg_anon,
+    "neg_unoffered" => neg_unoffered,
+    "neg_fs" => neg_fs,
+    "kx_rsa" => neg_kx.rsa,
+    "kx_dhe" => neg_kx.dhe,
+    "kx_ecdhe" => neg_kx.ecdhe,
+    "kx_dh" => neg_kx.dh,
+    "kx_ecdh" => neg_kx.ecdh,
+    "kx_tls13" => neg_kx.tls13,
+    "kx_other" => neg_kx.other,
+    "na_128gcm" => neg_aead_alg.aes128gcm,
+    "na_256gcm" => neg_aead_alg.aes256gcm,
+    "na_chacha" => neg_aead_alg.chacha,
+    "na_ccm" => neg_aead_alg.ccm,
+    "na_other" => neg_aead_alg.other,
+    "hb_neg" => heartbeat_negotiated,
+    "adv_rc4" => adv_rc4,
+    "adv_cbc" => adv_cbc,
+    "adv_aead" => adv_aead,
+    "adv_des" => adv_des,
+    "adv_3des" => adv_3des,
+    "adv_export" => adv_export,
+    "adv_anon" => adv_anon,
+    "adv_null" => adv_null,
+    "adv_fs" => adv_fs,
+    "adv_hb" => adv_heartbeat,
+    "adv_tls13" => adv_tls13,
+    "aa_128gcm" => adv_aead_alg.aes128gcm,
+    "aa_256gcm" => adv_aead_alg.aes256gcm,
+    "aa_chacha" => adv_aead_alg.chacha,
+    "aa_ccm" => adv_aead_alg.ccm,
+    "aa_other" => adv_aead_alg.other,
+    // Raw PositionMean accumulators (micro-unit sum + sample count),
+    // so a reloaded partial is bit-identical.
+    "pa_sum" => pos_aead.sum_micro,
+    "pa_n" => pos_aead.n,
+    "pc_sum" => pos_cbc.sum_micro,
+    "pc_n" => pos_cbc.n,
+    "pr_sum" => pos_rc4.sum_micro,
+    "pr_n" => pos_rc4.n,
+    "pd_sum" => pos_des.sum_micro,
+    "pd_n" => pos_des.n,
+    "p3_sum" => pos_3des.sum_micro,
+    "p3_n" => pos_3des.n,
+}
+
+/// Append `\t<tag>:<key>=<value>` for every entry of `map`, sorted.
+fn write_map(out: &mut String, tag: &str, map: &HashMap<u16, u64>) {
+    let mut entries: Vec<_> = map.iter().collect();
+    entries.sort();
+    for (key, val) in entries {
+        out.push_str(&format!("\t{tag}:{key}={val}"));
     }
 }
 
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(p, e) => write!(f, "checkpoint io error at {}: {e}", p.display()),
-            CheckpointError::Malformed(p, line) => {
-                write!(f, "malformed checkpoint {} (line {line})", p.display())
-            }
-            CheckpointError::Corrupt(p) => {
-                write!(f, "corrupt checkpoint {} (checksum failed)", p.display())
-            }
+/// Parse the fields of one `month` line. Any unknown key or damaged
+/// field is `None`. `fp_flags` travel on separate `flag` lines.
+fn parse_month_line(line: &str) -> Option<(Month, MonthlyStats)> {
+    let mut fields = line.split('\t');
+    let month: Month = fields.next()?.parse().ok()?;
+    let mut stats = MonthlyStats::default();
+    for field in fields {
+        let (key, val) = field.split_once('=')?;
+        let val: u64 = val.parse().ok()?;
+        if let Some((tag, map_key)) = key.split_once(':') {
+            let map = match tag {
+                "curve" => &mut stats.curves,
+                "sv" => &mut stats.supported_versions_values,
+                "ext" => &mut stats.adv_extensions,
+                _ => return None,
+            };
+            map.insert(map_key.parse().ok()?, val);
+        } else {
+            set_scalar(&mut stats, key, val)?;
         }
     }
+    Some((month, stats))
 }
-
-impl std::error::Error for CheckpointError {}
 
 fn flags_to_bits(f: &FpClassFlags) -> u8 {
     (f.rc4 as u8)
@@ -132,11 +206,14 @@ pub fn to_text(partial: &NotaryAggregate) -> String {
     let mut out = String::from(HEADER);
     out.push('\n');
     for (month, stats) in partial.iter_months() {
-        out.push_str("month\t");
-        out.push_str(&month_line(month, stats));
+        out.push_str(&format!("month\t{month}"));
+        write_scalars(&mut out, stats);
+        write_map(&mut out, "curve", &stats.curves);
+        write_map(&mut out, "sv", &stats.supported_versions_values);
+        write_map(&mut out, "ext", &stats.adv_extensions);
         out.push('\n');
         // On-disk flag lines key on the stable content hash (id64), not
-        // the run-local dense id — the v1 format is unchanged.
+        // the run-local dense id.
         let mut flags: Vec<(u64, &FpClassFlags)> = stats
             .fp_flags
             .iter()
@@ -177,24 +254,12 @@ pub fn to_text(partial: &NotaryAggregate) -> String {
     tlscope_durable::seal(out)
 }
 
-/// Parse checkpoint text back into a partial aggregate.
-///
-/// Accepts both the current sealed v2 format (checksum footer
-/// verified; failure is [`CheckpointError::Corrupt`]) and the legacy
-/// v1 format, which has no footer and is parsed as-is.
-pub fn from_text(text: &str, path: &Path) -> Result<NotaryAggregate, CheckpointError> {
-    let bad = |n: usize| CheckpointError::Malformed(path.to_path_buf(), n);
-    let first = text.lines().next().unwrap_or("");
-    let body = if first.starts_with(HEADER) {
-        tlscope_durable::open_sealed(text)
-            .map_err(|_| CheckpointError::Corrupt(path.to_path_buf()))?
-    } else if first.starts_with(HEADER_V1) {
-        text
-    } else {
-        return Err(bad(1));
-    };
-    let mut lines = body.lines().enumerate();
-    lines.next(); // header, validated above
+/// Parse checkpoint text read from `path` back into a partial
+/// aggregate. A wrong header or any unparseable record is
+/// [`StoreError::Malformed`]; a failed checksum is
+/// [`StoreError::Corrupt`].
+pub fn from_text(text: &str, path: &Path) -> Result<NotaryAggregate, StoreError> {
+    let bad = |n: usize| StoreError::Malformed(path.to_path_buf(), n);
     let mut agg = NotaryAggregate::new();
     // Month stats are buffered so `flag` lines can attach to them in
     // any order relative to their `month` line. Flag and sight lines
@@ -204,11 +269,7 @@ pub fn from_text(text: &str, path: &Path) -> Result<NotaryAggregate, CheckpointE
     let mut months = BTreeMap::new();
     let mut pending_flags: Vec<(usize, Month, u64, FpClassFlags)> = Vec::new();
     let mut pending_sights: Vec<(usize, u64, Date, Date, u64)> = Vec::new();
-    for (idx, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let n = idx + 1;
+    for (n, line) in tlscope_durable::open_unit(text, HEADER, path)? {
         let (tag, rest) = line.split_once('\t').ok_or(bad(n))?;
         match tag {
             "month" => {
@@ -281,38 +342,13 @@ pub fn from_text(text: &str, path: &Path) -> Result<NotaryAggregate, CheckpointE
     Ok(agg)
 }
 
-fn month_path(dir: &Path, month: Month) -> PathBuf {
-    dir.join(format!("{month}.ckpt"))
-}
-
 /// Atomically write the partial aggregate for one completed month.
 ///
 /// The temp-then-rename dance guarantees a reader (or a resumed run)
 /// never observes a torn checkpoint: the final path either does not
 /// exist or holds a complete serialization.
-pub fn write_month(
-    dir: &Path,
-    month: Month,
-    partial: &NotaryAggregate,
-) -> Result<(), CheckpointError> {
-    let final_path = month_path(dir, month);
-    tlscope_durable::write_atomic(dir, &format!("{month}.ckpt"), &to_text(partial))
-        .map_err(|e| CheckpointError::Io(final_path, e))
-}
-
-/// Load one month's checkpoint file.
-pub fn read_month(dir: &Path, month: Month) -> Result<NotaryAggregate, CheckpointError> {
-    let path = month_path(dir, month);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        // Bit-rot can make a file invalid UTF-8; that is damage to the
-        // file's content, not a filesystem failure.
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            return Err(CheckpointError::Corrupt(path));
-        }
-        Err(e) => return Err(CheckpointError::Io(path, e)),
-    };
-    from_text(&text, &path)
+pub fn write_month(dir: &Path, month: Month, partial: &NotaryAggregate) -> Result<(), StoreError> {
+    tlscope_durable::write_unit(dir, month, &to_text(partial))
 }
 
 /// Result of scanning a checkpoint directory with [`load_dir`].
@@ -329,56 +365,32 @@ pub struct DirLoad {
 }
 
 /// Scan a checkpoint directory: merge every completed month's partial
-/// into one aggregate and report which months are already done.
+/// into one aggregate, one file at a time, and report which months are
+/// already done.
 ///
-/// A missing directory is a valid cold start (empty aggregate, no
-/// completed months). Leftover `.tmp` files from an interrupted write
-/// are ignored — their month was not completed. A damaged file
-/// (malformed, truncated, or failing its checksum) is quarantined —
-/// renamed to `<month>.ckpt.bad` — and its month reported incomplete,
-/// so a resume recomputes it instead of aborting; only filesystem
-/// errors abort.
-pub fn load_dir(dir: &Path) -> Result<DirLoad, CheckpointError> {
-    let mut load = DirLoad {
-        aggregate: NotaryAggregate::new(),
-        completed: BTreeSet::new(),
-        quarantined: Vec::new(),
-    };
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(load),
-        Err(e) => return Err(CheckpointError::Io(dir.to_path_buf(), e)),
-    };
-    let mut months = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| CheckpointError::Io(dir.to_path_buf(), e))?;
-        let name = entry.file_name();
-        let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".ckpt")) else {
-            continue;
-        };
-        if let Ok(month) = stem.parse::<Month>() {
-            months.push(month);
+/// A missing directory is a valid cold start. A damaged file
+/// (malformed, truncated, failing its checksum, or holding another
+/// month than its name) is quarantined — renamed to
+/// `<month>.ckpt.bad` — and its month reported incomplete, so a resume
+/// recomputes it instead of aborting; only filesystem errors abort.
+pub fn load_dir(dir: &Path) -> Result<DirLoad, StoreError> {
+    let mut aggregate = NotaryAggregate::new();
+    let mut completed = BTreeSet::new();
+    let quarantined = tlscope_durable::load_units(dir, |month: Month, text, path| {
+        let partial = from_text(text, path)?;
+        // The month line is the first record, on line 2.
+        if partial.iter_months().any(|(m, _)| *m != month) {
+            return Err(StoreError::Malformed(path.to_path_buf(), 2));
         }
-    }
-    // Sorted merge order keeps loading deterministic (merging is
-    // commutative anyway, but determinism should not depend on it).
-    months.sort();
-    for month in months {
-        match read_month(dir, month) {
-            Ok(partial) => {
-                load.aggregate.merge(partial);
-                load.completed.insert(month);
-            }
-            Err(e) if e.is_damage() => {
-                let path = month_path(dir, month);
-                let bad = tlscope_durable::quarantine(&path)
-                    .map_err(|io| CheckpointError::Io(path, io))?;
-                load.quarantined.push(bad);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(load)
+        aggregate.merge(partial);
+        completed.insert(month);
+        Ok(())
+    })?;
+    Ok(DirLoad {
+        aggregate,
+        completed,
+        quarantined,
+    })
 }
 
 #[cfg(test)]
@@ -418,7 +430,7 @@ mod tests {
     #[test]
     fn roundtrip_is_bit_identical() {
         let partial = sample_partial(Month::ym(2015, 6));
-        assert!(partial.sightings.len() > 0, "sample must exercise fps");
+        assert!(!partial.sightings.is_empty(), "sample must exercise fps");
         assert!(partial.distinct_fingerprints() > 0);
         let text = to_text(&partial);
         assert!(text.starts_with(HEADER));
@@ -428,81 +440,71 @@ mod tests {
         assert_eq!(text, to_text(&back));
     }
 
+    /// The on-disk bytes of a fixed sample, pinned so a codec change
+    /// cannot silently change the file format.
     #[test]
-    fn v1_format_is_still_readable() {
-        let partial = sample_partial(Month::ym(2016, 2));
-        // Reconstruct what a v1 writer produced: same body, v1 header,
-        // no checksum footer.
-        let sealed = to_text(&partial);
-        let body = tlscope_durable::open_sealed(&sealed).unwrap();
-        let v1_text = body.replacen(HEADER, HEADER_V1, 1);
-        assert!(v1_text.starts_with(HEADER_V1));
-        let back = from_text(&v1_text, Path::new("legacy")).unwrap();
-        assert_eq!(partial, back, "v1 checkpoints must stay lossless");
+    fn checkpoint_bytes_are_pinned() {
+        let text = to_text(&sample_partial(Month::ym(2015, 6)));
+        assert_eq!(
+            tlscope_durable::fnv1a64(text.as_bytes()),
+            0xb010_eda2_a7ab_81b1
+        );
     }
 
+    /// `load_dir` merges the intact months and quarantines a month
+    /// file that holds another month's partial.
     #[test]
-    fn dir_roundtrip_merges_to_original() {
+    fn load_dir_merges_months_and_quarantines_misnamed_files() {
         let dir = unique_dir("dir");
-        let m1 = Month::ym(2015, 6);
-        let m2 = Month::ym(2015, 7);
-        let p1 = sample_partial(m1);
-        let p2 = sample_partial(m2);
-        let mut whole = NotaryAggregate::new();
-        whole.merge(sample_partial(m1));
-        whole.merge(sample_partial(m2));
-        write_month(&dir, m1, &p1).unwrap();
-        write_month(&dir, m2, &p2).unwrap();
-        // A leftover temp file from an interrupted write is ignored.
-        std::fs::write(dir.join("2015-08.ckpt.tmp"), "torn").unwrap();
+        let (m1, m2, m3) = (Month::ym(2015, 6), Month::ym(2015, 7), Month::ym(2015, 8));
+        for m in [m1, m2] {
+            write_month(&dir, m, &sample_partial(m)).unwrap();
+        }
+        write_month(&dir, m3, &sample_partial(m1)).unwrap();
         let load = load_dir(&dir).unwrap();
+        let mut whole = sample_partial(m1);
+        whole.merge(sample_partial(m2));
         assert_eq!(load.aggregate, whole);
         assert_eq!(load.completed.into_iter().collect::<Vec<_>>(), vec![m1, m2]);
-        assert!(load.quarantined.is_empty());
+        assert_eq!(load.quarantined, vec![dir.join(format!("{m3}.ckpt.bad"))]);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_dir_is_cold_start() {
-        let load = load_dir(&unique_dir("absent")).unwrap();
-        assert_eq!(load.aggregate, NotaryAggregate::new());
-        assert!(load.completed.is_empty());
-        assert!(load.quarantined.is_empty());
     }
 
     #[test]
     fn malformed_files_are_rejected() {
         let p = Path::new("x");
-        assert!(matches!(
-            from_text("", p),
-            Err(CheckpointError::Malformed(_, 1))
-        ));
-        assert!(matches!(
-            from_text("# tlscope checkpoint v1\nbogus\tline\n", p),
-            Err(CheckpointError::Malformed(_, 2))
-        ));
-        assert!(matches!(
-            from_text("# tlscope checkpoint v1\nflag\t2015-01\t5\t1\n", p),
-            Err(CheckpointError::Malformed(_, 2)),
-        ));
+        let sealed = |body: &str| tlscope_durable::seal(format!("{HEADER}\n{body}\n"));
+        let malformed_at = |text: &str| match from_text(text, p) {
+            Err(StoreError::Malformed(_, n)) => n,
+            other => panic!("expected Malformed, got {other:?}"),
+        };
+        assert_eq!(malformed_at(""), 1);
+        // The unsealed v1 format is no longer read.
+        assert_eq!(malformed_at("# tlscope checkpoint v1\nfail\t0\t0\t0\n"), 1);
+        assert_eq!(malformed_at(&sealed("bogus\tline")), 2);
+        assert_eq!(malformed_at(&sealed("flag\t2015-01\t5\t1")), 2);
         // A sight line referencing an id64 with no fp line is
         // internally inconsistent.
-        assert!(matches!(
-            from_text(
-                "# tlscope checkpoint v1\nsight\t99\t2015-01-01\t2015-01-02\t5\n",
-                p
-            ),
-            Err(CheckpointError::Malformed(_, 2)),
-        ));
+        assert_eq!(
+            malformed_at(&sealed("sight\t99\t2015-01-01\t2015-01-02\t5")),
+            2
+        );
+        // Month lines: a bad value, a bad month, an unknown counter.
+        assert_eq!(malformed_at(&sealed("month\t2015-01\ttotal=x")), 2);
+        assert_eq!(malformed_at(&sealed("month\tnot-a-month\ttotal=1")), 2);
+        assert_eq!(
+            malformed_at(&sealed("fail\t0\t0\t0\nmonth\t2015-01\tfuture=9")),
+            3
+        );
         // A v2 header without a valid checksum footer is corrupt.
         assert!(matches!(
-            from_text("# tlscope checkpoint v2\nfail\t0\t0\t0\n", p),
-            Err(CheckpointError::Corrupt(_)),
+            from_text(&format!("{HEADER}\nfail\t0\t0\t0\n"), p),
+            Err(StoreError::Corrupt(_)),
         ));
         // Error values render.
         let err = from_text("", p).unwrap_err();
         assert!(err.to_string().contains("line 1"));
-        let err = from_text("# tlscope checkpoint v2\n", p).unwrap_err();
+        let err = from_text(&format!("{HEADER}\n"), p).unwrap_err();
         assert!(err.to_string().contains("checksum"));
     }
 
@@ -515,7 +517,7 @@ mod tests {
         let cut = text.len() / 2;
         assert!(matches!(
             from_text(&text[..cut], p),
-            Err(CheckpointError::Corrupt(_)),
+            Err(StoreError::Corrupt(_)),
         ));
         // A single flipped bit is detected.
         let mut bytes = text.clone().into_bytes();
@@ -524,43 +526,8 @@ mod tests {
         let flipped = String::from_utf8_lossy(&bytes).into_owned();
         assert!(matches!(
             from_text(&flipped, p),
-            Err(CheckpointError::Corrupt(_)),
+            Err(StoreError::Corrupt(_)),
         ));
-    }
-
-    #[test]
-    fn damaged_files_are_quarantined_not_fatal() {
-        let dir = unique_dir("quarantine");
-        let m1 = Month::ym(2015, 6);
-        let m2 = Month::ym(2015, 7);
-        let m3 = Month::ym(2015, 8);
-        write_month(&dir, m1, &sample_partial(m1)).unwrap();
-        write_month(&dir, m2, &sample_partial(m2)).unwrap();
-        write_month(&dir, m3, &sample_partial(m3)).unwrap();
-        // Truncate m2's file and garble m3's outright.
-        let p2 = dir.join(format!("{m2}.ckpt"));
-        let text2 = std::fs::read_to_string(&p2).unwrap();
-        std::fs::write(&p2, &text2[..text2.len() / 3]).unwrap();
-        let p3 = dir.join(format!("{m3}.ckpt"));
-        std::fs::write(&p3, b"not a checkpoint at all\xff\xfe").unwrap();
-        let load = load_dir(&dir).unwrap();
-        assert_eq!(load.aggregate, sample_partial(m1));
-        assert_eq!(load.completed.into_iter().collect::<Vec<_>>(), vec![m1]);
-        assert_eq!(
-            load.quarantined,
-            vec![
-                dir.join(format!("{m2}.ckpt.bad")),
-                dir.join(format!("{m3}.ckpt.bad"))
-            ]
-        );
-        // The damaged bytes were preserved, and the live names freed.
-        assert!(!p2.exists() && !p3.exists());
-        assert!(load.quarantined.iter().all(|p| p.exists()));
-        // A second load sees one intact month and no new damage.
-        let again = load_dir(&dir).unwrap();
-        assert_eq!(again.completed.len(), 1);
-        assert!(again.quarantined.is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! counters behind every figure of the paper. The per-flow fold
 //! ([`ingest_borrowed`]) is what the month-sharded study runner in
 //! `tlscope-analysis` drives on its worker threads, with per-stage
-//! accounting in [`PipelineMetrics`].
+//! accounting in [`PipelineMetrics`]. Completed months persist through
+//! [`checkpoint`], the lossless month codec of the checkpoint store in
+//! `tlscope-durable`; a complete store is the saved run.
 //!
 //! ```
 //! use tlscope_notary::{ingest_serial, TappedFlow};
@@ -42,16 +44,14 @@ pub mod checkpoint;
 pub mod conn;
 pub mod metrics;
 pub mod pipeline;
-pub mod store;
 
 pub use aggregate::{
     AeadCounts, FpClassFlags, KxCounts, MonthlyStats, NotaryAggregate, PositionMean, VersionCounts,
 };
-pub use checkpoint::{CheckpointError, DirLoad};
+pub use checkpoint::DirLoad;
 pub use conn::{
     flush_parse_cache_metrics, parse_cache_set_capacity, parse_cache_stats, ClientOffer,
     ConnectionRecord, ExtractError, ExtractScratch, ParseCacheStats, ServerAnswer, ServerOutcome,
 };
 pub use metrics::{MetricsSnapshot, PipelineLatency, PipelineMetrics};
 pub use pipeline::{ingest_borrowed, ingest_flow, ingest_serial, TappedFlow};
-pub use store::{from_text, to_text, StoreError};

@@ -14,70 +14,22 @@
 //! the resumed series is **bit-identical** (`PartialEq`) to a clean
 //! run at any worker count and under any fault profile.
 //!
-//! Files are written atomically (tmp + rename, via
-//! [`tlscope_durable::write_atomic`]) and sealed with an FNV-1a
-//! content-checksum footer from birth, so truncation and bit-rot are
-//! *detected* at load: [`load_dir`] quarantines damaged files
-//! (rename to `*.ckpt.bad`) and reports their dates as incomplete so
-//! the campaign re-sweeps them instead of aborting.
+//! This module owns only the record codec. The store — atomic writes,
+//! the checksum footer, the directory scan that quarantines damaged
+//! files to `*.ckpt.bad` so the campaign re-sweeps their dates, and
+//! the study stamp — is [`tlscope_durable`]'s.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use tlscope_chron::Date;
+use tlscope_durable::StoreError;
 
 use crate::metrics::ScanMetricsSnapshot;
 use crate::sweep::ScanSnapshot;
 
 /// Versioned first line of every scan checkpoint file.
 const HEADER: &str = "# tlscope scan checkpoint v1";
-
-/// Errors from scan-checkpoint IO or parsing.
-#[derive(Debug)]
-pub enum ScanCheckpointError {
-    /// Filesystem failure (path carried for context).
-    Io(PathBuf, std::io::Error),
-    /// A checkpoint file failed to parse; carries path and 1-based
-    /// line.
-    Malformed(PathBuf, usize),
-    /// A checkpoint file failed its content-checksum check (truncated,
-    /// torn, or bit-rotted on disk).
-    Corrupt(PathBuf),
-}
-
-impl ScanCheckpointError {
-    /// True when the error describes a damaged *file* (recoverable by
-    /// quarantining it and re-sweeping its date) rather than a
-    /// filesystem failure that must abort the resume.
-    pub fn is_damage(&self) -> bool {
-        matches!(
-            self,
-            ScanCheckpointError::Malformed(..) | ScanCheckpointError::Corrupt(..)
-        )
-    }
-}
-
-impl std::fmt::Display for ScanCheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScanCheckpointError::Io(p, e) => {
-                write!(f, "scan checkpoint io error at {}: {e}", p.display())
-            }
-            ScanCheckpointError::Malformed(p, line) => {
-                write!(f, "malformed scan checkpoint {} (line {line})", p.display())
-            }
-            ScanCheckpointError::Corrupt(p) => {
-                write!(
-                    f,
-                    "corrupt scan checkpoint {} (checksum failed)",
-                    p.display()
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ScanCheckpointError {}
 
 /// One completed campaign date: what the sweep measured and what it
 /// cost. The ledger is the per-date [`ScanMetricsSnapshot`] recorded
@@ -132,16 +84,12 @@ pub fn to_text(ckpt: &DateCheckpoint) -> String {
     tlscope_durable::seal(out)
 }
 
-/// Parse checkpoint text back into a [`DateCheckpoint`]. The checksum
-/// footer is verified first; a failed check is
-/// [`ScanCheckpointError::Corrupt`].
-pub fn from_text(text: &str, path: &Path) -> Result<DateCheckpoint, ScanCheckpointError> {
-    let bad = |n: usize| ScanCheckpointError::Malformed(path.to_path_buf(), n);
-    if !text.lines().next().unwrap_or("").starts_with(HEADER) {
-        return Err(bad(1));
-    }
-    let body = tlscope_durable::open_sealed(text)
-        .map_err(|_| ScanCheckpointError::Corrupt(path.to_path_buf()))?;
+/// Parse checkpoint text read from `path` back into a
+/// [`DateCheckpoint`]. A wrong header or any unparseable record is
+/// [`StoreError::Malformed`]; a failed checksum is
+/// [`StoreError::Corrupt`].
+pub fn from_text(text: &str, path: &Path) -> Result<DateCheckpoint, StoreError> {
+    let bad = |n: usize| StoreError::Malformed(path.to_path_buf(), n);
     // Both section lines carry exactly eleven u64 counters (the snap
     // line after its leading date field).
     fn counters(fields: &mut std::str::Split<'_, char>) -> Option<[u64; 11]> {
@@ -154,11 +102,7 @@ pub fn from_text(text: &str, path: &Path) -> Result<DateCheckpoint, ScanCheckpoi
     let mut snapshot: Option<ScanSnapshot> = None;
     let mut ledger: Option<ScanMetricsSnapshot> = None;
     let mut last = 1;
-    for (idx, line) in body.lines().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let n = idx + 1;
+    for (n, line) in tlscope_durable::open_unit(text, HEADER, path)? {
         last = n;
         let (tag, rest) = line.split_once('\t').ok_or(bad(n))?;
         let mut f = rest.split('\t');
@@ -211,36 +155,9 @@ pub fn from_text(text: &str, path: &Path) -> Result<DateCheckpoint, ScanCheckpoi
     }
 }
 
-fn date_path(dir: &Path, date: Date) -> PathBuf {
-    dir.join(format!("{date}.ckpt"))
-}
-
 /// Atomically write the checkpoint for one completed date.
-pub fn write_date(dir: &Path, ckpt: &DateCheckpoint) -> Result<(), ScanCheckpointError> {
-    let date = ckpt.snapshot.date;
-    tlscope_durable::write_atomic(dir, &format!("{date}.ckpt"), &to_text(ckpt))
-        .map_err(|e| ScanCheckpointError::Io(date_path(dir, date), e))
-}
-
-/// Load one date's checkpoint file. The filename date must match the
-/// `snap` line's date — a mismatch means the file's content does not
-/// belong to this slot and is treated as damage.
-pub fn read_date(dir: &Path, date: Date) -> Result<DateCheckpoint, ScanCheckpointError> {
-    let path = date_path(dir, date);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        // Bit-rot can make a file invalid UTF-8; that is damage to the
-        // file's content, not a filesystem failure.
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            return Err(ScanCheckpointError::Corrupt(path));
-        }
-        Err(e) => return Err(ScanCheckpointError::Io(path, e)),
-    };
-    let ckpt = from_text(&text, &path)?;
-    if ckpt.snapshot.date != date {
-        return Err(ScanCheckpointError::Malformed(path, 2));
-    }
-    Ok(ckpt)
+pub fn write_date(dir: &Path, ckpt: &DateCheckpoint) -> Result<(), StoreError> {
+    tlscope_durable::write_unit(dir, ckpt.snapshot.date, &to_text(ckpt))
 }
 
 /// Result of scanning a scan-checkpoint directory with [`load_dir`].
@@ -256,49 +173,26 @@ pub struct ScanDirLoad {
 
 /// Scan a checkpoint directory for completed campaign dates.
 ///
-/// A missing directory is a valid cold start. Leftover `.tmp` files
-/// from an interrupted write are ignored — their date was not
-/// completed. A damaged file (malformed, truncated, failing its
-/// checksum, or carrying the wrong date) is quarantined — renamed to
-/// `<date>.ckpt.bad` — and its date reported incomplete, so a resume
-/// re-sweeps it instead of aborting; only filesystem errors abort.
-pub fn load_dir(dir: &Path) -> Result<ScanDirLoad, ScanCheckpointError> {
-    let mut load = ScanDirLoad {
-        completed: BTreeMap::new(),
-        quarantined: Vec::new(),
-    };
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(load),
-        Err(e) => return Err(ScanCheckpointError::Io(dir.to_path_buf(), e)),
-    };
-    let mut dates = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| ScanCheckpointError::Io(dir.to_path_buf(), e))?;
-        let name = entry.file_name();
-        let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".ckpt")) else {
-            continue;
-        };
-        if let Ok(date) = stem.parse::<Date>() {
-            dates.push(date);
+/// A missing directory is a valid cold start. A damaged file
+/// (malformed, truncated, failing its checksum, or carrying another
+/// date than its name) is quarantined — renamed to `<date>.ckpt.bad` —
+/// and its date reported incomplete, so a resume re-sweeps it instead
+/// of aborting; only filesystem errors abort.
+pub fn load_dir(dir: &Path) -> Result<ScanDirLoad, StoreError> {
+    let mut completed = BTreeMap::new();
+    let quarantined = tlscope_durable::load_units(dir, |date: Date, text, path| {
+        let ckpt = from_text(text, path)?;
+        // The snap line, which carries the date, is line 2.
+        if ckpt.snapshot.date != date {
+            return Err(StoreError::Malformed(path.to_path_buf(), 2));
         }
-    }
-    dates.sort();
-    for date in dates {
-        match read_date(dir, date) {
-            Ok(ckpt) => {
-                load.completed.insert(date, ckpt);
-            }
-            Err(e) if e.is_damage() => {
-                let path = date_path(dir, date);
-                let bad = tlscope_durable::quarantine(&path)
-                    .map_err(|io| ScanCheckpointError::Io(path, io))?;
-                load.quarantined.push(bad);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(load)
+        completed.insert(date, ckpt);
+        Ok(())
+    })?;
+    Ok(ScanDirLoad {
+        completed,
+        quarantined,
+    })
 }
 
 #[cfg(test)]
@@ -348,47 +242,40 @@ mod tests {
         assert_eq!(text, to_text(&back));
     }
 
+    /// `load_dir` keeps the intact dates and quarantines a date file
+    /// that holds another date's sweep.
     #[test]
-    fn dir_roundtrip_and_tmp_files_ignored() {
+    fn load_dir_keeps_dates_and_quarantines_misnamed_files() {
         let dir = unique_dir("dir");
-        let d1 = Date::ymd(2016, 3, 5);
-        let d2 = Date::ymd(2016, 4, 4);
+        let (d1, d2) = (Date::ymd(2016, 3, 5), Date::ymd(2016, 4, 4));
         let c1 = sample_checkpoint(d1);
-        let c2 = sample_checkpoint(d2);
         write_date(&dir, &c1).unwrap();
-        write_date(&dir, &c2).unwrap();
-        std::fs::write(dir.join("2016-05-04.ckpt.tmp"), "torn").unwrap();
+        std::fs::copy(
+            dir.join(format!("{d1}.ckpt")),
+            dir.join(format!("{d2}.ckpt")),
+        )
+        .unwrap();
         let load = load_dir(&dir).unwrap();
-        assert_eq!(load.completed.len(), 2);
-        assert_eq!(load.completed[&d1], c1);
-        assert_eq!(load.completed[&d2], c2);
-        assert!(load.quarantined.is_empty());
-        assert!(!dir.join("2016-03-05.ckpt.tmp").exists());
+        assert_eq!(
+            load.completed.into_iter().collect::<Vec<_>>(),
+            vec![(d1, c1)]
+        );
+        assert_eq!(load.quarantined, vec![dir.join(format!("{d2}.ckpt.bad"))]);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_dir_is_cold_start() {
-        let load = load_dir(&unique_dir("absent")).unwrap();
-        assert!(load.completed.is_empty());
-        assert!(load.quarantined.is_empty());
     }
 
     #[test]
     fn malformed_and_corrupt_texts_are_rejected() {
         let p = Path::new("x");
-        assert!(matches!(
-            from_text("", p),
-            Err(ScanCheckpointError::Malformed(_, 1))
-        ));
+        assert!(matches!(from_text("", p), Err(StoreError::Malformed(_, 1))));
         assert!(matches!(
             from_text("# some other file\n", p),
-            Err(ScanCheckpointError::Malformed(_, 1))
+            Err(StoreError::Malformed(_, 1))
         ));
         // Right header, no footer: truncation.
         assert!(matches!(
             from_text("# tlscope scan checkpoint v1\n", p),
-            Err(ScanCheckpointError::Corrupt(_))
+            Err(StoreError::Corrupt(_))
         ));
         // Sealed but missing the ledger section.
         let half = tlscope_durable::seal(format!(
@@ -396,59 +283,18 @@ mod tests {
         ));
         assert!(matches!(
             from_text(&half, p),
-            Err(ScanCheckpointError::Malformed(_, 3))
+            Err(StoreError::Malformed(_, 3))
         ));
         // Sealed but with a bogus tag.
         let bogus = tlscope_durable::seal(format!("{HEADER}\nwhat\tis\tthis\n"));
         assert!(matches!(
             from_text(&bogus, p),
-            Err(ScanCheckpointError::Malformed(_, 2))
+            Err(StoreError::Malformed(_, 2))
         ));
         // Errors render with context.
         let err = from_text(&bogus, p).unwrap_err();
         assert!(err.to_string().contains("line 2"));
         let err = from_text("# tlscope scan checkpoint v1\n", p).unwrap_err();
         assert!(err.to_string().contains("checksum"));
-    }
-
-    #[test]
-    fn damaged_files_are_quarantined_not_fatal() {
-        let dir = unique_dir("quarantine");
-        let d1 = Date::ymd(2016, 3, 5);
-        let d2 = Date::ymd(2016, 4, 4);
-        let d3 = Date::ymd(2016, 5, 4);
-        let d4 = Date::ymd(2016, 6, 3);
-        for d in [d1, d2, d3, d4] {
-            write_date(&dir, &sample_checkpoint(d)).unwrap();
-        }
-        // Truncate d2, bit-flip d3, and swap d4's content to a
-        // different date (slot mismatch).
-        let p2 = date_path(&dir, d2);
-        let t2 = std::fs::read_to_string(&p2).unwrap();
-        std::fs::write(&p2, &t2[..t2.len() / 2]).unwrap();
-        let p3 = date_path(&dir, d3);
-        let mut b3 = std::fs::read(&p3).unwrap();
-        let mid = b3.len() / 2;
-        b3[mid] ^= 0x10;
-        std::fs::write(&p3, &b3).unwrap();
-        let p4 = date_path(&dir, d4);
-        std::fs::write(&p4, to_text(&sample_checkpoint(d1))).unwrap();
-
-        let load = load_dir(&dir).unwrap();
-        assert_eq!(load.completed.keys().copied().collect::<Vec<_>>(), vec![d1]);
-        assert_eq!(
-            load.quarantined,
-            vec![
-                dir.join(format!("{d2}.ckpt.bad")),
-                dir.join(format!("{d3}.ckpt.bad")),
-                dir.join(format!("{d4}.ckpt.bad")),
-            ]
-        );
-        assert!(load.quarantined.iter().all(|p| p.exists()));
-        // A second load sees one intact date and no new damage.
-        let again = load_dir(&dir).unwrap();
-        assert_eq!(again.completed.len(), 1);
-        assert!(again.quarantined.is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -28,7 +28,7 @@ pub mod probe;
 pub mod schedule;
 pub mod sweep;
 
-pub use checkpoint::{DateCheckpoint, ScanCheckpointError, ScanDirLoad};
+pub use checkpoint::{DateCheckpoint, ScanDirLoad};
 pub use faults::{ScanFaultConfigError, ScanFaults, DEAD_HOST_SPAN_DAYS, MAX_PROBE_ATTEMPTS};
 pub use metrics::{ScanLatency, ScanMetrics, ScanMetricsSnapshot};
 pub use probe::{PreparedProbe, ProbeSet};

@@ -13,10 +13,11 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use tlscope_chron::Date;
+use tlscope_durable::StoreError;
 use tlscope_obs::Progress;
 use tlscope_servers::ServerPopulation;
 
-use crate::checkpoint::{self, DateCheckpoint, ScanCheckpointError};
+use crate::checkpoint::{self, DateCheckpoint};
 use crate::faults::ScanFaults;
 use crate::metrics::ScanMetrics;
 use crate::sweep::{quiet_thread_panics, sweep_faulted, sweep_sharded_with, ScanSnapshot};
@@ -138,7 +139,7 @@ impl ScanCampaign {
     /// `checkpoints_quarantined`) and their dates re-swept.
     ///
     /// Only filesystem failures abort the campaign, and they surface
-    /// as [`ScanCheckpointError::Io`] after in-flight workers drain;
+    /// as [`StoreError::Io`] after in-flight workers drain;
     /// every date swept before the failure keeps its checkpoint, so a
     /// rerun loses nothing.
     pub fn run_durable(
@@ -147,7 +148,7 @@ impl ScanCampaign {
         workers: usize,
         metrics: &ScanMetrics,
         checkpoint_dir: Option<&Path>,
-    ) -> Result<Vec<ScanSnapshot>, ScanCheckpointError> {
+    ) -> Result<Vec<ScanSnapshot>, StoreError> {
         let mut ordered: Vec<Option<ScanSnapshot>> = vec![None; self.dates.len()];
         // Resume: adopt completed dates from the store. Snapshots fill
         // their slots; stored ledgers replay into the campaign bag so
@@ -184,36 +185,35 @@ impl ScanCampaign {
         // additive, campaign totals are unchanged by the indirection.
         // Latency histograms are merged separately: the stored ledger
         // never carries timing, so resume replays counters only.
-        let sweep_date =
-            |date: Date, faults: &ScanFaults| -> Result<ScanSnapshot, ScanCheckpointError> {
-                let date_metrics = ScanMetrics::new();
-                let snapshot = sweep_sharded_with(
-                    population,
-                    date,
-                    self.hosts_per_sweep,
-                    self.seed,
-                    1,
-                    &date_metrics,
-                    faults,
-                );
-                let ledger = date_metrics.snapshot();
-                metrics.absorb(&ledger);
-                metrics.merge_latency_from(&date_metrics);
-                if let Some(dir) = checkpoint_dir {
-                    let write_started = Instant::now();
-                    checkpoint::write_date(
-                        dir,
-                        &DateCheckpoint {
-                            snapshot: snapshot.clone(),
-                            ledger,
-                        },
-                    )?;
-                    metrics.observe_checkpoint_write(write_started.elapsed());
-                    metrics.record_checkpoint_written();
-                }
-                dates_done.fetch_add(1, Ordering::Relaxed);
-                Ok(snapshot)
-            };
+        let sweep_date = |date: Date, faults: &ScanFaults| -> Result<ScanSnapshot, StoreError> {
+            let date_metrics = ScanMetrics::new();
+            let snapshot = sweep_sharded_with(
+                population,
+                date,
+                self.hosts_per_sweep,
+                self.seed,
+                1,
+                &date_metrics,
+                faults,
+            );
+            let ledger = date_metrics.snapshot();
+            metrics.absorb(&ledger);
+            metrics.merge_latency_from(&date_metrics);
+            if let Some(dir) = checkpoint_dir {
+                let write_started = Instant::now();
+                checkpoint::write_date(
+                    dir,
+                    &DateCheckpoint {
+                        snapshot: snapshot.clone(),
+                        ledger,
+                    },
+                )?;
+                metrics.observe_checkpoint_write(write_started.elapsed());
+                metrics.record_checkpoint_written();
+            }
+            dates_done.fetch_add(1, Ordering::Relaxed);
+            Ok(snapshot)
+        };
 
         let pending: Vec<usize> = ordered
             .iter()
@@ -260,8 +260,8 @@ impl ScanCampaign {
         pending: &[usize],
         ordered: &mut [Option<ScanSnapshot>],
         metrics: &ScanMetrics,
-        sweep_date: &(impl Fn(Date, &ScanFaults) -> Result<ScanSnapshot, ScanCheckpointError> + Sync),
-    ) -> Result<(), ScanCheckpointError> {
+        sweep_date: &(impl Fn(Date, &ScanFaults) -> Result<ScanSnapshot, StoreError> + Sync),
+    ) -> Result<(), StoreError> {
         if workers <= 1 {
             for &idx in pending {
                 ordered[idx] = Some(sweep_date(self.dates[idx], &self.faults)?);
@@ -272,7 +272,7 @@ impl ScanCampaign {
         let next = AtomicUsize::new(0);
         // First checkpoint-write failure; workers stop claiming dates
         // once it is set and the error surfaces after the scope joins.
-        let ckpt_error: Mutex<Option<ScanCheckpointError>> = Mutex::new(None);
+        let ckpt_error: Mutex<Option<StoreError>> = Mutex::new(None);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -536,7 +536,7 @@ mod tests {
         let err = campaign
             .run_durable(&ServerPopulation::new(), 2, &ScanMetrics::new(), Some(&dir))
             .unwrap_err();
-        assert!(matches!(err, ScanCheckpointError::Io(..)), "{err}");
+        assert!(matches!(err, StoreError::Io(..)), "{err}");
         std::fs::remove_file(&dir).unwrap();
     }
 }

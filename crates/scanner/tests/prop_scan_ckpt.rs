@@ -11,10 +11,11 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use tlscope_chron::Date;
+use tlscope_durable::StoreError;
 use tlscope_scanner::checkpoint;
 use tlscope_scanner::{
-    schedule, sweep_sharded_with, DateCheckpoint, ScanCampaign, ScanCheckpointError, ScanFaults,
-    ScanMetrics, ScanMetricsSnapshot,
+    schedule, sweep_sharded_with, DateCheckpoint, ScanCampaign, ScanFaults, ScanMetrics,
+    ScanMetricsSnapshot,
 };
 use tlscope_servers::ServerPopulation;
 
@@ -228,22 +229,26 @@ fn rejoin(original: &str, lines: Vec<&str>) -> String {
     out
 }
 
-fn error_path(e: &ScanCheckpointError) -> &Path {
+fn error_path(e: &StoreError) -> &Path {
     match e {
-        ScanCheckpointError::Io(p, _) => p,
-        ScanCheckpointError::Malformed(p, _) => p,
-        ScanCheckpointError::Corrupt(p) => p,
+        StoreError::Io(p, _)
+        | StoreError::Malformed(p, _)
+        | StoreError::Corrupt(p)
+        | StoreError::Foreign(p, _) => p,
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// Mutated scan checkpoint texts parse cleanly or fail as damage
-    /// with the caller's path — never a panic, never an Io error.
+    /// with the caller's path — never a panic, never an Io error. With
+    /// `reseal` the mutated body is sealed again, so the mutation gets
+    /// past the checksum and reaches the record parser.
     #[test]
     fn mutated_scan_checkpoint_never_panics(
         seed in 0u64..1_000,
         muts in proptest::collection::vec(mutation(), 1..4),
+        reseal in any::<bool>(),
     ) {
         let pop = ServerPopulation::new();
         let date = Date::ymd(2016, 9, 1);
@@ -262,10 +267,12 @@ proptest! {
             ledger: date_metrics.snapshot(),
         };
         let text = checkpoint::to_text(&ckpt);
-        let mut mutated = text.clone();
-        for m in &muts {
-            mutated = apply(&mutated, m);
-        }
+        let mutated = if reseal {
+            let body = tlscope_durable::open_sealed(&text).unwrap().to_string();
+            tlscope_durable::seal(muts.iter().fold(body, |t, m| apply(&t, m)))
+        } else {
+            muts.iter().fold(text, |t, m| apply(&t, m))
+        };
         let path = Path::new("fuzz/2016-09-01.ckpt");
         match checkpoint::from_text(&mutated, path) {
             Ok(parsed) => {
