@@ -67,7 +67,7 @@ const CACHE_HIT_RATE_MIN: f64 = 0.9;
 /// the measured ratio itself is recorded in the trajectory file.
 const HEARTBEAT_RATIO_MIN: f64 = 0.90;
 
-use tlscope_bench::PIPELINE_ALLOC_BUDGET_PER_CONN;
+use tlscope_bench::{best_secs, json_number, PIPELINE_ALLOC_BUDGET_PER_CONN};
 
 #[cfg(feature = "alloc-counter")]
 use tlscope_bench::alloc_counter;
@@ -91,29 +91,6 @@ fn generator(conns: u32) -> Generator {
 
 fn flow_bytes(flow: &TappedFlow) -> u64 {
     flow.client.len() as u64 + flow.server.as_ref().map_or(0, |s| s.len() as u64)
-}
-
-/// Best-of-`reps` wall time for `f`, which must be repeatable.
-fn best_secs(reps: u32, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// First numeric value following `key` in a JSON fragment. Enough of a
-/// parser for this bench's own output format; anything surprising
-/// yields `None` and the caller falls back to the compiled constants.
-fn json_number(fragment: &str, key: &str) -> Option<f64> {
-    let rest = fragment.split(key).nth(1)?;
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Previous-PR `(allocs_per_conn, conns_per_sec)` baseline, read from

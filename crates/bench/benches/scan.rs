@@ -8,7 +8,7 @@
 //! cargo bench -p tlscope-bench --bench scan --features alloc-counter -- --fast
 //! ```
 //!
-//! It measures three things about one Censys-style sweep:
+//! It measures six things about one Censys-style sweep:
 //!
 //! 1. **Serial throughput** — hosts/s and probes/s through the
 //!    prepared-probe + `decide` hot loop.
@@ -26,18 +26,31 @@
 //!    with the loss counters and the two-part accounting invariant
 //!    reported. Fault draws are pure arithmetic, so this row shares
 //!    the serial row's allocation budget.
+//! 5. **Layers** — ns per host for the two halves of a probed host:
+//!    sampling (seeding the host stream + `sample_host` with a warm
+//!    cohort-curve memo) and the three sweep decides (Chrome 2015,
+//!    SSL3-only, export), each timed over the same sampled hosts.
+//! 6. **Memo ablation** — one `params(cohort, date)` computation
+//!    against one `ParamsCache` hit, the saving every sampled host
+//!    gets from the memo.
+//!
+//! `baseline_prev_pr` is the serial `hosts_per_sec` of the committed
+//! `BENCH_scan.json`, read before this run overwrites it;
+//! `throughput_factor` is this run's serial rate over it. Both are a
+//! report only: timings gate nothing.
 //!
 //! Without `--features alloc-counter` allocation counts read as zero
 //! and the budget check is skipped.
 
-use std::time::Instant;
-
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use tlscope::chron::Date;
 use tlscope::scanner::{
-    probe_host, sweep, sweep_sharded, sweep_sharded_with, ScanFaults, ScanMetrics, ScanSnapshot,
+    probe_host, sweep, sweep_sharded, sweep_sharded_with, PreparedProbe, ProbeSet, ScanFaults,
+    ScanMetrics, ScanSnapshot,
 };
-use tlscope::servers::ServerPopulation;
-use tlscope_bench::SCAN_ALLOC_BUDGET_PER_HOST;
+use tlscope::servers::{negotiate, params, Cohort, CohortParams, ParamsCache, ServerPopulation};
+use tlscope_bench::{best_secs, json_number, SCAN_ALLOC_BUDGET_PER_HOST};
 
 #[cfg(feature = "alloc-counter")]
 use tlscope_bench::alloc_counter;
@@ -56,18 +69,31 @@ const PROBES_PER_HOST: f64 = 3.0;
 
 const SEED: u64 = 0x5CA7;
 
-/// Best-of-`reps` wall time for `f`, which must be repeatable.
-fn best_secs(reps: u32, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
+const COHORTS: [Cohort; 6] = [
+    Cohort::MajorWeb,
+    Cohort::Cdn,
+    Cohort::LongTailWeb,
+    Cohort::Enterprise,
+    Cohort::Iot,
+    Cohort::Mail,
+];
+
+/// The `baseline_prev_pr` comparison point: serial hosts/s from the
+/// committed trajectory file's `serial` row (0 when the file is missing
+/// or unreadable).
+fn prev_pr_hosts_per_sec(path: &str) -> f64 {
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| {
+            let row = text.split("\"serial\":").nth(1)?.to_owned();
+            json_number(&row, "\"hosts_per_sec\":")
+        })
+        .unwrap_or(0.0)
 }
 
 fn main() {
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
+    let prev_hps = prev_pr_hosts_per_sec(out);
     let fast = std::env::args().any(|a| a == "--fast");
     let hosts: u32 = if fast { 2_000 } else { 10_000 };
     let reps: u32 = if fast { 2 } else { 3 };
@@ -127,13 +153,50 @@ fn main() {
     let naive_hosts = hosts.min(2_000);
     let (_, naive_allocs) = alloc_counter::counted(|| {
         let mut snap = ScanSnapshot::new(date);
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(SEED);
+        let mut rng = SmallRng::seed_from_u64(SEED);
+        let mut cache = ParamsCache::default();
         for _ in 0..naive_hosts {
-            let profile = pop.sample_host(date, &mut rng);
+            let profile = pop.sample_host(&mut cache, date, &mut rng);
             probe_host(&profile, &mut snap);
         }
         std::hint::black_box(&snap);
     });
+
+    // --- Layers: sampling (each profile dropped at once, as a sweep
+    // does), then each sweep decide over the same hosts.
+    let mut cache = ParamsCache::default();
+    let mut sample =
+        |i: u64| pop.sample_host(&mut cache, date, &mut SmallRng::seed_from_u64(SEED ^ i));
+    let profiles: Vec<_> = (0..u64::from(hosts)).map(&mut sample).collect();
+    let sample_secs = best_secs(reps, || {
+        for i in 0..u64::from(hosts) {
+            std::hint::black_box(sample(i));
+        }
+    });
+    let probes = ProbeSet::campaign();
+    let decide_secs = |probe: &PreparedProbe| {
+        let facts = probe.facts();
+        best_secs(reps, || {
+            for p in &profiles {
+                std::hint::black_box(negotiate::decide(p, &facts).ok());
+            }
+        })
+    };
+    let chrome_secs = decide_secs(&probes.chrome_2015);
+    let ssl3_secs = decide_secs(&probes.ssl3_only);
+    let export_secs = decide_secs(&probes.export_only);
+
+    // --- Memo ablation: the cohort curves computed against served.
+    let calls = u64::from(hosts) * 10;
+    let curves = |f: &mut dyn FnMut(Cohort) -> CohortParams| {
+        best_secs(reps, || {
+            for i in 0..calls {
+                std::hint::black_box(f(COHORTS[(i % 6) as usize]));
+            }
+        })
+    };
+    let uncached_secs = curves(&mut |c| params(c, date));
+    let hit_secs = curves(&mut |c| cache.params(c, date));
 
     let n = hosts as f64;
     let serial_apc = serial_allocs as f64 / n;
@@ -150,6 +213,13 @@ fn main() {
     } else {
         0.0
     };
+    let per_host_ns = |secs: f64| secs * 1e9 / n;
+    let per_call_ns = |secs: f64| secs * 1e9 / calls as f64;
+    let throughput_factor = if prev_hps > 0.0 {
+        serial_hps / prev_hps
+    } else {
+        0.0
+    };
 
     let json = format!(
         concat!(
@@ -162,8 +232,11 @@ fn main() {
             "  \"serial\": {{ \"hosts_per_sec\": {ser_hps:.0}, \"probes_per_sec\": {ser_pps:.0}, \"allocs_per_host\": {ser_apc:.3} }},\n",
             "  \"sharded\": {{ \"workers\": {workers}, \"hosts_per_sec\": {sh_hps:.0}, \"vs_serial\": {ratio:.2}, \"bit_identical\": true, \"accounting_holds\": {acct} }},\n",
             "  \"faulted\": {{ \"profile\": \"stress\", \"hosts_per_sec\": {f_hps:.0}, \"allocs_per_host\": {f_apc:.3}, \"hosts_dropped\": {f_dropped}, \"probes_timed_out\": {f_timed}, \"host_retries\": {f_retries}, \"accounting_holds\": {f_acct} }},\n",
+            "  \"layers\": {{ \"sample_ns_per_host\": {l_sample:.1}, \"decide_chrome_ns_per_host\": {l_chrome:.1}, \"decide_ssl3_ns_per_host\": {l_ssl3:.1}, \"decide_export_ns_per_host\": {l_export:.1}, \"decide_ns_per_host\": {l_decide:.1} }},\n",
+            "  \"params_memo\": {{ \"uncached_ns_per_call\": {m_uncached:.1}, \"hit_ns_per_call\": {m_hit:.1}, \"saving_ns_per_call\": {m_saving:.1} }},\n",
             "  \"baseline_naive_probe_rebuild\": {{ \"allocs_per_host\": {naive_apc:.3} }},\n",
-            "  \"improvement\": {{ \"alloc_reduction_factor\": {red:.1} }},\n",
+            "  \"baseline_prev_pr\": {{ \"serial_hosts_per_sec\": {prev_hps:.0} }},\n",
+            "  \"improvement\": {{ \"alloc_reduction_factor\": {red:.1}, \"throughput_factor\": {thr:.2} }},\n",
             "  \"budget\": {{ \"allocs_per_host_max\": {budget:.1}, \"pass\": {pass} }}\n",
             "}}\n"
         ),
@@ -183,14 +256,23 @@ fn main() {
         f_timed = fs.probes_timed_out,
         f_retries = fs.host_retries,
         f_acct = fs.accounting_holds(),
+        l_sample = per_host_ns(sample_secs),
+        l_chrome = per_host_ns(chrome_secs),
+        l_ssl3 = per_host_ns(ssl3_secs),
+        l_export = per_host_ns(export_secs),
+        l_decide = per_host_ns(chrome_secs + ssl3_secs + export_secs),
+        m_uncached = per_call_ns(uncached_secs),
+        m_hit = per_call_ns(hit_secs),
+        m_saving = per_call_ns(uncached_secs - hit_secs),
         naive_apc = naive_apc,
+        prev_hps = prev_hps,
         red = reduction,
+        thr = throughput_factor,
         budget = SCAN_ALLOC_BUDGET_PER_HOST,
         pass = budget_pass,
     );
 
     print!("{json}");
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
     if let Err(e) = std::fs::write(out, &json) {
         eprintln!("warning: could not write {out}: {e}");
     }

@@ -32,6 +32,29 @@ pub const PIPELINE_ALLOC_BUDGET_PER_CONN: f64 = 4.0;
 /// naive per-host probe rebuild this PR replaced cost ~60×.
 pub const SCAN_ALLOC_BUDGET_PER_HOST: f64 = 2.0;
 
+/// Best-of-`reps` wall time of `f` in seconds; `f` must be repeatable.
+pub fn best_secs(reps: u32, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = std::time::Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// First numeric value following `key` in a JSON fragment. Enough of a
+/// parser for the benches' own trajectory files (read back for their
+/// `baseline_prev_pr` rows); anything surprising yields `None`.
+pub fn json_number(fragment: &str, key: &str) -> Option<f64> {
+    let rest = fragment.split(key).nth(1)?;
+    let rest = rest.trim_start();
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 /// Generate one month of flows at a given volume for bench workloads.
 pub fn bench_flows(month: Month, n: u32, seed: u64) -> Vec<TappedFlow> {
     let generator = Generator::new(TrafficConfig {

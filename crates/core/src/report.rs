@@ -5,7 +5,7 @@
 use tlscope_analysis::{figures, sections, tables, Figure, Study, StudyConfig, Table};
 use tlscope_durable::StoreError;
 use tlscope_notary::{NotaryAggregate, PipelineMetrics};
-use tlscope_scanner::{ScanMetrics, ScanSnapshot};
+use tlscope_scanner::{ScanMetrics, ScanMetricsSnapshot, ScanSnapshot};
 
 /// A rendered experiment result.
 #[derive(Debug, Clone)]
@@ -126,6 +126,9 @@ pub struct ReportContext {
     study: Study,
     passive: Option<NotaryAggregate>,
     scans: Option<Vec<ScanSnapshot>>,
+    /// The campaign's own ledger, which `scan-accounting` renders: the
+    /// context bag also counts the SSL-Pulse surveys.
+    campaign_ledger: ScanMetricsSnapshot,
     metrics: PipelineMetrics,
     scan_metrics: ScanMetrics,
 }
@@ -137,6 +140,7 @@ impl ReportContext {
             study: Study::new(cfg),
             passive: None,
             scans: None,
+            campaign_ledger: ScanMetricsSnapshot::default(),
             metrics: PipelineMetrics::new(),
             scan_metrics: ScanMetrics::new(),
         }
@@ -149,6 +153,7 @@ impl ReportContext {
             study: Study::new(cfg),
             passive: Some(passive),
             scans: None,
+            campaign_ledger: ScanMetricsSnapshot::default(),
             metrics: PipelineMetrics::new(),
             scan_metrics: ScanMetrics::new(),
         }
@@ -173,8 +178,9 @@ impl ReportContext {
         &self.metrics
     }
 
-    /// Scan accounting for the active campaign (all zeros until
-    /// [`scans`] triggers the sweeps).
+    /// Scan accounting for everything this context probed: the active
+    /// campaign (once [`scans`] triggers the sweeps) and the SSL-Pulse
+    /// surveys.
     ///
     /// [`scans`]: ReportContext::try_scans
     pub fn scan_metrics(&self) -> &ScanMetrics {
@@ -192,9 +198,18 @@ impl ReportContext {
 
     /// The active campaign results, running them on first use and
     /// surfacing scan-checkpoint-store errors instead of panicking.
+    ///
+    /// The campaign meters into a bag of its own, whose ledger
+    /// `scan-accounting` renders, so that artefact does not depend on
+    /// which surveys ran before it; the bag is then folded into the
+    /// context's, failed run or not.
     pub fn try_scans(&mut self) -> Result<&[ScanSnapshot], StoreError> {
         if self.scans.is_none() {
-            self.scans = Some(self.study.try_run_active_metered(&self.scan_metrics)?);
+            let campaign = ScanMetrics::new();
+            let scans = self.study.try_run_active_metered(&campaign);
+            self.scan_metrics.merge_from(&campaign);
+            self.scans = Some(scans?);
+            self.campaign_ledger = campaign.snapshot();
         }
         Ok(self.scans.as_deref().unwrap())
     }
@@ -284,10 +299,8 @@ impl ReportContext {
             }
             "censys" => Artifact::Figure(sections::censys_series(self.try_scans()?)),
             "scan-accounting" => {
-                // Make sure the campaign has actually run so the
-                // ledger reflects real sweeps, not a zeroed bag.
                 self.try_scans()?;
-                Artifact::Table(sections::scan_accounting(&self.scan_metrics.snapshot()))
+                Artifact::Table(sections::scan_accounting(&self.campaign_ledger))
             }
             "impact" => Artifact::Table(impact_table(self.try_passive()?)),
             _ => return Err(RunError::UnknownExperiment(id.to_string())),
@@ -387,6 +400,20 @@ mod tests {
         assert_eq!(s.hosts_probed, 6 * 200);
         assert_eq!(s.sweeps_completed, 6);
         assert!(s.accounting_holds(), "{s:?}");
+    }
+
+    #[test]
+    fn scan_accounting_counts_the_campaign_alone() {
+        let alone = tiny_ctx().run("scan-accounting").unwrap().to_csv();
+        let mut ctx = tiny_ctx();
+        ctx.run("ssl-pulse").unwrap();
+        let after_pulse = ctx.run("scan-accounting").unwrap().to_csv();
+        assert_eq!(after_pulse, alone);
+        // The surveys still reach the context's ledger.
+        let campaign = ctx.campaign_ledger;
+        let s = ctx.scan_metrics().snapshot();
+        assert_eq!(s.hosts_probed, campaign.hosts_probed + 6 * 200);
+        assert_eq!(s.sweeps_completed, campaign.sweeps_completed + 6);
     }
 
     #[test]

@@ -197,6 +197,24 @@ impl ScanMetrics {
         self.scan_nanos.fetch_add(s.scan_nanos, Ordering::Relaxed);
     }
 
+    /// Fold every counter and latency histogram of `other`, a bag
+    /// metered by another part of this same run, into this one:
+    /// [`absorb`] plus the checkpoint counters (this run's store
+    /// activity, whichever bag recorded it) plus
+    /// [`merge_latency_from`].
+    ///
+    /// [`absorb`]: ScanMetrics::absorb
+    /// [`merge_latency_from`]: ScanMetrics::merge_latency_from
+    pub fn merge_from(&self, other: &ScanMetrics) {
+        let s = other.snapshot();
+        self.absorb(&s);
+        self.checkpoints_written
+            .fetch_add(s.checkpoints_written, Ordering::Relaxed);
+        self.record_checkpoints_loaded(s.checkpoints_loaded);
+        self.record_checkpoints_quarantined(s.checkpoints_quarantined);
+        self.merge_latency_from(other);
+    }
+
     /// A consistent-enough point-in-time copy of all counters.
     pub fn snapshot(&self) -> ScanMetricsSnapshot {
         ScanMetricsSnapshot {
@@ -580,6 +598,33 @@ mod tests {
         assert_eq!(replayed.checkpoints_loaded, 0);
         assert!(replayed.accounting_holds());
         assert!(replayed.render().contains("checkpoint"));
+    }
+
+    #[test]
+    fn merge_from_carries_every_counter_and_histogram() {
+        let part = ScanMetrics::new();
+        part.record_dispatched(600);
+        part.record_probed(580, 1740, 1500, 200, 40);
+        part.record_dropped(20);
+        part.record_retries(35);
+        part.record_worker_lost();
+        part.record_sweep(Duration::from_millis(7));
+        part.record_chunk(Duration::from_micros(400));
+        part.record_checkpoint_written();
+        part.record_checkpoints_loaded(3);
+        part.record_checkpoints_quarantined(1);
+        part.observe_checkpoint_write(Duration::from_micros(200));
+        part.observe_checkpoint_load(Duration::from_micros(80));
+
+        let run = ScanMetrics::new();
+        run.merge_from(&part);
+        assert_eq!(run.snapshot(), part.snapshot());
+        assert_eq!(run.latency(), part.latency());
+        // Merging is additive: a second part adds, never replaces.
+        run.merge_from(&part);
+        assert_eq!(run.snapshot().checkpoints_written, 2);
+        assert_eq!(run.snapshot().hosts_probed, 2 * 580);
+        assert_eq!(run.latency().sweep_chunk.count, 2);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlscope_chron::Date;
-use tlscope_servers::{negotiate, ServerPopulation, ServerProfile};
+use tlscope_servers::{negotiate, ParamsCache, ServerPopulation, ServerProfile};
 
 use crate::faults::{ScanFaults, MAX_PROBE_ATTEMPTS};
 use crate::metrics::ScanMetrics;
@@ -204,18 +204,11 @@ fn probe_host_timed(
             Ok(d) => {
                 flight.completed += 1;
                 snap.answered += 1;
-                if d.cipher.is_aead() {
-                    snap.chose_aead += 1;
-                }
-                if d.cipher.is_cbc() {
-                    snap.chose_cbc += 1;
-                }
-                if d.cipher.is_rc4() {
-                    snap.chose_rc4 += 1;
-                }
-                if d.cipher.is_3des() {
-                    snap.chose_3des += 1;
-                }
+                let class = d.cipher.classes();
+                snap.chose_aead += u64::from(class.aead);
+                snap.chose_cbc += u64::from(class.cbc);
+                snap.chose_rc4 += u64::from(class.rc4);
+                snap.chose_3des += u64::from(class.tdes);
                 if d.version == tlscope_wire::ProtocolVersion::Tls12 {
                     snap.chose_tls12 += 1;
                 }
@@ -304,10 +297,10 @@ enum HostOutcome {
 /// established connection before probing (flakier cohorts flake more,
 /// via [`ServerProfile::scan_flake_bias`]); per-probe timeouts land
 /// after the probe is on the wire, so they count as sent. The profile
-/// is a pure function of `(seed, date, index)` and is sampled at most
-/// once regardless of attempts.
+/// `sample` draws is a pure function of `(seed, date, index)` and is
+/// drawn at most once regardless of attempts.
 fn probe_indexed_host(
-    population: &ServerPopulation,
+    mut sample: impl FnMut() -> ServerProfile,
     probes: &ProbeSet,
     faults: &ScanFaults,
     date: Date,
@@ -327,10 +320,7 @@ fn probe_indexed_host(
         if faults.host_dead(seed, date, index) || faults.syn_dropped(seed, date, index, attempt) {
             continue;
         }
-        let profile = profile.get_or_insert_with(|| {
-            let mut rng = host_rng(seed, date, index);
-            population.sample_host(date, &mut rng)
-        });
+        let profile = profile.get_or_insert_with(&mut sample);
         if faults.flakes(seed, date, index, attempt, profile.scan_flake_bias()) {
             continue;
         }
@@ -362,9 +352,13 @@ fn sweep_range(
     snap: &mut ScanSnapshot,
 ) -> ChunkLedger {
     let mut ledger = ChunkLedger::default();
+    // One memo per chunk: every host of a sweep shares its date, so
+    // the cohort curves are computed once per cohort, not per host.
+    let mut cache = ParamsCache::default();
     for index in range {
+        let sample = || population.sample_host(&mut cache, date, &mut host_rng(seed, date, index));
         let (outcome, retries) =
-            probe_indexed_host(population, probes, faults, date, index, seed, snap);
+            probe_indexed_host(sample, probes, faults, date, index, seed, snap);
         ledger.retries += retries;
         match outcome {
             HostOutcome::Probed(flight) => {
@@ -858,9 +852,10 @@ fn pulse_range(
 ) -> ChunkLedger {
     use tlscope_servers::Destination;
     let mut ledger = ChunkLedger::default();
+    let mut cache = ParamsCache::default();
     for index in range {
         let mut rng = host_rng(seed ^ PULSE_SALT, date, index);
-        let profile = population.sample_for_traffic(Destination::Web, date, &mut rng);
+        let profile = population.sample_for_traffic(&mut cache, Destination::Web, date, &mut rng);
         snap.sites += 1;
         ledger.probed += 1;
         ledger.flight.probes += 1;

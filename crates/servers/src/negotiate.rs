@@ -9,8 +9,8 @@ use tlscope_wire::codec::Writer;
 use tlscope_wire::exts::{ext_body, ext_type, write_extension};
 use tlscope_wire::handshake::handshake_type;
 use tlscope_wire::{
-    grease::is_grease, CipherSuite, ClientHello, Extension, Kx, NamedGroup, ProtocolVersion,
-    ServerHello,
+    grease::is_grease, CipherSuite, ClientHello, EncMode, Extension, Kx, NamedGroup,
+    ProtocolVersion, ServerHello,
 };
 
 use crate::profile::{Quirk, ServerProfile};
@@ -350,18 +350,17 @@ fn negotiate_version(
 }
 
 /// A suite is usable at `version` if it is not TLS 1.3-only below 1.3,
-/// and AEAD suites require TLS 1.2+.
+/// and AEAD suites require TLS 1.2+. One registry lookup; unregistered
+/// code points are neither TLS 1.3 nor AEAD.
 fn usable_at(cipher: CipherSuite, version: ProtocolVersion) -> bool {
+    let (tls13, aead) = cipher.info().map_or((false, false), |i| {
+        (i.kx == Kx::Tls13, i.enc.mode() == EncMode::Aead)
+    });
     if version.is_tls13_family() {
-        return cipher.is_tls13();
+        tls13
+    } else {
+        !tls13 && (!aead || version.rank() >= ProtocolVersion::Tls12.rank())
     }
-    if cipher.is_tls13() {
-        return false;
-    }
-    if cipher.is_aead() && version.rank() < ProtocolVersion::Tls12.rank() {
-        return false;
-    }
-    true
 }
 
 fn select_cipher(
@@ -404,16 +403,22 @@ fn select_cipher(
         Quirk::None => {}
     }
 
+    // Offer membership is a code-point compare; a suite is classified
+    // (`usable`, `ecdhe_feasible`: one registry lookup each) only once
+    // it is a candidate on both sides.
+    let candidate = |c: &CipherSuite| usable(c) && ecdhe_feasible(profile, facts, *c);
     let choice = if profile.prefer_server_order {
         profile
             .preference
             .iter()
-            .find(|c| offered().any(|o| o == **c) && ecdhe_feasible(profile, facts, **c))
-            .copied()
+            .find(|c| facts.cipher_suites.contains(c) && candidate(c))
     } else {
-        offered().find(|c| profile.preference.contains(c) && ecdhe_feasible(profile, facts, *c))
+        facts
+            .cipher_suites
+            .iter()
+            .find(|c| profile.preference.contains(c) && candidate(c))
     };
-    choice.ok_or(HandshakeFailure::NoCommonCipher)
+    choice.copied().ok_or(HandshakeFailure::NoCommonCipher)
 }
 
 /// The RFC 4492 default: clients without a supported_groups extension
@@ -804,5 +809,299 @@ mod tests {
         assert!(respond(&p, &h, [0; 32]).unwrap().heartbeat);
         p.heartbeat = false;
         assert!(!respond(&p, &h, [0; 32]).unwrap().heartbeat);
+    }
+
+    /// `usable_at` as two predicate calls (two registry lookups), kept
+    /// verbatim as part of the reference below.
+    fn reference_usable_at(cipher: CipherSuite, version: ProtocolVersion) -> bool {
+        if version.is_tls13_family() {
+            return cipher.is_tls13();
+        }
+        if cipher.is_tls13() {
+            return false;
+        }
+        if cipher.is_aead() && version.rank() < ProtocolVersion::Tls12.rank() {
+            return false;
+        }
+        true
+    }
+
+    /// The pairwise selection order `select_cipher` replaced, verbatim:
+    /// every preference entry re-classifies the whole offer.
+    fn reference_select_cipher(
+        profile: &ServerProfile,
+        facts: &ClientFacts<'_>,
+        version: ProtocolVersion,
+    ) -> Result<CipherSuite, HandshakeFailure> {
+        let usable = |c: &CipherSuite| {
+            !is_grease(c.0) && !c.is_signaling() && reference_usable_at(*c, version)
+        };
+        let offered = || facts.cipher_suites.iter().copied().filter(|c| usable(c));
+
+        // Out-of-spec behaviours first.
+        match profile.quirk {
+            Quirk::ChooseUnoffered(s) => return Ok(s),
+            Quirk::DowngradeRc4ToExport => {
+                if offered().any(|c| c.0 == 0x0005 || c.0 == 0x0004) {
+                    // Interwise: answer RC4_128 with EXP_RC4_40_MD5 (§5.5).
+                    return Ok(CipherSuite(0x0003));
+                }
+            }
+            Quirk::PreferRc4 => {
+                if let Some(c) = offered().find(|c| c.is_rc4()) {
+                    return Ok(c);
+                }
+            }
+            Quirk::Prefer3Des => {
+                if let Some(c) = offered().find(|c| c.is_3des()) {
+                    return Ok(c);
+                }
+            }
+            Quirk::PreferNull => {
+                if let Some(c) = offered().find(|c| c.is_null_encryption()) {
+                    return Ok(c);
+                }
+            }
+            Quirk::PreferAnon => {
+                if let Some(c) = offered().find(|c| c.is_anon() || c.is_null_null()) {
+                    return Ok(c);
+                }
+            }
+            Quirk::None => {}
+        }
+
+        let choice = if profile.prefer_server_order {
+            profile
+                .preference
+                .iter()
+                .find(|c| offered().any(|o| o == **c) && ecdhe_feasible(profile, facts, **c))
+                .copied()
+        } else {
+            offered().find(|c| profile.preference.contains(c) && ecdhe_feasible(profile, facts, *c))
+        };
+        choice.ok_or(HandshakeFailure::NoCommonCipher)
+    }
+
+    /// [`decide`] with the reference selection in place of
+    /// `select_cipher`.
+    fn reference_decide(
+        profile: &ServerProfile,
+        facts: &ClientFacts<'_>,
+    ) -> Result<Decision, HandshakeFailure> {
+        let version = negotiate_version(profile, facts)?;
+        let cipher = reference_select_cipher(profile, facts, version)?;
+        Ok(Decision {
+            version,
+            cipher,
+            curve: select_curve(profile, facts, cipher, version),
+            heartbeat: profile.heartbeat && facts.has_heartbeat && !version.is_tls13_family(),
+        })
+    }
+
+    mod selection_order {
+        use super::*;
+        use crate::cohorts::ParamsCache;
+        use crate::population::{Destination, ServerPopulation};
+        use proptest::prelude::*;
+        use rand::rngs::SmallRng;
+        use rand::{RngExt, SeedableRng};
+        use tlscope_chron::Date;
+        use tlscope_wire::grease::grease_value;
+        use tlscope_wire::suites_table::SUITES;
+
+        const DESTINATIONS: [Destination; 11] = [
+            Destination::Web,
+            Destination::Mail,
+            Destination::Grid,
+            Destination::Nagios,
+            Destination::Sslv2Relic,
+            Destination::Interwise,
+            Destination::Gost,
+            Destination::BankLegacy,
+            Destination::Splunk,
+            Destination::Enterprise,
+            Destination::Iot,
+        ];
+
+        fn pick<T: Copy>(rng: &mut SmallRng, from: &[T]) -> T {
+            from[rng.random_range(0..from.len())]
+        }
+
+        /// A code point from every population negotiation must handle:
+        /// registered (the whole registry, or the server's own list so
+        /// that offers overlap), TLS 1.3, GREASE, both SCSVs, and
+        /// unregistered.
+        fn suite(rng: &mut SmallRng, preference: &[CipherSuite]) -> CipherSuite {
+            match rng.random_range(0..6u8) {
+                0 => CipherSuite(pick(rng, SUITES).id),
+                1 if !preference.is_empty() => pick(rng, preference),
+                2 => CipherSuite(rng.random_range(0x1301..=0x1305u16)),
+                3 => CipherSuite(grease_value(rng.random::<u8>())),
+                4 => CipherSuite(pick(rng, &[0x00ff, 0x5600])),
+                _ => loop {
+                    let c = CipherSuite(rng.random::<u16>());
+                    if c.info().is_none() && !is_grease(c.0) {
+                        break c;
+                    }
+                },
+            }
+        }
+
+        fn suites(rng: &mut SmallRng, max: usize, preference: &[CipherSuite]) -> Vec<CipherSuite> {
+            let n = rng.random_range(0..=max);
+            (0..n).map(|_| suite(rng, preference)).collect()
+        }
+
+        fn version(rng: &mut SmallRng) -> ProtocolVersion {
+            match rng.random_range(0..10u8) {
+                0 => ProtocolVersion::Ssl2,
+                1 => ProtocolVersion::Ssl3,
+                2 => ProtocolVersion::Tls10,
+                3 => ProtocolVersion::Tls11,
+                4 | 5 => ProtocolVersion::Tls12,
+                6 => ProtocolVersion::Tls13,
+                7 => ProtocolVersion::Tls13Draft(pick(rng, &[18, 23, 28])),
+                8 => ProtocolVersion::Tls13Experiment(2),
+                _ => ProtocolVersion::Unknown(grease_value(rng.random::<u8>())),
+            }
+        }
+
+        fn groups(rng: &mut SmallRng) -> Vec<NamedGroup> {
+            let n = rng.random_range(0..=5usize);
+            (0..n)
+                .map(|_| match rng.random_range(0..6u8) {
+                    0 => NamedGroup::X25519,
+                    1 => NamedGroup::SECP256R1,
+                    2 => NamedGroup::SECP384R1,
+                    3 => NamedGroup::SECP521R1,
+                    4 => NamedGroup::SECT571R1,
+                    _ => NamedGroup(grease_value(rng.random::<u8>())),
+                })
+                .collect()
+        }
+
+        /// An owned client offer; [`Offer::facts`] borrows it.
+        #[derive(Debug)]
+        struct Offer {
+            legacy_version: ProtocolVersion,
+            cipher_suites: Vec<CipherSuite>,
+            supported_versions: Option<Vec<ProtocolVersion>>,
+            curves: Option<Vec<NamedGroup>>,
+            has_renegotiation_info: bool,
+            has_heartbeat: bool,
+        }
+
+        impl Offer {
+            fn arbitrary(rng: &mut SmallRng, preference: &[CipherSuite]) -> Offer {
+                let versions = |rng: &mut SmallRng| {
+                    let n = rng.random_range(0..=6usize);
+                    (0..n).map(|_| version(rng)).collect()
+                };
+                Offer {
+                    legacy_version: version(rng),
+                    cipher_suites: suites(rng, 40, preference),
+                    supported_versions: rng.random::<bool>().then(|| versions(rng)),
+                    curves: rng.random::<bool>().then(|| groups(rng)),
+                    has_renegotiation_info: rng.random(),
+                    has_heartbeat: rng.random(),
+                }
+            }
+
+            fn facts(&self) -> ClientFacts<'_> {
+                ClientFacts {
+                    legacy_version: self.legacy_version,
+                    session_id: &[],
+                    cipher_suites: &self.cipher_suites,
+                    supported_versions: self.supported_versions.as_deref(),
+                    curves: self.curves.as_deref(),
+                    has_renegotiation_info: self.has_renegotiation_info,
+                    has_heartbeat: self.has_heartbeat,
+                    has_extensions: true,
+                }
+            }
+        }
+
+        /// A hand-built profile carrying `quirk` and `server_order`,
+        /// everything else drawn.
+        fn hand_built(rng: &mut SmallRng, quirk: Quirk, server_order: bool) -> ServerProfile {
+            let (a, b) = (version(rng), version(rng));
+            let (min_version, max_version) = if a.rank() <= b.rank() { (a, b) } else { (b, a) };
+            let base = pick(
+                rng,
+                &[
+                    preference::modern as fn() -> Vec<CipherSuite>,
+                    preference::cbc_era,
+                    preference::rc4_first,
+                    preference::grid,
+                    preference::nagios,
+                    preference::legacy_appliance,
+                ],
+            )();
+            let mut pref = suites(rng, 8, &[]);
+            pref.extend(base);
+            ServerProfile {
+                cohort: "hand-built",
+                max_version,
+                min_version,
+                tls13: rng.random::<bool>().then(|| {
+                    pick(
+                        rng,
+                        &[ProtocolVersion::Tls13Draft(18), ProtocolVersion::Tls13],
+                    )
+                }),
+                preference: pref,
+                prefer_server_order: server_order,
+                curves: groups(rng),
+                heartbeat: rng.random(),
+                heartbleed_vulnerable: false,
+                quirk,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn decide_matches_the_pairwise_reference(seed in any::<u64>()) {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let pop = ServerPopulation::new();
+                let mut cache = ParamsCache::default();
+                let first = Date::ymd(2011, 1, 1).to_epoch_days();
+                let last = Date::ymd(2018, 12, 31).to_epoch_days();
+                let date = Date::from_epoch_days(rng.random_range(first..=last));
+
+                let mut profiles = vec![pop.sample_host(&mut cache, date, &mut rng)];
+                for dest in DESTINATIONS {
+                    profiles.push(pop.sample_for_traffic(&mut cache, dest, date, &mut rng));
+                }
+                let unoffered = suite(&mut rng, &[]);
+                for quirk in [
+                    Quirk::None,
+                    Quirk::ChooseUnoffered(unoffered),
+                    Quirk::DowngradeRc4ToExport,
+                    Quirk::PreferRc4,
+                    Quirk::Prefer3Des,
+                    Quirk::PreferNull,
+                    Quirk::PreferAnon,
+                ] {
+                    for server_order in [true, false] {
+                        profiles.push(hand_built(&mut rng, quirk, server_order));
+                    }
+                }
+
+                for profile in &profiles {
+                    for _ in 0..4 {
+                        let offer = Offer::arbitrary(&mut rng, &profile.preference);
+                        let facts = offer.facts();
+                        prop_assert_eq!(
+                            decide(profile, &facts),
+                            reference_decide(profile, &facts),
+                            "{:?} / {:?}",
+                            profile,
+                            offer
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -17,7 +17,7 @@ use rand::RngExt;
 use tlscope_chron::Date;
 use tlscope_wire::{CipherSuite, NamedGroup, ProtocolVersion};
 
-use crate::cohorts::{sample, Cohort};
+use crate::cohorts::{sample, Cohort, ParamsCache};
 use crate::profile::{preference, Quirk, ServerProfile};
 use crate::ramps::ramp;
 
@@ -93,18 +93,22 @@ impl ServerPopulation {
         ServerPopulation
     }
 
-    /// Sample the server behind a user connection.
+    /// Sample the server behind a user connection, with the cohort
+    /// curves served from `cache`.
     pub fn sample_for_traffic(
         &self,
+        cache: &mut ParamsCache,
         dest: Destination,
         date: Date,
         rng: &mut SmallRng,
     ) -> ServerProfile {
         match dest {
-            Destination::Web => sample(pick_weighted(rng, &web_traffic_mix(date)), date, rng),
-            Destination::Mail => sample(Cohort::Mail, date, rng),
-            Destination::Enterprise => sample(Cohort::Enterprise, date, rng),
-            Destination::Iot => sample(Cohort::Iot, date, rng),
+            Destination::Web => {
+                sample(cache, pick_weighted(rng, &web_traffic_mix(date)), date, rng)
+            }
+            Destination::Mail => sample(cache, Cohort::Mail, date, rng),
+            Destination::Enterprise => sample(cache, Cohort::Enterprise, date, rng),
+            Destination::Iot => sample(cache, Cohort::Iot, date, rng),
             Destination::Grid => Self::grid_server(),
             Destination::Nagios => {
                 if rng.random::<f64>() < 0.04 {
@@ -116,41 +120,20 @@ impl ServerPopulation {
             Destination::Sslv2Relic => Self::sslv2_relic(),
             Destination::Interwise => Self::interwise_server(),
             Destination::Gost => Self::gost_server(),
-            Destination::BankLegacy => Self::bank_legacy(date, rng),
+            Destination::BankLegacy => Self::bank_legacy(cache, date, rng),
             Destination::Splunk => Self::splunk_indexer(),
         }
     }
 
-    /// [`ServerPopulation::sample_for_traffic`] with the cohort
-    /// parameter curves served from a memo. Draws the identical RNG
-    /// sequence — the generator hot path samples thousands of
-    /// profiles per calendar day and the curves are pure in
-    /// `(cohort, date)`.
-    pub fn sample_for_traffic_cached(
+    /// Sample a random responsive IPv4 host (Censys view), with the
+    /// cohort curves served from `cache`.
+    pub fn sample_host(
         &self,
-        cache: &mut crate::cohorts::ParamsCache,
-        dest: Destination,
+        cache: &mut ParamsCache,
         date: Date,
         rng: &mut SmallRng,
     ) -> ServerProfile {
-        use crate::cohorts::sample_cached;
-        match dest {
-            Destination::Web => {
-                sample_cached(cache, pick_weighted(rng, &web_traffic_mix(date)), date, rng)
-            }
-            Destination::Mail => sample_cached(cache, Cohort::Mail, date, rng),
-            Destination::Enterprise => sample_cached(cache, Cohort::Enterprise, date, rng),
-            Destination::Iot => sample_cached(cache, Cohort::Iot, date, rng),
-            Destination::BankLegacy => {
-                Self::bank_legacy_profile(sample_cached(cache, Cohort::Enterprise, date, rng))
-            }
-            _ => self.sample_for_traffic(dest, date, rng),
-        }
-    }
-
-    /// Sample a random responsive IPv4 host (Censys view).
-    pub fn sample_host(&self, date: Date, rng: &mut SmallRng) -> ServerProfile {
-        sample(pick_weighted(rng, &HOST_MIX), date, rng)
+        sample(cache, pick_weighted(rng, &HOST_MIX), date, rng)
     }
 
     /// GRID endpoint: picks NULL when offered — TLS is only there for
@@ -257,12 +240,8 @@ impl ServerPopulation {
 
     /// The RC4-preferring bank (§5.3): modern stack, but picks RC4 when
     /// offered; removing RC4 from the offer yields an AEAD suite.
-    pub fn bank_legacy(date: Date, rng: &mut SmallRng) -> ServerProfile {
-        Self::bank_legacy_profile(sample(Cohort::Enterprise, date, rng))
-    }
-
-    /// Overlay the bank's RC4 quirk on a sampled enterprise profile.
-    fn bank_legacy_profile(mut p: ServerProfile) -> ServerProfile {
+    pub fn bank_legacy(cache: &mut ParamsCache, date: Date, rng: &mut SmallRng) -> ServerProfile {
+        let mut p = sample(cache, Cohort::Enterprise, date, rng);
         p.cohort = "bank-legacy";
         p.preference = preference::modern();
         p.quirk = Quirk::PreferRc4;
@@ -304,16 +283,17 @@ mod tests {
         let pop = ServerPopulation::new();
         let date = Date::ymd(2015, 9, 1);
         let mut rng = SmallRng::seed_from_u64(1);
+        let mut cache = ParamsCache::default();
         let n = 4000;
         let traffic_ssl3 = (0..n)
             .filter(|_| {
-                pop.sample_for_traffic(Destination::Web, date, &mut rng)
+                pop.sample_for_traffic(&mut cache, Destination::Web, date, &mut rng)
                     .supports_ssl3()
             })
             .count() as f64
             / n as f64;
         let host_ssl3 = (0..n)
-            .filter(|_| pop.sample_host(date, &mut rng).supports_ssl3())
+            .filter(|_| pop.sample_host(&mut cache, date, &mut rng).supports_ssl3())
             .count() as f64
             / n as f64;
         assert!(
@@ -328,10 +308,11 @@ mod tests {
     fn censys_ssl3_2018_anchor() {
         let pop = ServerPopulation::new();
         let mut rng = SmallRng::seed_from_u64(2);
+        let mut cache = ParamsCache::default();
         let n = 4000;
         let host_ssl3 = (0..n)
             .filter(|_| {
-                pop.sample_host(Date::ymd(2018, 5, 1), &mut rng)
+                pop.sample_host(&mut cache, Date::ymd(2018, 5, 1), &mut rng)
                     .supports_ssl3()
             })
             .count() as f64
@@ -371,14 +352,16 @@ mod tests {
         let date = Date::ymd(2016, 3, 1);
         let a: Vec<_> = {
             let mut rng = SmallRng::seed_from_u64(77);
+            let mut cache = ParamsCache::default();
             (0..50)
-                .map(|_| pop.sample_for_traffic(Destination::Web, date, &mut rng))
+                .map(|_| pop.sample_for_traffic(&mut cache, Destination::Web, date, &mut rng))
                 .collect()
         };
         let b: Vec<_> = {
             let mut rng = SmallRng::seed_from_u64(77);
+            let mut cache = ParamsCache::default();
             (0..50)
-                .map(|_| pop.sample_for_traffic(Destination::Web, date, &mut rng))
+                .map(|_| pop.sample_for_traffic(&mut cache, Destination::Web, date, &mut rng))
                 .collect()
         };
         assert_eq!(a, b);

@@ -290,7 +290,7 @@ impl Generator {
         // without materialising a ClientHello.
         let profile = self
             .population
-            .sample_for_traffic_cached(params_cache, dest, date, rng);
+            .sample_for_traffic(params_cache, dest, date, rng);
         let mut server_random = [0u8; 32];
         for chunk in server_random.chunks_mut(8) {
             chunk.copy_from_slice(&rng.random::<u64>().to_le_bytes());

@@ -11,7 +11,7 @@
 
 use tlscope::analysis::sections;
 use tlscope::scanner::{probe, ScanCampaign};
-use tlscope::servers::{negotiate, ServerPopulation};
+use tlscope::servers::{negotiate, ParamsCache, ServerPopulation};
 
 fn main() {
     let population = ServerPopulation::new();
@@ -71,7 +71,11 @@ fn main() {
         use rand::SeedableRng;
         rand::rngs::SmallRng::seed_from_u64(7)
     };
-    let bank = ServerPopulation::bank_legacy(tlscope::chron::Date::ymd(2018, 2, 1), &mut rng);
+    let bank = ServerPopulation::bank_legacy(
+        &mut ParamsCache::default(),
+        tlscope::chron::Date::ymd(2018, 2, 1),
+        &mut rng,
+    );
     let with_rc4 = negotiate::respond(&bank, &probe::chrome_2015(), [2; 32]).unwrap();
     let without_rc4 = negotiate::respond(&bank, &probe::chrome_2015_no_rc4(), [2; 32]).unwrap();
     println!("  full 2015-Chrome offer  -> {}", with_rc4.cipher);
