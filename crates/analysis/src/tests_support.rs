@@ -25,6 +25,7 @@ pub fn offer(suites: &[u16]) -> ClientOffer {
         },
         suites: suites.iter().map(|&s| CipherSuite(s)).collect(),
         fp_id64: None,
+        fold: None,
     }
 }
 

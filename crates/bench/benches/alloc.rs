@@ -28,13 +28,26 @@
 //! Both hit rates are gated at > 0.9 — the traffic model's client
 //! population is a bounded set of stacks, so a cold cache on a clean
 //! run means the keying broke, and the bench exits non-zero.
+//!
+//! The `offer_fold` row prices the parse cache's memoised offer fold:
+//! `NotaryAggregate::ingest` ns per flow over the month's extracted
+//! records as the cache hands them over, against the same records with
+//! `fold` cleared (every flow then classifies its own suite list).
+//!
+//! `baseline_prev_pr` is the `pipeline` row of the committed
+//! `BENCH_pipeline.json`, read before this run overwrites it, and
+//! `improvement.throughput_factor` is this run's pipeline conns/s over
+//! that row's. `alloc_reduction_factor` is against `baseline_pre_pr`.
+//! Timings gate nothing.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use tlscope::chron::Month;
+use tlscope::notary::conn::extract_with;
 use tlscope::notary::{
-    ingest_borrowed, ingest_flow, parse_cache_stats, NotaryAggregate, TappedFlow,
+    ingest_borrowed, ingest_flow, parse_cache_stats, ConnectionRecord, ExtractScratch,
+    NotaryAggregate, TappedFlow,
 };
 use tlscope::obs::Progress;
 use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
@@ -248,6 +261,38 @@ fn main() {
     let tmpl_rate = hit_rate(tmpl_hits, tmpl_misses);
     let parse_rate = hit_rate(parse_hits, parse_misses);
 
+    // --- Offer-fold memo ablation: the aggregate fold alone, over the
+    // month's records with their memoised folds and with them cleared.
+    let mut scratch = ExtractScratch::new();
+    let memo_records: Vec<ConnectionRecord> = warm
+        .iter()
+        .filter_map(|f| {
+            extract_with(f.date, f.port, &f.client, f.server.as_deref(), &mut scratch).ok()
+        })
+        .collect();
+    let cleared_records: Vec<ConnectionRecord> = memo_records
+        .iter()
+        .cloned()
+        .map(|mut rec| {
+            if let Some(offer) = &mut rec.client {
+                offer.fold = None;
+            }
+            rec
+        })
+        .collect();
+    let fold_ns_per_flow = |records: &[ConnectionRecord]| {
+        let secs = best_secs(reps, || {
+            let mut agg = NotaryAggregate::new();
+            for rec in records {
+                agg.ingest(rec);
+            }
+            std::hint::black_box(&agg);
+        });
+        secs * 1e9 / records.len() as f64
+    };
+    let memo_ns = fold_ns_per_flow(&memo_records);
+    let cleared_ns = fold_ns_per_flow(&cleared_records);
+
     let n = conns as f64;
     let gen_apc = gen_allocs as f64 / n;
     let ingest_apc = ingest_allocs as f64 / n;
@@ -289,6 +334,7 @@ fn main() {
             "  \"heartbeat\": {{ \"conns_per_sec\": {beat_cps:.0}, \"ratio_vs_pipeline\": {beat_ratio:.4} }},\n",
             "  \"template_cache\": {{ \"hits\": {tmpl_hits}, \"misses\": {tmpl_misses}, \"hit_rate\": {tmpl_rate:.4} }},\n",
             "  \"parse_cache\": {{ \"hits\": {parse_hits}, \"misses\": {parse_misses}, \"hit_rate\": {parse_rate:.4} }},\n",
+            "  \"offer_fold\": {{ \"uncached_ns_per_flow\": {f_uncached:.1}, \"memo_ns_per_flow\": {f_memo:.1}, \"saving_ns_per_flow\": {f_saving:.1} }},\n",
             "  \"baseline_pre_pr\": {{ \"gen_allocs_per_conn\": {pre_gen:.3}, \"ingest_allocs_per_conn\": {pre_ing:.3}, \"pipeline_allocs_per_conn\": {pre_pipe:.3}, \"pipeline_conns_per_sec\": {pre_cps:.0} }},\n",
             "  \"baseline_prev_pr\": {{ \"pipeline_allocs_per_conn\": {prev_pipe:.3}, \"pipeline_conns_per_sec\": {prev_cps:.0} }},\n",
             "  \"improvement\": {{ \"alloc_reduction_factor\": {red:.2}, \"throughput_factor\": {thr:.2} }},\n",
@@ -314,6 +360,9 @@ fn main() {
         parse_hits = parse_hits,
         parse_misses = parse_misses,
         parse_rate = parse_rate,
+        f_uncached = cleared_ns,
+        f_memo = memo_ns,
+        f_saving = cleared_ns - memo_ns,
         pre_gen = PRE_PR_GEN_ALLOCS_PER_CONN,
         pre_ing = PRE_PR_INGEST_ALLOCS_PER_CONN,
         pre_pipe = PRE_PR_PIPELINE_ALLOCS_PER_CONN,
@@ -321,8 +370,8 @@ fn main() {
         prev_pipe = prev_pipe_apc,
         prev_cps = prev_pipe_cps,
         red = alloc_reduction,
-        thr = if pipeline_cps > 0.0 && PRE_PR_PIPELINE_CONNS_PER_SEC > 0.0 {
-            pipeline_cps / PRE_PR_PIPELINE_CONNS_PER_SEC
+        thr = if pipeline_cps > 0.0 && prev_pipe_cps > 0.0 {
+            pipeline_cps / prev_pipe_cps
         } else {
             0.0
         },

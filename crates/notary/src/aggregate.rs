@@ -139,13 +139,6 @@ pub struct PositionMean {
 }
 
 impl PositionMean {
-    fn add(&mut self, pos: Option<f64>) {
-        if let Some(p) = pos {
-            self.sum_micro += (p * 1e6).round() as u64;
-            self.n += 1;
-        }
-    }
-
     /// Mean relative position in percent (0 = head of list).
     pub fn mean_pct(&self) -> Option<f64> {
         if self.n == 0 {
@@ -175,16 +168,157 @@ pub struct FpClassFlags {
     pub anon: bool,
 }
 
-impl FpClassFlags {
-    fn from_offer(offer: &ClientOffer) -> Self {
+// `OfferFold::classes` bits, one per advertised class counter.
+const RC4: u16 = 1 << 0;
+const CBC: u16 = 1 << 1;
+const AEAD: u16 = 1 << 2;
+const DES: u16 = 1 << 3;
+const TDES: u16 = 1 << 4;
+const EXPORT: u16 = 1 << 5;
+const ANON: u16 = 1 << 6;
+const NULL: u16 = 1 << 7;
+const FS: u16 = 1 << 8;
+
+/// `OfferFold::positions` value of a class the offer does not contain.
+const ABSENT: u32 = u32::MAX;
+
+/// `OfferFold::aead_algs` bit of one algorithm.
+fn aead_bit(alg: AeadAlg) -> u8 {
+    1 << match alg {
+        AeadAlg::Aes128Gcm => 0,
+        AeadAlg::Aes256Gcm => 1,
+        AeadAlg::ChaCha20Poly1305 => 2,
+        AeadAlg::AesCcm => 3,
+        AeadAlg::Other => 4,
+    }
+}
+
+/// One client offer's advertised-side contribution to its month: the
+/// classes and AEAD algorithms it offers, and where each position class
+/// first appears (Figures 3–7, 9, 10).
+///
+/// `OfferFold::of` is the only place a suite list is classified for
+/// the aggregate. The fold depends only on the offer's GREASE-free
+/// content: GREASE, SCSV and unregistered values belong to no class, and
+/// positions skip GREASE and SCSV. So the parse cache computes it once
+/// per distinct hello, next to the memoised fingerprint hash, and a hit
+/// whose GREASE slots were re-patched carries the fold of the flow that
+/// filled the entry. Every cache entry holds one, hence the 24 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OfferFold {
+    /// Class-presence bits (`RC4` … `FS`).
+    classes: u16,
+    /// Offered AEAD algorithms, one [`aead_bit`] each.
+    aead_algs: u8,
+    /// First-offer relative position of the aead, cbc, rc4, des and
+    /// 3des classes in micro-units, rounded as [`PositionMean`]
+    /// accumulates them; `ABSENT` when the class is not offered.
+    pub(crate) positions: [u32; 5],
+}
+
+const _: () = assert!(std::mem::size_of::<OfferFold>() == 24);
+
+impl OfferFold {
+    /// Classify every offered suite with one registry lookup each.
+    pub(crate) fn of(offer: &ClientOffer) -> OfferFold {
+        let mut fold = OfferFold {
+            classes: 0,
+            aead_algs: 0,
+            positions: [ABSENT; 5],
+        };
+        let mut first = [None::<usize>; 5];
+        let mut real = 0usize;
+        for c in offer.suites.iter().copied() {
+            let cl = c.classes();
+            let bits = [
+                (cl.rc4, RC4),
+                (cl.cbc, CBC),
+                (cl.aead, AEAD),
+                (cl.des, DES),
+                (cl.tdes, TDES),
+                (cl.export, EXPORT),
+                (cl.anon, ANON),
+                (cl.null_enc, NULL),
+                (cl.forward_secret, FS),
+            ];
+            for (member, bit) in bits {
+                if member {
+                    fold.classes |= bit;
+                }
+            }
+            if let Some(alg) = cl.aead_alg {
+                fold.aead_algs |= aead_bit(alg);
+            }
+            // GREASE and SCSV entries count for neither a position nor
+            // the denominator.
+            if tlscope_wire::is_grease(c.0) || c.is_signaling() {
+                continue;
+            }
+            for (hit, member) in first
+                .iter_mut()
+                .zip([cl.aead, cl.cbc, cl.rc4, cl.des, cl.tdes])
+            {
+                if member && hit.is_none() {
+                    *hit = Some(real);
+                }
+            }
+            real += 1;
+        }
+        // A hit implies `real > 0`.
+        for (pos, hit) in fold.positions.iter_mut().zip(first) {
+            if let Some(i) = hit {
+                *pos = ((i as f64 / real as f64) * 1e6).round() as u32;
+            }
+        }
+        fold
+    }
+
+    /// Class-support flags of the fingerprint this offer carries.
+    pub(crate) fn fp_flags(self) -> FpClassFlags {
+        let has = |bit| self.classes & bit != 0;
         FpClassFlags {
-            rc4: offer.offers(|c| c.is_rc4()),
-            cbc: offer.offers(|c| c.is_cbc()),
-            aead: offer.offers(|c| c.is_aead()),
-            des: offer.offers(|c| c.is_des()),
-            tdes: offer.offers(|c| c.is_3des()),
-            null: offer.offers(|c| c.is_null_encryption()),
-            anon: offer.offers(|c| c.is_anon()),
+            rc4: has(RC4),
+            cbc: has(CBC),
+            aead: has(AEAD),
+            des: has(DES),
+            tdes: has(TDES),
+            null: has(NULL),
+            anon: has(ANON),
+        }
+    }
+
+    /// Add this offer's connection to the advertised counters and
+    /// position means.
+    fn add_to(self, stats: &mut MonthlyStats) {
+        let has = |bit| u64::from(self.classes & bit != 0);
+        stats.adv_rc4 += has(RC4);
+        stats.adv_cbc += has(CBC);
+        stats.adv_aead += has(AEAD);
+        stats.adv_des += has(DES);
+        stats.adv_3des += has(TDES);
+        stats.adv_export += has(EXPORT);
+        stats.adv_anon += has(ANON);
+        stats.adv_null += has(NULL);
+        stats.adv_fs += has(FS);
+        let alg = |a| u64::from(self.aead_algs & aead_bit(a) != 0);
+        let algs = &mut stats.adv_aead_alg;
+        algs.aes128gcm += alg(AeadAlg::Aes128Gcm);
+        algs.aes256gcm += alg(AeadAlg::Aes256Gcm);
+        algs.chacha += alg(AeadAlg::ChaCha20Poly1305);
+        algs.ccm += alg(AeadAlg::AesCcm);
+        algs.other += alg(AeadAlg::Other);
+        let means = [
+            &mut stats.pos_aead,
+            &mut stats.pos_cbc,
+            &mut stats.pos_rc4,
+            &mut stats.pos_des,
+            &mut stats.pos_3des,
+        ];
+        for (mean, micro) in means.into_iter().zip(self.positions) {
+            if micro != ABSENT {
+                mean.sum_micro += u64::from(micro);
+                mean.n += 1;
+            }
         }
     }
 }
@@ -369,7 +503,10 @@ impl NotaryAggregate {
         }
 
         if let Some(offer) = &rec.client {
-            Self::ingest_offer(stats, offer);
+            // The parse cache hands over the fold with the offer; SSLv2,
+            // salvaged and uncached offers are classified here.
+            let fold = offer.fold.unwrap_or_else(|| OfferFold::of(offer));
+            Self::ingest_offer(stats, offer, fold);
             if rec.date >= FINGERPRINT_FIELDS_SINCE {
                 // A repeat fingerprint is a hash of the id64 and a u32
                 // table hit — the clone runs only on first sight. The
@@ -384,10 +521,7 @@ impl NotaryAggregate {
                     self.fp_counts.resize(fp.index() + 1, 0);
                 }
                 self.fp_counts[fp.index()] += 1;
-                stats
-                    .fp_flags
-                    .entry(fp)
-                    .or_insert_with(|| FpClassFlags::from_offer(offer));
+                stats.fp_flags.entry(fp).or_insert_with(|| fold.fp_flags());
             }
         }
 
@@ -399,38 +533,19 @@ impl NotaryAggregate {
                 stats.answered += 1;
                 stats.neg_version.bump(ans.version);
                 let c = ans.cipher;
-                if c.is_rc4() {
-                    stats.neg_rc4 += 1;
-                }
-                if c.is_cbc() {
-                    stats.neg_cbc += 1;
-                }
-                if c.is_aead() {
-                    stats.neg_aead += 1;
-                }
-                if c.is_null_encryption() {
-                    stats.neg_null += 1;
-                }
-                if c.is_null_null() {
-                    stats.neg_null_null += 1;
-                }
-                if c.is_3des() {
-                    stats.neg_3des += 1;
-                }
-                if c.is_des() {
-                    stats.neg_des += 1;
-                }
-                if c.is_export() {
-                    stats.neg_export += 1;
-                }
-                if c.is_anon() {
-                    stats.neg_anon += 1;
-                }
-                if c.is_forward_secret() {
-                    stats.neg_fs += 1;
-                }
+                let cl = c.classes();
+                stats.neg_rc4 += u64::from(cl.rc4);
+                stats.neg_cbc += u64::from(cl.cbc);
+                stats.neg_aead += u64::from(cl.aead);
+                stats.neg_null += u64::from(cl.null_enc);
+                stats.neg_null_null += u64::from(c.is_null_null());
+                stats.neg_3des += u64::from(cl.tdes);
+                stats.neg_des += u64::from(cl.des);
+                stats.neg_export += u64::from(cl.export);
+                stats.neg_anon += u64::from(cl.anon);
+                stats.neg_fs += u64::from(cl.forward_secret);
                 stats.neg_kx.bump(c.kx());
-                if let Some(alg) = c.aead_alg() {
+                if let Some(alg) = cl.aead_alg {
                     stats.neg_aead_alg.bump(alg);
                 }
                 if let Some(curve) = ans.curve {
@@ -449,77 +564,10 @@ impl NotaryAggregate {
         }
     }
 
-    fn ingest_offer(stats: &mut MonthlyStats, offer: &ClientOffer) {
-        // One fused pass over the suite list replaces the former
-        // nine `offers()` scans, AEAD-algorithm scan, and five
-        // `first_position` scans. Each suite is classified along every
-        // axis with a single registry lookup (`classes()`); the
-        // arithmetic matches those helpers exactly, so the fold stays
-        // bit-identical to the multi-pass version.
-        let mut any = tlscope_wire::SuiteClasses::default();
-        let mut seen = [false; 5];
-        // First-hit real index per position class: aead cbc rc4 des 3des.
-        let mut pos_hit = [None::<usize>; 5];
-        let mut real = 0usize;
-        for c in offer.suites.iter().copied() {
-            // `offers()` semantics: every suite, GREASE included
-            // (GREASE/SCSV/unregistered values are in no class).
-            let cl = c.classes();
-            any.rc4 |= cl.rc4;
-            any.cbc |= cl.cbc;
-            any.aead |= cl.aead;
-            any.des |= cl.des;
-            any.tdes |= cl.tdes;
-            any.export |= cl.export;
-            any.anon |= cl.anon;
-            any.null_enc |= cl.null_enc;
-            any.forward_secret |= cl.forward_secret;
-            // Connection-weighted advertised AEAD algorithms (one
-            // count per algorithm present in the offer).
-            if let Some(alg) = cl.aead_alg {
-                let idx = match alg {
-                    AeadAlg::Aes128Gcm => 0,
-                    AeadAlg::Aes256Gcm => 1,
-                    AeadAlg::ChaCha20Poly1305 => 2,
-                    AeadAlg::AesCcm => 3,
-                    AeadAlg::Other => 4,
-                };
-                if !seen[idx] {
-                    seen[idx] = true;
-                    stats.adv_aead_alg.bump(alg);
-                }
-            }
-            // `first_position()` semantics: GREASE/SCSV entries count
-            // for neither position nor the denominator.
-            if tlscope_wire::is_grease(c.0) || c.is_signaling() {
-                continue;
-            }
-            if pos_hit[0].is_none() && cl.aead {
-                pos_hit[0] = Some(real);
-            }
-            if pos_hit[1].is_none() && cl.cbc {
-                pos_hit[1] = Some(real);
-            }
-            if pos_hit[2].is_none() && cl.rc4 {
-                pos_hit[2] = Some(real);
-            }
-            if pos_hit[3].is_none() && cl.des {
-                pos_hit[3] = Some(real);
-            }
-            if pos_hit[4].is_none() && cl.tdes {
-                pos_hit[4] = Some(real);
-            }
-            real += 1;
-        }
-        stats.adv_rc4 += u64::from(any.rc4);
-        stats.adv_cbc += u64::from(any.cbc);
-        stats.adv_aead += u64::from(any.aead);
-        stats.adv_des += u64::from(any.des);
-        stats.adv_3des += u64::from(any.tdes);
-        stats.adv_export += u64::from(any.export);
-        stats.adv_anon += u64::from(any.anon);
-        stats.adv_null += u64::from(any.null_enc);
-        stats.adv_fs += u64::from(any.forward_secret);
+    /// The advertised side of one flow: the offer's fold, plus the
+    /// counters read from this flow's own extensions.
+    fn ingest_offer(stats: &mut MonthlyStats, offer: &ClientOffer, fold: OfferFold) {
+        fold.add_to(stats);
         if offer.heartbeat {
             stats.adv_heartbeat += 1;
         }
@@ -532,20 +580,6 @@ impl NotaryAggregate {
         for t in &offer.extension_types {
             *stats.adv_extensions.entry(*t).or_insert(0) += 1;
         }
-        // Identical to `first_position`: `i as f64 / real as f64`,
-        // `None` when no real suite exists.
-        let frac = |hit: Option<usize>| {
-            if real == 0 {
-                None
-            } else {
-                hit.map(|i| i as f64 / real as f64)
-            }
-        };
-        stats.pos_aead.add(frac(pos_hit[0]));
-        stats.pos_cbc.add(frac(pos_hit[1]));
-        stats.pos_rc4.add(frac(pos_hit[2]));
-        stats.pos_des.add(frac(pos_hit[3]));
-        stats.pos_3des.add(frac(pos_hit[4]));
     }
 
     /// Record a flow that failed extraction.
@@ -790,6 +824,140 @@ mod tests {
     use tlscope_chron::Date;
     use tlscope_wire::CipherSuite;
 
+    // The per-flow fold `OfferFold` replaced, kept verbatim as the
+    // reference: every flow re-classifies its whole suite list.
+
+    impl ClientOffer {
+        /// True if any offered suite satisfies `pred` (signalling values
+        /// excluded by the classifiers themselves).
+        fn offers(&self, pred: impl Fn(CipherSuite) -> bool) -> bool {
+            self.suites.iter().any(|c| pred(*c))
+        }
+    }
+
+    impl PositionMean {
+        fn add(&mut self, pos: Option<f64>) {
+            if let Some(p) = pos {
+                self.sum_micro += (p * 1e6).round() as u64;
+                self.n += 1;
+            }
+        }
+    }
+
+    impl FpClassFlags {
+        fn from_offer(offer: &ClientOffer) -> Self {
+            FpClassFlags {
+                rc4: offer.offers(|c| c.is_rc4()),
+                cbc: offer.offers(|c| c.is_cbc()),
+                aead: offer.offers(|c| c.is_aead()),
+                des: offer.offers(|c| c.is_des()),
+                tdes: offer.offers(|c| c.is_3des()),
+                null: offer.offers(|c| c.is_null_encryption()),
+                anon: offer.offers(|c| c.is_anon()),
+            }
+        }
+    }
+
+    /// `NotaryAggregate::ingest_offer` before the memo.
+    fn reference_ingest_offer(stats: &mut MonthlyStats, offer: &ClientOffer) {
+        // One fused pass over the suite list replaces the former
+        // nine `offers()` scans, AEAD-algorithm scan, and five
+        // `first_position` scans. Each suite is classified along every
+        // axis with a single registry lookup (`classes()`); the
+        // arithmetic matches those helpers exactly, so the fold stays
+        // bit-identical to the multi-pass version.
+        let mut any = tlscope_wire::SuiteClasses::default();
+        let mut seen = [false; 5];
+        // First-hit real index per position class: aead cbc rc4 des 3des.
+        let mut pos_hit = [None::<usize>; 5];
+        let mut real = 0usize;
+        for c in offer.suites.iter().copied() {
+            // `offers()` semantics: every suite, GREASE included
+            // (GREASE/SCSV/unregistered values are in no class).
+            let cl = c.classes();
+            any.rc4 |= cl.rc4;
+            any.cbc |= cl.cbc;
+            any.aead |= cl.aead;
+            any.des |= cl.des;
+            any.tdes |= cl.tdes;
+            any.export |= cl.export;
+            any.anon |= cl.anon;
+            any.null_enc |= cl.null_enc;
+            any.forward_secret |= cl.forward_secret;
+            // Connection-weighted advertised AEAD algorithms (one
+            // count per algorithm present in the offer).
+            if let Some(alg) = cl.aead_alg {
+                let idx = match alg {
+                    AeadAlg::Aes128Gcm => 0,
+                    AeadAlg::Aes256Gcm => 1,
+                    AeadAlg::ChaCha20Poly1305 => 2,
+                    AeadAlg::AesCcm => 3,
+                    AeadAlg::Other => 4,
+                };
+                if !seen[idx] {
+                    seen[idx] = true;
+                    stats.adv_aead_alg.bump(alg);
+                }
+            }
+            // `first_position()` semantics: GREASE/SCSV entries count
+            // for neither position nor the denominator.
+            if tlscope_wire::is_grease(c.0) || c.is_signaling() {
+                continue;
+            }
+            if pos_hit[0].is_none() && cl.aead {
+                pos_hit[0] = Some(real);
+            }
+            if pos_hit[1].is_none() && cl.cbc {
+                pos_hit[1] = Some(real);
+            }
+            if pos_hit[2].is_none() && cl.rc4 {
+                pos_hit[2] = Some(real);
+            }
+            if pos_hit[3].is_none() && cl.des {
+                pos_hit[3] = Some(real);
+            }
+            if pos_hit[4].is_none() && cl.tdes {
+                pos_hit[4] = Some(real);
+            }
+            real += 1;
+        }
+        stats.adv_rc4 += u64::from(any.rc4);
+        stats.adv_cbc += u64::from(any.cbc);
+        stats.adv_aead += u64::from(any.aead);
+        stats.adv_des += u64::from(any.des);
+        stats.adv_3des += u64::from(any.tdes);
+        stats.adv_export += u64::from(any.export);
+        stats.adv_anon += u64::from(any.anon);
+        stats.adv_null += u64::from(any.null_enc);
+        stats.adv_fs += u64::from(any.forward_secret);
+        if offer.heartbeat {
+            stats.adv_heartbeat += 1;
+        }
+        if offer.versions.iter().any(|v| v.is_tls13_family()) {
+            stats.adv_tls13 += 1;
+        }
+        for v in &offer.supported_versions_raw {
+            *stats.supported_versions_values.entry(*v).or_insert(0) += 1;
+        }
+        for t in &offer.extension_types {
+            *stats.adv_extensions.entry(*t).or_insert(0) += 1;
+        }
+        // Identical to `first_position`: `i as f64 / real as f64`,
+        // `None` when no real suite exists.
+        let frac = |hit: Option<usize>| {
+            if real == 0 {
+                None
+            } else {
+                hit.map(|i| i as f64 / real as f64)
+            }
+        };
+        stats.pos_aead.add(frac(pos_hit[0]));
+        stats.pos_cbc.add(frac(pos_hit[1]));
+        stats.pos_rc4.add(frac(pos_hit[2]));
+        stats.pos_des.add(frac(pos_hit[3]));
+        stats.pos_3des.add(frac(pos_hit[4]));
+    }
+
     fn offer(suites: &[u16]) -> ClientOffer {
         let cs: Vec<CipherSuite> = suites.iter().map(|&s| CipherSuite(s)).collect();
         ClientOffer {
@@ -806,6 +974,7 @@ mod tests {
             },
             suites: cs,
             fp_id64: None,
+            fold: None,
         }
     }
 
@@ -975,5 +1144,136 @@ mod tests {
         assert!((m.pct_curve(23) - 80.0).abs() < 1e-9);
         assert!((m.pct_curve(29) - 20.0).abs() < 1e-9);
         assert_eq!(m.pct_curve(24), 0.0);
+    }
+
+    mod memo_fold {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        use tlscope_wire::grease::{grease_value, GREASE_VALUES};
+        use tlscope_wire::suites_table::SUITES;
+
+        /// A code point from every population an offer carries:
+        /// registered, TLS 1.3, GREASE, both SCSVs, and (almost always)
+        /// unregistered.
+        fn suite() -> impl Strategy<Value = CipherSuite> {
+            prop_oneof![
+                (0..SUITES.len()).prop_map(|i| SUITES[i].id),
+                0x1301u16..=0x1305,
+                any::<u8>().prop_map(grease_value),
+                prop_oneof![Just(0x00ffu16), Just(0x5600)],
+                any::<u16>(),
+            ]
+            .prop_map(CipherSuite)
+        }
+
+        fn version() -> impl Strategy<Value = ProtocolVersion> {
+            prop_oneof![
+                Just(ProtocolVersion::Ssl3),
+                Just(ProtocolVersion::Tls10),
+                Just(ProtocolVersion::Tls11),
+                Just(ProtocolVersion::Tls12),
+                Just(ProtocolVersion::Tls13),
+                (18u8..=28).prop_map(ProtocolVersion::Tls13Draft),
+                Just(ProtocolVersion::Tls13Experiment(2)),
+            ]
+        }
+
+        prop_compose! {
+            fn offer()(
+                suites in vec(suite(), 0..=40),
+                versions in vec(version(), 0..=4),
+                supported_versions_raw in vec(
+                    prop_oneof![Just(0x0303u16), Just(0x0304), 0x7f12u16..=0x7f1c, any::<u16>()],
+                    0..=4,
+                ),
+                heartbeat in any::<bool>(),
+                extension_types in vec(prop_oneof![0u16..=24, Just(0xff01)], 0..=12),
+            ) -> ClientOffer {
+                ClientOffer {
+                    legacy_version: ProtocolVersion::Tls12,
+                    fingerprint: Fingerprint {
+                        ciphers: suites
+                            .iter()
+                            .map(|c| c.0)
+                            .filter(|v| !tlscope_wire::is_grease(*v))
+                            .collect(),
+                        extensions: extension_types.clone(),
+                        curves: vec![],
+                        point_formats: vec![],
+                    },
+                    suites,
+                    versions,
+                    supported_versions_raw,
+                    heartbeat,
+                    extension_types,
+                    fp_id64: None,
+                    fold: None,
+                }
+            }
+        }
+
+        /// `offer` with every GREASE suite redrawn to another GREASE
+        /// value, as another flow from the same client stack draws them.
+        fn redraw_grease(offer: &ClientOffer, shift: u8) -> ClientOffer {
+            let mut next = offer.clone();
+            for c in &mut next.suites {
+                if let Some(k) = GREASE_VALUES.iter().position(|g| *g == c.0) {
+                    c.0 = GREASE_VALUES[(k + 1 + usize::from(shift % 15)) % 16];
+                }
+            }
+            next
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn grease_redraw_leaves_the_fold_unchanged(offer in offer(), shift in any::<u8>()) {
+                let redrawn = redraw_grease(&offer, shift);
+                let greased = offer.suites.iter().any(|c| tlscope_wire::is_grease(c.0));
+                prop_assert_eq!(redrawn.suites != offer.suites, greased);
+                prop_assert_eq!(OfferFold::of(&redrawn), OfferFold::of(&offer));
+            }
+
+            #[test]
+            fn memo_fold_matches_the_reference(
+                offers in vec(offer(), 1..=6),
+                shift in any::<u8>(),
+            ) {
+                let date = Date::ymd(2016, 5, 1);
+                let mut memo = NotaryAggregate::new();
+                let mut reference = MonthlyStats::default();
+                for offer in &offers {
+                    // A cache hit: this flow's suites with the fold of the
+                    // flow that filled the entry, whose GREASE draws
+                    // differed.
+                    let fold = OfferFold::of(&redraw_grease(offer, shift));
+                    memo.ingest(&ConnectionRecord {
+                        date,
+                        month: date.month(),
+                        port: 443,
+                        sslv2: false,
+                        client: Some(ClientOffer {
+                            fold: Some(fold),
+                            ..offer.clone()
+                        }),
+                        server: ServerOutcome::Missing,
+                        salvaged: false,
+                    });
+                    reference.total += 1;
+                    reference.missing_server += 1;
+                    reference_ingest_offer(&mut reference, offer);
+                    let id = memo
+                        .interner
+                        .lookup_id64(offer.fingerprint.id64())
+                        .expect("ingest interned the fingerprint");
+                    reference
+                        .fp_flags
+                        .entry(id)
+                        .or_insert_with(|| FpClassFlags::from_offer(offer));
+                }
+                prop_assert_eq!(memo.month(date.month()), Some(&reference));
+            }
+        }
     }
 }

@@ -24,6 +24,8 @@ use tlscope_wire::record::{sslv2_kind_as_suite, ContentType, RecordView};
 use tlscope_wire::view::{ext_view, ClientHelloView, ServerHelloView};
 use tlscope_wire::{sniff, CipherSuite, NamedGroup, ProtocolVersion, Sslv2ClientHello, WireFlavor};
 
+use crate::aggregate::OfferFold;
+
 /// What the client side of a connection offered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientOffer {
@@ -46,34 +48,10 @@ pub struct ClientOffer {
     /// so aggregation can intern without rehashing; `None` when the
     /// offer came from a non-cached parse (SSLv2, salvage, cache off).
     pub fp_id64: Option<u64>,
-}
-
-impl ClientOffer {
-    /// True if any offered suite satisfies `pred` (signalling values
-    /// excluded by the classifiers themselves).
-    pub fn offers(&self, pred: impl Fn(CipherSuite) -> bool) -> bool {
-        self.suites.iter().any(|c| pred(*c))
-    }
-
-    /// Relative position (0.0 = head) of the first offered suite
-    /// satisfying `pred`, ignoring GREASE/SCSV entries (Figure 5).
-    pub fn first_position(&self, pred: impl Fn(CipherSuite) -> bool) -> Option<f64> {
-        let mut hit: Option<usize> = None;
-        let mut real = 0usize;
-        for c in self.suites.iter().copied() {
-            if tlscope_wire::is_grease(c.0) || c.is_signaling() {
-                continue;
-            }
-            if hit.is_none() && pred(c) {
-                hit = Some(real);
-            }
-            real += 1;
-        }
-        if real == 0 {
-            return None;
-        }
-        hit.map(|i| i as f64 / real as f64)
-    }
+    /// Memoised advertised-side fold, populated by the parse cache
+    /// alongside `fp_id64` so aggregation skips classifying the suites;
+    /// `None` exactly when `fp_id64` is.
+    pub fold: Option<OfferFold>,
 }
 
 /// What the server answered.
@@ -191,6 +169,7 @@ fn empty_offer() -> ClientOffer {
             point_formats: Vec::new(),
         },
         fp_id64: None,
+        fold: None,
     }
 }
 
@@ -274,6 +253,7 @@ pub fn extract_into<'s>(
             offer.fingerprint.curves.clear();
             offer.fingerprint.point_formats.clear();
             offer.fp_id64 = None;
+            offer.fold = None;
             rec.date = date;
             rec.month = date.month();
             rec.port = port;
@@ -429,7 +409,9 @@ pub struct ParseCacheStats {
 
 /// A memoised parse result: the handshake length guards against the
 /// (astronomically unlikely) masked-hash collision between hellos of
-/// different lengths.
+/// different lengths. The cache boxes each entry: its map keeps about
+/// twice as many buckets as entries, and a bucket then holds a pointer
+/// rather than a whole offer.
 #[derive(Debug)]
 struct HelloEntry {
     hs_len: usize,
@@ -442,7 +424,7 @@ struct HelloEntry {
 /// structure alone — this layer never sees generator metadata.
 #[derive(Debug)]
 struct HelloCache {
-    map: HashMap<u64, HelloEntry>,
+    map: HashMap<u64, Box<HelloEntry>>,
     order: VecDeque<u64>,
     capacity: usize,
     /// GREASE cipher-suite slots found by the *current* flow's masked
@@ -469,8 +451,8 @@ impl Default for HelloCache {
 }
 
 /// True when `TLSCOPE_VERIFY_PARSE_CACHE=1`: every cache hit also
-/// runs the full parse and asserts the memoised offer matches it
-/// bit for bit.
+/// runs the full parse, re-derives the fingerprint hash and fold, and
+/// asserts the memoised offer matches it bit for bit.
 fn verify_parse_cache() -> bool {
     static VERIFY: OnceLock<bool> = OnceLock::new();
     *VERIFY.get_or_init(|| std::env::var("TLSCOPE_VERIFY_PARSE_CACHE").is_ok_and(|v| v == "1"))
@@ -531,6 +513,7 @@ fn copy_offer_from(dst: &mut ClientOffer, src: &ClientOffer) {
         .point_formats
         .clone_from(&src.fingerprint.point_formats);
     dst.fp_id64 = src.fp_id64;
+    dst.fold = src.fold;
 }
 
 fn be16(b: &[u8], off: usize) -> u16 {
@@ -677,7 +660,8 @@ fn masked_hello_scan(bytes: &[u8], grease_suites: &mut Vec<(usize, usize)>) -> O
 /// Cache-aware variant of [`refill_client_offer`]: flows whose masked
 /// hash hits the memo skip the full parse entirely — the memoised
 /// offer is copied in place and its GREASE suite slots re-patched
-/// from this flow's wire bytes. Salvaged flows and structural
+/// from this flow's wire bytes. A miss hashes the fingerprint and folds
+/// the offer once for every later hit. Salvaged flows and structural
 /// anomalies bypass the cache (no counters move).
 fn refill_client_offer_cached(
     flow: &[u8],
@@ -722,6 +706,7 @@ fn refill_client_offer_cached(
                 .get_or_insert_with(|| Box::new(empty_offer()));
             refill_offer(fresh, &hello);
             fresh.fp_id64 = Some(fresh.fingerprint.id64());
+            fresh.fold = Some(OfferFold::of(fresh));
             assert_eq!(
                 **fresh, *offer,
                 "parse-cache hit diverged from the full parse"
@@ -732,11 +717,12 @@ fn refill_client_offer_cached(
     let hello = ClientHelloView::parse_handshake(bytes).ok()?;
     refill_offer(offer, &hello);
     offer.fp_id64 = Some(offer.fingerprint.id64());
+    offer.fold = Some(OfferFold::of(offer));
     cache.stats.misses += 1;
-    let entry = HelloEntry {
+    let entry = Box::new(HelloEntry {
         hs_len: bytes.len(),
         offer: offer.clone(),
-    };
+    });
     if cache.map.insert(hash, entry).is_none() {
         cache.order.push_back(hash);
         while cache.map.len() > cache.capacity {
@@ -778,6 +764,7 @@ fn refill_offer(offer: &mut ClientOffer, hello: &ClientHelloView<'_>) {
     }
     offer.fingerprint.refill_from_view(hello);
     offer.fp_id64 = None;
+    offer.fold = None;
 }
 
 fn parse_server_flow(
@@ -900,8 +887,9 @@ mod tests {
         .unwrap();
         assert!(!rec.sslv2);
         let client = rec.client.as_ref().unwrap();
-        assert!(client.offers(|c| c.is_rc4()));
-        assert!(client.offers(|c| c.is_aead()));
+        let flags = OfferFold::of(client).fp_flags();
+        assert!(flags.rc4);
+        assert!(flags.aead);
         assert!(client.heartbeat);
         match &rec.server {
             ServerOutcome::Answered(ans) => {
@@ -920,12 +908,12 @@ mod tests {
         let mut scratch = Vec::new();
         let (offer, salvaged) = parse_client_offer(&client_bytes(&hello), &mut scratch).unwrap();
         assert!(!salvaged);
-        // 4 real suites: aead at 0, cbc at 1/4, rc4 at 2/4, 3des 3/4.
-        assert_eq!(offer.first_position(|c| c.is_aead()), Some(0.0));
-        assert_eq!(offer.first_position(|c| c.is_cbc()), Some(0.25));
-        assert_eq!(offer.first_position(|c| c.is_rc4()), Some(0.5));
-        assert_eq!(offer.first_position(|c| c.is_3des()), Some(0.75));
-        assert_eq!(offer.first_position(|c| c.is_export()), None);
+        // 4 real suites: aead at 0, cbc at 1/4, rc4 at 2/4, des absent,
+        // 3des at 3/4 (micro-units).
+        assert_eq!(
+            OfferFold::of(&offer).positions,
+            [0, 250_000, 500_000, u32::MAX, 750_000]
+        );
     }
 
     #[test]
@@ -1057,7 +1045,7 @@ mod tests {
         let rec = extract(Date::ymd(2015, 6, 3), 443, &bytes, None).unwrap();
         assert!(rec.salvaged);
         let offer = rec.client.unwrap();
-        assert!(offer.offers(|c| c.is_aead()));
+        assert!(OfferFold::of(&offer).fp_flags().aead);
     }
 
     #[test]
@@ -1155,8 +1143,10 @@ mod tests {
             .unwrap();
         let stats = parse_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        // The memoised id64 matches what a fresh hash would produce.
+        // The memoised id64 and fold match what a fresh hash and fold
+        // of this flow would produce.
         assert_eq!(second.fp_id64, Some(second.fingerprint.id64()));
+        assert_eq!(second.fold, Some(OfferFold::of(&second)));
         // GREASE-stripped features identical; raw suites carry each
         // flow's own GREASE draw.
         assert_eq!(first.fingerprint, second.fingerprint);
@@ -1174,7 +1164,8 @@ mod tests {
         for _ in 0..2 {
             let rec = extract(Date::ymd(2016, 3, 1), 443, &bytes, None).unwrap();
             assert!(rec.salvaged);
-            assert_eq!(rec.client.unwrap().fp_id64, None);
+            let offer = rec.client.unwrap();
+            assert_eq!((offer.fp_id64, offer.fold), (None, None));
         }
         assert_eq!(parse_cache_stats(), ParseCacheStats::default());
     }
@@ -1217,7 +1208,7 @@ mod tests {
         assert!(rec.sslv2);
         let offer = rec.client.unwrap();
         assert_eq!(offer.legacy_version, ProtocolVersion::Ssl2);
-        assert!(offer.offers(|c| c.is_rc4()));
+        assert!(OfferFold::of(&offer).fp_flags().rc4);
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub mod metrics;
 pub mod pipeline;
 
 pub use aggregate::{
-    AeadCounts, FpClassFlags, KxCounts, MonthlyStats, NotaryAggregate, PositionMean, VersionCounts,
+    AeadCounts, FpClassFlags, KxCounts, MonthlyStats, NotaryAggregate, OfferFold, PositionMean,
+    VersionCounts,
 };
 pub use checkpoint::DirLoad;
 pub use conn::{
