@@ -29,6 +29,10 @@ use tlscope_servers::ServerPopulation;
 use tlscope_traffic::generator::FlowRef;
 use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
 
+/// One flow in this many has its generation and fold timed; the stage
+/// clocks scale the sampled sums to every flow.
+const TIMING_SAMPLE: u64 = 64;
+
 /// Configuration of a full study run.
 #[derive(Debug, Clone)]
 pub struct StudyConfig {
@@ -40,7 +44,8 @@ pub struct StudyConfig {
     pub start: Month,
     /// Last month of the passive window (paper: 2018-04).
     pub end: Month,
-    /// Ingestion worker threads (1 = serial).
+    /// Ingestion worker threads (1 = serial). Defaults to the cores the
+    /// machine reports.
     pub workers: usize,
     /// Tap fault injection.
     pub faults: FaultInjector,
@@ -75,7 +80,7 @@ impl Default for StudyConfig {
             // boundary months; calibration tests anchor on 2018-04.
             start: Month::ym(2012, 1),
             end: Month::ym(2018, 4),
-            workers: 4,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             faults: FaultInjector::tap_defaults(),
             scan_hosts: 4_000,
             scan_faults: ScanFaults::from_env(ScanFaults::none()),
@@ -371,9 +376,15 @@ impl Study {
         (partial, replay)
     }
 
-    /// Stream `month` into a fresh partial, metering generation and
-    /// ingestion into `metrics`. `fold` reports whether it ingested the
-    /// flow (`false`: quarantined).
+    /// Stream `month` into a fresh partial and record it into
+    /// `metrics` once, after the loop: the stream's tally, the flows
+    /// dispatched and ingested, and the two stage clocks. `fold`
+    /// reports whether it ingested the flow (`false`: quarantined).
+    ///
+    /// The clocks are sampled: every [`TIMING_SAMPLE`]th flow by index
+    /// (starting at 0) is timed with three clock reads — before
+    /// `next_flow`, after it, and after the fold — and each sum is
+    /// scaled by dispatched ÷ sampled.
     fn fold_month(
         &self,
         month: Month,
@@ -381,21 +392,40 @@ impl Study {
         mut fold: impl FnMut(&mut NotaryAggregate, u64, FlowRef<'_>) -> bool,
     ) -> NotaryAggregate {
         let mut partial = NotaryAggregate::new();
-        let (mut dispatched, mut ingested) = (0u64, 0u64);
-        let mut ingest_time = Duration::ZERO;
+        let (mut dispatched, mut ingested, mut sampled) = (0u64, 0u64, 0u64);
+        let (mut gen_time, mut ingest_time) = (Duration::ZERO, Duration::ZERO);
         // Borrowed fast path: fold straight from the generator's
         // scratch buffers into the aggregate — no flow buffer is ever
         // owned.
-        let mut stream = self.generator.stream_month(month).metered(metrics);
-        while let Some(flow) = stream.next_flow() {
-            let started = Instant::now();
+        let mut stream = self.generator.stream_month(month);
+        loop {
+            let started = (dispatched % TIMING_SAMPLE == 0).then(Instant::now);
+            let Some(flow) = stream.next_flow() else {
+                break;
+            };
+            let generated = started.map(|t0| (t0, Instant::now()));
             ingested += u64::from(fold(&mut partial, dispatched, flow));
-            ingest_time += started.elapsed();
+            if let Some((t0, t1)) = generated {
+                gen_time += t1 - t0;
+                ingest_time += t1.elapsed();
+                sampled += 1;
+            }
             dispatched += 1;
         }
+        let scaled = |sum: Duration| match sampled {
+            0 => Duration::ZERO,
+            n => Duration::from_nanos(
+                (sum.as_nanos() * u128::from(dispatched) / u128::from(n)) as u64,
+            ),
+        };
+        let tally = stream.tally();
+        metrics.record_generated(tally.flows, tally.wire_bytes, scaled(gen_time));
+        metrics.record_outage_dropped(tally.outage_dropped);
+        metrics.record_duplicated(tally.duplicated);
+        metrics.record_template(tally.template_hits, tally.template_misses);
         metrics.record_dispatched(dispatched);
         // One month shard = one accounting batch.
-        metrics.record_batch(ingested, ingest_time);
+        metrics.record_batch(ingested, scaled(ingest_time));
         metrics.record_parse_failures(partial.not_tls, partial.garbled_client);
         metrics.record_salvaged(partial.salvaged);
         partial
@@ -815,14 +845,78 @@ mod tests {
 
     /// The generation-side counters a replayed month must commit
     /// exactly once.
-    fn generation_ledger(s: &MetricsSnapshot) -> [u64; 5] {
+    fn generation_ledger(s: &MetricsSnapshot) -> [u64; 7] {
         [
             s.flows_generated,
             s.bytes_generated,
             s.flows_outage_dropped,
             s.flows_duplicated,
             s.flows_dispatched,
+            s.template_hits,
+            s.template_misses,
         ]
+    }
+
+    /// The month-level tally adds up to a hand count: at 1 and 3
+    /// workers and under every fault profile, the run's generation
+    /// counters equal the sums of a hand-driven `stream_month` loop
+    /// (flows and bytes counted flow by flow, the tap and template
+    /// counters read off each month's stream).
+    #[test]
+    fn month_tally_matches_a_hand_count() {
+        for faults in [
+            FaultInjector::none(),
+            FaultInjector::tap_defaults(),
+            FaultInjector::stress(),
+        ] {
+            let mut cfg = StudyConfig::quick();
+            cfg.start = Month::ym(2016, 11);
+            cfg.end = Month::ym(2017, 2);
+            cfg.connections_per_month = 300;
+            cfg.faults = faults;
+            let study = Study::new(cfg.clone());
+            let mut hand = [0u64; 6];
+            for month in study.months() {
+                let mut stream = study.generator().stream_month(month);
+                let (mut flows, mut bytes) = (0u64, 0u64);
+                while let Some(flow) = stream.next_flow() {
+                    flows += 1;
+                    bytes += (flow.client.len() + flow.server.map_or(0, <[u8]>::len)) as u64;
+                }
+                let t = stream.tally();
+                assert_eq!((t.flows, t.wire_bytes), (flows, bytes), "{month}");
+                for (sum, n) in hand.iter_mut().zip([
+                    flows,
+                    bytes,
+                    t.outage_dropped,
+                    t.duplicated,
+                    t.template_hits,
+                    t.template_misses,
+                ]) {
+                    *sum += n;
+                }
+            }
+            for workers in [1, 3] {
+                cfg.workers = workers;
+                let metrics = PipelineMetrics::new();
+                Study::new(cfg.clone()).run_passive_metered(&metrics);
+                let s = metrics.snapshot();
+                assert_eq!(
+                    [
+                        s.flows_generated,
+                        s.bytes_generated,
+                        s.flows_outage_dropped,
+                        s.flows_duplicated,
+                        s.template_hits,
+                        s.template_misses,
+                    ],
+                    hand,
+                    "workers={workers} {faults:?}"
+                );
+                assert_eq!(s.flows_dispatched, s.flows_generated);
+                assert!(s.accounting_holds());
+            }
+        }
     }
 
     /// Serialises the tests that file flight reports: the black box is

@@ -237,7 +237,7 @@ fn main() {
             "  \"baseline_naive_probe_rebuild\": {{ \"allocs_per_host\": {naive_apc:.3} }},\n",
             "  \"baseline_prev_pr\": {{ \"serial_hosts_per_sec\": {prev_hps:.0} }},\n",
             "  \"improvement\": {{ \"alloc_reduction_factor\": {red:.1}, \"throughput_factor\": {thr:.2} }},\n",
-            "  \"budget\": {{ \"allocs_per_host_max\": {budget:.1}, \"pass\": {pass} }}\n",
+            "  \"budget\": {{ \"allocs_per_host_max\": {budget:.2}, \"pass\": {pass} }}\n",
             "}}\n"
         ),
         mode = if fast { "fast" } else { "full" },
@@ -279,7 +279,7 @@ fn main() {
 
     if !budget_pass {
         eprintln!(
-            "scan alloc budget exceeded: serial {serial_apc:.3} / faulted {faulted_apc:.3} allocs/host > {SCAN_ALLOC_BUDGET_PER_HOST:.1}"
+            "scan alloc budget exceeded: serial {serial_apc:.3} / faulted {faulted_apc:.3} allocs/host > {SCAN_ALLOC_BUDGET_PER_HOST:.2}"
         );
         std::process::exit(1);
     }

@@ -16,21 +16,24 @@ use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
 /// (full workload) and by the alloc-budget regression test (marginal
 /// cost, immune to one-time table growth). With the borrowed fast
 /// path — generation into reused scratch, extraction refilled into a
-/// thread-local record slot, flow buffers never owned — the
-/// steady-state cost is amortized table growth plus first-sight
-/// fingerprint interning, well under one alloc/conn on the full
-/// workload; 4.0 leaves headroom for allocator noise and small
-/// feature growth without letting the structural win erode.
-pub const PIPELINE_ALLOC_BUDGET_PER_CONN: f64 = 4.0;
+/// thread-local record slot, flow buffers never owned — and server
+/// profiles that borrow their cipher and curve lists, what is left is
+/// amortized table growth, first-sight fingerprint interning and one
+/// client table per day: 0.28 allocs/conn at the fast workload. 1.0
+/// leaves headroom for allocator noise, while one allocation per
+/// connection creeping back in fails it.
+pub const PIPELINE_ALLOC_BUDGET_PER_CONN: f64 = 1.0;
 
 /// Regression budget for the active-scan hot loop, in heap
-/// allocations per probed host. Enforced by the `scan` bench. With the
-/// campaign probe set prepared once and negotiation going through the
-/// allocation-free `decide` core, the only per-host heap traffic left
-/// is the sampled profile's preference list (and, for ECC-capable
-/// profiles, its curve list) — ~1.6–1.9 allocs/host steady-state; the
-/// naive per-host probe rebuild this PR replaced cost ~60×.
-pub const SCAN_ALLOC_BUDGET_PER_HOST: f64 = 2.0;
+/// allocations per probed host. Enforced by the `scan` bench and by
+/// the alloc-budget regression test (marginal cost). With the campaign
+/// probe set prepared once, negotiation going through the
+/// allocation-free `decide` core, and sampled profiles borrowing
+/// `'static` cipher and curve lists, a host allocates nothing: the
+/// 0.022 allocs/host the fast bench reads are the sweep's fixed costs.
+/// 0.25 fails as soon as a profile list is allocated per host again
+/// (that cost ~1.9 allocs/host).
+pub const SCAN_ALLOC_BUDGET_PER_HOST: f64 = 0.25;
 
 /// Best-of-`reps` wall time of `f` in seconds; `f` must be repeatable.
 pub fn best_secs(reps: u32, mut f: impl FnMut()) -> f64 {

@@ -1,25 +1,31 @@
-//! Alloc-budget regression test: pins the fused generation→ingestion
+//! Alloc-budget regression tests: pin the fused generation→ingestion
 //! hot path under [`PIPELINE_ALLOC_BUDGET_PER_CONN`] heap allocations
-//! per connection. Runs only with the counting allocator installed:
+//! per connection, and the active-scan sweep loop under
+//! [`SCAN_ALLOC_BUDGET_PER_HOST`] per host. Run only with the counting
+//! allocator installed:
 //!
 //! ```text
 //! cargo test -p tlscope-bench --features alloc-counter --test alloc_budget
 //! ```
 //!
-//! The check measures *marginal* allocations per connection — the
+//! Each check measures *marginal* allocations per unit — the
 //! difference between a large and a small workload divided by the
-//! connection delta — so one-time costs (interner tables, month maps,
-//! hash-map growth) cancel out and the test stays meaningful at
-//! test-sized workloads. It exercises the borrowed fast path exactly
-//! as the fused study runner does: scratch borrows from the
-//! generator's stream folded straight into the aggregate.
+//! unit delta — so one-time costs (interner tables, month maps,
+//! hash-map growth, a sweep's probe set) cancel out and the tests stay
+//! meaningful at test-sized workloads. The pipeline test exercises the
+//! borrowed fast path exactly as the fused study runner does: scratch
+//! borrows from the generator's stream folded straight into the
+//! aggregate. The sweep test runs the serial sweep loop clean and
+//! under the stress fault profile, as the `scan` bench does.
 
 #![cfg(feature = "alloc-counter")]
 
-use tlscope::chron::Month;
+use tlscope::chron::{Date, Month};
 use tlscope::notary::{ingest_borrowed, NotaryAggregate};
+use tlscope::scanner::{sweep_faulted, ScanFaults};
+use tlscope::servers::ServerPopulation;
 use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
-use tlscope_bench::{alloc_counter, PIPELINE_ALLOC_BUDGET_PER_CONN};
+use tlscope_bench::{alloc_counter, PIPELINE_ALLOC_BUDGET_PER_CONN, SCAN_ALLOC_BUDGET_PER_HOST};
 
 fn fused_pipeline_allocs(conns: u32) -> u64 {
     let gen = Generator::new(TrafficConfig {
@@ -64,4 +70,33 @@ fn marginal_pipeline_allocs_per_conn_stay_under_budget() {
         "pipeline hot path regressed: {marginal:.3} allocs/conn > budget \
          {PIPELINE_ALLOC_BUDGET_PER_CONN:.1} (small={a_small}, large={a_large})"
     );
+}
+
+fn sweep_allocs(hosts: u32, faults: &ScanFaults) -> u64 {
+    let pop = ServerPopulation::new();
+    let date = Date::ymd(2016, 6, 1);
+    // Warm lazy runtime state outside the counted region.
+    std::hint::black_box(sweep_faulted(&pop, date, 64, 0x5CA7, faults));
+    let (_, allocs) = alloc_counter::counted(|| {
+        std::hint::black_box(sweep_faulted(&pop, date, hosts, 0x5CA7, faults));
+    });
+    allocs
+}
+
+#[test]
+fn marginal_sweep_allocs_per_host_stay_under_budget() {
+    let (small, large) = (1_000u32, 4_000u32);
+    for (label, faults) in [
+        ("none", ScanFaults::none()),
+        ("stress", ScanFaults::stress()),
+    ] {
+        let a_small = sweep_allocs(small, &faults);
+        let a_large = sweep_allocs(large, &faults);
+        let marginal = a_large.saturating_sub(a_small) as f64 / (large - small) as f64;
+        assert!(
+            marginal <= SCAN_ALLOC_BUDGET_PER_HOST,
+            "sweep loop regressed under {label}: {marginal:.3} allocs/host > budget \
+             {SCAN_ALLOC_BUDGET_PER_HOST:.2} (small={a_small}, large={a_large})"
+        );
+    }
 }

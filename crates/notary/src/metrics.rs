@@ -8,12 +8,18 @@
 //! All methods take `&self`, so one instance can be threaded through
 //! any number of worker threads without locks.
 //!
-//! Stage clocks are *thread-time sums*: each worker adds the wall time
-//! it spent in a stage, so with `N` workers busy for a second each a
-//! stage records `N` seconds. That is not CPU time — a descheduled
-//! worker's clock keeps running — so on an oversubscribed host the sum
-//! can exceed the process's CPU time. Divide by the elapsed wall time
-//! to read out effective parallelism.
+//! Counters are exact. The two stage clocks (`gen_nanos`,
+//! `ingest_nanos`) are *sampled estimates*: the study runner times one
+//! flow in 64 and scales each month's sums to all of its flows, so no
+//! flow pays for a clock read it does not need. Flow 0 of every month
+//! is in the sample and pays that month's cold caches, so the
+//! estimates lean high on short months. They are also *thread-time
+//! sums*: each worker adds the wall time it spent in a stage, so with
+//! `N` workers busy for a second each a stage records `N` seconds.
+//! That is not CPU time — a descheduled worker's clock keeps running —
+//! so on an oversubscribed host the sum can exceed the process's CPU
+//! time. Divide by the elapsed wall time to read out effective
+//! parallelism.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -80,9 +86,11 @@ impl PipelineMetrics {
         PipelineMetrics::default()
     }
 
-    /// Record one generated flow of `bytes` wire bytes.
-    pub fn record_generated(&self, bytes: u64, elapsed: Duration) {
-        self.flows_generated.fetch_add(1, Ordering::Relaxed);
+    /// Record `flows` generated flows carrying `bytes` wire bytes and
+    /// `elapsed` generator time. The study runner calls this once per
+    /// month with the stream's tally and its sampled clock estimate.
+    pub fn record_generated(&self, flows: u64, bytes: u64, elapsed: Duration) {
+        self.flows_generated.fetch_add(flows, Ordering::Relaxed);
         self.bytes_generated.fetch_add(bytes, Ordering::Relaxed);
         self.gen_nanos
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
@@ -94,7 +102,8 @@ impl PipelineMetrics {
         self.flows_dispatched.fetch_add(flows, Ordering::Relaxed);
     }
 
-    /// Record one ingested batch of `flows` flows taking `elapsed`.
+    /// Record one ingested batch of `flows` flows taking `elapsed` (the
+    /// study runner's batch is a month, its clock a sampled estimate).
     pub fn record_batch(&self, flows: u64, elapsed: Duration) {
         self.flows_ingested.fetch_add(flows, Ordering::Relaxed);
         self.batches_ingested.fetch_add(1, Ordering::Relaxed);
@@ -350,7 +359,8 @@ pub struct MetricsSnapshot {
     pub flows_generated: u64,
     /// Wire bytes emitted by the generator (client + server flows).
     pub bytes_generated: u64,
-    /// Generator wall-clock summed over worker threads, nanoseconds.
+    /// Generator wall-clock summed over worker threads, nanoseconds: a
+    /// sampled estimate (one flow in 64 timed, scaled to every flow).
     pub gen_nanos: u64,
     /// Flows lost to tap outage windows (never dispatched).
     pub flows_outage_dropped: u64,
@@ -369,7 +379,8 @@ pub struct MetricsSnapshot {
     /// Connections salvaged from damaged flows (prefix-recovered
     /// records instead of a garbled drop).
     pub flows_salvaged: u64,
-    /// Ingestion wall-clock summed over worker threads, nanoseconds.
+    /// Ingestion wall-clock summed over worker threads, nanoseconds: a
+    /// sampled estimate, like `gen_nanos`.
     pub ingest_nanos: u64,
     /// Months replayed flow by flow after their first pass panicked.
     pub months_replayed: u64,
@@ -579,8 +590,8 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let m = PipelineMetrics::new();
-        m.record_generated(120, Duration::from_nanos(500));
-        m.record_generated(80, Duration::from_nanos(500));
+        m.record_generated(1, 120, Duration::from_nanos(500));
+        m.record_generated(1, 80, Duration::from_nanos(500));
         m.record_dispatched(2);
         m.record_batch(2, Duration::from_micros(3));
         m.record_parse_failures(1, 0);
@@ -673,7 +684,7 @@ mod tests {
         // old parse-cache row lacked), then an 11-wide right-aligned
         // first figure ending at column 25.
         let m = PipelineMetrics::new();
-        m.record_generated(120, Duration::from_nanos(500));
+        m.record_generated(1, 120, Duration::from_nanos(500));
         m.record_batch(1, Duration::from_micros(3));
         m.record_parse_cache(8, 3, 1);
         m.record_template(15, 2);
@@ -710,7 +721,7 @@ mod tests {
     #[test]
     fn absorb_adds_counters_and_merges_latency() {
         let month = PipelineMetrics::new();
-        month.record_generated(120, Duration::from_nanos(500));
+        month.record_generated(1, 120, Duration::from_nanos(500));
         month.record_dispatched(3);
         month.record_batch(2, Duration::from_micros(3));
         month.record_quarantined(1);
@@ -774,7 +785,7 @@ mod tests {
         // The golden key-set test: any drift in the export schema must
         // be deliberate (bump SCHEMA and update this list).
         let m = PipelineMetrics::new();
-        m.record_generated(100, Duration::from_nanos(10));
+        m.record_generated(1, 100, Duration::from_nanos(10));
         m.record_dispatched(1);
         m.record_batch(1, Duration::from_micros(1));
         let snap = m.snapshot();

@@ -18,10 +18,12 @@
 //! * x25519 negotiation rising from mid-2017 to 22.2 % of connections
 //!   (§6.3.3); TLS 1.3 experiments negotiating 1.3 % by 2018-04 (§6.4)
 
+use std::borrow::Cow;
+
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use tlscope_chron::Date;
-use tlscope_wire::{CipherSuite, NamedGroup, ProtocolVersion};
+use tlscope_wire::{NamedGroup, ProtocolVersion};
 
 use crate::profile::{preference, Quirk, ServerProfile};
 use crate::ramps::{decay_after, plateau, ramp};
@@ -373,49 +375,62 @@ pub fn sample(
         ProtocolVersion::Tls10
     };
 
+    // Every arm borrows a `'static` list, so sampling allocates nothing.
+    // A modern list comes paired with its TLS 1.3 form (the three 1.3
+    // suites in front), taken when a 1.3 draft is drawn below; the
+    // other lists have none, as 1.3 is only drawn for modern stacks.
     let modern = max_version == ProtocolVersion::Tls12 && bern(rng, p.p_modern);
-    let preference = if modern {
+    let (classic, with_tls13) = if modern {
         if bern(rng, p.p_chacha) {
-            preference::modern_chacha_first()
+            (
+                preference::modern_chacha_first(),
+                preference::modern_chacha_first_tls13(),
+            )
         } else if bern(rng, p.p_aes256) {
-            preference::modern_aes256_first()
+            (
+                preference::modern_aes256_first(),
+                preference::modern_aes256_first_tls13(),
+            )
         } else {
-            preference::modern()
+            (preference::modern(), preference::modern_tls13())
         }
-    } else if bern(rng, p.p_rc4_pin) {
-        if bern(rng, p.p_fs) {
-            preference::rc4_first_fs()
-        } else {
-            preference::rc4_first()
-        }
-    } else if bern(rng, p.p_dhe) {
-        preference::dhe_first()
-    } else if cohort == Cohort::Iot {
-        if bern(rng, 0.78) {
-            preference::embedded()
-        } else {
-            preference::legacy_appliance()
-        }
-    } else if bern(rng, p.p_fs) {
-        preference::cbc_era_fs()
     } else {
-        preference::cbc_era()
+        let list = if bern(rng, p.p_rc4_pin) {
+            if bern(rng, p.p_fs) {
+                preference::rc4_first_fs()
+            } else {
+                preference::rc4_first()
+            }
+        } else if bern(rng, p.p_dhe) {
+            preference::dhe_first()
+        } else if cohort == Cohort::Iot {
+            if bern(rng, 0.78) {
+                preference::embedded()
+            } else {
+                preference::legacy_appliance()
+            }
+        } else if bern(rng, p.p_fs) {
+            preference::cbc_era_fs()
+        } else {
+            preference::cbc_era()
+        };
+        (list, list)
     };
 
-    let curves = if bern(rng, p.p_no_ecc) {
+    let curves: &'static [NamedGroup] = if bern(rng, p.p_no_ecc) {
         // EC-free stack: no ECDHE possible.
-        vec![]
+        &[]
     } else if bern(rng, p.p_odd_curves) {
         // OpenSSL strength-ordered default: sect571r1 first (§6.3.3's
         // 0.2 % sect571r1 negotiations come from these).
-        vec![
+        &[
             NamedGroup::SECT571R1,
             NamedGroup::SECP521R1,
             NamedGroup::SECP384R1,
             NamedGroup::SECP256R1,
         ]
     } else if bern(rng, p.p_x25519) {
-        vec![
+        &[
             NamedGroup::X25519,
             NamedGroup::SECP256R1,
             NamedGroup::SECP384R1,
@@ -423,9 +438,9 @@ pub fn sample(
     } else if bern(rng, 0.105) {
         // A security-maximalist pocket prefers P-384 (the paper's 8.6 %
         // secp384r1 share).
-        vec![NamedGroup::SECP384R1, NamedGroup::SECP256R1]
+        &[NamedGroup::SECP384R1, NamedGroup::SECP256R1]
     } else {
-        vec![NamedGroup::SECP256R1, NamedGroup::SECP384R1]
+        &[NamedGroup::SECP256R1, NamedGroup::SECP384R1]
     };
 
     let tls13 = if modern && bern(rng, p.p_tls13_exp) {
@@ -435,17 +450,7 @@ pub fn sample(
     } else {
         None
     };
-
-    let mut preference = preference;
-    if tls13.is_some() {
-        let mut pref = vec![
-            CipherSuite(0x1301),
-            CipherSuite(0x1302),
-            CipherSuite(0x1303),
-        ];
-        pref.append(&mut preference);
-        preference = pref;
-    }
+    let preference = if tls13.is_some() { with_tls13 } else { classic };
 
     // An unpatched OpenSSL 1.0.1 always has the heartbeat extension
     // compiled in — vulnerability implies heartbeat support.
@@ -465,9 +470,9 @@ pub fn sample(
         max_version,
         min_version,
         tls13,
-        preference,
+        preference: Cow::Borrowed(preference),
         prefer_server_order: !bern(rng, p.p_client_order),
-        curves,
+        curves: Cow::Borrowed(curves),
         heartbeat: heartbeat || heartbleed_vulnerable,
         heartbleed_vulnerable,
         quirk,

@@ -518,7 +518,7 @@ mod tests {
     fn version_intersection() {
         let mut p = ServerProfile::baseline("t");
         p.max_version = ProtocolVersion::Tls10;
-        p.preference = preference::cbc_era();
+        p.preference = preference::cbc_era().into();
         let h = hello(&[0xc013, 0x002f], Some(&[23]));
         let n = respond(&p, &h, [0; 32]).unwrap();
         assert_eq!(n.version, ProtocolVersion::Tls10);
@@ -557,7 +557,7 @@ mod tests {
         p.preference = {
             let mut pref = vec![CipherSuite(0x1301), CipherSuite(0x1303)];
             pref.extend(preference::modern());
-            pref
+            pref.into()
         };
         let mut h = hello(&[0x1301, 0x1303, 0xc02b, 0xc02f], Some(&[29, 23]));
         h.extensions
@@ -587,7 +587,7 @@ mod tests {
     #[test]
     fn ecdhe_requires_common_curve() {
         let mut p = ServerProfile::baseline("t");
-        p.curves = vec![NamedGroup::X25519];
+        p.curves = vec![NamedGroup::X25519].into();
         // Client only does NIST curves → ECDHE infeasible, falls to RSA.
         let h = hello(&[0xc02f, 0x009c, 0x002f], Some(&[23, 24]));
         let n = respond(&p, &h, [0; 32]).unwrap();
@@ -598,7 +598,7 @@ mod tests {
     #[test]
     fn curve_selection_server_preference() {
         let mut p = ServerProfile::baseline("t");
-        p.curves = vec![NamedGroup::X25519, NamedGroup::SECP256R1];
+        p.curves = vec![NamedGroup::X25519, NamedGroup::SECP256R1].into();
         let h = hello(&[0xc02f], Some(&[23, 29]));
         let n = respond(&p, &h, [0; 32]).unwrap();
         assert_eq!(n.curve, Some(NamedGroup::X25519));
@@ -762,12 +762,12 @@ mod tests {
         t13.preference = {
             let mut pref = vec![CipherSuite(0x1301)];
             pref.extend(preference::modern());
-            pref
+            pref.into()
         };
         profiles.push(t13);
         let mut old = ServerProfile::baseline("d");
         old.max_version = ProtocolVersion::Tls10;
-        old.preference = preference::cbc_era();
+        old.preference = preference::cbc_era().into();
         profiles.push(old);
         for p in &profiles {
             for (name, facts) in &facts_variants {
@@ -1029,7 +1029,7 @@ mod tests {
             let base = pick(
                 rng,
                 &[
-                    preference::modern as fn() -> Vec<CipherSuite>,
+                    preference::modern as fn() -> &'static [CipherSuite],
                     preference::cbc_era,
                     preference::rc4_first,
                     preference::grid,
@@ -1049,9 +1049,9 @@ mod tests {
                         &[ProtocolVersion::Tls13Draft(18), ProtocolVersion::Tls13],
                     )
                 }),
-                preference: pref,
+                preference: pref.into(),
                 prefer_server_order: server_order,
-                curves: groups(rng),
+                curves: groups(rng).into(),
                 heartbeat: rng.random(),
                 heartbleed_vulnerable: false,
                 quirk,

@@ -12,6 +12,8 @@
 //! the Interwise export-downgrade servers, GOST endpoints, the
 //! RC4-preferring bank, and Splunk indexers doing static ECDH.
 
+use std::borrow::Cow;
+
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use tlscope_chron::Date;
@@ -144,9 +146,9 @@ impl ServerPopulation {
             max_version: ProtocolVersion::Tls12,
             min_version: ProtocolVersion::Tls10,
             tls13: None,
-            preference: preference::grid(),
+            preference: Cow::Borrowed(preference::grid()),
             prefer_server_order: true,
-            curves: vec![NamedGroup::SECP256R1],
+            curves: Cow::Borrowed(&[NamedGroup::SECP256R1]),
             heartbeat: true,
             heartbleed_vulnerable: false,
             quirk: Quirk::PreferNull,
@@ -161,9 +163,9 @@ impl ServerPopulation {
             max_version: ProtocolVersion::Tls12,
             min_version: ProtocolVersion::Ssl3,
             tls13: None,
-            preference: preference::nagios(),
+            preference: Cow::Borrowed(preference::nagios()),
             prefer_server_order: true,
-            curves: vec![],
+            curves: Cow::Borrowed(&[]),
             heartbeat: false,
             heartbleed_vulnerable: false,
             quirk: Quirk::PreferAnon,
@@ -173,13 +175,12 @@ impl ServerPopulation {
     /// The rare Nagios deployments that negotiate the fully-null suite
     /// `TLS_NULL_WITH_NULL_NULL` (§6.1: 198.3K connections lifetime).
     pub fn nagios_nullnull_server() -> ServerProfile {
-        let mut p = Self::nagios_server();
-        p.cohort = "nagios-nullnull";
-        let mut pref = vec![CipherSuite(0x0000)];
-        pref.extend(p.preference);
-        p.preference = pref;
-        p.quirk = Quirk::None;
-        p
+        ServerProfile {
+            cohort: "nagios-nullnull",
+            preference: Cow::Borrowed(preference::nagios_nullnull()),
+            quirk: Quirk::None,
+            ..Self::nagios_server()
+        }
     }
 
     /// The single university's servers that still answer SSL 2 (§5.1) —
@@ -190,9 +191,9 @@ impl ServerPopulation {
             max_version: ProtocolVersion::Tls10,
             min_version: ProtocolVersion::Ssl2,
             tls13: None,
-            preference: preference::legacy_appliance(),
+            preference: Cow::Borrowed(preference::legacy_appliance()),
             prefer_server_order: true,
-            curves: vec![],
+            curves: Cow::Borrowed(&[]),
             heartbeat: false,
             heartbleed_vulnerable: false,
             quirk: Quirk::None,
@@ -207,14 +208,14 @@ impl ServerPopulation {
             max_version: ProtocolVersion::Tls10,
             min_version: ProtocolVersion::Ssl3,
             tls13: None,
-            preference: vec![
+            preference: Cow::Borrowed(&[
                 CipherSuite(0x0005),
                 CipherSuite(0x0004),
                 CipherSuite(0x000a),
                 CipherSuite(0x0003), // the export suite it downgrades to
-            ],
+            ]),
             prefer_server_order: true,
-            curves: vec![],
+            curves: Cow::Borrowed(&[]),
             heartbeat: false,
             heartbleed_vulnerable: false,
             quirk: Quirk::DowngradeRc4ToExport,
@@ -229,9 +230,9 @@ impl ServerPopulation {
             max_version: ProtocolVersion::Tls12,
             min_version: ProtocolVersion::Tls10,
             tls13: None,
-            preference: vec![CipherSuite(0x0081), CipherSuite(0x0080)],
+            preference: Cow::Borrowed(&[CipherSuite(0x0081), CipherSuite(0x0080)]),
             prefer_server_order: true,
-            curves: vec![],
+            curves: Cow::Borrowed(&[]),
             heartbeat: false,
             heartbleed_vulnerable: false,
             quirk: Quirk::ChooseUnoffered(CipherSuite(0x0081)),
@@ -243,7 +244,7 @@ impl ServerPopulation {
     pub fn bank_legacy(cache: &mut ParamsCache, date: Date, rng: &mut SmallRng) -> ServerProfile {
         let mut p = sample(cache, Cohort::Enterprise, date, rng);
         p.cohort = "bank-legacy";
-        p.preference = preference::modern();
+        p.preference = Cow::Borrowed(preference::modern());
         p.quirk = Quirk::PreferRc4;
         p
     }
@@ -256,14 +257,14 @@ impl ServerPopulation {
             max_version: ProtocolVersion::Tls12,
             min_version: ProtocolVersion::Tls10,
             tls13: None,
-            preference: vec![
+            preference: Cow::Borrowed(&[
                 CipherSuite(0xc031), // ECDH_RSA_WITH_AES_128_GCM_SHA256
                 CipherSuite(0xc02f),
                 CipherSuite(0xc013),
                 CipherSuite(0x002f),
-            ],
+            ]),
             prefer_server_order: true,
-            curves: vec![NamedGroup::SECP256R1],
+            curves: Cow::Borrowed(&[NamedGroup::SECP256R1]),
             heartbeat: false,
             heartbleed_vulnerable: false,
             quirk: Quirk::None,
@@ -344,6 +345,54 @@ mod tests {
             splunk.preference[0].kx(),
             Some(tlscope_wire::Kx::Ecdh)
         ));
+    }
+
+    #[test]
+    fn nagios_nullnull_puts_the_null_suite_before_nagios() {
+        let mut want = vec![CipherSuite(0x0000)];
+        want.extend(preference::nagios());
+        assert_eq!(
+            ServerPopulation::nagios_nullnull_server().preference,
+            want.as_slice()
+        );
+    }
+
+    /// Sampling borrows every cipher and curve list: no profile a
+    /// population draws owns one.
+    #[test]
+    fn sampled_profiles_borrow_their_lists() {
+        let pop = ServerPopulation::new();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut cache = ParamsCache::default();
+        let dests = [
+            Destination::Web,
+            Destination::Mail,
+            Destination::Grid,
+            Destination::Nagios,
+            Destination::Sslv2Relic,
+            Destination::Interwise,
+            Destination::Gost,
+            Destination::BankLegacy,
+            Destination::Splunk,
+            Destination::Enterprise,
+            Destination::Iot,
+        ];
+        for year in [2012, 2015, 2018] {
+            let date = Date::ymd(year, 4, 1);
+            for _ in 0..200 {
+                let mut profiles = vec![pop.sample_host(&mut cache, date, &mut rng)];
+                for dest in dests {
+                    profiles.push(pop.sample_for_traffic(&mut cache, dest, date, &mut rng));
+                }
+                for p in profiles {
+                    assert!(
+                        matches!(p.preference, Cow::Borrowed(_))
+                            && matches!(p.curves, Cow::Borrowed(_)),
+                        "{p:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! vulnerability (§5.4) — plus the out-of-spec quirks the paper catches
 //! in the wild (§5.5, §7.3).
 
+use std::borrow::Cow;
+
 use tlscope_wire::{CipherSuite, NamedGroup, ProtocolVersion};
 
 /// Out-of-spec server behaviours observed in the paper.
@@ -46,12 +48,14 @@ pub struct ServerProfile {
     /// TLS 1.3 (draft/experiment) version supported, if any. Negotiated
     /// only when the client advertises the same family member.
     pub tls13: Option<ProtocolVersion>,
-    /// Server cipher preference, best first.
-    pub preference: Vec<CipherSuite>,
+    /// Server cipher preference, best first. Sampled profiles borrow a
+    /// `'static` list; only tests build owned ones.
+    pub preference: Cow<'static, [CipherSuite]>,
     /// True: honour server order; false: honour client order.
     pub prefer_server_order: bool,
-    /// Elliptic-curve groups the server can do ECDHE on.
-    pub curves: Vec<NamedGroup>,
+    /// Elliptic-curve groups the server can do ECDHE on, borrowed like
+    /// `preference`.
+    pub curves: Cow<'static, [NamedGroup]>,
     /// Whether the server supports (and echoes) the Heartbeat extension.
     pub heartbeat: bool,
     /// Whether the server runs an unpatched OpenSSL 1.0.1 (Heartbleed).
@@ -89,9 +93,9 @@ impl ServerProfile {
             max_version: ProtocolVersion::Tls12,
             min_version: ProtocolVersion::Tls10,
             tls13: None,
-            preference: preference::modern(),
+            preference: Cow::Borrowed(preference::modern()),
             prefer_server_order: true,
-            curves: vec![NamedGroup::SECP256R1, NamedGroup::SECP384R1],
+            curves: Cow::Borrowed(&[NamedGroup::SECP256R1, NamedGroup::SECP384R1]),
             heartbeat: false,
             heartbleed_vulnerable: false,
             quirk: Quirk::None,
@@ -100,107 +104,183 @@ impl ServerProfile {
 }
 
 /// Canned server preference lists, mirroring real deployment styles.
+///
+/// Every list is a `'static` table built at compile time, so a sampled
+/// profile borrows its list instead of allocating a copy per host or
+/// per connection.
 pub mod preference {
     use tlscope_wire::CipherSuite;
 
-    fn v(ids: &[u16]) -> Vec<CipherSuite> {
-        ids.iter().copied().map(CipherSuite).collect()
+    /// `ids` as cipher suites, at compile time.
+    const fn suites<const N: usize>(ids: [u16; N]) -> [CipherSuite; N] {
+        let mut out = [CipherSuite(0); N];
+        let mut i = 0;
+        while i < N {
+            out[i] = CipherSuite(ids[i]);
+            i += 1;
+        }
+        out
     }
 
+    /// `head` followed by `base`, at compile time; `M` must be the sum
+    /// of their lengths.
+    const fn prefixed<const M: usize>(
+        head: &[CipherSuite],
+        base: &[CipherSuite],
+    ) -> [CipherSuite; M] {
+        assert!(M == head.len() + base.len());
+        let mut out = [CipherSuite(0); M];
+        let mut i = 0;
+        while i < M {
+            out[i] = if i < head.len() {
+                head[i]
+            } else {
+                base[i - head.len()]
+            };
+            i += 1;
+        }
+        out
+    }
+
+    /// The three TLS 1.3 suites a 1.3-draft server puts in front of
+    /// its classic list.
+    const TLS13: &[CipherSuite] = &suites([0x1301, 0x1302, 0x1303]);
+
+    const MODERN: &[CipherSuite] = &suites([
+        0xc02f, 0xc02b, 0xc030, 0xc02c, 0xcca8, 0xcca9, 0x009e, 0x009c, 0xc027, 0xc013, 0xc014,
+        0x003c, 0x002f, 0x0035, 0x000a,
+    ]);
+    const MODERN_AES256_FIRST: &[CipherSuite] = &suites([
+        0xc030, 0xc02c, 0xc02f, 0xc02b, 0x009f, 0x009d, 0x009e, 0x009c, 0xc028, 0xc014, 0xc027,
+        0xc013, 0x0035, 0x002f, 0x000a,
+    ]);
+    const MODERN_CHACHA_FIRST: &[CipherSuite] = &suites([
+        0xcca8, 0xcca9, 0xc02f, 0xc02b, 0xc030, 0xc02c, 0x009e, 0x009c, 0xc027, 0xc013, 0xc014,
+        0x002f, 0x0035,
+    ]);
+    const NAGIOS: &[CipherSuite] =
+        &suites([0x0034, 0x003a, 0x0018, 0x001b, 0x0017, 0x0019, 0x0000]);
+
     /// Modern 2015+ stack: ECDHE-AEAD first, CBC fallback, 3DES last.
-    pub fn modern() -> Vec<CipherSuite> {
-        v(&[
-            0xc02f, 0xc02b, 0xc030, 0xc02c, 0xcca8, 0xcca9, 0x009e, 0x009c, 0xc027, 0xc013, 0xc014,
-            0x003c, 0x002f, 0x0035, 0x000a,
-        ])
+    pub fn modern() -> &'static [CipherSuite] {
+        MODERN
+    }
+
+    /// [`modern`] behind the three TLS 1.3 suites (a server that also
+    /// speaks a 1.3 draft).
+    pub fn modern_tls13() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &prefixed::<18>(TLS13, MODERN);
+        LIST
     }
 
     /// Modern stack preferring 256-bit AES-GCM (security-posture
     /// configurations; the paper's Figure 9 shows AES-256-GCM carrying a
     /// steady minority share of negotiations).
-    pub fn modern_aes256_first() -> Vec<CipherSuite> {
-        v(&[
-            0xc030, 0xc02c, 0xc02f, 0xc02b, 0x009f, 0x009d, 0x009e, 0x009c, 0xc028, 0xc014, 0xc027,
-            0xc013, 0x0035, 0x002f, 0x000a,
-        ])
+    pub fn modern_aes256_first() -> &'static [CipherSuite] {
+        MODERN_AES256_FIRST
+    }
+
+    /// [`modern_aes256_first`] behind the three TLS 1.3 suites.
+    pub fn modern_aes256_first_tls13() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &prefixed::<18>(TLS13, MODERN_AES256_FIRST);
+        LIST
     }
 
     /// Modern stack with x25519-era ChaCha20 preference (mobile-heavy
     /// properties, 2016+).
-    pub fn modern_chacha_first() -> Vec<CipherSuite> {
-        v(&[
-            0xcca8, 0xcca9, 0xc02f, 0xc02b, 0xc030, 0xc02c, 0x009e, 0x009c, 0xc027, 0xc013, 0xc014,
-            0x002f, 0x0035,
-        ])
+    pub fn modern_chacha_first() -> &'static [CipherSuite] {
+        MODERN_CHACHA_FIRST
+    }
+
+    /// [`modern_chacha_first`] behind the three TLS 1.3 suites.
+    pub fn modern_chacha_first_tls13() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &prefixed::<16>(TLS13, MODERN_CHACHA_FIRST);
+        LIST
     }
 
     /// Pre-AEAD stack preferring CBC with RSA key transport first (the
     /// 2012 default — Figure 8's "more than 60 % of connections used
     /// non-forward-secret ciphers").
-    pub fn cbc_era() -> Vec<CipherSuite> {
-        v(&[
+    pub fn cbc_era() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &suites([
             0x002f, 0x0035, 0x0033, 0x0039, 0xc013, 0xc014, 0xc011, 0x0005, 0x0004, 0x000a, 0x0016,
-        ])
+        ]);
+        LIST
     }
 
     /// Post-Snowden variant of [`cbc_era`]: ECDHE moved to the front for
     /// forward secrecy (§6.3.1).
-    pub fn cbc_era_fs() -> Vec<CipherSuite> {
-        v(&[
+    pub fn cbc_era_fs() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &suites([
             0xc013, 0xc014, 0x0033, 0x0039, 0x002f, 0x0035, 0xc011, 0x0005, 0x0004, 0x000a, 0x0016,
-        ])
+        ]);
+        LIST
     }
 
     /// DHE-first Apache-style configuration (the small DHE wedge of
     /// Figure 8).
-    pub fn dhe_first() -> Vec<CipherSuite> {
-        v(&[
+    pub fn dhe_first() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &suites([
             0x0033, 0x0039, 0x009e, 0x009f, 0xc013, 0xc014, 0x002f, 0x0035, 0x000a,
-        ])
+        ]);
+        LIST
     }
 
     /// BEAST-mitigation configuration: RC4 pinned first (§2.2 — "server
     /// operators were encouraged to enforce the use of RC4 suites").
-    pub fn rc4_first() -> Vec<CipherSuite> {
-        v(&[
+    pub fn rc4_first() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &suites([
             0x0005, 0x0004, 0xc011, 0x002f, 0x0035, 0xc013, 0xc014, 0x0033, 0x0039, 0x000a,
-        ])
+        ]);
+        LIST
     }
 
     /// RC4-first with ECDHE variants preferred (BEAST mitigation after a
     /// forward-secrecy pass).
-    pub fn rc4_first_fs() -> Vec<CipherSuite> {
-        v(&[
+    pub fn rc4_first_fs() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &suites([
             0xc011, 0x0005, 0x0004, 0xc013, 0xc014, 0x002f, 0x0035, 0x0033, 0x0039, 0x000a,
-        ])
+        ]);
+        LIST
     }
 
     /// Stale appliance: RC4 and 3DES only.
-    pub fn legacy_appliance() -> Vec<CipherSuite> {
-        v(&[0x0005, 0x0004, 0x000a, 0x0016])
+    pub fn legacy_appliance() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &suites([0x0005, 0x0004, 0x000a, 0x0016]);
+        LIST
     }
 
     /// Old CBC-only embedded stack.
-    pub fn embedded() -> Vec<CipherSuite> {
-        v(&[0x002f, 0x0035, 0x000a, 0x0005])
+    pub fn embedded() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &suites([0x002f, 0x0035, 0x000a, 0x0005]);
+        LIST
     }
 
     /// GRID endpoint: NULL first by design (§6.1).
-    pub fn grid() -> Vec<CipherSuite> {
-        v(&[0x0002, 0x0001, 0x002f, 0x0035])
+    pub fn grid() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &suites([0x0002, 0x0001, 0x002f, 0x0035]);
+        LIST
     }
 
     /// Nagios endpoint: anonymous DH, with the export-anon and
     /// NULL_WITH_NULL_NULL oddities of §5.5/§6.1.
-    pub fn nagios() -> Vec<CipherSuite> {
-        v(&[0x0034, 0x003a, 0x0018, 0x001b, 0x0017, 0x0019, 0x0000])
+    pub fn nagios() -> &'static [CipherSuite] {
+        NAGIOS
+    }
+
+    /// [`nagios`] with the fully-null suite `TLS_NULL_WITH_NULL_NULL`
+    /// moved to the front (the rare deployments that negotiate it).
+    pub fn nagios_nullnull() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &prefixed::<8>(&suites([0x0000]), NAGIOS);
+        LIST
     }
 
     /// Mail server (STARTTLS-era OpenSSL defaults).
-    pub fn mail() -> Vec<CipherSuite> {
-        v(&[
+    pub fn mail() -> &'static [CipherSuite] {
+        const LIST: &[CipherSuite] = &suites([
             0xc02f, 0xc02b, 0x009e, 0x009c, 0xc013, 0xc014, 0x002f, 0x0035, 0x000a, 0x0005,
-        ])
+        ]);
+        LIST
     }
 }
 
@@ -252,7 +332,7 @@ mod tests {
             ("mail", preference::mail()),
         ] {
             assert!(!list.is_empty(), "{name} empty");
-            for c in &list {
+            for c in list {
                 assert!(c.info().is_some(), "{name} has unregistered {c}");
             }
         }
@@ -263,5 +343,29 @@ mod tests {
         // 3DES sits last in the modern list (the Censys scan observation
         // that servers pick it "despite its placement at the bottom").
         assert!(preference::modern().last().unwrap().is_3des());
+    }
+
+    #[test]
+    fn tls13_lists_put_the_three_13_suites_before_their_base() {
+        for (name, with_13, base) in [
+            ("modern", preference::modern_tls13(), preference::modern()),
+            (
+                "chacha",
+                preference::modern_chacha_first_tls13(),
+                preference::modern_chacha_first(),
+            ),
+            (
+                "aes256",
+                preference::modern_aes256_first_tls13(),
+                preference::modern_aes256_first(),
+            ),
+        ] {
+            let want: Vec<CipherSuite> = [0x1301, 0x1302, 0x1303]
+                .into_iter()
+                .map(CipherSuite)
+                .chain(base.iter().copied())
+                .collect();
+            assert_eq!(with_13, want.as_slice(), "{name}");
+        }
     }
 }

@@ -14,10 +14,9 @@
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
-use std::time::Instant;
 use tlscope_chron::{Date, Month};
 use tlscope_clients::{catalog, Family, HelloEntropy, HelloPatches};
-use tlscope_notary::{PipelineMetrics, TappedFlow};
+use tlscope_notary::TappedFlow;
 use tlscope_servers::{negotiate, Destination, ParamsCache, ServerPopulation};
 use tlscope_wire::codec::{patch_bytes, Writer};
 use tlscope_wire::exts::ext_type;
@@ -90,15 +89,20 @@ impl Default for TrafficConfig {
 pub struct Generator {
     market: Market,
     population: ServerPopulation,
+    /// Where each weight sits in a stream's per-day client tables.
+    layout: DayLayout,
     cfg: TrafficConfig,
 }
 
 impl Generator {
     /// Build a generator over the full client catalog.
     pub fn new(cfg: TrafficConfig) -> Self {
+        let market = Market::new();
+        let layout = DayLayout::new(market.families());
         Generator {
-            market: Market::new(),
+            market,
             population: ServerPopulation::new(),
+            layout,
             cfg,
         }
     }
@@ -134,13 +138,15 @@ impl Generator {
             ),
             remaining: self.cfg.connections_per_month,
             pending: None,
-            metrics: None,
+            flows: 0,
+            wire_bytes: 0,
+            outage_dropped: 0,
+            duplicated: 0,
             scratch: GenScratch {
-                // One (lazily filled) share-vector slot per calendar
-                // day; `shares_into` always writes one weight per
-                // family, so an empty slot unambiguously means
-                // "not yet computed".
-                shares_by_day: vec![Vec::new(); month.len_days() as usize],
+                // One (lazily filled) client table per calendar day; a
+                // filled table is never empty, so an empty slot
+                // unambiguously means "not yet computed".
+                day_tables: vec![Vec::new(); month.len_days() as usize],
                 ..GenScratch::default()
             },
         }
@@ -168,20 +174,24 @@ impl Generator {
         rng: &mut SmallRng,
         scratch: &mut GenScratch,
     ) -> Option<FlowMeta> {
-        // 1. Client family + era. Market shares are a pure function of
-        // the calendar date, so within one month they take at most 31
-        // distinct values — the scratch caches one share vector per
-        // day instead of re-interpolating ~45 anchor curves per
-        // connection (which dominated generation cost).
+        // 1. Client family + era. Market and era shares are pure
+        // functions of the calendar date, so within one month they take
+        // at most 31 distinct values — the scratch keeps one flat table
+        // per day (shares, era weights and their totals) instead of
+        // re-interpolating ~45 anchor curves and re-summing the weights
+        // per connection.
         let day_idx = date.day() as usize - 1;
-        if scratch.shares_by_day[day_idx].is_empty() {
-            let slot = &mut scratch.shares_by_day[day_idx];
-            self.market.shares_into(date, slot);
+        if scratch.day_tables[day_idx].is_empty() {
+            let GenScratch {
+                day_tables,
+                era_shares,
+                ..
+            } = scratch;
+            self.layout
+                .fill(&self.market, date, era_shares, &mut day_tables[day_idx]);
         }
-        let fam_idx = pick_index(rng, &scratch.shares_by_day[day_idx])?;
+        let (fam_idx, era_idx) = self.layout.pick(&scratch.day_tables[day_idx], rng)?;
         let family = &self.market.families()[fam_idx];
-        catalog::adoption_for(family).era_shares_into(family, date, &mut scratch.era_shares);
-        let era_idx = pick_index(rng, &scratch.era_shares)?;
         let era = &family.eras[era_idx];
 
         // 2. Destination.
@@ -412,6 +422,79 @@ pub struct FlowRef<'a> {
     pub server: Option<&'a [u8]>,
 }
 
+/// Where each weight sits in a per-day client table.
+///
+/// One flat table per calendar day holds, in order: every family's
+/// market share, their total, every family's era weights, and each
+/// family's era total. The era offsets are fixed by the catalog (51
+/// families, 107 eras), so a day costs one allocation, not one per
+/// family.
+struct DayLayout {
+    /// Family `f`'s era weights sit at `era_offsets[f]..era_offsets[f
+    /// + 1]` of the era block; one entry per family plus the end.
+    era_offsets: Vec<usize>,
+}
+
+impl DayLayout {
+    fn new(families: &[Family]) -> Self {
+        let mut era_offsets = vec![0];
+        for family in families {
+            era_offsets.push(era_offsets[era_offsets.len() - 1] + family.eras.len());
+        }
+        DayLayout { era_offsets }
+    }
+
+    fn families(&self) -> usize {
+        self.era_offsets.len() - 1
+    }
+
+    /// Start of the era block (after the shares and their total).
+    fn eras_at(&self) -> usize {
+        self.families() + 1
+    }
+
+    /// Start of the era totals (after the era block).
+    fn era_totals_at(&self) -> usize {
+        self.eras_at() + self.era_offsets[self.families()]
+    }
+
+    /// Fill `table` with `date`'s weights, using `era_buf` as scratch.
+    /// Each total is the left-to-right `sum` of its weights, so a draw
+    /// over a stored total is bit-identical to one that sums in place.
+    fn fill(&self, market: &Market, date: Date, era_buf: &mut Vec<f64>, table: &mut Vec<f64>) {
+        table.reserve_exact(self.era_totals_at() + self.families());
+        market.shares_into(date, table);
+        let total = table.iter().sum();
+        table.push(total);
+        for family in market.families() {
+            catalog::adoption_for(family).era_shares_into(family, date, era_buf);
+            table.extend_from_slice(era_buf);
+        }
+        for f in 0..self.families() {
+            let total = self.eras_of(table, f).iter().sum();
+            table.push(total);
+        }
+    }
+
+    fn eras_of<'t>(&self, table: &'t [f64], family: usize) -> &'t [f64] {
+        let at = self.eras_at();
+        &table[at + self.era_offsets[family]..at + self.era_offsets[family + 1]]
+    }
+
+    /// Draw `(family, era)` from a filled table: the family by market
+    /// share, then its era by adoption weight.
+    fn pick(&self, table: &[f64], rng: &mut SmallRng) -> Option<(usize, usize)> {
+        let families = self.families();
+        let family = pick_index(rng, &table[..families], table[families])?;
+        let era = pick_index(
+            rng,
+            self.eras_of(table, family),
+            table[self.era_totals_at() + family],
+        )?;
+        Some((family, era))
+    }
+}
+
 /// Per-stream reusable buffers. Every connection draws through these
 /// instead of allocating fresh intermediates — including the flow
 /// bytes themselves: `client_buf`/`server_buf` hold the current
@@ -419,12 +502,13 @@ pub struct FlowRef<'a> {
 /// (the owned iterator) copy them out.
 #[derive(Default)]
 struct GenScratch {
-    /// Normalised market shares, cached per day of the month (slot
-    /// `day - 1`; empty = not yet computed). Sized by
-    /// [`Generator::stream_month`].
-    shares_by_day: Vec<Vec<f64>>,
+    /// Client-draw weights, one flat table per day of the month (slot
+    /// `day - 1`; empty = not yet computed; layout: [`DayLayout`]).
+    /// Sized by [`Generator::stream_month`].
+    day_tables: Vec<Vec<f64>>,
     /// Memoised cohort parameter curves for profile sampling.
     params_cache: ParamsCache,
+    /// Scratch for one family's era weights while a day table fills.
     era_shares: Vec<f64>,
     ciphers: Vec<CipherSuite>,
     versions: Vec<ProtocolVersion>,
@@ -465,22 +549,6 @@ struct TemplateCache {
     server: HashMap<u64, Vec<u8>>,
     hits: u64,
     misses: u64,
-    flushed_hits: u64,
-    flushed_misses: u64,
-}
-
-impl TemplateCache {
-    /// Counter deltas since the previous call (the metered stream's
-    /// flush point).
-    fn unflushed(&mut self) -> (u64, u64) {
-        let delta = (
-            self.hits - self.flushed_hits,
-            self.misses - self.flushed_misses,
-        );
-        self.flushed_hits = self.hits;
-        self.flushed_misses = self.misses;
-        delta
-    }
 }
 
 /// Serialise the server flight for an already-made decision into
@@ -529,12 +597,30 @@ fn with_writer(buf: &mut Vec<u8>, f: impl FnOnce(&mut Writer)) {
     *buf = w.into_bytes();
 }
 
+/// What a [`MonthStream`] has done so far, in plain counters. The
+/// stream counts as it goes and the study runner records the tally
+/// once per month, so no flow pays for metering.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamTally {
+    /// Flows yielded, tap duplicates included.
+    pub flows: u64,
+    /// Wire bytes of the yielded flows (client plus captured server).
+    pub wire_bytes: u64,
+    /// Connections lost to tap outage windows (never generated).
+    pub outage_dropped: u64,
+    /// Flows the tap duplicated (each copy is also in `flows`).
+    pub duplicated: u64,
+    /// Template-cache hits: flights served by memcpy + patch.
+    pub template_hits: u64,
+    /// Template-cache misses: flights serialised in full and cached.
+    pub template_misses: u64,
+}
+
 /// Lazy per-event iterator over one month's traffic.
 ///
-/// Created by [`Generator::stream_month`]. Attach a
-/// [`PipelineMetrics`] with [`MonthStream::metered`] to account each
-/// drawn event (flow count, wire bytes, generation wall-clock) as it
-/// is produced.
+/// Created by [`Generator::stream_month`]. [`MonthStream::tally`]
+/// reports what it has yielded so far (flows, wire bytes, outage
+/// losses, duplicates, template-cache use).
 pub struct MonthStream<'a> {
     generator: &'a Generator,
     month: Month,
@@ -545,19 +631,16 @@ pub struct MonthStream<'a> {
     /// re-emitted from there on the next draw — no owned clone of the
     /// event is ever held.
     pending: Option<FlowMeta>,
-    metrics: Option<&'a PipelineMetrics>,
+    flows: u64,
+    wire_bytes: u64,
+    outage_dropped: u64,
+    duplicated: u64,
     /// Reusable per-connection buffers, including the current flow
     /// bytes.
     scratch: GenScratch,
 }
 
-impl<'a> MonthStream<'a> {
-    /// Record every drawn event into `metrics` (generation stage).
-    pub fn metered(mut self, metrics: &'a PipelineMetrics) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
+impl MonthStream<'_> {
     /// Wire bytes of the connection currently in scratch.
     fn scratch_wire_bytes(&self, meta: FlowMeta) -> u64 {
         let server = if meta.has_server {
@@ -570,16 +653,21 @@ impl<'a> MonthStream<'a> {
 
     /// Draw the next connection into scratch: the shared core behind
     /// both the borrowed and the owned interface. Handles duplication
-    /// replay, outage windows, and metering.
+    /// replay and counts what it yields.
     fn advance(&mut self) -> Option<FlowMeta> {
-        let started = self.metrics.map(|_| Instant::now());
-        if let Some(meta) = self.pending.take() {
+        let meta = match self.pending.take() {
             // Second copy of a duplicated flow, replayed from scratch.
-            if let (Some(m), Some(t0)) = (self.metrics, started) {
-                m.record_generated(self.scratch_wire_bytes(meta), t0.elapsed());
-            }
-            return Some(meta);
-        }
+            Some(meta) => meta,
+            None => self.draw()?,
+        };
+        self.flows += 1;
+        self.wire_bytes += self.scratch_wire_bytes(meta);
+        Some(meta)
+    }
+
+    /// Generate the next captured connection into scratch, skipping
+    /// the ones the tap loses, and mark a duplicate for replay.
+    fn draw(&mut self) -> Option<FlowMeta> {
         let faults = &self.generator.cfg.faults;
         // Shares drift within a month; sampling per connection-day
         // keeps the curves smooth without recomputing per event.
@@ -592,9 +680,7 @@ impl<'a> MonthStream<'a> {
                 // but was never captured. The check precedes generation
                 // — an outage costs no RNG draws, mirroring a capture
                 // process that simply is not running.
-                if let Some(m) = self.metrics {
-                    m.record_outage_dropped(1);
-                }
+                self.outage_dropped += 1;
                 continue;
             }
             if let Some(meta) =
@@ -602,31 +688,25 @@ impl<'a> MonthStream<'a> {
                     .connection_into(date, &mut self.rng, &mut self.scratch)
             {
                 if faults.duplicates(&mut self.rng) {
-                    if let Some(m) = self.metrics {
-                        m.record_duplicated(1);
-                    }
+                    self.duplicated += 1;
                     self.pending = Some(meta);
                 }
-                if let (Some(m), Some(t0)) = (self.metrics, started) {
-                    m.record_generated(self.scratch_wire_bytes(meta), t0.elapsed());
-                }
-                self.flush_template_metrics();
                 return Some(meta);
             }
         }
-        self.flush_template_metrics();
         None
     }
 
-    /// Push template-cache counter deltas into the attached metrics
-    /// (no-op on unmetered streams; cumulative totals stay readable
-    /// via [`MonthStream::template_cache_stats`] either way).
-    fn flush_template_metrics(&mut self) {
-        if let Some(m) = self.metrics {
-            let (hits, misses) = self.scratch.templates.unflushed();
-            if hits | misses != 0 {
-                m.record_template(hits, misses);
-            }
+    /// What this stream has yielded so far. Cheap: the counters are
+    /// plain fields, bumped as flows are drawn.
+    pub fn tally(&self) -> StreamTally {
+        StreamTally {
+            flows: self.flows,
+            wire_bytes: self.wire_bytes,
+            outage_dropped: self.outage_dropped,
+            duplicated: self.duplicated,
+            template_hits: self.scratch.templates.hits,
+            template_misses: self.scratch.templates.misses,
         }
     }
 
@@ -677,8 +757,9 @@ impl Iterator for MonthStream<'_> {
     }
 }
 
-fn pick_index(rng: &mut SmallRng, weights: &[f64]) -> Option<usize> {
-    let total: f64 = weights.iter().sum();
+/// Draw an index in proportion to `weights`, whose sum is `total`. A
+/// non-positive total returns `None` without drawing.
+fn pick_index(rng: &mut SmallRng, weights: &[f64], total: f64) -> Option<usize> {
     if total <= 0.0 {
         return None;
     }
@@ -852,18 +933,13 @@ mod tests {
     }
 
     #[test]
-    fn metered_stream_accounts_flows_and_bytes() {
+    fn stream_tally_accounts_flows_and_bytes() {
         let g = small_gen();
-        let metrics = PipelineMetrics::new();
-        let total_bytes: u64 = g
-            .stream_month(Month::ym(2016, 3))
-            .metered(&metrics)
-            .map(|ev| ev.wire_bytes())
-            .sum();
-        let snap = metrics.snapshot();
-        assert_eq!(snap.flows_generated, 500);
-        assert_eq!(snap.bytes_generated, total_bytes);
-        assert!(snap.gen_nanos > 0);
+        let mut stream = g.stream_month(Month::ym(2016, 3));
+        let total_bytes: u64 = stream.by_ref().map(|ev| ev.wire_bytes()).sum();
+        let tally = stream.tally();
+        assert_eq!(tally.flows, 500);
+        assert_eq!(tally.wire_bytes, total_bytes);
     }
 
     #[test]
@@ -905,12 +981,9 @@ mod tests {
             },
         };
         let g = Generator::new(cfg.clone());
-        let metrics = PipelineMetrics::new();
-        let events: Vec<ConnectionEvent> = g
-            .stream_month(Month::ym(2016, 3))
-            .metered(&metrics)
-            .collect();
-        let dropped = metrics.snapshot().flows_outage_dropped;
+        let mut stream = g.stream_month(Month::ym(2016, 3));
+        let events: Vec<ConnectionEvent> = stream.by_ref().collect();
+        let dropped = stream.tally().outage_dropped;
         assert!(dropped > 0, "expected some outage losses");
         assert_eq!(events.len() as u64 + dropped, 1000);
         // No surviving event is dated inside an outage window.
@@ -935,15 +1008,12 @@ mod tests {
                 ..FaultInjector::none()
             },
         });
-        let metrics = PipelineMetrics::new();
-        let events: Vec<ConnectionEvent> = g
-            .stream_month(Month::ym(2016, 3))
-            .metered(&metrics)
-            .collect();
-        let snap = metrics.snapshot();
-        assert!(snap.flows_duplicated > 0, "expected some duplicates");
-        assert_eq!(events.len() as u64, 500 + snap.flows_duplicated);
-        assert_eq!(snap.flows_generated, events.len() as u64);
+        let mut stream = g.stream_month(Month::ym(2016, 3));
+        let events: Vec<ConnectionEvent> = stream.by_ref().collect();
+        let tally = stream.tally();
+        assert!(tally.duplicated > 0, "expected some duplicates");
+        assert_eq!(events.len() as u64, 500 + tally.duplicated);
+        assert_eq!(tally.flows, events.len() as u64);
         // Each duplicate is an exact adjacent copy.
         let adjacent_dups = events
             .windows(2)
@@ -951,6 +1021,6 @@ mod tests {
                 w[0].client_flow == w[1].client_flow && w[0].server_flow == w[1].server_flow
             })
             .count() as u64;
-        assert!(adjacent_dups >= snap.flows_duplicated);
+        assert!(adjacent_dups >= tally.duplicated);
     }
 }
