@@ -9,15 +9,15 @@
 //! identical to a serial run), and every stage reports into a shared
 //! [`PipelineMetrics`]. The panic boundary sits on the month: a month
 //! whose fold panics is replayed flow by flow and only the poison flow
-//! is quarantined.
+//! is quarantined. Months are units of the runner the active side's
+//! sweep dates and SSL-Pulse surveys also go through
+//! ([`tlscope_durable::run_units`]), which puts the scan panic
+//! boundary on the date.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use tlscope_durable::{install_quiet_panic_hook, quiet_thread_panics, StoreError};
+use tlscope_durable::{isolate, run_units, StoreError};
 use tlscope_obs::Progress;
 
 use tlscope_chron::Month;
@@ -202,9 +202,10 @@ impl Study {
         })
     }
 
-    /// The month-sharded runner behind [`Study::try_run_passive_metered`],
-    /// generic over the per-flow fold `(partial, month, flow index,
-    /// flow)` so tests can inject a fold that panics.
+    /// The month-sharded runner behind [`Study::try_run_passive_metered`]:
+    /// one [`run_units`] call, a month per unit. Generic over the
+    /// per-flow fold `(partial, month, flow index, flow)` so tests can
+    /// inject a fold that panics.
     fn run_months<F>(
         &self,
         metrics: &PipelineMetrics,
@@ -232,88 +233,37 @@ impl Study {
             .iter_through(self.cfg.end)
             .filter(|m| !completed.contains(m))
             .collect();
-        let months_done = AtomicU64::new(total_months - months.len() as u64);
         let progress = Progress::from_env("passive-study", total_months, "months", "flows");
-        let workers = self.cfg.workers.max(1).min(months.len().max(1));
-        let next = AtomicUsize::new(0);
-        // First checkpoint write error, reported after the scope ends
-        // (workers stop claiming months once one is recorded).
-        let ckpt_error: Mutex<Option<StoreError>> = Mutex::new(None);
-        let stop_heartbeat = AtomicBool::new(false);
-        // Months merged into a surviving worker's aggregate; every
-        // other month was lost to a panic.
-        let mut months_merged = 0u64;
-        install_quiet_panic_hook();
-        std::thread::scope(|scope| {
-            if progress.is_enabled() {
-                scope.spawn(|| {
-                    progress.run_ticker(&stop_heartbeat, || {
-                        (
-                            months_done.load(Ordering::Relaxed),
-                            metrics.snapshot().flows_ingested,
-                        )
-                    })
-                });
-            }
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut agg = NotaryAggregate::new();
-                        let mut committed = 0u64;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&month) = months.get(i) else { break };
-                            if ckpt_error
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .is_some()
-                            {
-                                break;
-                            }
-                            let month_started = Instant::now();
-                            let (partial, month_metrics) =
-                                self.fold_month_supervised(month, &fold, metrics);
-                            if let Some(dir) = &self.cfg.checkpoint_dir {
-                                let write_started = Instant::now();
-                                if let Err(e) = checkpoint::write_month(dir, month, &partial) {
-                                    ckpt_error
-                                        .lock()
-                                        .unwrap_or_else(|p| p.into_inner())
-                                        .get_or_insert(e);
-                                    break;
-                                }
-                                metrics.observe_checkpoint_write(write_started.elapsed());
-                                metrics.record_checkpoint_written();
-                            }
-                            metrics.record_month(month_started.elapsed());
-                            metrics.absorb(&month_metrics);
-                            months_done.fetch_add(1, Ordering::Relaxed);
-                            agg.merge(partial);
-                            committed += 1;
-                        }
-                        (agg, committed)
-                    })
-                })
-                .collect();
-            for h in handles {
-                // A worker that died outside the month boundary takes
-                // its merged months with it; they count as lost below.
-                if let Ok((partial, committed)) = h.join() {
-                    let started = Instant::now();
-                    result.merge(partial);
-                    metrics.record_merge(started.elapsed());
-                    months_merged += committed;
+        let ran = run_units(
+            months.len(),
+            self.cfg.workers,
+            &progress,
+            || metrics.snapshot().flows_ingested,
+            |i| {
+                let month = months[i];
+                let month_started = Instant::now();
+                let (partial, month_metrics) = self.fold_month_supervised(month, &fold, metrics);
+                if let Some(dir) = &self.cfg.checkpoint_dir {
+                    let write_started = Instant::now();
+                    checkpoint::write_month(dir, month, &partial)?;
+                    metrics.observe_checkpoint_write(write_started.elapsed());
+                    metrics.record_checkpoint_written();
                 }
-            }
-            stop_heartbeat.store(true, Ordering::Release);
-        });
-        match ckpt_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            Some(e) => Err(e),
-            None => {
-                metrics.record_shards_lost(months.len() as u64 - months_merged);
-                Ok(result)
-            }
+                metrics.record_month(month_started.elapsed());
+                metrics.absorb(&month_metrics);
+                Ok(partial)
+            },
+            |agg: &mut NotaryAggregate, _, partial| agg.merge(partial),
+        )?;
+        for partial in ran.parts {
+            let started = Instant::now();
+            result.merge(partial);
+            metrics.record_merge(started.elapsed());
         }
+        // A worker that died outside the month boundary took the
+        // months it had merged with it.
+        metrics.record_shards_lost((months.len() - ran.committed) as u64);
+        Ok(result)
     }
 
     /// Fold `month` into a fresh partial behind a panic boundary, so a
@@ -335,35 +285,31 @@ impl Study {
         F: Fn(&mut NotaryAggregate, Month, u64, FlowRef<'_>),
     {
         let first = PipelineMetrics::new();
-        quiet_thread_panics(true);
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
+        let attempt = isolate(|| {
             self.fold_month(month, &first, |partial, index, flow| {
                 fold(partial, month, index, flow);
                 true
             })
-        }));
-        quiet_thread_panics(false);
+        });
         // Parse-cache deltas go to the attempt's own bag, kept or not.
         flush_parse_cache_metrics(&first);
-        if let Ok(partial) = attempt {
+        if let Some(partial) = attempt {
             return (partial, first);
         }
         metrics.record_month_replayed();
         let replay = PipelineMetrics::new();
         let partial = self.fold_month(month, &replay, |partial, index, flow| {
-            quiet_thread_panics(true);
-            let one = catch_unwind(AssertUnwindSafe(|| {
+            let one = isolate(|| {
                 let mut one = NotaryAggregate::new();
                 fold(&mut one, month, index, flow);
                 one
-            }));
-            quiet_thread_panics(false);
+            });
             match one {
-                Ok(one) => {
+                Some(one) => {
                     partial.merge(one);
                     true
                 }
-                Err(_) => {
+                None => {
                     replay.record_quarantined(1);
                     tlscope_obs::flight::report(&format!(
                         "poison flow quarantined (month {month}, flow {index})"
@@ -479,13 +425,6 @@ impl Study {
             )
     }
 
-    /// Run the active campaign at the paper's weekly cadence.
-    pub fn run_active_weekly(&self) -> Vec<ScanSnapshot> {
-        ScanCampaign::censys_weekly(self.cfg.scan_hosts, self.cfg.seed)
-            .with_faults(self.cfg.scan_faults)
-            .run_parallel(&self.population, self.cfg.workers, &ScanMetrics::new())
-    }
-
     /// All months of the passive window.
     pub fn months(&self) -> Vec<Month> {
         self.cfg.start.iter_through(self.cfg.end).collect()
@@ -496,6 +435,7 @@ impl Study {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::Mutex;
     use tlscope_notary::MetricsSnapshot;
 
     #[test]

@@ -80,7 +80,11 @@ fn bench_scan_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline/scan");
     g.throughput(Throughput::Elements(1000));
     g.bench_function("sweep_1000hosts", |b| {
-        b.iter(|| scanner::sweep(&pop, Date::ymd(2016, 6, 1), 1000, 3))
+        let none = scanner::ScanFaults::none();
+        b.iter(|| {
+            let metrics = scanner::ScanMetrics::new();
+            scanner::sweep_sharded_with(&pop, Date::ymd(2016, 6, 1), 1000, 3, 1, &metrics, &none)
+        })
     });
     g.finish();
 }

@@ -8,29 +8,27 @@
 //! cargo bench -p tlscope-bench --bench scan --features alloc-counter -- --fast
 //! ```
 //!
-//! It measures six things about one Censys-style sweep:
+//! It measures five things about one Censys-style sweep, each run
+//! through `sweep_sharded_with` on one thread (a campaign parallelises
+//! across dates, never inside one):
 //!
 //! 1. **Serial throughput** — hosts/s and probes/s through the
 //!    prepared-probe + `decide` hot loop.
-//! 2. **Sharded throughput** — the same sweep through
-//!    `sweep_sharded` at 4 workers, reported as a ratio against
-//!    serial (≈1× on a single-core runner; the point on such hosts is
-//!    the bit-identical result, not speed).
-//! 3. **Allocations per host** — counted over the serial sweep, gated
+//! 2. **Allocations per host** — counted over the serial sweep, gated
 //!    against [`SCAN_ALLOC_BUDGET_PER_HOST`]; the bench exits non-zero
 //!    past budget. A naive per-host loop that re-materialises the
 //!    probe set each host (the pre-PR shape, still available as
 //!    `probe_host`) is measured alongside as the comparison point.
-//! 4. **Faulted throughput** — the same sweep under the `stress`
+//! 3. **Faulted throughput** — the same sweep under the `stress`
 //!    fault profile: retries, drops, and timeouts in the hot loop,
 //!    with the loss counters and the two-part accounting invariant
 //!    reported. Fault draws are pure arithmetic, so this row shares
 //!    the serial row's allocation budget.
-//! 5. **Layers** — ns per host for the two halves of a probed host:
+//! 4. **Layers** — ns per host for the two halves of a probed host:
 //!    sampling (seeding the host stream + `sample_host` with a warm
 //!    cohort-curve memo) and the three sweep decides (Chrome 2015,
 //!    SSL3-only, export), each timed over the same sampled hosts.
-//! 6. **Memo ablation** — one `params(cohort, date)` computation
+//! 5. **Memo ablation** — one `params(cohort, date)` computation
 //!    against one `ParamsCache` hit, the saving every sampled host
 //!    gets from the memo.
 //!
@@ -46,8 +44,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlscope::chron::Date;
 use tlscope::scanner::{
-    probe_host, sweep, sweep_sharded, sweep_sharded_with, PreparedProbe, ProbeSet, ScanFaults,
-    ScanMetrics, ScanSnapshot,
+    probe_host, sweep_sharded_with, PreparedProbe, ProbeSet, ScanFaults, ScanMetrics, ScanSnapshot,
 };
 use tlscope::servers::{negotiate, params, Cohort, CohortParams, ParamsCache, ServerPopulation};
 use tlscope_bench::{best_secs, json_number, SCAN_ALLOC_BUDGET_PER_HOST};
@@ -97,34 +94,20 @@ fn main() {
     let fast = std::env::args().any(|a| a == "--fast");
     let hosts: u32 = if fast { 2_000 } else { 10_000 };
     let reps: u32 = if fast { 2 } else { 3 };
-    let workers = 4usize;
     let date = Date::ymd(2016, 6, 1);
     let pop = ServerPopulation::new();
+    let none = ScanFaults::none();
+    let sweep = |hosts| sweep_sharded_with(&pop, date, hosts, SEED, 1, &ScanMetrics::new(), &none);
 
     // Warm up lazy population state outside the counted region.
-    let warm = sweep(&pop, date, 256.min(hosts), SEED);
+    let warm = sweep(256.min(hosts));
     std::hint::black_box(&warm);
 
     // --- Serial sweep: allocations and throughput. ---
-    let (serial_snap, serial_allocs) = alloc_counter::counted(|| sweep(&pop, date, hosts, SEED));
+    let (_, serial_allocs) = alloc_counter::counted(|| std::hint::black_box(sweep(hosts)));
     let serial_secs = best_secs(reps, || {
-        std::hint::black_box(sweep(&pop, date, hosts, SEED));
+        std::hint::black_box(sweep(hosts));
     });
-
-    // --- Sharded sweep: same work over a thread-scoped work queue.
-    // Counting is thread-local, so only wall time is comparable here;
-    // the result itself must be bit-identical to serial.
-    let metrics = ScanMetrics::new();
-    let sharded_snap = sweep_sharded(&pop, date, hosts, SEED, workers, &metrics);
-    assert_eq!(
-        serial_snap, sharded_snap,
-        "sharded sweep diverged from serial"
-    );
-    let sharded_secs = best_secs(reps, || {
-        let m = ScanMetrics::new();
-        std::hint::black_box(sweep_sharded(&pop, date, hosts, SEED, workers, &m));
-    });
-    let accounting = metrics.snapshot().accounting_holds();
 
     // --- Faulted sweep: stress profile through the same engine. ---
     let faults = ScanFaults::stress();
@@ -203,7 +186,6 @@ fn main() {
     let faulted_apc = faulted_allocs as f64 / n;
     let naive_apc = naive_allocs as f64 / naive_hosts as f64;
     let serial_hps = n / serial_secs;
-    let sharded_hps = n / sharded_secs;
     let faulted_hps = n / faulted_secs;
     let counting = cfg!(feature = "alloc-counter");
     let budget_pass = !counting
@@ -230,7 +212,6 @@ fn main() {
             "  \"date\": \"2016-06-01\",\n",
             "  \"alloc_counter\": {counting},\n",
             "  \"serial\": {{ \"hosts_per_sec\": {ser_hps:.0}, \"probes_per_sec\": {ser_pps:.0}, \"allocs_per_host\": {ser_apc:.3} }},\n",
-            "  \"sharded\": {{ \"workers\": {workers}, \"hosts_per_sec\": {sh_hps:.0}, \"vs_serial\": {ratio:.2}, \"bit_identical\": true, \"accounting_holds\": {acct} }},\n",
             "  \"faulted\": {{ \"profile\": \"stress\", \"hosts_per_sec\": {f_hps:.0}, \"allocs_per_host\": {f_apc:.3}, \"hosts_dropped\": {f_dropped}, \"probes_timed_out\": {f_timed}, \"host_retries\": {f_retries}, \"accounting_holds\": {f_acct} }},\n",
             "  \"layers\": {{ \"sample_ns_per_host\": {l_sample:.1}, \"decide_chrome_ns_per_host\": {l_chrome:.1}, \"decide_ssl3_ns_per_host\": {l_ssl3:.1}, \"decide_export_ns_per_host\": {l_export:.1}, \"decide_ns_per_host\": {l_decide:.1} }},\n",
             "  \"params_memo\": {{ \"uncached_ns_per_call\": {m_uncached:.1}, \"hit_ns_per_call\": {m_hit:.1}, \"saving_ns_per_call\": {m_saving:.1} }},\n",
@@ -246,10 +227,6 @@ fn main() {
         ser_hps = serial_hps,
         ser_pps = serial_hps * PROBES_PER_HOST,
         ser_apc = serial_apc,
-        workers = workers,
-        sh_hps = sharded_hps,
-        ratio = sharded_hps / serial_hps,
-        acct = accounting,
         f_hps = faulted_hps,
         f_apc = faulted_apc,
         f_dropped = fs.hosts_dropped,

@@ -15,14 +15,14 @@
 //! meaningful at test-sized workloads. The pipeline test exercises the
 //! borrowed fast path exactly as the fused study runner does: scratch
 //! borrows from the generator's stream folded straight into the
-//! aggregate. The sweep test runs the serial sweep loop clean and
-//! under the stress fault profile, as the `scan` bench does.
+//! aggregate. The sweep test runs one date's sweep clean and under the
+//! stress fault profile, as the `scan` bench does.
 
 #![cfg(feature = "alloc-counter")]
 
 use tlscope::chron::{Date, Month};
 use tlscope::notary::{ingest_borrowed, NotaryAggregate};
-use tlscope::scanner::{sweep_faulted, ScanFaults};
+use tlscope::scanner::{sweep_sharded_with, ScanFaults, ScanMetrics};
 use tlscope::servers::ServerPopulation;
 use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
 use tlscope_bench::{alloc_counter, PIPELINE_ALLOC_BUDGET_PER_CONN, SCAN_ALLOC_BUDGET_PER_HOST};
@@ -75,10 +75,12 @@ fn marginal_pipeline_allocs_per_conn_stay_under_budget() {
 fn sweep_allocs(hosts: u32, faults: &ScanFaults) -> u64 {
     let pop = ServerPopulation::new();
     let date = Date::ymd(2016, 6, 1);
+    let sweep =
+        |hosts| sweep_sharded_with(&pop, date, hosts, 0x5CA7, 1, &ScanMetrics::new(), faults);
     // Warm lazy runtime state outside the counted region.
-    std::hint::black_box(sweep_faulted(&pop, date, 64, 0x5CA7, faults));
+    std::hint::black_box(sweep(64));
     let (_, allocs) = alloc_counter::counted(|| {
-        std::hint::black_box(sweep_faulted(&pop, date, hosts, 0x5CA7, faults));
+        std::hint::black_box(sweep(hosts));
     });
     allocs
 }

@@ -31,6 +31,10 @@ use std::process::ExitCode;
 
 use tlscope::analysis::StudyConfig;
 use tlscope::report::{needs, ReportContext, RunError, EXPERIMENT_IDS};
+use tlscope::scanner::ScanFaults;
+
+/// Selects the campaign's scan fault profile (see `ScanFaults::from_env`).
+const SCAN_FAULT_ENV: &str = "TLSCOPE_SCAN_FAULT_PROFILE";
 
 struct Options {
     full: bool,
@@ -124,6 +128,28 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// The profile [`SCAN_FAULT_ENV`] names, by the name `ScanFaults`
+/// lists it under: `None` when the variable is unset, an error naming
+/// the variable and the accepted names when it names no profile (the
+/// study would silently run `none` under it).
+fn scan_fault_profile() -> Result<Option<&'static str>, String> {
+    let Some(raw) = std::env::var_os(SCAN_FAULT_ENV) else {
+        return Ok(None);
+    };
+    let named = raw.to_str().and_then(ScanFaults::profile);
+    ScanFaults::PROFILES
+        .into_iter()
+        .find(|name| named.is_some() && ScanFaults::profile(name) == named)
+        .map(Some)
+        .ok_or_else(|| {
+            format!(
+                "{SCAN_FAULT_ENV}={} names no scan fault profile (accepted: {})",
+                raw.to_string_lossy(),
+                ScanFaults::PROFILES.join(", ")
+            )
+        })
+}
+
 /// Write an exported metrics document atomically (tmp + rename via
 /// `tlscope::durable`) so a consumer polling the path never reads a
 /// torn JSON file.
@@ -145,6 +171,14 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             usage();
+            return ExitCode::FAILURE;
+        }
+    };
+
+    let scan_profile = match scan_fault_profile() {
+        Ok(profile) => profile,
+        Err(e) => {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -249,6 +283,15 @@ fn main() -> ExitCode {
         );
         failed = true;
     }
+    // Likewise a sweep date or survey lost with its worker; a host
+    // quarantined by the date's boundary is named in a flight report.
+    let workers_lost = ctx.scan_metrics().snapshot().workers_lost;
+    if workers_lost > 0 {
+        eprintln!(
+            "error: {workers_lost} scan worker(s) lost to panics; their sweep dates or surveys are missing"
+        );
+        failed = true;
+    }
     if opts.stats {
         // Stats go to stderr so --csv output stays machine-readable.
         eprint!("{}", ctx.metrics().snapshot().render());
@@ -257,7 +300,7 @@ fn main() -> ExitCode {
     if opts.scan_stats {
         // Name the profile the campaign ran under so a lossy ledger is
         // attributable to its knob set.
-        if let Ok(profile) = std::env::var("TLSCOPE_SCAN_FAULT_PROFILE") {
+        if let Some(profile) = scan_profile {
             eprintln!("# scan fault profile: {profile}");
         }
         eprint!("{}", ctx.scan_metrics().snapshot().render());

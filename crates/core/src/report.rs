@@ -3,6 +3,7 @@
 //! serves many experiments.
 
 use tlscope_analysis::{figures, sections, tables, Figure, Study, StudyConfig, Table};
+use tlscope_chron::Date;
 use tlscope_durable::StoreError;
 use tlscope_notary::{NotaryAggregate, PipelineMetrics};
 use tlscope_scanner::{ScanMetrics, ScanMetricsSnapshot, ScanSnapshot};
@@ -269,32 +270,25 @@ impl ReportContext {
             "s9-ext" => Artifact::Figure(sections::s9_extensions(self.try_passive()?)),
             "ssl-pulse" => {
                 // Yearly surveys over the SSL Pulse window (Oct 2013
-                // on), run through the sharded, metered engine: survey
-                // probes land in the same scan ledger the sweeps use,
-                // so `--scan-stats` sees them.
-                let pop = tlscope_servers::ServerPopulation::new();
-                let sites = self.study.config().scan_hosts;
-                let seed = self.study.config().seed;
-                let workers = self.study.config().workers;
-                let probes = tlscope_scanner::ProbeSet::campaign();
-                let pulses: Vec<_> = (2013..=2018)
-                    .map(|year| {
-                        let date = if year == 2013 {
-                            tlscope_chron::Date::ymd(2013, 10, 1)
-                        } else {
-                            tlscope_chron::Date::ymd(year, 4, 1)
-                        };
-                        tlscope_scanner::pulse_survey_sharded(
-                            &probes,
-                            &pop,
-                            date,
-                            sites,
-                            seed,
-                            workers,
-                            &self.scan_metrics,
-                        )
+                // on), one survey per unit of the runner the campaign
+                // uses: survey probes land in the same scan ledger the
+                // sweeps use, so `--scan-stats` sees them.
+                let cfg = self.study.config();
+                let dates: Vec<Date> = (2013..=2018)
+                    .map(|year| match year {
+                        2013 => Date::ymd(2013, 10, 1),
+                        _ => Date::ymd(year, 4, 1),
                     })
                     .collect();
+                let pulses = tlscope_scanner::pulse_surveys(
+                    &tlscope_scanner::ProbeSet::campaign(),
+                    &tlscope_servers::ServerPopulation::new(),
+                    &dates,
+                    cfg.scan_hosts,
+                    cfg.seed,
+                    cfg.workers,
+                    &self.scan_metrics,
+                );
                 Artifact::Table(sections::ssl_pulse(&pulses))
             }
             "censys" => Artifact::Figure(sections::censys_series(self.try_scans()?)),

@@ -11,11 +11,16 @@ use std::process::{Command, Output};
 use tlscope::obs::Json;
 
 fn run_repro(args: &[&str]) -> Output {
+    run_repro_with(args, &[])
+}
+
+fn run_repro_with(args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         // Pin the heartbeat off so stderr stays deterministic no
         // matter what the invoking environment exports.
         .env("TLSCOPE_PROGRESS", "off")
+        .envs(env.iter().copied())
         .output()
         .expect("repro binary should spawn")
 }
@@ -134,4 +139,35 @@ fn stats_json_flag_requires_a_path() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--stats-json needs a path"), "{stderr}");
+}
+
+/// A scan fault profile name that resolves to nothing is refused
+/// before any work (it would run `none` under the name it was given);
+/// a real one is echoed by its resolved name and loses hosts.
+#[test]
+fn scan_fault_profile_is_resolved_or_refused() {
+    let args = ["--quick", "--scan-stats", "scan-accounting"];
+    let out = run_repro_with(&args, &[("TLSCOPE_SCAN_FAULT_PROFILE", "strss")]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("TLSCOPE_SCAN_FAULT_PROFILE=strss")
+            && stderr.contains("none, defaults, stress"),
+        "{stderr}"
+    );
+    assert!(
+        !stderr.contains("# tlscope repro"),
+        "work started: {stderr}"
+    );
+    assert!(out.stdout.is_empty());
+
+    let out = run_repro_with(&args, &[("TLSCOPE_SCAN_FAULT_PROFILE", "stress")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("# scan fault profile: stress\n"),
+        "{stderr}"
+    );
+    // `  accounting  <dispatched> dispatched <probed> probed <dropped> dropped ..`
+    assert!(render_token(&stderr, "accounting", 5) > 0, "{stderr}");
 }

@@ -1,5 +1,6 @@
-//! Checkpoint stores shared by the passive (`tlscope-notary`) and
-//! active (`tlscope-scanner`) apertures.
+//! Checkpoint stores and the supervised unit runner shared by the
+//! passive (`tlscope-notary`) and active (`tlscope-scanner`)
+//! apertures.
 //!
 //! A store is a directory holding one sealed text file per completed
 //! unit of work (`<key>.ckpt`: a month, a sweep date) and a stamp
@@ -22,22 +23,24 @@
 //! - [`StoreError`] — the one error type of both stores;
 //! - [`write_atomic`] — tmp+rename writes, so a crash never leaves a
 //!   half-written file under the final name;
-//! - [`install_quiet_panic_hook`] / [`quiet_thread_panics`] — the
-//!   shared panic hook for supervised workers (the passive study
-//!   runner and the scanner sweep engine).
+//! - [`run_units`] / [`isolate`] — the one runner for units of work
+//!   (months, sweep dates, SSL-Pulse surveys) and the panic boundary
+//!   inside them (see [`runner`]).
 //!
-//! Everything here is `std`-only and deliberately free of any tlscope
-//! domain types.
+//! Everything here is `std`-only (`tlscope-obs`, for the heartbeat, is
+//! too) and deliberately free of any tlscope domain types.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::Cell;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::Once;
+
+pub mod runner;
+
+pub use runner::{isolate, run_units, Committed};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -318,38 +321,6 @@ pub fn claim(dir: &Path, study: &str) -> Result<(), StoreError> {
     Err(StoreError::Foreign(dir.to_path_buf(), why))
 }
 
-// The default panic hook prints every caught worker panic, which
-// floods output once panics are expected and supervised. The hook
-// below forwards to the previous hook unless the current thread has
-// opted in as a supervised worker.
-thread_local! {
-    static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
-}
-
-static QUIET_HOOK: Once = Once::new();
-
-/// Install the process-wide quiet panic hook (idempotent). Panics on
-/// threads that have not called [`quiet_thread_panics`]`(true)` are
-/// forwarded to the previously installed hook unchanged.
-pub fn install_quiet_panic_hook() {
-    QUIET_HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !QUIET_PANICS.with(|q| q.get()) {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Mark the current thread as a supervised worker (`quiet = true`) so
-/// its caught panics are not printed, or restore normal reporting
-/// (`quiet = false`). Installs the hook on first use.
-pub fn quiet_thread_panics(quiet: bool) {
-    install_quiet_panic_hook();
-    QUIET_PANICS.with(|q| q.set(quiet));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,14 +503,5 @@ mod tests {
         fs::remove_file(dir.join("1.ckpt")).unwrap();
         claim(&dir, "passive seed=1").unwrap();
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn quiet_hook_round_trip() {
-        install_quiet_panic_hook();
-        quiet_thread_panics(true);
-        let caught = std::panic::catch_unwind(|| panic!("supervised"));
-        quiet_thread_panics(false);
-        assert!(caught.is_err());
     }
 }

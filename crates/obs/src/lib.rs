@@ -9,7 +9,7 @@
 //!
 //! * [`hist`] — lock-free, mergeable log2-bucketed latency
 //!   [`Histogram`](hist::Histogram)s (atomic buckets, p50/p90/p99/max
-//!   readout) for per-batch, per-chunk, per-month, and checkpoint
+//!   readout) for per-batch, per-sweep, per-month, and checkpoint
 //!   timing distributions;
 //! * [`json`] — a hand-rolled JSON writer and parser (no serde; the
 //!   build is fully offline) behind the schema-versioned
@@ -21,7 +21,7 @@
 //! * [`flight`] — the panic flight recorder: a bounded per-worker ring
 //!   of recent structured events, dumped into a process-wide black box
 //!   by the pipelines' `catch_unwind` boundaries so poison flows and
-//!   dead chunks are diagnosable postmortem.
+//!   poison hosts are diagnosable postmortem.
 //!
 //! Everything here is observational: nothing in this crate
 //! participates in aggregate equality or the bit-identity properties

@@ -85,6 +85,12 @@ impl Progress {
         self.interval.is_some()
     }
 
+    /// The units the campaign completes in all, counting any done
+    /// before this run.
+    pub fn total_units(&self) -> u64 {
+        self.total_units
+    }
+
     /// Tick until `stop` becomes true, printing one heartbeat line per
     /// interval and a final summary line at the end. `sample` returns
     /// `(units_done, items_done)` from the shared metrics; it is

@@ -6,15 +6,16 @@
 //! exception — a scanner that assumes every probe is answered or
 //! refused cleanly is hiding its own loss modes. [`ScanFaults`] is the
 //! scan-side mirror of the passive tap's `FaultInjector`: a knob per
-//! §3.2 artefact, each drawn deterministically so serial and sharded
-//! sweeps see identical fault patterns.
+//! §3.2 artefact, each drawn deterministically so a campaign at any
+//! worker count, and a date replayed host by host, see identical fault
+//! patterns.
 //!
 //! Every draw is a pure function of `(seed, date, host_index, attempt)`
 //! through the same SplitMix64 counter construction the host sampler
 //! and the tap's outage windows use: no draw depends on RNG stream
-//! position, worker count, chunk boundaries, or visit order. Retry
-//! draws are keyed by attempt number, so a host retried on one shard
-//! boundary fails (or recovers) exactly as it would on any other.
+//! position, worker count, replay, or visit order. Retry draws are
+//! keyed by attempt number, so a host probed alone fails (or recovers)
+//! exactly as it does in the full sweep.
 
 use tlscope_chron::Date;
 
@@ -49,8 +50,8 @@ impl std::fmt::Display for ScanFaultConfigError {
 
 impl std::error::Error for ScanFaultConfigError {}
 
-/// Probabilities of each active-scan fault, plus two deterministic
-/// failpoints used by tests to kill workers on purpose.
+/// Probabilities of each active-scan fault, plus one deterministic
+/// failpoint used by tests to panic a sweep on purpose.
 ///
 /// `syn_drop_prob` and `flake_prob` apply per `(host, attempt)` and
 /// are *transient* — a retry redraws them. `timeout_prob` applies per
@@ -80,14 +81,10 @@ pub struct ScanFaults {
     /// window (per host per window; permanent — retries cannot help,
     /// the host is dropped once the attempt budget is exhausted).
     pub dead_host_prob: f64,
-    /// Test failpoint: probing this host index panics the sweep
-    /// worker, exercising the chunk-loss recovery path. `None` in
-    /// every named profile.
+    /// Test failpoint: probing this host index panics the sweep,
+    /// exercising the date's host-by-host replay and the quarantine
+    /// of that host. `None` in every named profile.
     pub panic_on_host: Option<u64>,
-    /// Test failpoint: a campaign worker claiming this sweep date
-    /// panics before sweeping, exercising the campaign's lost-shard
-    /// re-sweep path. `None` in every named profile.
-    pub panic_on_date: Option<Date>,
 }
 
 impl ScanFaults {
@@ -99,7 +96,6 @@ impl ScanFaults {
             flake_prob: 0.0,
             dead_host_prob: 0.0,
             panic_on_host: None,
-            panic_on_date: None,
         }
     }
 
@@ -172,11 +168,13 @@ impl ScanFaults {
             && self.flake_prob == 0.0
             && self.dead_host_prob == 0.0
             && self.panic_on_host.is_none()
-            && self.panic_on_date.is_none()
     }
 
+    /// The names [`ScanFaults::profile`] resolves, one per profile.
+    pub const PROFILES: [&'static str; 3] = ["none", "defaults", "stress"];
+
     /// Resolve a named fault profile: `none`, `defaults` (the real
-    /// sweep mix), or `stress`.
+    /// sweep mix; `scan` is an alias), or `stress`.
     pub fn profile(name: &str) -> Option<Self> {
         match name {
             "none" => Some(ScanFaults::none()),
@@ -309,6 +307,22 @@ mod tests {
         );
         assert_eq!(ScanFaults::profile("stress"), Some(ScanFaults::stress()));
         assert_eq!(ScanFaults::profile("bogus"), None);
+        assert_eq!(
+            ScanFaults::profile("scan"),
+            Some(ScanFaults::scan_defaults())
+        );
+        let resolved: Vec<_> = ScanFaults::PROFILES
+            .iter()
+            .map(|name| ScanFaults::profile(name))
+            .collect();
+        assert_eq!(
+            resolved,
+            [
+                Some(ScanFaults::none()),
+                Some(ScanFaults::scan_defaults()),
+                Some(ScanFaults::stress())
+            ]
+        );
         assert!(ScanFaults::none().is_none());
         assert!(!ScanFaults::stress().is_none());
         assert!(!ScanFaults {

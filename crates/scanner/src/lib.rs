@@ -8,14 +8,17 @@
 //! 2015-08-22 … 2018-05-13.
 //!
 //! ```
-//! use tlscope_scanner::{sweep, probe};
-//! use tlscope_servers::ServerPopulation;
 //! use tlscope_chron::Date;
+//! use tlscope_scanner::{sweep_sharded_with, ScanFaults, ScanMetrics};
+//! use tlscope_servers::ServerPopulation;
 //!
 //! let pop = ServerPopulation::new();
-//! let snap = sweep(&pop, Date::ymd(2016, 6, 1), 500, 42);
+//! let metrics = ScanMetrics::new();
+//! let date = Date::ymd(2016, 6, 1);
+//! let snap = sweep_sharded_with(&pop, date, 500, 42, 1, &metrics, &ScanFaults::none());
 //! assert_eq!(snap.hosts, 500);
 //! assert!(snap.pct(snap.answered) > 80.0);
+//! assert!(metrics.snapshot().accounting_holds());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -34,6 +37,6 @@ pub use metrics::{ScanLatency, ScanMetrics, ScanMetricsSnapshot};
 pub use probe::{PreparedProbe, ProbeSet};
 pub use schedule::{schedule, ScanCampaign, CENSYS_END, CENSYS_START};
 pub use sweep::{
-    probe_host, probe_host_with, pulse_survey, pulse_survey_sharded, pulse_survey_with, sweep,
-    sweep_faulted, sweep_sharded, sweep_sharded_with, ProbeFlight, PulseSnapshot, ScanSnapshot,
+    probe_host, probe_host_with, pulse_surveys, sweep_sharded_with, ProbeFlight, PulseSnapshot,
+    ScanSnapshot,
 };

@@ -23,11 +23,11 @@ use tlscope_obs::{Histogram, HistogramSnapshot, JsonObj};
 
 /// Shared, lock-free active-scan counters.
 ///
-/// The accounting invariant of the sharded sweep engine is two-part:
+/// The accounting invariant of the sweep engine is two-part:
 /// `hosts_dispatched == hosts_probed + hosts_dropped` (every host
-/// index claimed from the work queue is either fully probed or
-/// explicitly given up on — exhausted retry budget, dead host, or a
-/// worker death costing its in-flight chunk) and
+/// index a sweep dispatched is either fully probed or explicitly given
+/// up on — exhausted retry budget, dead host, or a host quarantined
+/// because probing it panicked) and
 /// `handshakes_completed + handshakes_refused + probes_timed_out ==
 /// probes_sent` (every probe sent resolves exactly one way). Refused
 /// handshakes still count as probed hosts; only hosts the scanner
@@ -54,7 +54,6 @@ pub struct ScanMetrics {
     // checkpoint, never absorbed on resume, never part of snapshot
     // equality).
     sweep_hist: Histogram,
-    chunk_hist: Histogram,
     ckpt_write_hist: Histogram,
     ckpt_load_hist: Histogram,
 }
@@ -94,8 +93,8 @@ impl ScanMetrics {
     }
 
     /// Record `hosts` dispatched hosts the scanner gave up on:
-    /// exhausted retry budget, dead-host window, or a dead worker's
-    /// in-flight chunk.
+    /// exhausted retry budget, dead-host window, or a host quarantined
+    /// because probing it panicked.
     pub fn record_dropped(&self, hosts: u64) {
         self.hosts_dropped.fetch_add(hosts, Ordering::Relaxed);
     }
@@ -106,8 +105,8 @@ impl ScanMetrics {
         self.host_retries.fetch_add(attempts, Ordering::Relaxed);
     }
 
-    /// Record one sweep worker dying (its in-flight chunk is recorded
-    /// as dropped separately; completed chunks survive the merge).
+    /// Record one campaign worker dying outside the date's panic
+    /// boundary (the dates it held are missing from the series).
     pub fn record_worker_lost(&self) {
         self.workers_lost.fetch_add(1, Ordering::Relaxed);
     }
@@ -118,11 +117,6 @@ impl ScanMetrics {
         self.scan_nanos
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         self.sweep_hist.record(elapsed);
-    }
-
-    /// Record the wall-clock of one committed sweep chunk.
-    pub fn record_chunk(&self, elapsed: Duration) {
-        self.chunk_hist.record(elapsed);
     }
 
     /// Record the wall-clock of one checkpoint file write.
@@ -144,7 +138,6 @@ impl ScanMetrics {
     /// [`absorb`]: ScanMetrics::absorb
     pub fn merge_latency_from(&self, other: &ScanMetrics) {
         self.sweep_hist.merge(&other.sweep_hist);
-        self.chunk_hist.merge(&other.chunk_hist);
         self.ckpt_write_hist.merge(&other.ckpt_write_hist);
         self.ckpt_load_hist.merge(&other.ckpt_load_hist);
     }
@@ -243,7 +236,6 @@ impl ScanMetrics {
     pub fn latency(&self) -> ScanLatency {
         ScanLatency {
             sweep: self.sweep_hist.snapshot(),
-            sweep_chunk: self.chunk_hist.snapshot(),
             checkpoint_write: self.ckpt_write_hist.snapshot(),
             checkpoint_load: self.ckpt_load_hist.snapshot(),
         }
@@ -258,8 +250,6 @@ impl ScanMetrics {
 pub struct ScanLatency {
     /// Wall-clock per completed sweep.
     pub sweep: HistogramSnapshot,
-    /// Wall-clock per committed sweep chunk.
-    pub sweep_chunk: HistogramSnapshot,
     /// Wall-clock per checkpoint file write.
     pub checkpoint_write: HistogramSnapshot,
     /// Wall-clock per checkpoint directory load pass.
@@ -273,7 +263,6 @@ impl ScanLatency {
         let mut out = String::from("scan latency\n");
         for (label, hist) in [
             ("sweep", &self.sweep),
-            ("chunk", &self.sweep_chunk),
             ("ckpt-write", &self.checkpoint_write),
             ("ckpt-load", &self.checkpoint_load),
         ] {
@@ -285,7 +274,6 @@ impl ScanLatency {
     fn to_json(self) -> String {
         JsonObj::new()
             .raw("sweep", &self.sweep.to_json())
-            .raw("sweep_chunk", &self.sweep_chunk.to_json())
             .raw("checkpoint_write", &self.checkpoint_write.to_json())
             .raw("checkpoint_load", &self.checkpoint_load.to_json())
             .finish()
@@ -301,7 +289,8 @@ pub struct ScanMetricsSnapshot {
     /// Hosts actually probed (every probe in the set sent).
     pub hosts_probed: u64,
     /// Hosts given up on: retry budget exhausted (dead hosts, repeated
-    /// SYN loss / flakes) or lost with a dead worker's chunk.
+    /// SYN loss / flakes) or quarantined because probing them
+    /// panicked.
     pub hosts_dropped: u64,
     /// Connect attempts beyond each host's first (the retry layer's
     /// work).
@@ -315,7 +304,8 @@ pub struct ScanMetricsSnapshot {
     pub handshakes_refused: u64,
     /// Probes sent but never resolved (handshake timeout).
     pub probes_timed_out: u64,
-    /// Sweep workers that died (each costing its in-flight chunk).
+    /// Campaign workers that died outside the date's panic boundary,
+    /// each costing the dates it held. Non-zero fails `repro`.
     pub workers_lost: u64,
     /// Sweeps finished.
     pub sweeps_completed: u64,
@@ -431,7 +421,7 @@ impl ScanMetricsSnapshot {
     /// it whenever the key set changes.
     ///
     /// [`to_json`]: ScanMetricsSnapshot::to_json
-    pub const SCHEMA: &'static str = "tlscope-scan-stats-v1";
+    pub const SCHEMA: &'static str = "tlscope-scan-stats-v2";
 
     /// Machine-readable export with empty latency sections (no
     /// histograms observed).
@@ -609,7 +599,6 @@ mod tests {
         part.record_retries(35);
         part.record_worker_lost();
         part.record_sweep(Duration::from_millis(7));
-        part.record_chunk(Duration::from_micros(400));
         part.record_checkpoint_written();
         part.record_checkpoints_loaded(3);
         part.record_checkpoints_quarantined(1);
@@ -624,7 +613,7 @@ mod tests {
         run.merge_from(&part);
         assert_eq!(run.snapshot().checkpoints_written, 2);
         assert_eq!(run.snapshot().hosts_probed, 2 * 580);
-        assert_eq!(run.latency().sweep_chunk.count, 2);
+        assert_eq!(run.latency().sweep.count, 2);
     }
 
     #[test]
@@ -659,8 +648,6 @@ mod tests {
     fn latency_histograms_record_merge_and_render() {
         let per_date = ScanMetrics::new();
         per_date.record_sweep(Duration::from_millis(3));
-        per_date.record_chunk(Duration::from_micros(400));
-        per_date.record_chunk(Duration::from_micros(600));
 
         let campaign = ScanMetrics::new();
         campaign.observe_checkpoint_write(Duration::from_micros(200));
@@ -669,11 +656,10 @@ mod tests {
 
         let lat = campaign.latency();
         assert_eq!(lat.sweep.count, 1);
-        assert_eq!(lat.sweep_chunk.count, 2);
         assert_eq!(lat.checkpoint_write.count, 1);
         assert_eq!(lat.checkpoint_load.count, 1);
         let text = lat.render();
-        for needle in ["scan latency", "sweep", "chunk", "ckpt-write", "ckpt-load"] {
+        for needle in ["scan latency", "sweep", "ckpt-write", "ckpt-load"] {
             assert!(
                 text.contains(needle),
                 "latency render missing {needle}: {text}"
@@ -735,12 +721,7 @@ mod tests {
         );
         assert_eq!(
             parsed.get("latency").unwrap().keys(),
-            vec![
-                "sweep",
-                "sweep_chunk",
-                "checkpoint_write",
-                "checkpoint_load"
-            ]
+            vec!["sweep", "checkpoint_write", "checkpoint_load"]
         );
         assert_eq!(
             parsed

@@ -167,7 +167,7 @@ impl PreparedProbe {
 ///
 /// Build one per campaign (or per sweep worker — construction is cheap
 /// relative to a sweep, just not free) and thread it through
-/// [`crate::sweep::probe_host_with`] / [`crate::pulse_survey`].
+/// [`crate::sweep::probe_host_with`] / [`crate::pulse_surveys`].
 #[derive(Debug, Clone)]
 pub struct ProbeSet {
     /// The 2015-Chrome-equivalent offer (§3.2).

@@ -3,24 +3,24 @@
 //! "Censys scans are available starting from August 22nd 2015; in our
 //! paper we use the data till May 13 2018" (§3.2), with weekly IPv4
 //! sweeps. [`ScanCampaign`] runs the sweeps over that window, under
-//! the campaign's [`ScanFaults`] profile, and survives worker death:
-//! a dead campaign worker forfeits only its unfinished dates, which
-//! are re-swept inline after the survivors drain the queue.
+//! the campaign's [`ScanFaults`] profile, one sweep date per unit of
+//! the runner the passive study shares ([`run_units`]). The date is
+//! the panic boundary: a host that panics costs that host, not the
+//! date, and a date lost with its worker is missing from the series
+//! and counted in `workers_lost`.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use tlscope_chron::Date;
-use tlscope_durable::StoreError;
+use tlscope_durable::{run_units, StoreError};
 use tlscope_obs::Progress;
 use tlscope_servers::ServerPopulation;
 
 use crate::checkpoint::{self, DateCheckpoint};
 use crate::faults::ScanFaults;
 use crate::metrics::ScanMetrics;
-use crate::sweep::{quiet_thread_panics, sweep_faulted, sweep_sharded_with, ScanSnapshot};
+use crate::sweep::{sweep_sharded_with, ScanSnapshot};
 
 /// First Censys scan used by the paper.
 pub const CENSYS_START: Date = Date::ymd(2015, 8, 22);
@@ -79,41 +79,30 @@ impl ScanCampaign {
         self
     }
 
-    /// Run every sweep.
+    /// Run every sweep on one worker: [`ScanCampaign::run_parallel`]
+    /// with its accounting discarded.
     pub fn run(&self, population: &ServerPopulation) -> Vec<ScanSnapshot> {
-        self.dates
-            .iter()
-            .map(|d| {
-                sweep_faulted(
-                    population,
-                    *d,
-                    self.hosts_per_sweep,
-                    self.seed,
-                    &self.faults,
-                )
-            })
-            .collect()
+        self.run_parallel(population, 1, &ScanMetrics::new())
     }
 
     /// Run every sweep across `workers` threads, recording scan
     /// accounting into `metrics`.
     ///
-    /// Whole sweep dates are claimed from an atomic work index — the
-    /// same distribution as the passive pipeline's metered run — so a
-    /// long campaign parallelises across its dates rather than inside
-    /// each sweep. Host sampling and fault draws are counter-based per
-    /// `(seed, date, host index)`, so every sweep (and therefore the
-    /// whole campaign) is bit-identical to [`ScanCampaign::run`] at
-    /// any worker count, and snapshots come back in date order
-    /// regardless of which worker finished first.
+    /// Each sweep date is one unit of [`run_units`], the runner the
+    /// passive study's months go through: workers claim whole dates,
+    /// so a long campaign parallelises across its dates rather than
+    /// inside each sweep. Host sampling and fault draws are
+    /// counter-based per `(seed, date, host index)`, so every sweep
+    /// (and therefore the whole campaign) is bit-identical at any
+    /// worker count, and snapshots come back in date order regardless
+    /// of which worker finished first.
     ///
-    /// A campaign worker that dies forfeits only the dates it had not
-    /// finished: survivors keep draining the queue, and any date left
-    /// unswept is re-swept inline afterwards. Counter-based sampling
-    /// makes the recovery sweep bit-identical to the one that was
-    /// lost, so the returned snapshots match a clean run exactly; the
-    /// loss shows up in `metrics` (`workers_lost`, and any accounting
-    /// the dead worker had already committed), never in the data.
+    /// The date is the panic boundary ([`sweep_sharded_with`]): a host
+    /// that panics costs that host, counted as dispatched and dropped.
+    /// A date lost outside the boundary (its worker died) is missing
+    /// from the series and counted in `workers_lost`, so a campaign
+    /// that returns with no worker lost has dispatched
+    /// `hosts_per_sweep` hosts on every date.
     pub fn run_parallel(
         &self,
         population: &ServerPopulation,
@@ -149,7 +138,7 @@ impl ScanCampaign {
         metrics: &ScanMetrics,
         checkpoint_dir: Option<&Path>,
     ) -> Result<Vec<ScanSnapshot>, StoreError> {
-        let mut ordered: Vec<Option<ScanSnapshot>> = vec![None; self.dates.len()];
+        let mut series: Vec<Option<ScanSnapshot>> = vec![None; self.dates.len()];
         // Resume: adopt completed dates from the store. Snapshots fill
         // their slots; stored ledgers replay into the campaign bag so
         // totals match an uninterrupted run exactly.
@@ -158,23 +147,17 @@ impl ScanCampaign {
             let mut store = checkpoint::load_dir(dir)?;
             metrics.observe_checkpoint_load(load_started.elapsed());
             let mut loaded = 0u64;
-            for (idx, date) in self.dates.iter().enumerate() {
-                if ordered[idx].is_none() {
-                    if let Some(ckpt) = store.completed.remove(date) {
-                        metrics.absorb(&ckpt.ledger);
-                        ordered[idx] = Some(ckpt.snapshot);
-                        loaded += 1;
-                    }
+            for (slot, date) in series.iter_mut().zip(&self.dates) {
+                if let Some(ckpt) = store.completed.remove(date) {
+                    metrics.absorb(&ckpt.ledger);
+                    *slot = Some(ckpt.snapshot);
+                    loaded += 1;
                 }
             }
             metrics.record_checkpoints_loaded(loaded);
             metrics.record_checkpoints_quarantined(store.quarantined.len() as u64);
         }
-
-        // Live-progress state: dates already adopted from checkpoints
-        // count as done, and every completed sweep ticks the counter.
-        // Purely observational — the heartbeat thread only reads it.
-        let dates_done = AtomicU64::new(ordered.iter().filter(|s| s.is_some()).count() as u64);
+        let pending: Vec<usize> = (0..series.len()).filter(|&i| series[i].is_none()).collect();
         let progress =
             Progress::from_env("scan-campaign", self.dates.len() as u64, "dates", "hosts");
 
@@ -185,168 +168,68 @@ impl ScanCampaign {
         // additive, campaign totals are unchanged by the indirection.
         // Latency histograms are merged separately: the stored ledger
         // never carries timing, so resume replays counters only.
-        let sweep_date = |date: Date, faults: &ScanFaults| -> Result<ScanSnapshot, StoreError> {
-            let date_metrics = ScanMetrics::new();
-            let snapshot = sweep_sharded_with(
-                population,
-                date,
-                self.hosts_per_sweep,
-                self.seed,
-                1,
-                &date_metrics,
-                faults,
-            );
-            let ledger = date_metrics.snapshot();
-            metrics.absorb(&ledger);
-            metrics.merge_latency_from(&date_metrics);
-            if let Some(dir) = checkpoint_dir {
-                let write_started = Instant::now();
-                checkpoint::write_date(
-                    dir,
-                    &DateCheckpoint {
-                        snapshot: snapshot.clone(),
-                        ledger,
-                    },
-                )?;
-                metrics.observe_checkpoint_write(write_started.elapsed());
-                metrics.record_checkpoint_written();
-            }
-            dates_done.fetch_add(1, Ordering::Relaxed);
-            Ok(snapshot)
-        };
-
-        let pending: Vec<usize> = ordered
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_none())
-            .map(|(idx, _)| idx)
-            .collect();
-        let workers = workers.max(1).min(pending.len().max(1));
-
-        // The opt-in heartbeat ticks on its own scoped thread for the
-        // whole remaining campaign (sweeps, survivor-merge, recovery);
-        // when disabled no thread is spawned at all.
-        let stop_heartbeat = AtomicBool::new(false);
-        let result = std::thread::scope(|heartbeat_scope| {
-            if progress.is_enabled() {
-                heartbeat_scope.spawn(|| {
-                    progress.run_ticker(&stop_heartbeat, || {
-                        (
-                            dates_done.load(Ordering::Relaxed),
-                            metrics.snapshot().hosts_probed,
-                        )
-                    })
-                });
-            }
-            let result =
-                self.run_pending_dates(workers, &pending, &mut ordered, metrics, &sweep_date);
-            stop_heartbeat.store(true, Ordering::Release);
-            result
-        });
-        result?;
-        Ok(ordered
-            .into_iter()
-            .map(|s| s.expect("all slots filled"))
-            .collect())
-    }
-
-    /// Sweep every index in `pending` into its `ordered` slot via
-    /// `sweep_date`: inline when `workers <= 1`, otherwise across a
-    /// worker scope with survivor-merge and an inline recovery pass
-    /// for dates lost to dead workers.
-    fn run_pending_dates(
-        &self,
-        workers: usize,
-        pending: &[usize],
-        ordered: &mut [Option<ScanSnapshot>],
-        metrics: &ScanMetrics,
-        sweep_date: &(impl Fn(Date, &ScanFaults) -> Result<ScanSnapshot, StoreError> + Sync),
-    ) -> Result<(), StoreError> {
-        if workers <= 1 {
-            for &idx in pending {
-                ordered[idx] = Some(sweep_date(self.dates[idx], &self.faults)?);
-            }
-            return Ok(());
-        }
-
-        let next = AtomicUsize::new(0);
-        // First checkpoint-write failure; workers stop claiming dates
-        // once it is set and the error surfaces after the scope joins.
-        let ckpt_error: Mutex<Option<StoreError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            if ckpt_error
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .is_some()
-                            {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&idx) = pending.get(i) else {
-                                break;
-                            };
-                            let date = self.dates[idx];
-                            if self.faults.panic_on_date == Some(date) {
-                                // Campaign-level failpoint: this worker
-                                // dies before sweeping, losing the date
-                                // and anything still in its `done` pile.
-                                quiet_thread_panics(true);
-                                panic!("scan fault failpoint: date {date}");
-                            }
-                            match sweep_date(date, &self.faults) {
-                                Ok(snap) => done.push((idx, snap)),
-                                Err(e) => {
-                                    let mut guard =
-                                        ckpt_error.lock().unwrap_or_else(|p| p.into_inner());
-                                    guard.get_or_insert(e);
-                                    break;
-                                }
-                            }
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                // Survivor-merge: a dead worker costs its unreturned
-                // dates (recovered below), never the campaign.
-                match h.join() {
-                    Ok(done) => {
-                        for (idx, snap) in done {
-                            ordered[idx] = Some(snap);
-                        }
-                    }
-                    Err(_) => metrics.record_worker_lost(),
+        let ran = run_units(
+            pending.len(),
+            workers,
+            &progress,
+            || metrics.snapshot().hosts_probed,
+            |i| {
+                let date = self.dates[pending[i]];
+                let date_metrics = ScanMetrics::new();
+                let snapshot = sweep_sharded_with(
+                    population,
+                    date,
+                    self.hosts_per_sweep,
+                    self.seed,
+                    1,
+                    &date_metrics,
+                    &self.faults,
+                );
+                let ledger = date_metrics.snapshot();
+                if let Some(dir) = checkpoint_dir {
+                    let write_started = Instant::now();
+                    checkpoint::write_date(
+                        dir,
+                        &DateCheckpoint {
+                            snapshot: snapshot.clone(),
+                            ledger,
+                        },
+                    )?;
+                    metrics.observe_checkpoint_write(write_started.elapsed());
+                    metrics.record_checkpoint_written();
                 }
-            }
-        });
-        if let Some(e) = ckpt_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            return Err(e);
+                metrics.absorb(&ledger);
+                metrics.merge_latency_from(&date_metrics);
+                Ok(snapshot)
+            },
+            |done: &mut Vec<(usize, ScanSnapshot)>, i, snapshot| done.push((pending[i], snapshot)),
+        )?;
+        for _ in 0..ran.workers_lost {
+            metrics.record_worker_lost();
         }
-        // Recovery pass: re-sweep any date a dead worker left behind.
-        // The failpoint is cleared so recovery cannot re-trip it; the
-        // fault *profile* stays, so the recovered snapshot is exactly
-        // the one the lost worker would have produced (counter-based
-        // sampling). Recovered dates are checkpointed like any other.
-        let mut recovery = self.faults;
-        recovery.panic_on_date = None;
-        for (idx, slot) in ordered.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(sweep_date(self.dates[idx], &recovery)?);
-            }
+        for (slot, snapshot) in ran.parts.into_iter().flatten() {
+            series[slot] = Some(snapshot);
         }
-        Ok(())
+        Ok(series.into_iter().flatten().collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The campaign swept by hand, one date at a time.
+    fn by_hand(campaign: &ScanCampaign, pop: &ServerPopulation) -> Vec<ScanSnapshot> {
+        let (hosts, seed) = (campaign.hosts_per_sweep, campaign.seed);
+        campaign
+            .dates
+            .iter()
+            .map(|&date| {
+                let metrics = ScanMetrics::new();
+                sweep_sharded_with(pop, date, hosts, seed, 1, &metrics, &campaign.faults)
+            })
+            .collect()
+    }
 
     #[test]
     fn weekly_schedule_covers_window() {
@@ -383,7 +266,7 @@ mod tests {
             faults: ScanFaults::none(),
         };
         let pop = ServerPopulation::new();
-        let serial = campaign.run(&pop);
+        let serial = by_hand(&campaign, &pop);
         for workers in [1usize, 2, 5, 8] {
             let metrics = ScanMetrics::new();
             let parallel = campaign.run_parallel(&pop, workers, &metrics);
@@ -404,7 +287,7 @@ mod tests {
             faults: ScanFaults::stress(),
         };
         let pop = ServerPopulation::new();
-        let serial = campaign.run(&pop);
+        let serial = by_hand(&campaign, &pop);
         for workers in [1usize, 3, 6] {
             let metrics = ScanMetrics::new();
             let parallel = campaign.run_parallel(&pop, workers, &metrics);
@@ -413,34 +296,6 @@ mod tests {
             assert!(s.accounting_holds(), "{s:?}");
             assert!(s.hosts_dropped > 0, "{s:?}");
             assert!(s.probes_timed_out > 0, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn killed_campaign_worker_recovers_every_date() {
-        let dates = schedule(Date::ymd(2016, 1, 1), Date::ymd(2016, 6, 1), 30);
-        let killed = dates[2];
-        let clean = ScanCampaign {
-            dates: dates.clone(),
-            hosts_per_sweep: 300,
-            seed: 17,
-            faults: ScanFaults::none(),
-        };
-        let campaign = clean.clone().with_faults(ScanFaults {
-            panic_on_date: Some(killed),
-            ..ScanFaults::none()
-        });
-        let pop = ServerPopulation::new();
-        let expected = clean.run(&pop);
-        for workers in [2usize, 4] {
-            let metrics = ScanMetrics::new();
-            let snaps = campaign.run_parallel(&pop, workers, &metrics);
-            // Degraded, not panicked — and the recovery sweep restores
-            // the killed date bit-for-bit.
-            assert_eq!(snaps, expected, "workers = {workers}");
-            let s = metrics.snapshot();
-            assert!(s.workers_lost >= 1, "{s:?}");
-            assert!(s.accounting_holds(), "{s:?}");
         }
     }
 

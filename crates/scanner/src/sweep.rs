@@ -7,15 +7,15 @@
 //! 2015-Chrome offer (CBC / RC4 / 3DES / AEAD), export support,
 //! Heartbeat support, and residual Heartbleed vulnerability.
 //!
-//! ## Determinism and sharding
+//! ## Determinism
 //!
 //! Host sampling is *counter-based*: host `i` of a sweep draws its
 //! profile from a private RNG stream derived by SplitMix64 from
 //! `(seed, date, i)` — the same construction as the fault injector's
 //! outage windows. No host's draw depends on any other host's, so a
-//! sweep can be split across any number of workers at any chunk
-//! boundary and, because [`ScanSnapshot::merge`] is a commutative
-//! integer sum, the sharded result is bit-identical to the serial one.
+//! sweep folded host by host into one-host partials and summed with
+//! [`ScanSnapshot::merge`] (a commutative integer sum) equals the
+//! sweep folded in one pass, bit for bit.
 //!
 //! ## Fault model and the retry layer
 //!
@@ -27,37 +27,35 @@
 //! ([`MAX_PROBE_ATTEMPTS`]): transient failures are retried, exhausted
 //! hosts are counted as `hosts_dropped`, timed-out probes as
 //! `probes_timed_out`. Because retry draws are keyed by attempt
-//! number, the faulted sweep remains bit-identical across any shard
-//! boundary.
+//! number, a host probed alone fails or recovers exactly as it does
+//! in the full sweep.
 //!
-//! ## Worker death
+//! ## The panic boundary
 //!
-//! Every chunk of work runs behind a panic boundary and commits its
-//! accounting only when it completes: a panicking chunk is recorded as
-//! dropped in full, the worker retires, and the surviving workers'
-//! partials still merge — a dead worker costs its in-flight chunk,
-//! never the sweep (the passive study runner puts the same boundary on
-//! the month).
+//! A sweep date, like an SSL-Pulse survey, is one unit of the shared
+//! runner ([`tlscope_durable::run_units`]) and is folded into a fresh
+//! snapshot behind a panic boundary ([`tlscope_durable::isolate`]).
+//! When the fold panics, the attempt is discarded and the date is
+//! replayed host by host, each host into a one-host partial behind its
+//! own boundary. A host that panics alone is counted as dispatched and
+//! dropped and named in a flight report by `(date, host index)`; the
+//! date keeps every other host, so it equals the clean sweep minus
+//! that host. The date's accounting is committed once, after its fold.
+//! The passive study runner puts the same boundary on the month.
 
 use std::ops::Range;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlscope_chron::Date;
+use tlscope_durable::{isolate, run_units};
+use tlscope_obs::Progress;
 use tlscope_servers::{negotiate, ParamsCache, ServerPopulation, ServerProfile};
 
 use crate::faults::{ScanFaults, MAX_PROBE_ATTEMPTS};
 use crate::metrics::ScanMetrics;
 use crate::probe::ProbeSet;
-
-/// Hosts claimed per work-queue fetch in a sharded sweep: small enough
-/// to balance the tail, large enough that the atomic is cold. Also the
-/// unit of loss when a worker dies: accounting commits per chunk, so a
-/// panic costs exactly the in-flight chunk.
-const SHARD_CHUNK: u64 = 512;
 
 /// Results of one full sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,8 +108,8 @@ impl ScanSnapshot {
 
     /// Fold another partial snapshot of the *same sweep* into this
     /// one. Pure integer sums, so merging is commutative and
-    /// associative: any shard order reproduces the serial result
-    /// bit for bit.
+    /// associative: a replay's one-host partials, merged in any order,
+    /// reproduce the one-pass sweep bit for bit.
     ///
     /// # Panics
     /// When the dates differ — partials from different sweeps are a
@@ -170,7 +168,7 @@ impl ProbeFlight {
 /// SplitMix64 seed expansion — the same stateless construction the
 /// fault injector uses for outage windows, so a host's profile draw is
 /// a pure function of `(seed, date, index)` independent of worker
-/// count, chunking, and visit order.
+/// count, replay, and visit order.
 fn host_rng(seed: u64, date: Date, index: u64) -> SmallRng {
     let days = date.to_epoch_days() as u64;
     let mut z =
@@ -309,7 +307,7 @@ fn probe_indexed_host(
     snap: &mut ScanSnapshot,
 ) -> (HostOutcome, u64) {
     // Flight-recorder breadcrumb before anything can die: if this host
-    // (or the failpoint below) panics the worker, the chunk postmortem
+    // (or the failpoint below) panics, the report of the date's replay
     // shows which host was in flight.
     tlscope_obs::flight::record("host", index, date.to_epoch_days() as u64, seed);
     if faults.panic_on_host == Some(index) {
@@ -332,16 +330,28 @@ fn probe_indexed_host(
     (HostOutcome::Dropped, (MAX_PROBE_ATTEMPTS - 1) as u64)
 }
 
-/// Accounting for one committed chunk of hosts (or survey sites).
+/// Accounting for one folded range of hosts (or survey sites).
 #[derive(Debug, Clone, Copy, Default)]
-struct ChunkLedger {
+struct RangeLedger {
     probed: u64,
     dropped: u64,
     retries: u64,
     flight: ProbeFlight,
 }
 
-/// Probe the half-open host-index range `range` into a fresh partial.
+impl RangeLedger {
+    fn add(&mut self, other: RangeLedger) {
+        self.probed += other.probed;
+        self.dropped += other.dropped;
+        self.retries += other.retries;
+        self.flight.add(other.flight);
+    }
+}
+
+/// Probe host indices `range` of the sweep at `(seed, date)` into
+/// `snap`. Every host of a sweep shares its date, so `cache` computes
+/// each cohort's curves once per date, not per host.
+#[allow(clippy::too_many_arguments)]
 fn sweep_range(
     population: &ServerPopulation,
     probes: &ProbeSet,
@@ -349,14 +359,12 @@ fn sweep_range(
     date: Date,
     range: Range<u64>,
     seed: u64,
+    cache: &mut ParamsCache,
     snap: &mut ScanSnapshot,
-) -> ChunkLedger {
-    let mut ledger = ChunkLedger::default();
-    // One memo per chunk: every host of a sweep shares its date, so
-    // the cohort curves are computed once per cohort, not per host.
-    let mut cache = ParamsCache::default();
+) -> RangeLedger {
+    let mut ledger = RangeLedger::default();
     for index in range {
-        let sample = || population.sample_host(&mut cache, date, &mut host_rng(seed, date, index));
+        let sample = || population.sample_host(cache, date, &mut host_rng(seed, date, index));
         let (outcome, retries) =
             probe_indexed_host(sample, probes, faults, date, index, seed, snap);
         ledger.retries += retries;
@@ -371,224 +379,120 @@ fn sweep_range(
     ledger
 }
 
-// Supervised chunk panics share the process-wide quiet hook with the
-// passive pipeline (both live in `tlscope_durable`).
-pub(crate) use tlscope_durable::quiet_thread_panics;
-
-/// Run one chunk behind a panic boundary and commit its accounting.
+/// Fold hosts `0..hosts` of the sweep (or survey) at `date` into a
+/// fresh snapshot behind a panic boundary, then commit the date's
+/// accounting into `metrics` at once.
 ///
-/// Dispatch and probe/drop counters for the chunk are recorded
-/// *together, after the chunk completes*, so the ledger balances at
-/// every observable point — there is no window where hosts are
-/// dispatched but unaccounted. On panic the whole chunk is recorded as
-/// dispatched-and-dropped, the worker is counted lost, and `false` is
-/// returned so the caller retires the worker.
-fn commit_chunk<S>(
-    range: Range<u64>,
-    metrics: &ScanMetrics,
-    make: &impl Fn() -> S,
-    chunk_fn: &impl Fn(Range<u64>, &mut S) -> ChunkLedger,
-    merge_fn: &impl Fn(&mut S, &S),
-    into: &mut S,
-) -> bool {
-    let (start, end) = (range.start, range.end);
-    let hosts = end - start;
-    let started = Instant::now();
-    quiet_thread_panics(true);
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut partial = make();
-        let ledger = chunk_fn(range, &mut partial);
-        (partial, ledger)
-    }));
-    quiet_thread_panics(false);
-    match result {
-        Ok((partial, ledger)) => {
-            metrics.record_dispatched(hosts);
-            metrics.record_probed(
-                ledger.probed,
-                ledger.flight.probes,
-                ledger.flight.completed,
-                ledger.flight.refused,
-                ledger.flight.timed_out,
-            );
-            if ledger.dropped > 0 {
-                metrics.record_dropped(ledger.dropped);
-            }
-            if ledger.retries > 0 {
-                metrics.record_retries(ledger.retries);
-            }
-            metrics.record_chunk(started.elapsed());
-            merge_fn(into, &partial);
-            true
-        }
-        Err(_) => {
-            metrics.record_dispatched(hosts);
-            metrics.record_dropped(hosts);
-            metrics.record_worker_lost();
-            tlscope_obs::flight::report(&format!(
-                "sweep chunk {start}..{end} lost to a panic ({hosts} hosts dropped)"
-            ));
-            false
-        }
-    }
-}
-
-/// The chunked host engine shared by IPv4 sweeps and pulse surveys:
-/// [`SHARD_CHUNK`]-sized index ranges claimed from an atomic work
-/// queue, each probed into a fresh partial behind a panic boundary and
-/// committed (accounting and merge) as a unit. `workers <= 1` runs the
-/// same chunk loop inline with no threads spawned; either way a
-/// panicking chunk is recorded as dropped and ends only its worker.
-fn run_chunked<S: Send>(
+/// `fold` probes a host range into a snapshot `fresh` made, sharing
+/// one [`ParamsCache`] for the whole date (a memo: a panic leaves only
+/// whole entries in it). When the fold panics, the attempt is
+/// discarded and the date replayed host by host, each host into a
+/// one-host partial behind its own boundary, and the partials summed
+/// with `merge`. A host that panics alone is counted as dispatched and
+/// dropped and named in a flight report.
+fn fold_supervised<S>(
+    date: Date,
     hosts: u64,
-    workers: usize,
     metrics: &ScanMetrics,
-    make: &(impl Fn() -> S + Sync),
-    chunk_fn: &(impl Fn(Range<u64>, &mut S) -> ChunkLedger + Sync),
-    merge_fn: &(impl Fn(&mut S, &S) + Sync),
+    fresh: impl Fn() -> S,
+    merge: impl Fn(&mut S, &S),
+    fold: impl Fn(&mut ParamsCache, Range<u64>, &mut S) -> RangeLedger,
 ) -> S {
-    tlscope_durable::install_quiet_panic_hook();
-    let mut total = make();
-    if workers <= 1 || hosts <= SHARD_CHUNK {
-        let mut claimed = 0u64;
-        while claimed < hosts {
-            let end = (claimed + SHARD_CHUNK).min(hosts);
-            if !commit_chunk(claimed..end, metrics, make, chunk_fn, merge_fn, &mut total) {
-                break;
-            }
-            claimed = end;
-        }
-        return total;
-    }
-
-    let next = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut partial = make();
-                    loop {
-                        let start = next.fetch_add(SHARD_CHUNK, Ordering::Relaxed);
-                        if start >= hosts {
-                            break;
-                        }
-                        let end = (start + SHARD_CHUNK).min(hosts);
-                        if !commit_chunk(
-                            start..end,
-                            metrics,
-                            make,
-                            chunk_fn,
-                            merge_fn,
-                            &mut partial,
-                        ) {
-                            break;
-                        }
+    let started = Instant::now();
+    let mut cache = ParamsCache::default();
+    let mut fold_fresh = |range| {
+        let mut snap = fresh();
+        let ledger = fold(&mut cache, range, &mut snap);
+        (snap, ledger)
+    };
+    let (snap, ledger) = match isolate(|| fold_fresh(0..hosts)) {
+        Some(folded) => folded,
+        None => {
+            let (mut snap, mut ledger) = (fresh(), RangeLedger::default());
+            for index in 0..hosts {
+                match isolate(|| fold_fresh(index..index + 1)) {
+                    Some((one, one_ledger)) => {
+                        merge(&mut snap, &one);
+                        ledger.add(one_ledger);
                     }
-                    partial
-                })
-            })
-            .collect();
-        for h in handles {
-            // Survivor-merge: chunk panics are caught inside the
-            // worker, so a join error means the worker died outside
-            // any chunk — count it and keep the survivors.
-            match h.join() {
-                Ok(partial) => merge_fn(&mut total, &partial),
-                Err(_) => metrics.record_worker_lost(),
+                    None => {
+                        ledger.dropped += 1;
+                        tlscope_obs::flight::report(&format!(
+                            "poison host quarantined (date {date}, host {index})"
+                        ));
+                    }
+                }
             }
+            (snap, ledger)
         }
-    });
-    total
+    };
+    metrics.record_dispatched(hosts);
+    let flight = ledger.flight;
+    metrics.record_probed(
+        ledger.probed,
+        flight.probes,
+        flight.completed,
+        flight.refused,
+        flight.timed_out,
+    );
+    metrics.record_dropped(ledger.dropped);
+    metrics.record_retries(ledger.retries);
+    metrics.record_sweep(started.elapsed());
+    snap
 }
 
-/// Sweep `hosts` random responsive servers at `date`, serially, with
-/// no faults.
-pub fn sweep(population: &ServerPopulation, date: Date, hosts: u32, seed: u64) -> ScanSnapshot {
-    sweep_sharded(population, date, hosts, seed, 1, &ScanMetrics::new())
-}
-
-/// Sweep `hosts` servers at `date`, serially, under `faults`.
-pub fn sweep_faulted(
-    population: &ServerPopulation,
-    date: Date,
-    hosts: u32,
-    seed: u64,
-    faults: &ScanFaults,
-) -> ScanSnapshot {
-    sweep_sharded_with(
-        population,
-        date,
-        hosts,
-        seed,
-        1,
-        &ScanMetrics::new(),
-        faults,
-    )
-}
-
-/// Sweep `hosts` servers at `date` across `workers` threads, with no
-/// faults (see [`sweep_sharded_with`]).
-pub fn sweep_sharded(
-    population: &ServerPopulation,
-    date: Date,
-    hosts: u32,
-    seed: u64,
-    workers: usize,
-    metrics: &ScanMetrics,
-) -> ScanSnapshot {
-    sweep_sharded_with(
-        population,
-        date,
-        hosts,
-        seed,
-        workers,
-        metrics,
-        &ScanFaults::none(),
-    )
-}
-
-/// Sweep `hosts` servers at `date` across `workers` threads under the
-/// fault model.
+/// Sweep `hosts` servers at `date` under the fault model, recording
+/// the date's accounting into `metrics`: the one date sweep the
+/// campaign runs, behind the date's panic boundary (see the module
+/// docs).
 ///
-/// Host indices are claimed in [`SHARD_CHUNK`]-sized blocks from an
-/// atomic work index; each worker folds its blocks into a private
-/// partial snapshot behind a per-chunk panic boundary, and the
-/// partials are merged at the end. Because host sampling and every
-/// fault draw are counter-based and the merge is a commutative sum,
-/// the result is bit-identical to the serial sweep at any worker count
-/// and under any fault profile. A dead worker costs its in-flight
-/// chunk (recorded as `hosts_dropped`); the sweep still completes.
-/// `workers <= 1` runs the chunk loop inline with no threads spawned.
+/// `workers` is ignored: a date's hosts are swept in one pass, and
+/// campaigns parallelise across dates instead. The argument stays so
+/// existing callers keep compiling.
 pub fn sweep_sharded_with(
     population: &ServerPopulation,
     date: Date,
     hosts: u32,
     seed: u64,
-    workers: usize,
+    _workers: usize,
     metrics: &ScanMetrics,
     faults: &ScanFaults,
 ) -> ScanSnapshot {
     let probes = ProbeSet::campaign();
-    let hosts = hosts as u64;
-    let started = Instant::now();
-    let snap = run_chunked(
-        hosts,
-        workers,
+    fold_supervised(
+        date,
+        hosts as u64,
         metrics,
-        &|| ScanSnapshot::new(date),
-        &|range, snap: &mut ScanSnapshot| {
-            sweep_range(population, &probes, faults, date, range, seed, snap)
+        || ScanSnapshot::new(date),
+        ScanSnapshot::merge,
+        |cache, range, snap| {
+            sweep_range(population, &probes, faults, date, range, seed, cache, snap)
         },
-        &|a: &mut ScanSnapshot, b: &ScanSnapshot| a.merge(b),
-    );
-    metrics.record_sweep(started.elapsed());
-    snap
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::{schedule, ScanCampaign, CENSYS_START};
+    use crate::ScanMetricsSnapshot;
+    use proptest::prelude::*;
+    use std::sync::Mutex;
     use tlscope_servers::Quirk;
+
+    /// A fault-free sweep, its accounting discarded.
+    fn sweep(population: &ServerPopulation, date: Date, hosts: u32, seed: u64) -> ScanSnapshot {
+        let metrics = ScanMetrics::new();
+        sweep_sharded_with(
+            population,
+            date,
+            hosts,
+            seed,
+            1,
+            &metrics,
+            &ScanFaults::none(),
+        )
+    }
 
     #[test]
     fn snapshot_percentages() {
@@ -652,27 +556,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_is_bit_identical_to_serial() {
-        let pop = ServerPopulation::new();
-        let date = Date::ymd(2016, 9, 1);
-        let serial = sweep(&pop, date, 2500, 9);
-        for workers in [2usize, 3, 8] {
-            let metrics = ScanMetrics::new();
-            let sharded = sweep_sharded(&pop, date, 2500, 9, workers, &metrics);
-            assert_eq!(serial, sharded, "workers = {workers}");
-            let s = metrics.snapshot();
-            assert!(s.accounting_holds(), "{s:?}");
-            assert_eq!(s.hosts_probed, 2500);
-            assert_eq!(s.hosts_dropped, 0);
-            assert_eq!(s.probes_sent, 3 * 2500);
-        }
-    }
-
-    #[test]
     fn zero_host_sweep_is_empty() {
         let pop = ServerPopulation::new();
         let metrics = ScanMetrics::new();
-        let snap = sweep_sharded(&pop, Date::ymd(2017, 3, 1), 0, 5, 4, &metrics);
+        let faults = ScanFaults::none();
+        let snap = sweep_sharded_with(&pop, Date::ymd(2017, 3, 1), 0, 5, 4, &metrics, &faults);
         assert_eq!(snap, ScanSnapshot::new(Date::ymd(2017, 3, 1)));
         assert!(metrics.snapshot().accounting_holds());
         assert_eq!(metrics.snapshot().sweeps_completed, 1);
@@ -713,21 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_sweep_is_shard_invariant() {
-        let pop = ServerPopulation::new();
-        let date = Date::ymd(2017, 2, 1);
-        for faults in [ScanFaults::scan_defaults(), ScanFaults::stress()] {
-            let serial = sweep_faulted(&pop, date, 2000, 21, &faults);
-            for workers in [2usize, 5, 8] {
-                let metrics = ScanMetrics::new();
-                let sharded = sweep_sharded_with(&pop, date, 2000, 21, workers, &metrics, &faults);
-                assert_eq!(serial, sharded, "workers = {workers}");
-                assert!(metrics.snapshot().accounting_holds());
-            }
-        }
-    }
-
-    #[test]
     fn default_fault_rates_are_light() {
         let pop = ServerPopulation::new();
         let metrics = ScanMetrics::new();
@@ -739,48 +612,163 @@ mod tests {
         assert!(s.hosts_dropped > 0 && s.hosts_dropped < 400, "{s:?}");
     }
 
-    #[test]
-    fn dead_worker_costs_its_chunk_not_the_sweep() {
-        let pop = ServerPopulation::new();
-        let date = Date::ymd(2016, 9, 1);
-        // Host 700 lives in chunk [512, 1024): that chunk's worker
-        // panics, the chunk is dropped, everything else completes.
-        let faults = ScanFaults {
-            panic_on_host: Some(700),
-            ..ScanFaults::none()
-        };
-        for workers in [2usize, 4, 8] {
-            let metrics = ScanMetrics::new();
-            let snap = sweep_sharded_with(&pop, date, 3000, 9, workers, &metrics, &faults);
-            let s = metrics.snapshot();
-            assert!(s.accounting_holds(), "{s:?}");
-            assert_eq!(s.hosts_dispatched, 3000, "workers = {workers}");
-            assert_eq!(s.hosts_dropped, 512, "workers = {workers}: {s:?}");
-            assert_eq!(s.hosts_probed, 3000 - 512);
-            assert_eq!(s.workers_lost, 1);
-            assert_eq!(snap.hosts, 3000 - 512);
+    /// Serialises the tests that file flight reports: the black box is
+    /// process-wide, and the poison tests drain it.
+    static FLIGHT_BOX: Mutex<()> = Mutex::new(());
+
+    /// The sweep at `(seed, date)` over every host but `poison`,
+    /// through the private range sweep: what a poisoned date must
+    /// equal.
+    fn swept_without(
+        population: &ServerPopulation,
+        faults: &ScanFaults,
+        date: Date,
+        hosts: u64,
+        seed: u64,
+        poison: u64,
+    ) -> (ScanSnapshot, RangeLedger) {
+        let probes = ProbeSet::campaign();
+        let mut cache = ParamsCache::default();
+        let mut snap = ScanSnapshot::new(date);
+        let mut ledger = RangeLedger::default();
+        for range in [0..poison, poison + 1..hosts] {
+            let part = sweep_range(
+                population, &probes, faults, date, range, seed, &mut cache, &mut snap,
+            );
+            ledger.add(part);
         }
+        (snap, ledger)
+    }
+
+    /// The ledger counters a resume replays: everything but the clock
+    /// and this run's checkpoint bookkeeping.
+    fn ledger_core(s: &ScanMetricsSnapshot) -> [u64; 9] {
+        [
+            s.hosts_dispatched,
+            s.hosts_probed,
+            s.hosts_dropped,
+            s.host_retries,
+            s.probes_sent,
+            s.handshakes_completed,
+            s.handshakes_refused,
+            s.probes_timed_out,
+            s.sweeps_completed,
+        ]
     }
 
     #[test]
-    fn serial_chunk_panic_degrades_and_accounts() {
-        // In the inline (workers = 1) path the panicking chunk ends
-        // the sweep early: its chunk is dropped, later chunks are
-        // never dispatched, and the ledger still balances.
+    fn poison_host_costs_that_host_alone() {
+        let _flight_box = FLIGHT_BOX.lock().unwrap_or_else(|p| p.into_inner());
         let pop = ServerPopulation::new();
-        let metrics = ScanMetrics::new();
+        let date = Date::ymd(2016, 9, 1);
         let faults = ScanFaults {
             panic_on_host: Some(700),
             ..ScanFaults::none()
         };
-        let snap = sweep_sharded_with(&pop, Date::ymd(2016, 9, 1), 3000, 9, 1, &metrics, &faults);
+        let metrics = ScanMetrics::new();
+        let snap = sweep_sharded_with(&pop, date, 3000, 9, 1, &metrics, &faults);
+        let (expected, _) = swept_without(&pop, &faults, date, 3000, 9, 700);
+        assert_eq!(snap, expected);
         let s = metrics.snapshot();
         assert!(s.accounting_holds(), "{s:?}");
-        assert_eq!(s.hosts_dispatched, 1024);
-        assert_eq!(s.hosts_probed, 512);
-        assert_eq!(s.hosts_dropped, 512);
-        assert_eq!(s.workers_lost, 1);
-        assert_eq!(snap.hosts, 512);
+        assert_eq!(s.hosts_dispatched, 3000);
+        assert_eq!((s.hosts_probed, s.hosts_dropped), (2999, 1));
+        assert_eq!(s.workers_lost, 0);
+        assert_eq!(snap.hosts, 2999);
+        let reports = tlscope_obs::flight::drain_reports();
+        let named = format!("(date {date}, host 700)");
+        assert!(reports.iter().any(|r| r.contains(&named)), "{reports:?}");
+    }
+
+    fn unique_dir(seed: u64) -> std::path::PathBuf {
+        let t = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        let pid = std::process::id();
+        std::env::temp_dir().join(format!("tlscope-poison-host-{seed}-{pid}-{t}"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// A host that panics the sweep costs that host and nothing
+        /// else: at every worker count 1–8, under every fault profile,
+        /// with and without a checkpoint store, each date equals the
+        /// same date swept without that host, the ledger counts it
+        /// dispatched and dropped on every date and balances, no worker
+        /// is lost, a flight report names each `(date, host)`, and a
+        /// resume over the store returns the same series and ledger.
+        #[test]
+        fn poison_host_is_quarantined_alone(
+            seed in 0u64..1_000_000,
+            hosts in 200u32..=600,
+            months in 2i64..=4,
+            draw in 0u64..1_000_000,
+        ) {
+            let _flight_box = FLIGHT_BOX.lock().unwrap_or_else(|p| p.into_inner());
+            let pop = ServerPopulation::new();
+            let dates = schedule(CENSYS_START, CENSYS_START.add_days(30 * (months - 1)), 30);
+            let n = dates.len() as u64;
+            let poison = draw % hosts as u64;
+            for faults in [
+                ScanFaults::none(),
+                ScanFaults::scan_defaults(),
+                ScanFaults::stress(),
+            ] {
+                let mut expected = Vec::new();
+                let mut core = [hosts as u64 * n, 0, n, 0, 0, 0, 0, 0, n];
+                for &date in &dates {
+                    let (snap, l) = swept_without(&pop, &faults, date, hosts as u64, seed, poison);
+                    expected.push(snap);
+                    for (slot, count) in core[1..8].iter_mut().zip([
+                        l.probed,
+                        l.dropped,
+                        l.retries,
+                        l.flight.probes,
+                        l.flight.completed,
+                        l.flight.refused,
+                        l.flight.timed_out,
+                    ]) {
+                        *slot += count;
+                    }
+                }
+                let campaign = ScanCampaign {
+                    dates: dates.clone(),
+                    hosts_per_sweep: hosts,
+                    seed,
+                    faults: ScanFaults {
+                        panic_on_host: Some(poison),
+                        ..faults
+                    },
+                };
+                for workers in 1..=8 {
+                    for dir in [None, Some(unique_dir(seed))] {
+                        let metrics = ScanMetrics::new();
+                        let series = campaign.run_durable(&pop, workers, &metrics, dir.as_deref());
+                        prop_assert!(series.is_ok(), "{:?}", series.err());
+                        prop_assert_eq!(series.unwrap(), expected.clone(), "workers={} {:?}", workers, faults);
+                        let s = metrics.snapshot();
+                        prop_assert!(s.accounting_holds(), "{:?}", s);
+                        prop_assert_eq!(ledger_core(&s), core);
+                        prop_assert_eq!(s.workers_lost, 0);
+                        let reports = tlscope_obs::flight::drain_reports();
+                        for date in &dates {
+                            let named = format!("(date {date}, host {poison})");
+                            prop_assert!(reports.iter().any(|r| r.contains(&named)), "{:?}", reports);
+                        }
+                        if let Some(dir) = dir {
+                            let resumed = ScanMetrics::new();
+                            let again = campaign.run_durable(&pop, workers, &resumed, Some(&dir));
+                            prop_assert_eq!(again.unwrap(), expected.clone());
+                            prop_assert_eq!(ledger_core(&resumed.snapshot()), core);
+                            prop_assert_eq!(resumed.snapshot().checkpoints_loaded, n);
+                            std::fs::remove_dir_all(&dir).ok();
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -838,24 +826,22 @@ impl PulseSnapshot {
 /// sweep's at the same `(seed, date)`.
 const PULSE_SALT: u64 = 0x9D15E;
 
-/// Probe the half-open site-index range of one pulse survey into a
-/// fresh partial. Site streams are salted with [`PULSE_SALT`], exactly
-/// as the serial survey always drew them — sharding does not move
-/// them.
+/// Probe site indices `range` of the pulse survey at `(seed, date)`
+/// into `snap`. Site streams are salted with [`PULSE_SALT`].
 fn pulse_range(
     probes: &ProbeSet,
     population: &ServerPopulation,
     date: Date,
     range: Range<u64>,
     seed: u64,
+    cache: &mut ParamsCache,
     snap: &mut PulseSnapshot,
-) -> ChunkLedger {
+) -> RangeLedger {
     use tlscope_servers::Destination;
-    let mut ledger = ChunkLedger::default();
-    let mut cache = ParamsCache::default();
+    let mut ledger = RangeLedger::default();
     for index in range {
         let mut rng = host_rng(seed ^ PULSE_SALT, date, index);
-        let profile = population.sample_for_traffic(&mut cache, Destination::Web, date, &mut rng);
+        let profile = population.sample_for_traffic(cache, Destination::Web, date, &mut rng);
         snap.sites += 1;
         ledger.probed += 1;
         ledger.flight.probes += 1;
@@ -881,67 +867,55 @@ fn pulse_range(
     ledger
 }
 
-/// Run one SSL Pulse-style survey at `date` across `workers` threads,
-/// with survey accounting recorded into `metrics` — the same chunked
-/// engine as [`sweep_sharded_with`], so surveys are visible to
-/// `repro --scan-stats` and a dead worker costs a chunk, not the
-/// survey. Site sampling keeps the [`PULSE_SALT`]-separated host
-/// streams bit-for-bit, so any worker count reproduces the serial
-/// survey exactly.
-pub fn pulse_survey_sharded(
+/// Run one SSL Pulse-style survey of `sites` sites per date of
+/// `dates`, spread over `workers` threads with one survey per unit of
+/// [`run_units`], and return them in date order.
+///
+/// Each survey is folded behind the same panic boundary as a sweep
+/// date and records its accounting into `metrics`, so surveys are
+/// visible to `repro --scan-stats`. Site streams are salted apart
+/// from the sweep's and depend on no worker count. A survey lost with
+/// its worker is missing from the result and counted in
+/// `workers_lost`.
+pub fn pulse_surveys(
     probes: &ProbeSet,
     population: &ServerPopulation,
-    date: Date,
+    dates: &[Date],
     sites: u32,
     seed: u64,
     workers: usize,
     metrics: &ScanMetrics,
-) -> PulseSnapshot {
-    let started = Instant::now();
-    let snap = run_chunked(
-        sites as u64,
+) -> Vec<PulseSnapshot> {
+    let progress = Progress::from_env("ssl-pulse", dates.len() as u64, "surveys", "sites");
+    let ran = run_units(
+        dates.len(),
         workers,
-        metrics,
-        &|| PulseSnapshot::new(date),
-        &|range, snap: &mut PulseSnapshot| pulse_range(probes, population, date, range, seed, snap),
-        &|a: &mut PulseSnapshot, b: &PulseSnapshot| a.merge(b),
-    );
-    metrics.record_sweep(started.elapsed());
-    snap
-}
-
-/// Run one SSL Pulse-style survey at `date` with a prepared probe set,
-/// serially and without metrics.
-pub fn pulse_survey_with(
-    probes: &ProbeSet,
-    population: &ServerPopulation,
-    date: Date,
-    sites: u32,
-    seed: u64,
-) -> PulseSnapshot {
-    pulse_survey_sharded(
-        probes,
-        population,
-        date,
-        sites,
-        seed,
-        1,
-        &ScanMetrics::new(),
+        &progress,
+        || metrics.snapshot().hosts_probed,
+        |i| {
+            let date = dates[i];
+            Ok(fold_supervised(
+                date,
+                sites as u64,
+                metrics,
+                || PulseSnapshot::new(date),
+                PulseSnapshot::merge,
+                |cache, range, snap| {
+                    pulse_range(probes, population, date, range, seed, cache, snap)
+                },
+            ))
+        },
+        |done: &mut Vec<(usize, PulseSnapshot)>, i, survey| done.push((i, survey)),
     )
-}
-
-/// Run one SSL Pulse-style survey at `date`.
-///
-/// Materialises a fresh [`ProbeSet`]; to survey many dates, prepare
-/// the set once and call [`pulse_survey_with`] (or
-/// [`pulse_survey_sharded`] for the metered, sharded engine).
-pub fn pulse_survey(
-    population: &ServerPopulation,
-    date: Date,
-    sites: u32,
-    seed: u64,
-) -> PulseSnapshot {
-    pulse_survey_with(&ProbeSet::campaign(), population, date, sites, seed)
+    .unwrap_or_else(|e| unreachable!("surveys write no store: {e}"));
+    for _ in 0..ran.workers_lost {
+        metrics.record_worker_lost();
+    }
+    let mut surveys = vec![None; dates.len()];
+    for (i, survey) in ran.parts.into_iter().flatten() {
+        surveys[i] = Some(survey);
+    }
+    surveys.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -952,8 +926,19 @@ mod pulse_tests {
     fn rc4_support_declines_like_ssl_pulse() {
         let pop = ServerPopulation::new();
         // Paper: 92.8 % (2013-10) → 19.1 % (2018).
-        let early = pulse_survey(&pop, Date::ymd(2013, 10, 1), 3000, 4);
-        let late = pulse_survey(&pop, Date::ymd(2018, 4, 1), 3000, 4);
+        let dates = [Date::ymd(2013, 10, 1), Date::ymd(2018, 4, 1)];
+        let surveys = pulse_surveys(
+            &ProbeSet::campaign(),
+            &pop,
+            &dates,
+            3000,
+            4,
+            1,
+            &ScanMetrics::new(),
+        );
+        let [early, late] = &surveys[..] else {
+            panic!("two surveys expected: {surveys:?}");
+        };
         let e = early.pct(early.rc4_supported);
         let l = late.pct(late.rc4_supported);
         assert!(e > 70.0, "early {e}");
@@ -963,32 +948,36 @@ mod pulse_tests {
         assert!(late.pct(late.rc4_only) < 2.0);
     }
 
+    /// Surveys run as units equal a hand-driven per-date loop over the
+    /// private site range, at every worker count, and every survey
+    /// lands in the ledger.
     #[test]
-    fn survey_is_deterministic_and_probe_set_invariant() {
-        let pop = ServerPopulation::new();
-        let date = Date::ymd(2015, 4, 1);
-        let a = pulse_survey(&pop, date, 500, 11);
-        let b = pulse_survey_with(&ProbeSet::campaign(), &pop, date, 500, 11);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sharded_survey_is_bit_identical_and_metered() {
+    fn surveys_match_a_hand_driven_per_date_loop() {
         let pop = ServerPopulation::new();
         let probes = ProbeSet::campaign();
-        let date = Date::ymd(2015, 4, 1);
-        let serial = pulse_survey(&pop, date, 2500, 11);
-        for workers in [1usize, 2, 4, 8] {
+        let dates: Vec<Date> = (2013..=2018).map(|y| Date::ymd(y, 4, 1)).collect();
+        let by_hand: Vec<PulseSnapshot> = dates
+            .iter()
+            .map(|&date| {
+                let mut snap = PulseSnapshot::new(date);
+                let mut cache = ParamsCache::default();
+                pulse_range(&probes, &pop, date, 0..700, 11, &mut cache, &mut snap);
+                snap
+            })
+            .collect();
+        let rc4: u64 = by_hand.iter().map(|s| s.rc4_supported).sum();
+        for workers in 1..=8 {
             let metrics = ScanMetrics::new();
-            let sharded = pulse_survey_sharded(&probes, &pop, date, 2500, 11, workers, &metrics);
-            assert_eq!(serial, sharded, "workers = {workers}");
+            let surveys = pulse_surveys(&probes, &pop, &dates, 700, 11, workers, &metrics);
+            assert_eq!(surveys, by_hand, "workers = {workers}");
             let s = metrics.snapshot();
             assert!(s.accounting_holds(), "{s:?}");
-            assert_eq!(s.hosts_dispatched, 2500);
-            assert_eq!(s.hosts_probed, 2500);
+            assert_eq!(s.hosts_dispatched, 6 * 700);
+            assert_eq!(s.hosts_probed, 6 * 700);
             // One probe per site, plus one more per RC4 supporter.
-            assert_eq!(s.probes_sent, 2500 + serial.rc4_supported);
-            assert_eq!(s.sweeps_completed, 1);
+            assert_eq!(s.probes_sent, 6 * 700 + rc4);
+            assert_eq!(s.sweeps_completed, 6);
+            assert_eq!(s.workers_lost, 0);
         }
     }
 }

@@ -10,14 +10,18 @@
 //! ```
 
 use tlscope::analysis::sections;
-use tlscope::scanner::{probe, ScanCampaign};
+use tlscope::scanner::{probe, ScanCampaign, ScanMetrics};
 use tlscope::servers::{negotiate, ParamsCache, ServerPopulation};
 
 fn main() {
     let population = ServerPopulation::new();
 
     eprintln!("running monthly scan campaign (2015-08 .. 2018-05) ...");
-    let snaps = ScanCampaign::censys_monthly(3_000, 0xCE9595).run(&population);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let metrics = ScanMetrics::new();
+    let snaps =
+        ScanCampaign::censys_monthly(3_000, 0xCE9595).run_parallel(&population, workers, &metrics);
+    assert_eq!(metrics.snapshot().workers_lost, 0, "a sweep date was lost");
     println!("{}", sections::censys_series(&snaps).to_ascii(72));
 
     let first = snaps.first().unwrap();
