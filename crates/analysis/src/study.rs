@@ -370,7 +370,6 @@ impl Study {
         metrics.record_duplicated(tally.duplicated);
         metrics.record_template(tally.template_hits, tally.template_misses);
         metrics.record_dispatched(dispatched);
-        // One month shard = one accounting batch.
         metrics.record_batch(ingested, scaled(ingest_time));
         metrics.record_parse_failures(partial.not_tls, partial.garbled_client);
         metrics.record_salvaged(partial.salvaged);
@@ -754,8 +753,8 @@ mod tests {
         assert_eq!(s.flows_dispatched, s.flows_ingested);
         assert_eq!(s.flows_lost(), 0);
         assert_eq!(s.shards_lost, 0);
-        // One accounting batch per month shard.
-        assert_eq!(s.batches_ingested, 3);
+        // One month latency sample per month shard.
+        assert_eq!(metrics.latency().month.count, 3);
         assert_eq!(
             s.flows_ingested,
             agg.total() + agg.not_tls + agg.garbled_client
@@ -918,7 +917,9 @@ mod tests {
                 cfg.faults = faults;
                 cfg.workers = 1;
                 let study = Study::new(cfg.clone());
-                let flows = study.generator().stream_month(month).count() as u64;
+                let mut stream = study.generator().stream_month(month);
+                while stream.next_flow().is_some() {}
+                let flows = stream.tally().flows;
                 if flows == 0 {
                     continue;
                 }

@@ -1,9 +1,9 @@
 //! pipeline/alloc — end-to-end generation→ingestion throughput and
 //! allocation bench.
 //!
-//! Unlike the criterion benches this is a plain `main` so it can emit a
-//! machine-readable trajectory file, `BENCH_pipeline.json`, at the
-//! workspace root. Run it with the counting allocator enabled:
+//! A plain `main`, so it can emit a machine-readable trajectory file,
+//! `BENCH_pipeline.json`, at the workspace root. Run it with the
+//! counting allocator enabled:
 //!
 //! ```text
 //! cargo bench -p tlscope-bench --bench alloc --features alloc-counter -- --fast
@@ -46,11 +46,10 @@ use std::time::{Duration, Instant};
 use tlscope::chron::Month;
 use tlscope::notary::conn::extract_with;
 use tlscope::notary::{
-    ingest_borrowed, ingest_flow, parse_cache_stats, ConnectionRecord, ExtractScratch,
-    NotaryAggregate, TappedFlow,
+    ingest_borrowed, parse_cache_stats, ConnectionRecord, ExtractScratch, NotaryAggregate,
 };
 use tlscope::obs::Progress;
-use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
+use tlscope::traffic::{ConnectionEvent, FaultInjector, Generator, TrafficConfig};
 
 /// Pre-PR measurement (commit a5f358f, this bench at 20k connections,
 /// month 2015-06, fault profile `none`), recorded before the zero-copy
@@ -61,7 +60,7 @@ const PRE_PR_INGEST_ALLOCS_PER_CONN: f64 = 53.988;
 const PRE_PR_PIPELINE_ALLOCS_PER_CONN: f64 = 102.089;
 const PRE_PR_PIPELINE_CONNS_PER_SEC: f64 = 97_929.0;
 
-/// Previous-PR fallback (owned `TappedFlow` roundtrip, 16.0 budget).
+/// Previous-PR fallback (owned-flow roundtrip, 16.0 budget).
 /// The emitted `baseline_prev_pr` is normally parsed at runtime from
 /// the committed `BENCH_pipeline.json`'s `pipeline` row — whatever the
 /// last PR recorded is the comparison point — and these constants only
@@ -100,10 +99,6 @@ fn generator(conns: u32) -> Generator {
         connections_per_month: conns,
         faults: FaultInjector::none(),
     })
-}
-
-fn flow_bytes(flow: &TappedFlow) -> u64 {
-    flow.client.len() as u64 + flow.server.as_ref().map_or(0, |s| s.len() as u64)
 }
 
 /// Previous-PR `(allocs_per_conn, conns_per_sec)` baseline, read from
@@ -153,13 +148,19 @@ fn main() {
     // Warm up thread-local scratch and lazy runtime state outside the
     // counted regions; `warm` also serves as the pre-built owned flow
     // set for the ingest stage.
-    let warm: Vec<TappedFlow> = gen.stream_month(month).map(TappedFlow::from).collect();
+    let warm: Vec<ConnectionEvent> = gen.month(month);
     let mut agg = NotaryAggregate::new();
     for flow in warm.iter().take(64) {
-        ingest_flow(&mut agg, flow);
+        ingest_borrowed(
+            &mut agg,
+            flow.date,
+            flow.port,
+            &flow.client_flow,
+            flow.server_flow.as_deref(),
+        );
     }
     drop(agg);
-    let total_bytes: u64 = warm.iter().map(flow_bytes).sum();
+    let total_bytes: u64 = warm.iter().map(ConnectionEvent::wire_bytes).sum();
 
     // --- Generation stage: borrowed pulls from stream scratch. ---
     let gen_stage = || {
@@ -180,8 +181,8 @@ fn main() {
                 &mut agg,
                 flow.date,
                 flow.port,
-                &flow.client,
-                flow.server.as_deref(),
+                &flow.client_flow,
+                flow.server_flow.as_deref(),
             );
         }
         std::hint::black_box(&agg);
@@ -267,7 +268,14 @@ fn main() {
     let memo_records: Vec<ConnectionRecord> = warm
         .iter()
         .filter_map(|f| {
-            extract_with(f.date, f.port, &f.client, f.server.as_deref(), &mut scratch).ok()
+            extract_with(
+                f.date,
+                f.port,
+                &f.client_flow,
+                f.server_flow.as_deref(),
+                &mut scratch,
+            )
+            .ok()
         })
         .collect();
     let cleared_records: Vec<ConnectionRecord> = memo_records

@@ -1,15 +1,14 @@
 //! # tlscope-bench
 //!
-//! Criterion benchmarks for the tlscope workspace. The benchmarks live
-//! in `benches/`; this library hosts the shared workload helpers and,
-//! behind the `alloc-counter` feature, a counting global allocator used
-//! by the `alloc` bench to report heap allocations per connection.
+//! Allocation-budget benches for the tlscope workspace. The `alloc`
+//! (passive pipeline) and `scan` (sweep loop) benches in `benches/`
+//! are plain `main`s that write `BENCH_pipeline.json` and
+//! `BENCH_scan.json` and fail past their budgets; this library holds
+//! the budgets, their shared helpers and, behind the `alloc-counter`
+//! feature, a counting global allocator that reports heap allocations
+//! per connection and per host.
 
 #![cfg_attr(not(feature = "alloc-counter"), forbid(unsafe_code))]
-
-use tlscope::chron::Month;
-use tlscope::notary::TappedFlow;
-use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
 
 /// Regression budget for the fused generation→ingestion pipeline, in
 /// heap allocations per connection. Enforced by the `alloc` bench
@@ -56,20 +55,6 @@ pub fn json_number(fragment: &str, key: &str) -> Option<f64> {
         .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
-}
-
-/// Generate one month of flows at a given volume for bench workloads.
-pub fn bench_flows(month: Month, n: u32, seed: u64) -> Vec<TappedFlow> {
-    let generator = Generator::new(TrafficConfig {
-        seed,
-        connections_per_month: n,
-        faults: FaultInjector::none(),
-    });
-    generator
-        .month(month)
-        .into_iter()
-        .map(TappedFlow::from)
-        .collect()
 }
 
 /// A counting wrapper around the system allocator. Installed as the

@@ -11,7 +11,7 @@
 //! * [`wire`] — TLS/SSL wire formats, tolerant handshake parsers, and
 //!   the IANA registries with security classifiers;
 //! * [`fingerprint`] — the paper's 4-feature client fingerprint, the
-//!   labelled database with its collision rules, JA3, and lifetime
+//!   labelled database with its collision rules, and lifetime
 //!   statistics;
 //! * [`clients`] — the historical client-configuration catalog
 //!   (Tables 3–6 as executable data) and adoption model;
@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::analysis::{Figure, Series, Study, StudyConfig, Table};
     pub use crate::chron::{Date, Month};
     pub use crate::fingerprint::{Fingerprint, FingerprintDb};
-    pub use crate::notary::{NotaryAggregate, TappedFlow};
+    pub use crate::notary::NotaryAggregate;
     pub use crate::scanner::ScanSnapshot;
     pub use crate::wire::{CipherSuite, ClientHello, ProtocolVersion, ServerHello};
 }

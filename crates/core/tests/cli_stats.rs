@@ -88,22 +88,19 @@ fn stats_surfaces_agree_across_render_and_json() {
         assert!(doc.get(section).is_some(), "missing `{section}` section");
     }
     let counters = doc.get("counters").expect("counters");
-    // `  ingest  <flows> flows  <batches> batches ...`
+    // `  ingest  <flows> flows  <seconds>s thread ...`
     assert_eq!(
         counters.get("flows_ingested").and_then(Json::as_u64),
         Some(render_token(&stderr, "ingest", 1))
     );
-    assert_eq!(
-        counters.get("batches_ingested").and_then(Json::as_u64),
-        Some(render_token(&stderr, "ingest", 3))
-    );
-    // The latency section mirrors the per-batch histogram count.
+    // The latency section holds one month sample per month folded.
+    let quick = tlscope::analysis::StudyConfig::quick();
     assert_eq!(
         doc.get("latency")
-            .and_then(|l| l.get("ingest_batch"))
+            .and_then(|l| l.get("month"))
             .and_then(|h| h.get("count"))
             .and_then(Json::as_u64),
-        counters.get("batches_ingested").and_then(Json::as_u64),
+        Some(quick.start.iter_through(quick.end).count() as u64),
     );
 
     // Scan export: schema tag plus the sweep row's host figure.

@@ -3,8 +3,7 @@
 //! TLS client fingerprinting, reproducing §4 of *Coming of Age* (IMC
 //! 2018): the 4-feature order-preserving fingerprint, the labelled
 //! fingerprint database with the paper's collision rules (Table 2), and
-//! fingerprint-lifetime statistics (§4.1). JA3 (with a from-scratch
-//! RFC 1321 MD5) is included for ecosystem interoperability.
+//! fingerprint-lifetime statistics (§4.1).
 //!
 //! ```
 //! use tlscope_fingerprint::{Fingerprint, FingerprintDb, Label, Category};
@@ -32,13 +31,10 @@ pub mod db;
 pub mod duration;
 pub mod fp;
 pub mod intern;
-pub mod ja3;
-pub mod md5;
 pub mod rich;
 
 pub use db::{Category, CoverageStats, FingerprintDb, InsertOutcome, Label};
 pub use duration::{DurationStats, Sighting, SightingTracker};
 pub use fp::{Fingerprint, Fnv64};
 pub use intern::{FpId, FpInterner};
-pub use ja3::{ja3_hash, ja3_string};
 pub use rich::{CollisionStats, RichFingerprint};

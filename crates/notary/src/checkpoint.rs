@@ -418,13 +418,12 @@ mod tests {
                 ..FaultInjector::none()
             },
         });
-        let flows = g.stream_month(month).map(|ev| crate::TappedFlow {
-            date: ev.date,
-            port: ev.port,
-            client: ev.client_flow,
-            server: ev.server_flow,
-        });
-        crate::ingest_serial(flows)
+        let mut agg = NotaryAggregate::new();
+        let mut stream = g.stream_month(month);
+        while let Some(f) = stream.next_flow() {
+            crate::ingest_borrowed(&mut agg, f.date, f.port, f.client, f.server);
+        }
+        agg
     }
 
     #[test]

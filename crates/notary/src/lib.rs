@@ -12,7 +12,7 @@
 //! `tlscope-durable`; a complete store is the saved run.
 //!
 //! ```
-//! use tlscope_notary::{ingest_serial, TappedFlow};
+//! use tlscope_notary::{ingest_borrowed, NotaryAggregate};
 //! use tlscope_chron::Date;
 //! use tlscope_wire::record::Record;
 //! use tlscope_wire::{ClientHello, CipherSuite, ProtocolVersion};
@@ -25,14 +25,13 @@
 //!     compression_methods: vec![0],
 //!     extensions: None,
 //! };
-//! let flow = TappedFlow {
-//!     date: Date::ymd(2016, 5, 1),
-//!     port: 443,
-//!     client: Record::wrap_handshake(ProtocolVersion::Tls10, &hello.to_handshake_bytes())
-//!         .iter().flat_map(|r| r.to_bytes()).collect(),
-//!     server: None,
-//! };
-//! let agg = ingest_serial([flow]);
+//! let client: Vec<u8> =
+//!     Record::wrap_handshake(ProtocolVersion::Tls10, &hello.to_handshake_bytes())
+//!         .iter()
+//!         .flat_map(|r| r.to_bytes())
+//!         .collect();
+//! let mut agg = NotaryAggregate::new();
+//! ingest_borrowed(&mut agg, Date::ymd(2016, 5, 1), 443, &client, None);
 //! assert_eq!(agg.total(), 1);
 //! ```
 
@@ -55,4 +54,4 @@ pub use conn::{
     ConnectionRecord, ExtractError, ExtractScratch, ParseCacheStats, ServerAnswer, ServerOutcome,
 };
 pub use metrics::{MetricsSnapshot, PipelineLatency, PipelineMetrics};
-pub use pipeline::{ingest_borrowed, ingest_flow, ingest_serial, TappedFlow};
+pub use pipeline::ingest_borrowed;

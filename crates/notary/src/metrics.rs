@@ -32,7 +32,7 @@ use tlscope_obs::{Histogram, HistogramSnapshot, JsonObj};
 /// * **generation** — flows and wire bytes emitted by the synthetic
 ///   tap, plus generator wall-clock, flows lost to tap outage windows,
 ///   and tap-duplicated flows;
-/// * **ingestion** — flows/batches through the notary, parse failures
+/// * **ingestion** — flows through the notary, parse failures
 ///   by class, records salvaged from damaged flows, plus extraction
 ///   wall-clock;
 /// * **recovery** — months replayed after a worker panic, and poison
@@ -49,7 +49,6 @@ pub struct PipelineMetrics {
 
     flows_dispatched: AtomicU64,
     flows_ingested: AtomicU64,
-    batches_ingested: AtomicU64,
     not_tls: AtomicU64,
     garbled_client: AtomicU64,
     flows_salvaged: AtomicU64,
@@ -75,7 +74,6 @@ pub struct PipelineMetrics {
     // Latency distributions (observational only: never part of
     // snapshot equality or any bit-identity property).
     month_hist: Histogram,
-    ingest_batch_hist: Histogram,
     ckpt_write_hist: Histogram,
     ckpt_load_hist: Histogram,
 }
@@ -102,14 +100,13 @@ impl PipelineMetrics {
         self.flows_dispatched.fetch_add(flows, Ordering::Relaxed);
     }
 
-    /// Record one ingested batch of `flows` flows taking `elapsed` (the
-    /// study runner's batch is a month, its clock a sampled estimate).
+    /// Record `flows` ingested flows taking `elapsed` ingestion time.
+    /// The study runner calls this once per month with its sampled
+    /// clock estimate.
     pub fn record_batch(&self, flows: u64, elapsed: Duration) {
         self.flows_ingested.fetch_add(flows, Ordering::Relaxed);
-        self.batches_ingested.fetch_add(1, Ordering::Relaxed);
         self.ingest_nanos
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.ingest_batch_hist.record(elapsed);
     }
 
     /// Record one completed month of passive generation + ingestion
@@ -234,7 +231,6 @@ impl PipelineMetrics {
             (&self.flows_duplicated, &other.flows_duplicated),
             (&self.flows_dispatched, &other.flows_dispatched),
             (&self.flows_ingested, &other.flows_ingested),
-            (&self.batches_ingested, &other.batches_ingested),
             (&self.not_tls, &other.not_tls),
             (&self.garbled_client, &other.garbled_client),
             (&self.flows_salvaged, &other.flows_salvaged),
@@ -258,7 +254,6 @@ impl PipelineMetrics {
             into.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
         }
         self.month_hist.merge(&other.month_hist);
-        self.ingest_batch_hist.merge(&other.ingest_batch_hist);
         self.ckpt_write_hist.merge(&other.ckpt_write_hist);
         self.ckpt_load_hist.merge(&other.ckpt_load_hist);
     }
@@ -273,7 +268,6 @@ impl PipelineMetrics {
             flows_duplicated: self.flows_duplicated.load(Ordering::Relaxed),
             flows_dispatched: self.flows_dispatched.load(Ordering::Relaxed),
             flows_ingested: self.flows_ingested.load(Ordering::Relaxed),
-            batches_ingested: self.batches_ingested.load(Ordering::Relaxed),
             not_tls: self.not_tls.load(Ordering::Relaxed),
             garbled_client: self.garbled_client.load(Ordering::Relaxed),
             flows_salvaged: self.flows_salvaged.load(Ordering::Relaxed),
@@ -302,7 +296,6 @@ impl PipelineMetrics {
     pub fn latency(&self) -> PipelineLatency {
         PipelineLatency {
             month: self.month_hist.snapshot(),
-            ingest_batch: self.ingest_batch_hist.snapshot(),
             checkpoint_write: self.ckpt_write_hist.snapshot(),
             checkpoint_load: self.ckpt_load_hist.snapshot(),
         }
@@ -317,8 +310,6 @@ impl PipelineMetrics {
 pub struct PipelineLatency {
     /// Wall-clock per completed month (generation + ingestion).
     pub month: HistogramSnapshot,
-    /// Wall-clock per ingested batch.
-    pub ingest_batch: HistogramSnapshot,
     /// Wall-clock per checkpoint file write.
     pub checkpoint_write: HistogramSnapshot,
     /// Wall-clock per checkpoint directory load pass.
@@ -332,7 +323,6 @@ impl PipelineLatency {
         let mut out = String::from("pipeline latency\n");
         for (label, hist) in [
             ("month", &self.month),
-            ("batch", &self.ingest_batch),
             ("ckpt-write", &self.checkpoint_write),
             ("ckpt-load", &self.checkpoint_load),
         ] {
@@ -344,7 +334,6 @@ impl PipelineLatency {
     fn to_json(self) -> String {
         JsonObj::new()
             .raw("month", &self.month.to_json())
-            .raw("ingest_batch", &self.ingest_batch.to_json())
             .raw("checkpoint_write", &self.checkpoint_write.to_json())
             .raw("checkpoint_load", &self.checkpoint_load.to_json())
             .finish()
@@ -370,8 +359,6 @@ pub struct MetricsSnapshot {
     pub flows_dispatched: u64,
     /// Flows actually processed by the ingestion stage.
     pub flows_ingested: u64,
-    /// Batches processed by the ingestion stage.
-    pub batches_ingested: u64,
     /// Parse failures: not SSL/TLS at all.
     pub not_tls: u64,
     /// Parse failures: client flow too damaged to parse.
@@ -473,10 +460,9 @@ impl MetricsSnapshot {
             scaled(self.gen_flows_per_sec()),
         ));
         out.push_str(&format!(
-            "  {:<11} {:>11} flows  {:>10} batches {:>8.3}s thread  {:>10} flows/s\n",
+            "  {:<11} {:>11} flows  {:>27.3}s thread  {:>10} flows/s\n",
             "ingest",
             self.flows_ingested,
-            self.batches_ingested,
             self.ingest_nanos as f64 / 1e9,
             scaled(self.ingest_flows_per_sec()),
         ));
@@ -528,7 +514,7 @@ impl MetricsSnapshot {
     /// it whenever the key set changes.
     ///
     /// [`to_json`]: MetricsSnapshot::to_json
-    pub const SCHEMA: &'static str = "tlscope-pipeline-stats-v2";
+    pub const SCHEMA: &'static str = "tlscope-pipeline-stats-v3";
 
     /// Machine-readable export with empty latency sections (no
     /// histograms observed).
@@ -550,7 +536,6 @@ impl MetricsSnapshot {
             .u64("flows_duplicated", self.flows_duplicated)
             .u64("flows_dispatched", self.flows_dispatched)
             .u64("flows_ingested", self.flows_ingested)
-            .u64("batches_ingested", self.batches_ingested)
             .u64("not_tls", self.not_tls)
             .u64("garbled_client", self.garbled_client)
             .u64("flows_salvaged", self.flows_salvaged)
@@ -601,7 +586,6 @@ mod tests {
         assert_eq!(s.bytes_generated, 200);
         assert_eq!(s.gen_nanos, 1000);
         assert_eq!(s.flows_ingested, 2);
-        assert_eq!(s.batches_ingested, 1);
         assert_eq!(s.not_tls, 1);
         assert_eq!(s.shards_lost, 1);
         assert_eq!(s.flows_lost(), 0);
@@ -737,7 +721,6 @@ mod tests {
         assert_eq!(s.bytes_generated, 240);
         assert_eq!(s.flows_dispatched, 6);
         assert_eq!(s.flows_ingested, 4);
-        assert_eq!(s.batches_ingested, 2);
         assert_eq!(s.flows_quarantined, 2);
         assert_eq!((s.template_hits, s.template_misses), (8, 2));
         assert_eq!((s.parse_cache_hits, s.parse_cache_misses), (4, 2));
@@ -745,7 +728,6 @@ mod tests {
         assert!(s.accounting_holds());
         let lat = run.latency();
         assert_eq!(lat.month.count, 2);
-        assert_eq!(lat.ingest_batch.count, 2);
     }
 
     #[test]
@@ -756,18 +738,11 @@ mod tests {
         m.observe_checkpoint_write(Duration::from_micros(300));
         m.observe_checkpoint_load(Duration::from_micros(100));
         let lat = m.latency();
-        assert_eq!(lat.ingest_batch.count, 1);
         assert_eq!(lat.month.count, 1);
         assert_eq!(lat.checkpoint_write.count, 1);
         assert_eq!(lat.checkpoint_load.count, 1);
         let text = lat.render();
-        for needle in [
-            "pipeline latency",
-            "month",
-            "batch",
-            "ckpt-write",
-            "ckpt-load",
-        ] {
+        for needle in ["pipeline latency", "month", "ckpt-write", "ckpt-load"] {
             assert!(
                 text.contains(needle),
                 "latency render missing {needle}: {text}"
@@ -777,7 +752,6 @@ mod tests {
         // by everything except record_batch's counters.
         let s = m.snapshot();
         assert_eq!(s.flows_ingested, 10);
-        assert_eq!(s.batches_ingested, 1);
     }
 
     #[test]
@@ -788,6 +762,7 @@ mod tests {
         m.record_generated(1, 100, Duration::from_nanos(10));
         m.record_dispatched(1);
         m.record_batch(1, Duration::from_micros(1));
+        m.record_month(Duration::from_micros(2));
         let snap = m.snapshot();
         let parsed = tlscope_obs::Json::parse(&snap.to_json_with(&m.latency())).unwrap();
         assert_eq!(
@@ -809,7 +784,6 @@ mod tests {
                 "flows_duplicated",
                 "flows_dispatched",
                 "flows_ingested",
-                "batches_ingested",
                 "not_tls",
                 "garbled_client",
                 "flows_salvaged",
@@ -839,12 +813,7 @@ mod tests {
         );
         assert_eq!(
             parsed.get("latency").unwrap().keys(),
-            vec![
-                "month",
-                "ingest_batch",
-                "checkpoint_write",
-                "checkpoint_load"
-            ]
+            vec!["month", "checkpoint_write", "checkpoint_load"]
         );
         // Counters in the JSON match the snapshot the text render used.
         assert_eq!(
@@ -858,7 +827,7 @@ mod tests {
         assert_eq!(
             parsed
                 .get("latency")
-                .and_then(|l| l.get("ingest_batch"))
+                .and_then(|l| l.get("month"))
                 .and_then(|h| h.get("count"))
                 .and_then(|v| v.as_u64()),
             Some(1)
@@ -878,6 +847,5 @@ mod tests {
             }
         });
         assert_eq!(m.snapshot().flows_ingested, 4000);
-        assert_eq!(m.snapshot().batches_ingested, 4000);
     }
 }

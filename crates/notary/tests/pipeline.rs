@@ -1,21 +1,20 @@
 //! Generator-driven pipeline tests: serial ingestion on realistic
 //! traffic, and the month-sharded study runner checked against it.
-//! These live outside the crate so the traffic crate's
-//! `From<ConnectionEvent> for TappedFlow` impl applies (it targets the
-//! library build of tlscope-notary).
+//! The serial reference is driven by hand — `stream_month` →
+//! `next_flow` → `ingest_borrowed` — and shares no runner code with
+//! the study.
 
 use tlscope_analysis::{Study, StudyConfig};
 use tlscope_chron::Month;
-use tlscope_notary::{ingest_serial, NotaryAggregate, PipelineMetrics, TappedFlow};
+use tlscope_notary::{ingest_borrowed, NotaryAggregate, PipelineMetrics};
 use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
 
-fn flows(month: Month, n: u32) -> Vec<TappedFlow> {
-    let g = Generator::new(TrafficConfig {
-        seed: 7,
-        connections_per_month: n,
-        faults: FaultInjector::none(),
-    });
-    g.month(month).into_iter().map(TappedFlow::from).collect()
+/// Fold every flow of `g`'s `month` into `agg`, one borrow at a time.
+fn fold_month(agg: &mut NotaryAggregate, g: &Generator, month: Month) {
+    let mut stream = g.stream_month(month);
+    while let Some(f) = stream.next_flow() {
+        ingest_borrowed(agg, f.date, f.port, f.client, f.server);
+    }
 }
 
 /// A study over `start..=end` with `n` connections per month.
@@ -32,18 +31,22 @@ fn study_config(seed: u64, start: Month, end: Month, n: u32, faults: FaultInject
 
 /// Serial ingestion of every flow the study's generator draws.
 fn serial_reference(study: &Study) -> NotaryAggregate {
-    ingest_serial(
-        study
-            .months()
-            .into_iter()
-            .flat_map(|m| study.generator().month(m))
-            .map(TappedFlow::from),
-    )
+    let mut agg = NotaryAggregate::new();
+    for m in study.months() {
+        fold_month(&mut agg, study.generator(), m);
+    }
+    agg
 }
 
 #[test]
 fn serial_ingestion_counts_everything() {
-    let agg = ingest_serial(flows(Month::ym(2016, 3), 400));
+    let g = Generator::new(TrafficConfig {
+        seed: 7,
+        connections_per_month: 400,
+        faults: FaultInjector::none(),
+    });
+    let mut agg = NotaryAggregate::new();
+    fold_month(&mut agg, &g, Month::ym(2016, 3));
     let m = agg.month(Month::ym(2016, 3)).unwrap();
     assert_eq!(m.total, 400);
     assert!(m.answered > 350);
@@ -84,13 +87,18 @@ fn faulty_flows_are_tolerated() {
             ..FaultInjector::none()
         },
     });
-    let fs: Vec<TappedFlow> = g
-        .month(Month::ym(2016, 6))
-        .into_iter()
-        .map(TappedFlow::from)
-        .collect();
-    let n = fs.len();
-    let agg = ingest_serial(fs);
+    let events = g.month(Month::ym(2016, 6));
+    let n = events.len();
+    let mut agg = NotaryAggregate::new();
+    for e in &events {
+        ingest_borrowed(
+            &mut agg,
+            e.date,
+            e.port,
+            &e.client_flow,
+            e.server_flow.as_deref(),
+        );
+    }
     // Nothing panics; damaged flows are counted, not lost.
     let m = agg.month(Month::ym(2016, 6)).unwrap();
     assert!(m.total as usize + agg.garbled_client as usize + agg.not_tls as usize == n);

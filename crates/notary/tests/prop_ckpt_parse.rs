@@ -11,7 +11,7 @@ use std::path::Path;
 use proptest::prelude::*;
 use tlscope_chron::Month;
 use tlscope_durable::StoreError;
-use tlscope_notary::{checkpoint, ingest_serial, NotaryAggregate, TappedFlow};
+use tlscope_notary::{checkpoint, ingest_borrowed, NotaryAggregate};
 use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
 
 fn sample_partial(seed: u64) -> NotaryAggregate {
@@ -24,8 +24,12 @@ fn sample_partial(seed: u64) -> NotaryAggregate {
             ..FaultInjector::none()
         },
     });
-    let flows = g.stream_month(Month::ym(2016, 5)).map(TappedFlow::from);
-    ingest_serial(flows)
+    let mut agg = NotaryAggregate::new();
+    let mut stream = g.stream_month(Month::ym(2016, 5));
+    while let Some(f) = stream.next_flow() {
+        ingest_borrowed(&mut agg, f.date, f.port, f.client, f.server);
+    }
+    agg
 }
 
 /// One structural or byte-level mutation of a checkpoint text.

@@ -10,19 +10,38 @@
 use proptest::prelude::*;
 use tlscope_analysis::{Study, StudyConfig};
 use tlscope_chron::Month;
-use tlscope_notary::{ingest_flow, ingest_serial, NotaryAggregate, TappedFlow};
-use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
+use tlscope_notary::{ingest_borrowed, NotaryAggregate};
+use tlscope_traffic::{ConnectionEvent, FaultInjector, Generator, TrafficConfig};
 
-fn flows(seed: u64, year: i32, mon: u8, n: u32, faults: FaultInjector) -> Vec<TappedFlow> {
-    let g = Generator::new(TrafficConfig {
+fn generator(seed: u64, n: u32, faults: FaultInjector) -> Generator {
+    Generator::new(TrafficConfig {
         seed,
         connections_per_month: n,
         faults,
-    });
-    g.month(Month::ym(year, mon))
-        .into_iter()
-        .map(TappedFlow::from)
-        .collect()
+    })
+}
+
+/// Fold `events` into `agg` in the order given.
+fn ingest_all<'a>(
+    agg: &mut NotaryAggregate,
+    events: impl IntoIterator<Item = &'a ConnectionEvent>,
+) {
+    for e in events {
+        ingest_borrowed(
+            agg,
+            e.date,
+            e.port,
+            &e.client_flow,
+            e.server_flow.as_deref(),
+        );
+    }
+}
+
+/// `events` folded into a fresh aggregate.
+fn serial(events: &[ConnectionEvent]) -> NotaryAggregate {
+    let mut agg = NotaryAggregate::new();
+    ingest_all(&mut agg, events);
+    agg
 }
 
 fn profile(i: usize) -> FaultInjector {
@@ -81,10 +100,14 @@ proptest! {
         profile_idx in 0usize..3,
     ) {
         let faults = profile(profile_idx);
-        let fs: Vec<TappedFlow> = (mon..mon + 3)
-            .flat_map(|m| flows(seed, year, m, n, faults))
-            .collect();
-        let serial = ingest_serial(fs);
+        let g = generator(seed, n, faults);
+        let mut serial = NotaryAggregate::new();
+        for m in mon..mon + 3 {
+            let mut stream = g.stream_month(Month::ym(year, m));
+            while let Some(f) = stream.next_flow() {
+                ingest_borrowed(&mut serial, f.date, f.port, f.client, f.server);
+            }
+        }
         for workers in 1usize..=8 {
             let parallel = Study::new(StudyConfig {
                 seed,
@@ -122,15 +145,11 @@ proptest! {
         year in 2012i32..=2018,
         mon in 1u8..=12,
     ) {
-        let fs = flows(seed, year, mon, 150, FaultInjector::none());
+        let events = generator(seed, 150, FaultInjector::none()).month(Month::ym(year, mon));
         let mut forward = NotaryAggregate::new();
-        for f in &fs {
-            ingest_flow(&mut forward, f);
-        }
+        ingest_all(&mut forward, &events);
         let mut backward = NotaryAggregate::new();
-        for f in fs.iter().rev() {
-            ingest_flow(&mut backward, f);
-        }
+        ingest_all(&mut backward, events.iter().rev());
         prop_assert_eq!(&forward, &backward);
     }
 
@@ -147,17 +166,16 @@ proptest! {
         chunk in 1usize..300,
         faults in fault_mix(),
     ) {
-        let fs = flows(seed, year, mon, 180, faults);
-        let part = |c: &[TappedFlow]| ingest_serial(c.iter().cloned());
+        let events = generator(seed, 180, faults).month(Month::ym(year, mon));
         let mut ltr = NotaryAggregate::new();
-        for c in fs.chunks(chunk) {
-            ltr.merge(part(c));
+        for c in events.chunks(chunk) {
+            ltr.merge(serial(c));
         }
         let mut rtl = NotaryAggregate::new();
-        for c in fs.chunks(chunk).rev() {
-            rtl.merge(part(c));
+        for c in events.chunks(chunk).rev() {
+            rtl.merge(serial(c));
         }
         prop_assert_eq!(&ltr, &rtl);
-        prop_assert_eq!(&ltr, &ingest_serial(fs));
+        prop_assert_eq!(&ltr, &serial(&events));
     }
 }

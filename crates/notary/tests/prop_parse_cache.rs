@@ -13,10 +13,10 @@ use proptest::prelude::*;
 use tlscope_analysis::{Study, StudyConfig};
 use tlscope_chron::Month;
 use tlscope_notary::{
-    ingest_serial, parse_cache_set_capacity, parse_cache_stats, ParseCacheStats, PipelineMetrics,
-    TappedFlow,
+    ingest_borrowed, parse_cache_set_capacity, parse_cache_stats, NotaryAggregate, ParseCacheStats,
+    PipelineMetrics,
 };
-use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
+use tlscope_traffic::{ConnectionEvent, FaultInjector, Generator, TrafficConfig};
 
 /// Run `f` on a dedicated thread: a fresh thread-local parse cache,
 /// whose capacity can be set without affecting any other test.
@@ -24,16 +24,28 @@ fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
     std::thread::scope(|s| s.spawn(f).join().expect("ingestion thread panicked"))
 }
 
-fn flows_for(seed: u64, year: i32, mon: u8, n: u32, faults: FaultInjector) -> Vec<TappedFlow> {
+fn flows_for(seed: u64, year: i32, mon: u8, n: u32, faults: FaultInjector) -> Vec<ConnectionEvent> {
     let g = Generator::new(TrafficConfig {
         seed,
         connections_per_month: n,
         faults,
     });
     g.month(Month::ym(year, mon))
-        .into_iter()
-        .map(TappedFlow::from)
-        .collect()
+}
+
+/// Fold `flows` in order into a fresh aggregate on the current thread.
+fn fold_serial(flows: &[ConnectionEvent]) -> NotaryAggregate {
+    let mut agg = NotaryAggregate::new();
+    for e in flows {
+        ingest_borrowed(
+            &mut agg,
+            e.date,
+            e.port,
+            &e.client_flow,
+            e.server_flow.as_deref(),
+        );
+    }
+    agg
 }
 
 fn profile() -> impl Strategy<Value = FaultInjector> {
@@ -55,14 +67,14 @@ proptest! {
         workers in 1usize..=8,
         faults in profile(),
     ) {
-        let flows: Vec<TappedFlow> = (mon..mon + 2)
+        let flows: Vec<ConnectionEvent> = (mon..mon + 2)
             .flat_map(|m| flows_for(seed, year, m, n, faults))
             .collect();
         let uncached = on_fresh_thread(|| {
             parse_cache_set_capacity(0);
-            ingest_serial(flows.clone())
+            fold_serial(&flows)
         });
-        let cached_serial = on_fresh_thread(|| ingest_serial(flows.clone()));
+        let cached_serial = on_fresh_thread(|| fold_serial(&flows));
         prop_assert_eq!(&uncached, &cached_serial);
         // Study workers each carry their own cache; the merge must
         // still be bit-identical to the uncached serial pass.
@@ -93,11 +105,11 @@ proptest! {
         let flows = flows_for(seed, year, mon, 150, FaultInjector::none());
         let uncached = on_fresh_thread(|| {
             parse_cache_set_capacity(0);
-            ingest_serial(flows.clone())
+            fold_serial(&flows)
         });
         let (squeezed, stats) = on_fresh_thread(|| {
             parse_cache_set_capacity(2);
-            (ingest_serial(flows.clone()), parse_cache_stats())
+            (fold_serial(&flows), parse_cache_stats())
         });
         prop_assert_eq!(&uncached, &squeezed);
         // A 2-entry cache churns on a month's worth of client stacks.
@@ -117,7 +129,7 @@ fn full_truncation_bypasses_the_cache() {
     };
     let flows = flows_for(1234, 2016, 4, 300, faults);
     let (agg, stats) = on_fresh_thread(|| {
-        let agg = ingest_serial(flows);
+        let agg = fold_serial(&flows);
         (agg, parse_cache_stats())
     });
     assert_eq!(

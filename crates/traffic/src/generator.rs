@@ -16,7 +16,6 @@ use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use tlscope_chron::{Date, Month};
 use tlscope_clients::{catalog, Family, HelloEntropy, HelloPatches};
-use tlscope_notary::TappedFlow;
 use tlscope_servers::{negotiate, Destination, ParamsCache, ServerPopulation};
 use tlscope_wire::codec::{patch_bytes, Writer};
 use tlscope_wire::exts::ext_type;
@@ -45,22 +44,6 @@ impl ConnectionEvent {
     /// Total wire bytes the tap captured for this connection.
     pub fn wire_bytes(&self) -> u64 {
         self.client_flow.len() as u64 + self.server_flow.as_ref().map_or(0, |s| s.len() as u64)
-    }
-}
-
-/// The generator→notary boundary: hand the captured byte buffers to
-/// the tap without copying them. This is the single definition of the
-/// mapping — every pipeline (study runner, benches, tests) goes
-/// through it, so a field added to either side cannot silently
-/// desynchronise a hand-rolled copy.
-impl From<ConnectionEvent> for TappedFlow {
-    fn from(ev: ConnectionEvent) -> TappedFlow {
-        TappedFlow {
-            date: ev.date,
-            port: ev.port,
-            client: ev.client_flow,
-            server: ev.server_flow,
-        }
     }
 }
 
@@ -112,20 +95,20 @@ impl Generator {
         &self.market
     }
 
-    /// Generate one month of traffic. Deterministic in (seed, month).
+    /// Generate one month of traffic as owned events: every flow
+    /// [`Generator::stream_month`] yields, copied out of its scratch.
+    /// Deterministic in (seed, month).
     pub fn month(&self, month: Month) -> Vec<ConnectionEvent> {
-        let mut out = Vec::with_capacity(self.cfg.connections_per_month as usize);
-        out.extend(self.stream_month(month));
-        out
+        self.stream_month(month).copy_out()
     }
 
     /// Lazily generate one month of traffic, one event at a time.
     ///
-    /// Yields exactly the same event sequence as [`Generator::month`]
-    /// (same per-month RNG stream, same fault injection) without ever
-    /// materializing the month — the streaming study runner aggregates
-    /// each event as it is drawn, so peak memory stays at one event
-    /// per worker instead of one month per worker.
+    /// The same event sequence as [`Generator::month`] (same per-month
+    /// RNG stream, same fault injection) without ever materializing
+    /// the month — the streaming study runner aggregates each event as
+    /// it is drawn, so peak memory stays at one event per worker
+    /// instead of one month per worker.
     pub fn stream_month(&self, month: Month) -> MonthStream<'_> {
         MonthStream {
             generator: self,
@@ -150,15 +133,6 @@ impl Generator {
                 ..GenScratch::default()
             },
         }
-    }
-
-    /// Generate every month in an inclusive range.
-    pub fn months(
-        &self,
-        start: Month,
-        end: Month,
-    ) -> impl Iterator<Item = (Month, Vec<ConnectionEvent>)> + '_ {
-        start.iter_through(end).map(move |m| (m, self.month(m)))
     }
 
     /// Generate one connection straight into `scratch`'s flow buffers.
@@ -498,8 +472,8 @@ impl DayLayout {
 /// Per-stream reusable buffers. Every connection draws through these
 /// instead of allocating fresh intermediates — including the flow
 /// bytes themselves: `client_buf`/`server_buf` hold the current
-/// connection's wire bytes, and only callers that need owned flows
-/// (the owned iterator) copy them out.
+/// connection's wire bytes, and only a caller that needs owned flows
+/// ([`Generator::month`]) copies them out.
 #[derive(Default)]
 struct GenScratch {
     /// Client-draw weights, one flat table per day of the month (slot
@@ -616,7 +590,7 @@ pub struct StreamTally {
     pub template_misses: u64,
 }
 
-/// Lazy per-event iterator over one month's traffic.
+/// Lazy per-event stream over one month's traffic.
 ///
 /// Created by [`Generator::stream_month`]. [`MonthStream::tally`]
 /// reports what it has yielded so far (flows, wire bytes, outage
@@ -651,8 +625,7 @@ impl MonthStream<'_> {
         self.scratch.client_buf.len() as u64 + server
     }
 
-    /// Draw the next connection into scratch: the shared core behind
-    /// both the borrowed and the owned interface. Handles duplication
+    /// Draw the next connection into scratch. Handles duplication
     /// replay and counts what it yields.
     fn advance(&mut self) -> Option<FlowMeta> {
         let meta = match self.pending.take() {
@@ -718,8 +691,7 @@ impl MonthStream<'_> {
 
     /// Pull the next connection without allocating: the returned
     /// [`FlowRef`] borrows the stream's scratch buffers and is valid
-    /// until the next call. Yields exactly the sequence the owned
-    /// iterator yields — the fused study runner folds straight from
+    /// until the next call. The fused study runner folds straight from
     /// these borrows into the aggregate.
     pub fn next_flow(&mut self) -> Option<FlowRef<'_>> {
         let meta = self.advance()?;
@@ -732,28 +704,20 @@ impl MonthStream<'_> {
                 .then_some(self.scratch.server_buf.as_slice()),
         })
     }
-}
 
-impl Iterator for MonthStream<'_> {
-    type Item = ConnectionEvent;
-
-    fn next(&mut self) -> Option<ConnectionEvent> {
-        // Same core as next_flow; materialize owned flows for callers
-        // that need them to outlive the stream.
-        let meta = self.advance()?;
-        Some(ConnectionEvent {
-            date: meta.date,
-            port: meta.port,
-            client_flow: self.scratch.client_buf.clone(),
-            server_flow: meta.has_server.then(|| self.scratch.server_buf.clone()),
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        // Fault injection can drop any event and duplication can double
-        // one, so only the upper bound is known.
-        let pending = usize::from(self.pending.is_some());
-        (0, Some(self.remaining as usize * 2 + pending))
+    /// Copy every flow left in the stream out of its scratch: the
+    /// owned collector behind [`Generator::month`].
+    fn copy_out(&mut self) -> Vec<ConnectionEvent> {
+        let mut out = Vec::with_capacity(self.remaining as usize);
+        while let Some(flow) = self.next_flow() {
+            out.push(ConnectionEvent {
+                date: flow.date,
+                port: flow.port,
+                client_flow: flow.client.to_vec(),
+                server_flow: flow.server.map(<[u8]>::to_vec),
+            });
+        }
+        out
     }
 }
 
@@ -921,38 +885,28 @@ mod tests {
     #[test]
     fn stream_matches_materialized_month() {
         let g = small_gen();
-        let streamed: Vec<ConnectionEvent> = g.stream_month(Month::ym(2015, 6)).collect();
         let materialized = g.month(Month::ym(2015, 6));
-        assert_eq!(streamed.len(), materialized.len());
-        for (a, b) in streamed.iter().zip(&materialized) {
+        let mut stream = g.stream_month(Month::ym(2015, 6));
+        let mut streamed = 0;
+        while let Some(a) = stream.next_flow() {
+            let b = &materialized[streamed];
             assert_eq!(a.date, b.date);
             assert_eq!(a.port, b.port);
-            assert_eq!(a.client_flow, b.client_flow);
-            assert_eq!(a.server_flow, b.server_flow);
+            assert_eq!(a.client, b.client_flow);
+            assert_eq!(a.server, b.server_flow.as_deref());
+            streamed += 1;
         }
+        assert_eq!(streamed, materialized.len());
     }
 
     #[test]
     fn stream_tally_accounts_flows_and_bytes() {
         let g = small_gen();
         let mut stream = g.stream_month(Month::ym(2016, 3));
-        let total_bytes: u64 = stream.by_ref().map(|ev| ev.wire_bytes()).sum();
+        let total_bytes: u64 = stream.copy_out().iter().map(|ev| ev.wire_bytes()).sum();
         let tally = stream.tally();
         assert_eq!(tally.flows, 500);
         assert_eq!(tally.wire_bytes, total_bytes);
-    }
-
-    #[test]
-    fn from_connection_event_moves_flows() {
-        let g = small_gen();
-        let ev = g.month(Month::ym(2016, 3)).remove(0);
-        let (date, port) = (ev.date, ev.port);
-        let (client, server) = (ev.client_flow.clone(), ev.server_flow.clone());
-        let flow = TappedFlow::from(ev);
-        assert_eq!(flow.date, date);
-        assert_eq!(flow.port, port);
-        assert_eq!(flow.client, client);
-        assert_eq!(flow.server, server);
     }
 
     #[test]
@@ -982,7 +936,7 @@ mod tests {
         };
         let g = Generator::new(cfg.clone());
         let mut stream = g.stream_month(Month::ym(2016, 3));
-        let events: Vec<ConnectionEvent> = stream.by_ref().collect();
+        let events = stream.copy_out();
         let dropped = stream.tally().outage_dropped;
         assert!(dropped > 0, "expected some outage losses");
         assert_eq!(events.len() as u64 + dropped, 1000);
@@ -991,7 +945,7 @@ mod tests {
             assert!(!cfg.faults.in_outage(cfg.seed, ev.date));
         }
         // Deterministic: a second run sees the identical event stream.
-        let again: Vec<ConnectionEvent> = g.stream_month(Month::ym(2016, 3)).collect();
+        let again = g.month(Month::ym(2016, 3));
         assert_eq!(events.len(), again.len());
         for (a, b) in events.iter().zip(&again) {
             assert_eq!(a.client_flow, b.client_flow);
@@ -1009,7 +963,7 @@ mod tests {
             },
         });
         let mut stream = g.stream_month(Month::ym(2016, 3));
-        let events: Vec<ConnectionEvent> = stream.by_ref().collect();
+        let events = stream.copy_out();
         let tally = stream.tally();
         assert!(tally.duplicated > 0, "expected some duplicates");
         assert_eq!(events.len() as u64, 500 + tally.duplicated);

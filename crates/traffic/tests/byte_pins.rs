@@ -2,14 +2,16 @@
 //!
 //! Each case hashes every flow's date, port, client bytes, and server
 //! bytes or their absence (FNV-1a over a length-prefixed encoding) for
-//! one month under one fault profile. The digests were recorded from
+//! one month under one fault profile, once through the borrowed
+//! `next_flow` stream and once through the owned `Generator::month`
+//! collector; both must read the same pin. The digests were recorded from
 //! the generator as it stood before the per-day client tables, the
 //! borrowed server-profile lists and the month-level tally, all of
 //! which must leave every byte and RNG draw where it was. The fault
 //! profiles are named explicitly (not read from the environment), so
 //! the pins hold in every CI fault-matrix cell.
 
-use tlscope_chron::Month;
+use tlscope_chron::{Date, Month};
 use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
 
 /// Incremental FNV-1a, 64-bit.
@@ -31,10 +33,24 @@ impl Fnv {
         self.write(&(bytes.len() as u64).to_le_bytes());
         self.write(bytes);
     }
+
+    fn write_connection(&mut self, date: Date, port: u16, client: &[u8], server: Option<&[u8]>) {
+        self.write(&date.to_epoch_days().to_le_bytes());
+        self.write(&port.to_le_bytes());
+        self.write_flow(client);
+        match server {
+            Some(server) => {
+                self.write(&[1]);
+                self.write_flow(server);
+            }
+            None => self.write(&[0]),
+        }
+    }
 }
 
-/// `(flows, digest)` of one month's stream.
-fn month_digest(faults: FaultInjector, month: Month) -> (u64, u64) {
+/// `(flows, digest)` of one month, through the borrowed stream and
+/// through the owned collector.
+fn month_digests(faults: FaultInjector, month: Month) -> [(u64, u64); 2] {
     let generator = Generator::new(TrafficConfig {
         seed: 0x715C0,
         connections_per_month: 2_000,
@@ -45,26 +61,28 @@ fn month_digest(faults: FaultInjector, month: Month) -> (u64, u64) {
     let mut stream = generator.stream_month(month);
     while let Some(flow) = stream.next_flow() {
         flows += 1;
-        h.write(&flow.date.to_epoch_days().to_le_bytes());
-        h.write(&flow.port.to_le_bytes());
-        h.write_flow(flow.client);
-        match flow.server {
-            Some(server) => {
-                h.write(&[1]);
-                h.write_flow(server);
-            }
-            None => h.write(&[0]),
-        }
+        h.write_connection(flow.date, flow.port, flow.client, flow.server);
     }
-    (flows, h.0)
+    let events = generator.month(month);
+    let mut owned = Fnv::new();
+    for e in &events {
+        owned.write_connection(e.date, e.port, &e.client_flow, e.server_flow.as_deref());
+    }
+    [(flows, h.0), (events.len() as u64, owned.0)]
 }
 
 fn check(faults: FaultInjector, label: &str, pins: [(Month, u64, u64); 3]) {
     for (month, flows, digest) in pins {
+        let [streamed, owned] = month_digests(faults, month);
         assert_eq!(
-            month_digest(faults, month),
+            streamed,
             (flows, digest),
             "{label} {month}: flow bytes moved"
+        );
+        assert_eq!(
+            owned,
+            (flows, digest),
+            "{label} {month}: Generator::month differs from the stream"
         );
     }
 }

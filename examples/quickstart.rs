@@ -8,8 +8,8 @@
 
 use tlscope::chron::Month;
 use tlscope::clients::{browsers, HelloEntropy};
-use tlscope::fingerprint::{ja3_hash, Fingerprint};
-use tlscope::notary::{ingest_serial, ServerOutcome, TappedFlow};
+use tlscope::fingerprint::Fingerprint;
+use tlscope::notary::{ingest_borrowed, NotaryAggregate};
 use tlscope::servers::{negotiate, ServerProfile};
 use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
 use tlscope::wire::ClientHello;
@@ -34,10 +34,9 @@ fn main() {
         parsed.extensions().len()
     );
 
-    // 2. Fingerprint it (the paper's 4-feature fingerprint + JA3).
+    // 2. Fingerprint it (the paper's 4-feature fingerprint).
     let fp = Fingerprint::from_client_hello(&parsed);
     println!("4-feature fingerprint: {}", fp.canonical());
-    println!("JA3: {}", ja3_hash(&parsed));
 
     // 3. Negotiate against a modern server.
     let server = ServerProfile::baseline("demo");
@@ -54,8 +53,11 @@ fn main() {
         faults: FaultInjector::tap_defaults(),
     });
     let month = Month::ym(2015, 6);
-    let flows = generator.month(month).into_iter().map(TappedFlow::from);
-    let agg = ingest_serial(flows);
+    let mut agg = NotaryAggregate::new();
+    let mut stream = generator.stream_month(month);
+    while let Some(flow) = stream.next_flow() {
+        ingest_borrowed(&mut agg, flow.date, flow.port, flow.client, flow.server);
+    }
     let stats = agg.month(month).expect("month present");
     println!(
         "\n{month}: {} connections | {:.1}% AEAD, {:.1}% CBC, {:.1}% RC4 negotiated",
@@ -80,5 +82,4 @@ fn main() {
         stats.pct(rejected),
         agg.garbled_client,
     );
-    let _ = ServerOutcome::Missing; // (variants documented in tlscope::notary)
 }

@@ -3,25 +3,32 @@
 
 use tlscope::analysis::{figures, Study, StudyConfig};
 use tlscope::chron::Month;
-use tlscope::notary::{ingest_serial, TappedFlow};
+use tlscope::notary::{ingest_borrowed, NotaryAggregate};
 use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
 
-fn flows(seed: u64, month: Month, n: u32) -> Vec<TappedFlow> {
-    Generator::new(TrafficConfig {
+/// Fold every flow of `months` at `n` clean connections a month into
+/// one aggregate by hand: `stream_month` → `next_flow` →
+/// `ingest_borrowed`.
+fn serial(seed: u64, months: impl IntoIterator<Item = Month>, n: u32) -> NotaryAggregate {
+    let g = Generator::new(TrafficConfig {
         seed,
         connections_per_month: n,
         faults: FaultInjector::none(),
-    })
-    .month(month)
-    .into_iter()
-    .map(TappedFlow::from)
-    .collect()
+    });
+    let mut agg = NotaryAggregate::new();
+    for month in months {
+        let mut stream = g.stream_month(month);
+        while let Some(f) = stream.next_flow() {
+            ingest_borrowed(&mut agg, f.date, f.port, f.client, f.server);
+        }
+    }
+    agg
 }
 
 #[test]
 fn pipeline_is_deterministic() {
-    let a = ingest_serial(flows(3, Month::ym(2016, 2), 500));
-    let b = ingest_serial(flows(3, Month::ym(2016, 2), 500));
+    let a = serial(3, [Month::ym(2016, 2)], 500);
+    let b = serial(3, [Month::ym(2016, 2)], 500);
     let (ma, mb) = (
         a.month(Month::ym(2016, 2)).unwrap(),
         b.month(Month::ym(2016, 2)).unwrap(),
@@ -35,7 +42,7 @@ fn pipeline_is_deterministic() {
 #[test]
 fn parallel_ingestion_is_exact() {
     let (start, end) = (Month::ym(2015, 7), Month::ym(2015, 9));
-    let serial = ingest_serial(start.iter_through(end).flat_map(|m| flows(5, m, 300)));
+    let serial = serial(5, start.iter_through(end), 300);
     for workers in 1..=8 {
         let par = Study::new(StudyConfig {
             seed: 5,
@@ -54,7 +61,7 @@ fn parallel_ingestion_is_exact() {
 
 #[test]
 fn monthly_percentages_are_coherent() {
-    let agg = ingest_serial(flows(7, Month::ym(2016, 9), 1000));
+    let agg = serial(7, [Month::ym(2016, 9)], 1000);
     let m = agg.month(Month::ym(2016, 9)).unwrap();
     // Outcome partition.
     assert_eq!(
@@ -109,7 +116,7 @@ fn study_over_a_quarter_produces_figures() {
 
 #[test]
 fn version_shares_sum_to_answered() {
-    let agg = ingest_serial(flows(11, Month::ym(2017, 3), 800));
+    let agg = serial(11, [Month::ym(2017, 3)], 800);
     let m = agg.month(Month::ym(2017, 3)).unwrap();
     let v = m.neg_version;
     assert_eq!(
@@ -131,10 +138,22 @@ fn faults_do_not_break_aggregation() {
         },
     });
     let month = Month::ym(2015, 3);
-    let n_events = gen.month(month).len();
-    let agg = ingest_serial(gen.month(month).into_iter().map(TappedFlow::from));
+    let events = gen.month(month);
+    let mut agg = NotaryAggregate::new();
+    for e in &events {
+        ingest_borrowed(
+            &mut agg,
+            e.date,
+            e.port,
+            &e.client_flow,
+            e.server_flow.as_deref(),
+        );
+    }
     let ingested = agg.month(month).map(|m| m.total).unwrap_or(0);
-    assert_eq!(ingested + agg.garbled_client + agg.not_tls, n_events as u64);
+    assert_eq!(
+        ingested + agg.garbled_client + agg.not_tls,
+        events.len() as u64
+    );
     assert!(
         agg.garbled_client > 0,
         "corruption should damage some flows"
