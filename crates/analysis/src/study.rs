@@ -22,7 +22,8 @@ use tlscope_obs::Progress;
 
 use tlscope_chron::Month;
 use tlscope_notary::{
-    checkpoint, flush_parse_cache_metrics, ingest_borrowed, NotaryAggregate, PipelineMetrics,
+    checkpoint, flush_parse_cache_metrics, ingest_borrowed, MetricsSnapshot, NotaryAggregate,
+    PipelineMetrics,
 };
 use tlscope_scanner::{ScanCampaign, ScanFaults, ScanMetrics, ScanSnapshot};
 use tlscope_servers::ServerPopulation;
@@ -219,9 +220,12 @@ impl Study {
                 tlscope_durable::claim(dir, &self.cfg.passive_study())?;
                 let load_started = Instant::now();
                 let load = checkpoint::load_dir(dir)?;
-                metrics.observe_checkpoint_load(load_started.elapsed());
-                metrics.record_checkpoints_loaded(load.completed.len() as u64);
-                metrics.record_checkpoints_quarantined(load.quarantined.len() as u64);
+                metrics.checkpoint_load.record(load_started.elapsed());
+                metrics.add(&MetricsSnapshot {
+                    checkpoints_loaded: load.completed.len() as u64,
+                    checkpoints_quarantined: load.quarantined.len() as u64,
+                    ..Default::default()
+                });
                 (load.aggregate, load.completed)
             }
             None => (NotaryAggregate::new(), std::collections::BTreeSet::new()),
@@ -246,23 +250,29 @@ impl Study {
                 if let Some(dir) = &self.cfg.checkpoint_dir {
                     let write_started = Instant::now();
                     checkpoint::write_month(dir, month, &partial)?;
-                    metrics.observe_checkpoint_write(write_started.elapsed());
-                    metrics.record_checkpoint_written();
+                    metrics.checkpoint_write.record(write_started.elapsed());
+                    metrics.add(&MetricsSnapshot {
+                        checkpoints_written: 1,
+                        ..Default::default()
+                    });
                 }
-                metrics.record_month(month_started.elapsed());
+                metrics.month.record(month_started.elapsed());
                 metrics.absorb(&month_metrics);
                 Ok(partial)
             },
             |agg: &mut NotaryAggregate, _, partial| agg.merge(partial),
         )?;
+        let started = Instant::now();
         for partial in ran.parts {
-            let started = Instant::now();
             result.merge(partial);
-            metrics.record_merge(started.elapsed());
         }
-        // A worker that died outside the month boundary took the
-        // months it had merged with it.
-        metrics.record_shards_lost((months.len() - ran.committed) as u64);
+        metrics.add(&MetricsSnapshot {
+            merge_nanos: started.elapsed().as_nanos() as u64,
+            // A worker that died outside the month boundary took the
+            // months it had merged with it.
+            shards_lost: (months.len() - ran.committed) as u64,
+            ..Default::default()
+        });
         Ok(result)
     }
 
@@ -296,7 +306,10 @@ impl Study {
         if let Some(partial) = attempt {
             return (partial, first);
         }
-        metrics.record_month_replayed();
+        metrics.add(&MetricsSnapshot {
+            months_replayed: 1,
+            ..Default::default()
+        });
         let replay = PipelineMetrics::new();
         let partial = self.fold_month(month, &replay, |partial, index, flow| {
             let one = isolate(|| {
@@ -310,7 +323,10 @@ impl Study {
                     true
                 }
                 None => {
-                    replay.record_quarantined(1);
+                    replay.add(&MetricsSnapshot {
+                        flows_quarantined: 1,
+                        ..Default::default()
+                    });
                     tlscope_obs::flight::report(&format!(
                         "poison flow quarantined (month {month}, flow {index})"
                     ));
@@ -322,10 +338,11 @@ impl Study {
         (partial, replay)
     }
 
-    /// Stream `month` into a fresh partial and record it into
-    /// `metrics` once, after the loop: the stream's tally, the flows
-    /// dispatched and ingested, and the two stage clocks. `fold`
-    /// reports whether it ingested the flow (`false`: quarantined).
+    /// Stream `month` into a fresh partial and add it to `metrics`
+    /// once, after the loop: the stream's tally, the flows dispatched
+    /// and ingested, the parse failures, and the two stage clocks.
+    /// `fold` reports whether it ingested the flow (`false`:
+    /// quarantined).
     ///
     /// The clocks are sampled: every [`TIMING_SAMPLE`]th flow by index
     /// (starting at 0) is timed with three clock reads — before
@@ -359,20 +376,26 @@ impl Study {
             dispatched += 1;
         }
         let scaled = |sum: Duration| match sampled {
-            0 => Duration::ZERO,
-            n => Duration::from_nanos(
-                (sum.as_nanos() * u128::from(dispatched) / u128::from(n)) as u64,
-            ),
+            0 => 0,
+            n => (sum.as_nanos() * u128::from(dispatched) / u128::from(n)) as u64,
         };
         let tally = stream.tally();
-        metrics.record_generated(tally.flows, tally.wire_bytes, scaled(gen_time));
-        metrics.record_outage_dropped(tally.outage_dropped);
-        metrics.record_duplicated(tally.duplicated);
-        metrics.record_template(tally.template_hits, tally.template_misses);
-        metrics.record_dispatched(dispatched);
-        metrics.record_batch(ingested, scaled(ingest_time));
-        metrics.record_parse_failures(partial.not_tls, partial.garbled_client);
-        metrics.record_salvaged(partial.salvaged);
+        metrics.add(&MetricsSnapshot {
+            flows_generated: tally.flows,
+            bytes_generated: tally.wire_bytes,
+            gen_nanos: scaled(gen_time),
+            flows_outage_dropped: tally.outage_dropped,
+            flows_duplicated: tally.duplicated,
+            flows_dispatched: dispatched,
+            flows_ingested: ingested,
+            not_tls: partial.not_tls,
+            garbled_client: partial.garbled_client,
+            flows_salvaged: partial.salvaged,
+            ingest_nanos: scaled(ingest_time),
+            template_hits: tally.template_hits,
+            template_misses: tally.template_misses,
+            ..Default::default()
+        });
         partial
     }
 

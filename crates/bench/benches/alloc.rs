@@ -38,10 +38,11 @@
 //! `BENCH_pipeline.json`, read before this run overwrites it, and
 //! `improvement.throughput_factor` is this run's pipeline conns/s over
 //! that row's. `alloc_reduction_factor` is against `baseline_pre_pr`.
-//! Timings gate nothing.
+//! The one timing that gates is the `heartbeat` row's ratio (see
+//! [`HEARTBEAT_RATIO_MIN`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tlscope::chron::Month;
 use tlscope::notary::conn::extract_with;
@@ -74,9 +75,11 @@ const CACHE_HIT_RATE_MIN: f64 = 0.9;
 
 /// Minimum heartbeat-on/heartbeat-off throughput ratio for the fused
 /// pipeline. The heartbeat is observational — a same-run ratio far
-/// below 1.0 means the ticker started perturbing the hot loop. Kept
-/// lenient so scheduler noise on shared CI runners cannot flake it;
-/// the measured ratio itself is recorded in the trajectory file.
+/// below 1.0 means the ticker started perturbing the hot loop. The
+/// gated ratio is the median over alternating quiet/heartbeat pairs,
+/// and the bound is kept lenient, so scheduler noise on shared CI
+/// runners cannot flake it; the measured ratio itself is recorded in
+/// the trajectory file.
 const HEARTBEAT_RATIO_MIN: f64 = 0.90;
 
 use tlscope_bench::{best_secs, json_number, PIPELINE_ALLOC_BUDGET_PER_CONN};
@@ -125,6 +128,12 @@ fn prev_pr_baseline(path: &str) -> (f64, f64) {
         (Some(apc), Some(cps)) => (apc, cps),
         _ => fallback,
     }
+}
+
+/// The middle value of an odd-length sample.
+fn median(mut sample: Vec<f64>) -> f64 {
+    sample.sort_by(f64::total_cmp);
+    sample[sample.len() / 2]
 }
 
 /// Hit rate, or 0.0 for an untouched cache (which fails the gate:
@@ -208,8 +217,12 @@ fn main() {
     // sampling a shared counter the loop publishes every 1024 flows —
     // the cadence the study runner's per-batch metrics give it. The
     // heartbeat is observational by design; this row prices that claim
-    // as a throughput ratio against the quiet fused row above.
-    let heartbeat_secs = {
+    // as a throughput ratio against quiet fused runs. Quiet and
+    // heartbeat runs alternate in pairs and the row reads the medians,
+    // so a slow stretch of the host (another job, the tail of a long
+    // bench before this one) lands on both halves of a pair instead of
+    // on one whole block of runs.
+    let (heartbeat_secs, heartbeat_ratio) = {
         let progress = Progress::with_interval(
             Duration::from_millis(200),
             "bench-fused",
@@ -217,29 +230,43 @@ fn main() {
             "runs",
             "flows",
         );
-        let stop = AtomicBool::new(false);
         let published = AtomicU64::new(0);
-        let mut best = f64::INFINITY;
-        std::thread::scope(|scope| {
-            scope.spawn(|| progress.run_ticker(&stop, || (0, published.load(Ordering::Relaxed))));
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let mut agg = NotaryAggregate::new();
-                let mut stream = gen.stream_month(month);
-                let mut flows = 0u64;
-                while let Some(flow) = stream.next_flow() {
-                    ingest_borrowed(&mut agg, flow.date, flow.port, flow.client, flow.server);
-                    flows += 1;
-                    if flows.is_multiple_of(1024) {
-                        published.store(flows, Ordering::Relaxed);
+        let with_heartbeat = || {
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    progress.run_ticker(&stop, || (0, published.load(Ordering::Relaxed)))
+                });
+                let secs = best_secs(2, || {
+                    let mut agg = NotaryAggregate::new();
+                    let mut stream = gen.stream_month(month);
+                    let mut flows = 0u64;
+                    while let Some(flow) = stream.next_flow() {
+                        ingest_borrowed(&mut agg, flow.date, flow.port, flow.client, flow.server);
+                        flows += 1;
+                        if flows.is_multiple_of(1024) {
+                            published.store(flows, Ordering::Relaxed);
+                        }
                     }
-                }
-                std::hint::black_box(&agg);
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
-            stop.store(true, Ordering::Release);
-        });
-        best
+                    std::hint::black_box(&agg);
+                });
+                stop.store(true, Ordering::Release);
+                secs
+            })
+        };
+        // Odd, so the median is one pair's ratio. Each half of a pair
+        // is its best of two runs, so neither is timed on its first run
+        // alone: the quiet half starts right after the previous pair's
+        // ticker shutdown, a wait with the core idle.
+        let pairs = if fast { 5 } else { 7 };
+        let (beats, ratios): (Vec<f64>, Vec<f64>) = (0..pairs)
+            .map(|_| {
+                let quiet = best_secs(2, fused);
+                let beat = with_heartbeat();
+                (beat, quiet / beat)
+            })
+            .unzip();
+        (median(beats), median(ratios))
     };
 
     // --- Cache effectiveness on the clean profile: one dedicated
@@ -307,11 +334,6 @@ fn main() {
     let pipeline_apc = pipeline_allocs as f64 / n;
     let pipeline_cps = n / pipeline_secs;
     let heartbeat_cps = n / heartbeat_secs;
-    let heartbeat_ratio = if pipeline_cps > 0.0 {
-        heartbeat_cps / pipeline_cps
-    } else {
-        0.0
-    };
     let counting = cfg!(feature = "alloc-counter");
 
     let alloc_reduction = if counting && pipeline_apc > 0.0 {
@@ -410,7 +432,7 @@ fn main() {
     if !heartbeat_pass {
         eprintln!(
             "heartbeat tax too high: fused throughput with the ticker is \
-             {heartbeat_ratio:.4} of the quiet run (min {HEARTBEAT_RATIO_MIN:.2})"
+             {heartbeat_ratio:.4} of the quiet runs' (median of pairs, min {HEARTBEAT_RATIO_MIN:.2})"
         );
         std::process::exit(1);
     }

@@ -9,7 +9,8 @@
 //!   --full         paper-scale window with more samples per month
 //!   --csv          emit CSV instead of ASCII rendering
 //!   --width <n>    ASCII chart width (default 84)
-//!   --seed <n>     override the study seed
+//!   --seed <n>     override the study seed: decimal, or hex with a
+//!                  0x prefix (the form the run header prints)
 //!   --stats        print per-stage pipeline metrics after the run
 //!   --scan-stats   print active-scan accounting after the run
 //!   --stats-json <path>
@@ -52,7 +53,7 @@ struct Options {
 
 fn usage() {
     eprintln!(
-        "usage: repro [--quick|--full] [--csv] [--stats] [--scan-stats] [--stats-json PATH] [--scan-stats-json PATH] [--width N] [--seed N] [--resume DIR] [--resume-scan DIR] [--list] <id>...|all\n\
+        "usage: repro [--quick|--full] [--csv] [--stats] [--scan-stats] [--stats-json PATH] [--scan-stats-json PATH] [--width N] [--seed N|0xHEX] [--resume DIR] [--resume-scan DIR] [--list] <id>...|all\n\
          ids: {}",
         EXPERIMENT_IDS.join(" ")
     );
@@ -94,12 +95,8 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|_| "--width needs a number")?;
             }
             "--seed" => {
-                opts.seed = Some(
-                    args.next()
-                        .ok_or("--seed needs a value")?
-                        .parse()
-                        .map_err(|_| "--seed needs a number")?,
-                );
+                let seed = args.next().ok_or("--seed needs a value")?;
+                opts.seed = Some(parse_seed(&seed).ok_or("--seed needs a number")?);
             }
             "--resume" => {
                 opts.resume = Some(args.next().ok_or("--resume needs a directory")?);
@@ -126,6 +123,15 @@ fn parse_args() -> Result<Options, String> {
         return Err("no experiments requested".into());
     }
     Ok(opts)
+}
+
+/// A seed in decimal, or in hex after a `0x`/`0X` prefix: the header
+/// prints the seed as `0x…`, so a run can be repeated from its log.
+fn parse_seed(raw: &str) -> Option<u64> {
+    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => raw.parse().ok(),
+    }
 }
 
 /// The profile [`SCAN_FAULT_ENV`] names, by the name `ScanFaults`

@@ -208,7 +208,7 @@ impl ReportContext {
         if self.scans.is_none() {
             let campaign = ScanMetrics::new();
             let scans = self.study.try_run_active_metered(&campaign);
-            self.scan_metrics.merge_from(&campaign);
+            self.scan_metrics.absorb(&campaign);
             self.scans = Some(scans?);
             self.campaign_ledger = campaign.snapshot();
         }

@@ -1,6 +1,7 @@
 //! Repeat runs of the repro CLI produce byte-identical artefacts: no
 //! timing, map iteration order, or thread scheduling may leak into
-//! what `repro` prints on stdout.
+//! what `repro` prints on stdout, and a run can be repeated from the
+//! seed its header prints.
 
 use std::process::Command;
 
@@ -27,4 +28,32 @@ fn quick_csv_all_is_byte_identical_across_runs() {
     let differs = first.lines().zip(second.lines()).find(|(a, b)| a != b);
     assert_eq!(differs, None, "first differing line of two runs");
     assert_eq!(first, second);
+}
+
+/// `--seed` takes the hex form the run header prints (`seed 0x…`,
+/// either case of prefix and digits) as well as decimal: every
+/// spelling of the default seed prints the default run's artefact,
+/// another seed does not, and a malformed hex seed is refused.
+#[test]
+fn seed_accepts_the_hex_form_the_header_prints() {
+    let seed = tlscope::analysis::StudyConfig::quick().seed;
+    let default = repro_stdout(&["--quick", "--csv", "fig2"]);
+    for spelled in [
+        format!("{seed:#X}"),
+        format!("{seed:#x}").replacen("0x", "0X", 1),
+        seed.to_string(),
+    ] {
+        let run = repro_stdout(&["--quick", "--csv", "--seed", &spelled, "fig2"]);
+        assert!(run == default, "--seed {spelled} changed the artefact");
+    }
+    let other = repro_stdout(&["--quick", "--csv", "--seed", "0x1", "fig2"]);
+    assert!(other != default, "--seed 0x1 was ignored");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--quick", "--seed", "0xZZ", "fig2"])
+        .output()
+        .expect("repro binary should spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--seed needs a number"), "{stderr}");
 }

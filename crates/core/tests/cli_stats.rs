@@ -77,20 +77,20 @@ fn stats_surfaces_agree_across_render_and_json() {
     }
 
     // Pipeline export: parses, carries the schema tag, and its
-    // counters match the rendered figures byte-for-byte.
+    // counts match the rendered figures byte-for-byte.
     let text = std::fs::read_to_string(&stats_path).expect("stats json written");
     let doc = Json::parse(&text).expect("stats json parses");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
         Some(tlscope::notary::MetricsSnapshot::SCHEMA)
     );
-    for section in ["counters", "derived", "latency"] {
+    for section in ["counts", "clocks", "scheduling", "derived", "latency"] {
         assert!(doc.get(section).is_some(), "missing `{section}` section");
     }
-    let counters = doc.get("counters").expect("counters");
+    let counts = doc.get("counts").expect("counts");
     // `  ingest  <flows> flows  <seconds>s thread ...`
     assert_eq!(
-        counters.get("flows_ingested").and_then(Json::as_u64),
+        counts.get("flows_ingested").and_then(Json::as_u64),
         Some(render_token(&stderr, "ingest", 1))
     );
     // The latency section holds one month sample per month folded.
@@ -110,23 +110,57 @@ fn stats_surfaces_agree_across_render_and_json() {
         doc.get("schema").and_then(Json::as_str),
         Some(tlscope::scanner::ScanMetricsSnapshot::SCHEMA)
     );
-    let counters = doc.get("counters").expect("counters");
+    let counts = doc.get("counts").expect("counts");
     // `  sweep  <sweeps> sweeps  <hosts> hosts ...`
     assert_eq!(
-        counters.get("hosts_probed").and_then(Json::as_u64),
+        counts.get("hosts_probed").and_then(Json::as_u64),
         Some(render_token(&stderr, "sweep", 3))
     );
     // The two-part ledger survives the export round trip.
-    let probed = counters.get("hosts_probed").and_then(Json::as_u64).unwrap();
-    let dropped = counters
-        .get("hosts_dropped")
-        .and_then(Json::as_u64)
-        .unwrap();
+    let probed = counts.get("hosts_probed").and_then(Json::as_u64).unwrap();
+    let dropped = counts.get("hosts_dropped").and_then(Json::as_u64).unwrap();
     assert_eq!(
-        counters.get("hosts_dispatched").and_then(Json::as_u64),
+        counts.get("hosts_dispatched").and_then(Json::as_u64),
         Some(probed + dropped)
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `counts` sections are a pure function of the study: two
+/// identical runs export equal counts on both apertures, whatever the
+/// clocks and the scheduling-dependent parse-cache figures read.
+#[test]
+fn counts_repeat_between_identical_runs() {
+    let dir = scratch_dir("repeat");
+    let counts: Vec<(Json, Json)> = (0..2)
+        .map(|run| {
+            let stats_path = dir.join(format!("stats{run}.json"));
+            let scan_path = dir.join(format!("scan{run}.json"));
+            let out = run_repro(&[
+                "--quick",
+                "--stats-json",
+                stats_path.to_str().unwrap(),
+                "--scan-stats-json",
+                scan_path.to_str().unwrap(),
+                "fig2",
+                "censys",
+            ]);
+            assert!(
+                out.status.success(),
+                "repro failed: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let section = |path: &PathBuf| {
+                let text = std::fs::read_to_string(path).expect("stats json written");
+                let doc = Json::parse(&text).expect("stats json parses");
+                doc.get("counts").expect("counts section").clone()
+            };
+            (section(&stats_path), section(&scan_path))
+        })
+        .collect();
+    assert_eq!(counts[0].0, counts[1].0, "pipeline counts differ");
+    assert_eq!(counts[0].1, counts[1].1, "scan counts differ");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -483,13 +483,14 @@ pub fn parse_cache_stats() -> ParseCacheStats {
 pub fn flush_parse_cache_metrics(metrics: &crate::metrics::PipelineMetrics) {
     SCRATCH.with(|s| {
         let cache = &mut s.borrow_mut().cache;
-        let hits = cache.stats.hits - cache.flushed.hits;
-        let misses = cache.stats.misses - cache.flushed.misses;
-        let evictions = cache.stats.evictions - cache.flushed.evictions;
+        let delta = crate::metrics::MetricsSnapshot {
+            parse_cache_hits: cache.stats.hits - cache.flushed.hits,
+            parse_cache_misses: cache.stats.misses - cache.flushed.misses,
+            parse_cache_evictions: cache.stats.evictions - cache.flushed.evictions,
+            ..Default::default()
+        };
         cache.flushed = cache.stats;
-        if hits | misses | evictions != 0 {
-            metrics.record_parse_cache(hits, misses, evictions);
-        }
+        metrics.add(&delta);
     });
 }
 

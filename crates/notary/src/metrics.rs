@@ -1,14 +1,15 @@
-//! Pipeline accounting: lock-free per-stage counters and wall-clock.
+//! Pipeline accounting: per-stage counters, stage clocks and latency
+//! histograms, declared once in one [`tlscope_obs::ledger!`] table.
 //!
 //! The paper's Notary processed 319.3 B connections on a cluster whose
 //! health was only observable through per-stage accounting (what was
 //! parsed, what was dropped, where time went). [`PipelineMetrics`] is
-//! that layer for the reproduction: a bag of atomic counters shared by
-//! every stage of the generation → extraction → aggregation pipeline.
-//! All methods take `&self`, so one instance can be threaded through
-//! any number of worker threads without locks.
+//! that layer for the reproduction: one bag shared by every stage of
+//! the generation → extraction → aggregation pipeline. Stages record
+//! by adding a named-field [`MetricsSnapshot`] delta once per month or
+//! checkpoint pass, so one lock serves any number of workers.
 //!
-//! Counters are exact. The two stage clocks (`gen_nanos`,
+//! Counts are exact. The two stage clocks (`gen_nanos`,
 //! `ingest_nanos`) are *sampled estimates*: the study runner times one
 //! flow in 64 and scales each month's sums to all of its flows, so no
 //! flow pays for a clock read it does not need. Flow 0 of every month
@@ -21,402 +22,103 @@
 //! time. Divide by the elapsed wall time to read out effective
 //! parallelism.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use tlscope_obs::ledger::{rate, scaled};
+use tlscope_obs::JsonObj;
 
-use tlscope_obs::{Histogram, HistogramSnapshot, JsonObj};
-
-/// Shared, lock-free pipeline counters.
-///
-/// Counter groups:
-/// * **generation** — flows and wire bytes emitted by the synthetic
-///   tap, plus generator wall-clock, flows lost to tap outage windows,
-///   and tap-duplicated flows;
-/// * **ingestion** — flows through the notary, parse failures
-///   by class, records salvaged from damaged flows, plus extraction
-///   wall-clock;
-/// * **recovery** — months replayed after a worker panic, and poison
-///   flows quarantined by the replay;
-/// * **merge / fault** — aggregate-merge wall-clock and months lost to
-///   worker panics (best-effort collection, paper §3.1).
-#[derive(Debug, Default)]
-pub struct PipelineMetrics {
-    flows_generated: AtomicU64,
-    bytes_generated: AtomicU64,
-    gen_nanos: AtomicU64,
-    flows_outage_dropped: AtomicU64,
-    flows_duplicated: AtomicU64,
-
-    flows_dispatched: AtomicU64,
-    flows_ingested: AtomicU64,
-    not_tls: AtomicU64,
-    garbled_client: AtomicU64,
-    flows_salvaged: AtomicU64,
-    ingest_nanos: AtomicU64,
-
-    months_replayed: AtomicU64,
-    flows_quarantined: AtomicU64,
-
-    merge_nanos: AtomicU64,
-    shards_lost: AtomicU64,
-
-    checkpoints_written: AtomicU64,
-    checkpoints_loaded: AtomicU64,
-    checkpoints_quarantined: AtomicU64,
-
-    template_hits: AtomicU64,
-    template_misses: AtomicU64,
-
-    parse_cache_hits: AtomicU64,
-    parse_cache_misses: AtomicU64,
-    parse_cache_evictions: AtomicU64,
-
-    // Latency distributions (observational only: never part of
-    // snapshot equality or any bit-identity property).
-    month_hist: Histogram,
-    ckpt_write_hist: Histogram,
-    ckpt_load_hist: Histogram,
-}
-
-impl PipelineMetrics {
-    /// A zeroed metrics bag.
-    pub fn new() -> Self {
-        PipelineMetrics::default()
-    }
-
-    /// Record `flows` generated flows carrying `bytes` wire bytes and
-    /// `elapsed` generator time. The study runner calls this once per
-    /// month with the stream's tally and its sampled clock estimate.
-    pub fn record_generated(&self, flows: u64, bytes: u64, elapsed: Duration) {
-        self.flows_generated.fetch_add(flows, Ordering::Relaxed);
-        self.bytes_generated.fetch_add(bytes, Ordering::Relaxed);
-        self.gen_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Record `flows` handed to the ingestion stage (sent, not yet
-    /// necessarily processed — the gap to `flows_ingested` is loss).
-    pub fn record_dispatched(&self, flows: u64) {
-        self.flows_dispatched.fetch_add(flows, Ordering::Relaxed);
-    }
-
-    /// Record `flows` ingested flows taking `elapsed` ingestion time.
-    /// The study runner calls this once per month with its sampled
-    /// clock estimate.
-    pub fn record_batch(&self, flows: u64, elapsed: Duration) {
-        self.flows_ingested.fetch_add(flows, Ordering::Relaxed);
-        self.ingest_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Record one completed month of passive generation + ingestion
-    /// taking `elapsed` wall-clock.
-    pub fn record_month(&self, elapsed: Duration) {
-        self.month_hist.record(elapsed);
-    }
-
-    /// Record the wall-clock of one checkpoint file write.
-    pub fn observe_checkpoint_write(&self, elapsed: Duration) {
-        self.ckpt_write_hist.record(elapsed);
-    }
-
-    /// Record the wall-clock of one checkpoint directory load pass.
-    pub fn observe_checkpoint_load(&self, elapsed: Duration) {
-        self.ckpt_load_hist.record(elapsed);
-    }
-
-    /// Record parse failures by class.
-    pub fn record_parse_failures(&self, not_tls: u64, garbled_client: u64) {
-        self.not_tls.fetch_add(not_tls, Ordering::Relaxed);
-        self.garbled_client
-            .fetch_add(garbled_client, Ordering::Relaxed);
-    }
-
-    /// Record `flows` lost to a tap outage window (never dispatched).
-    pub fn record_outage_dropped(&self, flows: u64) {
-        self.flows_outage_dropped
-            .fetch_add(flows, Ordering::Relaxed);
-    }
-
-    /// Record `flows` duplicated by the tap (the duplicate is also
-    /// counted as generated).
-    pub fn record_duplicated(&self, flows: u64) {
-        self.flows_duplicated.fetch_add(flows, Ordering::Relaxed);
-    }
-
-    /// Record `flows` whose records were salvaged from damaged bytes
-    /// (graceful extraction degradation instead of a garbled drop).
-    pub fn record_salvaged(&self, flows: u64) {
-        self.flows_salvaged.fetch_add(flows, Ordering::Relaxed);
-    }
-
-    /// Record one month replayed flow by flow after its first pass
-    /// panicked.
-    pub fn record_month_replayed(&self) {
-        self.months_replayed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `flows` quarantined as poison (they panicked the fold
-    /// even in isolation and were excluded from the run).
-    pub fn record_quarantined(&self, flows: u64) {
-        self.flows_quarantined.fetch_add(flows, Ordering::Relaxed);
-    }
-
-    /// Record time spent merging partial aggregates.
-    pub fn record_merge(&self, elapsed: Duration) {
-        self.merge_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Record `months` lost to worker panics: neither committed nor
-    /// recovered by a replay.
-    pub fn record_shards_lost(&self, months: u64) {
-        self.shards_lost.fetch_add(months, Ordering::Relaxed);
-    }
-
-    /// Record one checkpoint file written to the durable store.
-    pub fn record_checkpoint_written(&self) {
-        self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` checkpoint files loaded cleanly on resume (their
-    /// months are skipped, not recomputed).
-    pub fn record_checkpoints_loaded(&self, n: u64) {
-        self.checkpoints_loaded.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` damaged checkpoint files quarantined on resume
-    /// (renamed to `*.ckpt.bad`; their months are recomputed).
-    pub fn record_checkpoints_quarantined(&self, n: u64) {
-        self.checkpoints_quarantined.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record generation-side template-cache consults: `hits` flights
-    /// served by memcpy + patch, `misses` serialised in full (and
-    /// cached for next time).
-    pub fn record_template(&self, hits: u64, misses: u64) {
-        self.template_hits.fetch_add(hits, Ordering::Relaxed);
-        self.template_misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Record ingestion-side parse-cache consults: `hits` hellos whose
-    /// offer was copied from cache, `misses` fully parsed (and
-    /// inserted), `evictions` entries displaced by capacity pressure.
-    /// Bypassed flows (salvaged, structurally unknown) count as none
-    /// of these.
-    pub fn record_parse_cache(&self, hits: u64, misses: u64, evictions: u64) {
-        self.parse_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.parse_cache_misses.fetch_add(misses, Ordering::Relaxed);
-        self.parse_cache_evictions
-            .fetch_add(evictions, Ordering::Relaxed);
-    }
-
-    /// Months lost so far (also available via [`snapshot`]).
+tlscope_obs::ledger! {
+    /// Shared pipeline counters and latency histograms.
     ///
-    /// [`snapshot`]: PipelineMetrics::snapshot
-    pub fn shards_lost(&self) -> u64 {
-        self.shards_lost.load(Ordering::Relaxed)
+    /// Counter groups:
+    /// * **generation** — flows and wire bytes emitted by the synthetic
+    ///   tap, plus generator wall-clock, flows lost to tap outage
+    ///   windows, and tap-duplicated flows;
+    /// * **ingestion** — flows through the notary, parse failures
+    ///   by class, records salvaged from damaged flows, plus extraction
+    ///   wall-clock;
+    /// * **recovery** — months replayed after a worker panic, and poison
+    ///   flows quarantined by the replay;
+    /// * **merge / fault** — aggregate-merge wall-clock and months lost
+    ///   to worker panics (best-effort collection, paper §3.1).
+    pub struct PipelineMetrics;
+
+    /// A plain-value copy of [`PipelineMetrics`]' counters, with derived
+    /// rates and a terminal rendering. It is also the delta a stage
+    /// adds to the bag.
+    pub struct MetricsSnapshot {
+        /// Flows emitted by the generator.
+        flows_generated: Count,
+        /// Wire bytes emitted by the generator (client + server flows).
+        bytes_generated: Count,
+        /// Generator wall-clock summed over worker threads, nanoseconds: a
+        /// sampled estimate (one flow in 64 timed, scaled to every flow).
+        gen_nanos: Clock,
+        /// Flows lost to tap outage windows (never dispatched).
+        flows_outage_dropped: Count,
+        /// Flows duplicated by the tap (the duplicate is also counted
+        /// as generated).
+        flows_duplicated: Count,
+        /// Flows handed to the ingestion stage.
+        flows_dispatched: Count,
+        /// Flows actually processed by the ingestion stage.
+        flows_ingested: Count,
+        /// Parse failures: not SSL/TLS at all.
+        not_tls: Count,
+        /// Parse failures: client flow too damaged to parse.
+        garbled_client: Count,
+        /// Connections salvaged from damaged flows (prefix-recovered
+        /// records instead of a garbled drop).
+        flows_salvaged: Count,
+        /// Ingestion wall-clock summed over worker threads, nanoseconds: a
+        /// sampled estimate, like `gen_nanos`.
+        ingest_nanos: Clock,
+        /// Months replayed flow by flow after their first pass panicked.
+        months_replayed: Count,
+        /// Poison flows quarantined by a month replay.
+        flows_quarantined: Count,
+        /// Wall-clock spent merging partial aggregates, nanoseconds.
+        merge_nanos: Clock,
+        /// Months lost to worker panics (neither committed nor recovered
+        /// by a replay).
+        shards_lost: Count,
+        /// Checkpoint files written to the durable store.
+        checkpoints_written: Count,
+        /// Checkpoint files loaded cleanly on resume (months skipped).
+        checkpoints_loaded: Count,
+        /// Damaged checkpoint files quarantined on resume (months
+        /// recomputed).
+        checkpoints_quarantined: Count,
+        /// Generation-side template-cache hits (flights served by
+        /// memcpy + patch).
+        template_hits: Count,
+        /// Generation-side template-cache misses (flights serialised in
+        /// full and cached).
+        template_misses: Count,
+        /// Ingestion-side parse-cache hits (offers copied from cache).
+        parse_cache_hits: Scheduling,
+        /// Ingestion-side parse-cache misses (hellos fully parsed and
+        /// inserted).
+        parse_cache_misses: Scheduling,
+        /// Parse-cache entries evicted by capacity pressure.
+        parse_cache_evictions: Scheduling,
     }
 
-    /// Fold `other` into this bag: every counter is added and every
-    /// latency histogram merged. The study runner meters each month
-    /// into a month-local bag and absorbs it only when the month
-    /// commits, so a month replayed after a panic is counted once.
-    pub fn absorb(&self, other: &PipelineMetrics) {
-        for (into, from) in [
-            (&self.flows_generated, &other.flows_generated),
-            (&self.bytes_generated, &other.bytes_generated),
-            (&self.gen_nanos, &other.gen_nanos),
-            (&self.flows_outage_dropped, &other.flows_outage_dropped),
-            (&self.flows_duplicated, &other.flows_duplicated),
-            (&self.flows_dispatched, &other.flows_dispatched),
-            (&self.flows_ingested, &other.flows_ingested),
-            (&self.not_tls, &other.not_tls),
-            (&self.garbled_client, &other.garbled_client),
-            (&self.flows_salvaged, &other.flows_salvaged),
-            (&self.ingest_nanos, &other.ingest_nanos),
-            (&self.months_replayed, &other.months_replayed),
-            (&self.flows_quarantined, &other.flows_quarantined),
-            (&self.merge_nanos, &other.merge_nanos),
-            (&self.shards_lost, &other.shards_lost),
-            (&self.checkpoints_written, &other.checkpoints_written),
-            (&self.checkpoints_loaded, &other.checkpoints_loaded),
-            (
-                &self.checkpoints_quarantined,
-                &other.checkpoints_quarantined,
-            ),
-            (&self.template_hits, &other.template_hits),
-            (&self.template_misses, &other.template_misses),
-            (&self.parse_cache_hits, &other.parse_cache_hits),
-            (&self.parse_cache_misses, &other.parse_cache_misses),
-            (&self.parse_cache_evictions, &other.parse_cache_evictions),
-        ] {
-            into.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.month_hist.merge(&other.month_hist);
-        self.ckpt_write_hist.merge(&other.ckpt_write_hist);
-        self.ckpt_load_hist.merge(&other.ckpt_load_hist);
+    /// Point-in-time latency distributions of the passive pipeline —
+    /// observational siblings of [`MetricsSnapshot`], deliberately not
+    /// part of it (the snapshot is persisted and compared bit-for-bit;
+    /// timing never is).
+    pub struct PipelineLatency("pipeline latency") {
+        /// Wall-clock per completed month (generation + ingestion).
+        month: "month",
+        /// Wall-clock per checkpoint file write.
+        checkpoint_write: "ckpt-write",
+        /// Wall-clock per checkpoint directory load pass.
+        checkpoint_load: "ckpt-load",
     }
 
-    /// A consistent-enough point-in-time copy of all counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            flows_generated: self.flows_generated.load(Ordering::Relaxed),
-            bytes_generated: self.bytes_generated.load(Ordering::Relaxed),
-            gen_nanos: self.gen_nanos.load(Ordering::Relaxed),
-            flows_outage_dropped: self.flows_outage_dropped.load(Ordering::Relaxed),
-            flows_duplicated: self.flows_duplicated.load(Ordering::Relaxed),
-            flows_dispatched: self.flows_dispatched.load(Ordering::Relaxed),
-            flows_ingested: self.flows_ingested.load(Ordering::Relaxed),
-            not_tls: self.not_tls.load(Ordering::Relaxed),
-            garbled_client: self.garbled_client.load(Ordering::Relaxed),
-            flows_salvaged: self.flows_salvaged.load(Ordering::Relaxed),
-            ingest_nanos: self.ingest_nanos.load(Ordering::Relaxed),
-            months_replayed: self.months_replayed.load(Ordering::Relaxed),
-            flows_quarantined: self.flows_quarantined.load(Ordering::Relaxed),
-            merge_nanos: self.merge_nanos.load(Ordering::Relaxed),
-            shards_lost: self.shards_lost.load(Ordering::Relaxed),
-            checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
-            checkpoints_loaded: self.checkpoints_loaded.load(Ordering::Relaxed),
-            checkpoints_quarantined: self.checkpoints_quarantined.load(Ordering::Relaxed),
-            template_hits: self.template_hits.load(Ordering::Relaxed),
-            template_misses: self.template_misses.load(Ordering::Relaxed),
-            parse_cache_hits: self.parse_cache_hits.load(Ordering::Relaxed),
-            parse_cache_misses: self.parse_cache_misses.load(Ordering::Relaxed),
-            parse_cache_evictions: self.parse_cache_evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// A point-in-time copy of the latency distributions. Kept apart
-    /// from [`snapshot`] so the counter snapshot's equality semantics
-    /// (and the persisted checkpoint format built on it) stay exactly
-    /// as they were.
-    ///
-    /// [`snapshot`]: PipelineMetrics::snapshot
-    pub fn latency(&self) -> PipelineLatency {
-        PipelineLatency {
-            month: self.month_hist.snapshot(),
-            checkpoint_write: self.ckpt_write_hist.snapshot(),
-            checkpoint_load: self.ckpt_load_hist.snapshot(),
-        }
-    }
-}
-
-/// Point-in-time latency distributions of the passive pipeline —
-/// observational siblings of [`MetricsSnapshot`], deliberately not
-/// part of it (the snapshot is persisted and compared bit-for-bit;
-/// timing never is).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipelineLatency {
-    /// Wall-clock per completed month (generation + ingestion).
-    pub month: HistogramSnapshot,
-    /// Wall-clock per checkpoint file write.
-    pub checkpoint_write: HistogramSnapshot,
-    /// Wall-clock per checkpoint directory load pass.
-    pub checkpoint_load: HistogramSnapshot,
-}
-
-impl PipelineLatency {
-    /// Multi-line terminal rendering, mirroring
-    /// [`MetricsSnapshot::render`]'s column layout.
-    pub fn render(&self) -> String {
-        let mut out = String::from("pipeline latency\n");
-        for (label, hist) in [
-            ("month", &self.month),
-            ("ckpt-write", &self.checkpoint_write),
-            ("ckpt-load", &self.checkpoint_load),
-        ] {
-            out.push_str(&format!("  {:<11} {}\n", label, hist.render_line()));
-        }
-        out
-    }
-
-    fn to_json(self) -> String {
-        JsonObj::new()
-            .raw("month", &self.month.to_json())
-            .raw("checkpoint_write", &self.checkpoint_write.to_json())
-            .raw("checkpoint_load", &self.checkpoint_load.to_json())
-            .finish()
-    }
-}
-
-/// A plain-value copy of [`PipelineMetrics`], with derived rates and a
-/// terminal rendering.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Flows emitted by the generator.
-    pub flows_generated: u64,
-    /// Wire bytes emitted by the generator (client + server flows).
-    pub bytes_generated: u64,
-    /// Generator wall-clock summed over worker threads, nanoseconds: a
-    /// sampled estimate (one flow in 64 timed, scaled to every flow).
-    pub gen_nanos: u64,
-    /// Flows lost to tap outage windows (never dispatched).
-    pub flows_outage_dropped: u64,
-    /// Flows duplicated by the tap.
-    pub flows_duplicated: u64,
-    /// Flows handed to the ingestion stage.
-    pub flows_dispatched: u64,
-    /// Flows actually processed by the ingestion stage.
-    pub flows_ingested: u64,
-    /// Parse failures: not SSL/TLS at all.
-    pub not_tls: u64,
-    /// Parse failures: client flow too damaged to parse.
-    pub garbled_client: u64,
-    /// Connections salvaged from damaged flows (prefix-recovered
-    /// records instead of a garbled drop).
-    pub flows_salvaged: u64,
-    /// Ingestion wall-clock summed over worker threads, nanoseconds: a
-    /// sampled estimate, like `gen_nanos`.
-    pub ingest_nanos: u64,
-    /// Months replayed flow by flow after their first pass panicked.
-    pub months_replayed: u64,
-    /// Poison flows quarantined by a month replay.
-    pub flows_quarantined: u64,
-    /// Wall-clock spent merging partial aggregates, nanoseconds.
-    pub merge_nanos: u64,
-    /// Months lost to worker panics (neither committed nor recovered
-    /// by a replay).
-    pub shards_lost: u64,
-    /// Checkpoint files written to the durable store.
-    pub checkpoints_written: u64,
-    /// Checkpoint files loaded cleanly on resume (months skipped).
-    pub checkpoints_loaded: u64,
-    /// Damaged checkpoint files quarantined on resume (months
-    /// recomputed).
-    pub checkpoints_quarantined: u64,
-    /// Generation-side template-cache hits (flights served by
-    /// memcpy + patch).
-    pub template_hits: u64,
-    /// Generation-side template-cache misses (flights serialised in
-    /// full and cached).
-    pub template_misses: u64,
-    /// Ingestion-side parse-cache hits (offers copied from cache).
-    pub parse_cache_hits: u64,
-    /// Ingestion-side parse-cache misses (hellos fully parsed and
-    /// inserted).
-    pub parse_cache_misses: u64,
-    /// Parse-cache entries evicted by capacity pressure.
-    pub parse_cache_evictions: u64,
-}
-
-fn rate(count: u64, nanos: u64) -> f64 {
-    if nanos == 0 {
-        0.0
-    } else {
-        count as f64 / (nanos as f64 / 1e9)
-    }
-}
-
-fn scaled(v: f64) -> String {
-    if v >= 1e9 {
-        format!("{:.2}G", v / 1e9)
-    } else if v >= 1e6 {
-        format!("{:.2}M", v / 1e6)
-    } else if v >= 1e3 {
-        format!("{:.1}k", v / 1e3)
-    } else {
-        format!("{v:.0}")
+    balances {
+        // Every dispatched flow is ingested or quarantined: nothing
+        // silently vanishes.
+        flows_dispatched = flows_ingested + flows_quarantined;
     }
 }
 
@@ -434,13 +136,6 @@ impl MetricsSnapshot {
     /// Flows dispatched but never ingested (quarantined as poison).
     pub fn flows_lost(&self) -> u64 {
         self.flows_dispatched.saturating_sub(self.flows_ingested)
-    }
-
-    /// The end-to-end flow-accounting invariant of the study runner:
-    /// every dispatched flow is either ingested or quarantined
-    /// (nothing silently vanishes).
-    pub fn accounting_holds(&self) -> bool {
-        self.flows_dispatched == self.flows_ingested + self.flows_quarantined
     }
 
     /// Multi-line terminal rendering of the per-stage accounting.
@@ -484,10 +179,11 @@ impl MetricsSnapshot {
             self.merge_nanos as f64 / 1e9
         ));
         out.push_str(&format!(
-            "  {:<11} {:>11} shards lost  {:>8} flows lost\n",
+            "  {:<11} {:>11} shards lost  {:>8} flows lost   ledger {}\n",
             "faults",
             self.shards_lost,
             self.flows_lost(),
+            self.balance(),
         ));
         out.push_str(&format!(
             "  {:<11} {:>11} written {:>9} loaded {:>10} quarantined\n",
@@ -510,58 +206,26 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Schema identifier stamped into every [`to_json`] export; bump
-    /// it whenever the key set changes.
+    /// Schema identifier stamped into every [`to_json_with`] export;
+    /// bump it whenever the key set changes.
     ///
-    /// [`to_json`]: MetricsSnapshot::to_json
-    pub const SCHEMA: &'static str = "tlscope-pipeline-stats-v3";
+    /// [`to_json_with`]: MetricsSnapshot::to_json_with
+    pub const SCHEMA: &'static str = "tlscope-pipeline-stats-v4";
 
-    /// Machine-readable export with empty latency sections (no
-    /// histograms observed).
-    pub fn to_json(&self) -> String {
-        self.to_json_with(&PipelineLatency::default())
-    }
-
-    /// Machine-readable export: `schema` version tag, every raw
-    /// counter under `counters`, the derived figures the rendering
-    /// shows under `derived`, and the latency distributions under
-    /// `latency`. Keys are emitted in a fixed order, so same-state
-    /// exports are byte-identical.
+    /// Machine-readable export: `schema` version tag, the raw counters
+    /// by class under `counts`, `clocks` and `scheduling`, the derived
+    /// figures the rendering shows under `derived`, and the latency
+    /// distributions under `latency`. Keys are emitted in a fixed
+    /// order, so same-state exports are byte-identical, and `counts`
+    /// alone repeats exactly between identical runs.
     pub fn to_json_with(&self, latency: &PipelineLatency) -> String {
-        let counters = JsonObj::new()
-            .u64("flows_generated", self.flows_generated)
-            .u64("bytes_generated", self.bytes_generated)
-            .u64("gen_nanos", self.gen_nanos)
-            .u64("flows_outage_dropped", self.flows_outage_dropped)
-            .u64("flows_duplicated", self.flows_duplicated)
-            .u64("flows_dispatched", self.flows_dispatched)
-            .u64("flows_ingested", self.flows_ingested)
-            .u64("not_tls", self.not_tls)
-            .u64("garbled_client", self.garbled_client)
-            .u64("flows_salvaged", self.flows_salvaged)
-            .u64("ingest_nanos", self.ingest_nanos)
-            .u64("months_replayed", self.months_replayed)
-            .u64("flows_quarantined", self.flows_quarantined)
-            .u64("merge_nanos", self.merge_nanos)
-            .u64("shards_lost", self.shards_lost)
-            .u64("checkpoints_written", self.checkpoints_written)
-            .u64("checkpoints_loaded", self.checkpoints_loaded)
-            .u64("checkpoints_quarantined", self.checkpoints_quarantined)
-            .u64("template_hits", self.template_hits)
-            .u64("template_misses", self.template_misses)
-            .u64("parse_cache_hits", self.parse_cache_hits)
-            .u64("parse_cache_misses", self.parse_cache_misses)
-            .u64("parse_cache_evictions", self.parse_cache_evictions)
-            .finish();
         let derived = JsonObj::new()
             .f64("gen_flows_per_sec", self.gen_flows_per_sec())
             .f64("ingest_flows_per_sec", self.ingest_flows_per_sec())
             .u64("flows_lost", self.flows_lost())
             .bool("accounting_holds", self.accounting_holds())
             .finish();
-        JsonObj::new()
-            .str("schema", MetricsSnapshot::SCHEMA)
-            .raw("counters", &counters)
+        self.counter_sections(JsonObj::new().str("schema", MetricsSnapshot::SCHEMA))
             .raw("derived", &derived)
             .raw("latency", &latency.to_json())
             .finish()
@@ -571,16 +235,27 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn counters_accumulate_and_snapshot() {
         let m = PipelineMetrics::new();
-        m.record_generated(1, 120, Duration::from_nanos(500));
-        m.record_generated(1, 80, Duration::from_nanos(500));
-        m.record_dispatched(2);
-        m.record_batch(2, Duration::from_micros(3));
-        m.record_parse_failures(1, 0);
-        m.record_shards_lost(1);
+        for bytes in [120, 80] {
+            m.add(&MetricsSnapshot {
+                flows_generated: 1,
+                bytes_generated: bytes,
+                gen_nanos: 500,
+                ..Default::default()
+            });
+        }
+        m.add(&MetricsSnapshot {
+            flows_dispatched: 2,
+            flows_ingested: 2,
+            ingest_nanos: 3_000,
+            not_tls: 1,
+            shards_lost: 1,
+            ..Default::default()
+        });
         let s = m.snapshot();
         assert_eq!(s.flows_generated, 2);
         assert_eq!(s.bytes_generated, 200);
@@ -594,8 +269,12 @@ mod tests {
     #[test]
     fn rates_and_render() {
         let m = PipelineMetrics::new();
-        m.record_batch(1000, Duration::from_millis(100));
-        m.record_dispatched(1200);
+        m.add(&MetricsSnapshot {
+            flows_ingested: 1000,
+            ingest_nanos: 100_000_000,
+            flows_dispatched: 1200,
+            ..Default::default()
+        });
         let s = m.snapshot();
         assert!((s.ingest_flows_per_sec() - 10_000.0).abs() < 1.0);
         assert_eq!(s.flows_lost(), 200);
@@ -607,17 +286,20 @@ mod tests {
     #[test]
     fn recovery_counters_accumulate_and_render() {
         let m = PipelineMetrics::new();
-        m.record_dispatched(10);
-        m.record_batch(7, Duration::from_micros(1));
-        m.record_month_replayed();
-        m.record_quarantined(3);
-        m.record_salvaged(2);
-        m.record_outage_dropped(5);
-        m.record_duplicated(1);
-        m.record_checkpoint_written();
-        m.record_checkpoint_written();
-        m.record_checkpoints_loaded(4);
-        m.record_checkpoints_quarantined(1);
+        m.add(&MetricsSnapshot {
+            flows_dispatched: 10,
+            flows_ingested: 7,
+            ingest_nanos: 1_000,
+            months_replayed: 1,
+            flows_quarantined: 3,
+            flows_salvaged: 2,
+            flows_outage_dropped: 5,
+            flows_duplicated: 1,
+            checkpoints_written: 2,
+            checkpoints_loaded: 4,
+            checkpoints_quarantined: 1,
+            ..Default::default()
+        });
         let s = m.snapshot();
         assert_eq!(s.checkpoints_written, 2);
         assert_eq!(s.checkpoints_loaded, 4);
@@ -646,9 +328,19 @@ mod tests {
     #[test]
     fn cache_counters_accumulate_and_render() {
         let m = PipelineMetrics::new();
-        m.record_template(10, 2);
-        m.record_template(5, 0);
-        m.record_parse_cache(8, 3, 1);
+        for (hits, misses) in [(10, 2), (5, 0)] {
+            m.add(&MetricsSnapshot {
+                template_hits: hits,
+                template_misses: misses,
+                ..Default::default()
+            });
+        }
+        m.add(&MetricsSnapshot {
+            parse_cache_hits: 8,
+            parse_cache_misses: 3,
+            parse_cache_evictions: 1,
+            ..Default::default()
+        });
         let s = m.snapshot();
         assert_eq!(s.template_hits, 15);
         assert_eq!(s.template_misses, 2);
@@ -668,10 +360,19 @@ mod tests {
         // old parse-cache row lacked), then an 11-wide right-aligned
         // first figure ending at column 25.
         let m = PipelineMetrics::new();
-        m.record_generated(1, 120, Duration::from_nanos(500));
-        m.record_batch(1, Duration::from_micros(3));
-        m.record_parse_cache(8, 3, 1);
-        m.record_template(15, 2);
+        m.add(&MetricsSnapshot {
+            flows_generated: 1,
+            bytes_generated: 120,
+            gen_nanos: 500,
+            flows_ingested: 1,
+            ingest_nanos: 3_000,
+            parse_cache_hits: 8,
+            parse_cache_misses: 3,
+            parse_cache_evictions: 1,
+            template_hits: 15,
+            template_misses: 2,
+            ..Default::default()
+        });
         let text = m.snapshot().render();
         let body: Vec<&str> = text.lines().skip(1).collect();
         assert!(body.len() >= 10, "expected all sections rendered: {text}");
@@ -705,15 +406,26 @@ mod tests {
     #[test]
     fn absorb_adds_counters_and_merges_latency() {
         let month = PipelineMetrics::new();
-        month.record_generated(1, 120, Duration::from_nanos(500));
-        month.record_dispatched(3);
-        month.record_batch(2, Duration::from_micros(3));
-        month.record_quarantined(1);
-        month.record_template(4, 1);
-        month.record_parse_cache(2, 1, 0);
-        month.record_month(Duration::from_millis(2));
+        month.add(&MetricsSnapshot {
+            flows_generated: 1,
+            bytes_generated: 120,
+            gen_nanos: 500,
+            flows_dispatched: 3,
+            flows_ingested: 2,
+            ingest_nanos: 3_000,
+            flows_quarantined: 1,
+            template_hits: 4,
+            template_misses: 1,
+            parse_cache_hits: 2,
+            parse_cache_misses: 1,
+            ..Default::default()
+        });
+        month.month.record(Duration::from_millis(2));
         let run = PipelineMetrics::new();
-        run.record_checkpoint_written();
+        run.add(&MetricsSnapshot {
+            checkpoints_written: 1,
+            ..Default::default()
+        });
         run.absorb(&month);
         run.absorb(&month);
         let s = run.snapshot();
@@ -733,10 +445,14 @@ mod tests {
     #[test]
     fn latency_histograms_record_and_render() {
         let m = PipelineMetrics::new();
-        m.record_batch(10, Duration::from_micros(50));
-        m.record_month(Duration::from_millis(20));
-        m.observe_checkpoint_write(Duration::from_micros(300));
-        m.observe_checkpoint_load(Duration::from_micros(100));
+        m.add(&MetricsSnapshot {
+            flows_ingested: 10,
+            ingest_nanos: 50_000,
+            ..Default::default()
+        });
+        m.month.record(Duration::from_millis(20));
+        m.checkpoint_write.record(Duration::from_micros(300));
+        m.checkpoint_load.record(Duration::from_micros(100));
         let lat = m.latency();
         assert_eq!(lat.month.count, 1);
         assert_eq!(lat.checkpoint_write.count, 1);
@@ -749,7 +465,7 @@ mod tests {
             );
         }
         // Latency is observational: the counter snapshot is untouched
-        // by everything except record_batch's counters.
+        // by everything except the added counters.
         let s = m.snapshot();
         assert_eq!(s.flows_ingested, 10);
     }
@@ -759,10 +475,16 @@ mod tests {
         // The golden key-set test: any drift in the export schema must
         // be deliberate (bump SCHEMA and update this list).
         let m = PipelineMetrics::new();
-        m.record_generated(1, 100, Duration::from_nanos(10));
-        m.record_dispatched(1);
-        m.record_batch(1, Duration::from_micros(1));
-        m.record_month(Duration::from_micros(2));
+        m.add(&MetricsSnapshot {
+            flows_generated: 1,
+            bytes_generated: 100,
+            gen_nanos: 10,
+            flows_dispatched: 1,
+            flows_ingested: 1,
+            ingest_nanos: 1_000,
+            ..Default::default()
+        });
+        m.month.record(Duration::from_micros(2));
         let snap = m.snapshot();
         let parsed = tlscope_obs::Json::parse(&snap.to_json_with(&m.latency())).unwrap();
         assert_eq!(
@@ -771,15 +493,21 @@ mod tests {
         );
         assert_eq!(
             parsed.keys(),
-            vec!["schema", "counters", "derived", "latency"]
+            vec![
+                "schema",
+                "counts",
+                "clocks",
+                "scheduling",
+                "derived",
+                "latency"
+            ]
         );
-        let counters = parsed.get("counters").unwrap();
+        let counts = parsed.get("counts").unwrap();
         assert_eq!(
-            counters.keys(),
+            counts.keys(),
             vec![
                 "flows_generated",
                 "bytes_generated",
-                "gen_nanos",
                 "flows_outage_dropped",
                 "flows_duplicated",
                 "flows_dispatched",
@@ -787,19 +515,26 @@ mod tests {
                 "not_tls",
                 "garbled_client",
                 "flows_salvaged",
-                "ingest_nanos",
                 "months_replayed",
                 "flows_quarantined",
-                "merge_nanos",
                 "shards_lost",
                 "checkpoints_written",
                 "checkpoints_loaded",
                 "checkpoints_quarantined",
                 "template_hits",
                 "template_misses",
+            ]
+        );
+        assert_eq!(
+            parsed.get("clocks").unwrap().keys(),
+            vec!["gen_nanos", "ingest_nanos", "merge_nanos"]
+        );
+        assert_eq!(
+            parsed.get("scheduling").unwrap().keys(),
+            vec![
                 "parse_cache_hits",
                 "parse_cache_misses",
-                "parse_cache_evictions",
+                "parse_cache_evictions"
             ]
         );
         assert_eq!(
@@ -817,11 +552,11 @@ mod tests {
         );
         // Counters in the JSON match the snapshot the text render used.
         assert_eq!(
-            counters.get("flows_generated").and_then(|v| v.as_u64()),
+            counts.get("flows_generated").and_then(|v| v.as_u64()),
             Some(snap.flows_generated)
         );
         assert_eq!(
-            counters.get("flows_ingested").and_then(|v| v.as_u64()),
+            counts.get("flows_ingested").and_then(|v| v.as_u64()),
             Some(snap.flows_ingested)
         );
         assert_eq!(
@@ -841,7 +576,11 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        m.record_batch(1, Duration::from_nanos(10));
+                        m.add(&MetricsSnapshot {
+                            flows_ingested: 1,
+                            ingest_nanos: 10,
+                            ..Default::default()
+                        });
                     }
                 });
             }

@@ -4,9 +4,13 @@
 //! Notary and Censys campaigns (319.3 B connections, ~142 weekly
 //! sweeps) were only operable because per-stage health was
 //! continuously observable; the reproduction's counter bags
-//! (`PipelineMetrics`, `ScanMetrics`) ride on the four primitives in
+//! (`PipelineMetrics`, `ScanMetrics`) ride on the five modules of
 //! this crate:
 //!
+//! * [`ledger`](mod@ledger) — the [`ledger!`] macro that declares
+//!   each aperture's counters, latency histograms and balances in one
+//!   table, and emits the bag, its snapshots, their JSON sections
+//!   (`counts`, `clocks`, `scheduling`) and `accounting_holds`;
 //! * [`hist`] — lock-free, mergeable log2-bucketed latency
 //!   [`Histogram`](hist::Histogram)s (atomic buckets, p50/p90/p99/max
 //!   readout) for per-batch, per-sweep, per-month, and checkpoint
@@ -25,8 +29,10 @@
 //!
 //! Everything here is observational: nothing in this crate
 //! participates in aggregate equality or the bit-identity properties
-//! of the pipelines it instruments, and every primitive is dependency-
-//! free and lock-free (or thread-local) on its hot path.
+//! of the pipelines it instruments, and everything is dependency-free.
+//! The histograms, the heartbeat and the flight recorder are lock-free
+//! (or thread-local) on their hot paths; a ledger bag takes one lock
+//! per committed unit of work, never per flow or host.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +40,7 @@
 pub mod flight;
 pub mod hist;
 pub mod json;
+pub mod ledger;
 pub mod progress;
 
 pub use flight::FlightEvent;

@@ -3,16 +3,17 @@
 //! The paper's Censys campaign swept IPv4 weekly for almost three
 //! years (§3.2); a crash 100 sweeps in must not force a restart from
 //! zero. The campaign runner persists each completed date's
-//! [`ScanSnapshot`] *and* its per-date [`ScanMetrics`] ledger to
-//! `<dir>/<YYYY-MM-DD>.ckpt`, and on resume reloads both: the
+//! [`ScanSnapshot`] *and* its per-date [`ScanMetricsSnapshot`] ledger
+//! to `<dir>/<YYYY-MM-DD>.ckpt`, and on resume reloads both: the
 //! snapshot fills the date's slot in the campaign series, and the
 //! ledger is replayed into the campaign's metrics bag
-//! ([`ScanMetrics::absorb`]) so the resumed run's accounting — right
-//! down to the two-part invariant `dispatched == probed + dropped` —
-//! is indistinguishable from an uninterrupted run. Because every
-//! sweep is a pure function of `(seed, date, host_index, attempt)`,
-//! the resumed series is **bit-identical** (`PartialEq`) to a clean
-//! run at any worker count and under any fault profile.
+//! ([`ScanMetrics::add`](crate::ScanMetrics::add)) so the resumed
+//! run's accounting — right down to the two-part invariant
+//! `dispatched == probed + dropped` — is indistinguishable from an
+//! uninterrupted run. Because every sweep is a pure function of
+//! `(seed, date, host_index, attempt)`, the resumed series is
+//! **bit-identical** (`PartialEq`) to a clean run at any worker count
+//! and under any fault profile.
 //!
 //! This module owns only the record codec. The store — atomic writes,
 //! the checksum footer, the directory scan that quarantines damaged
@@ -240,6 +241,19 @@ mod tests {
         let back = from_text(&text, Path::new("test")).unwrap();
         assert_eq!(ckpt, back, "checkpoint text must be lossless");
         assert_eq!(text, to_text(&back));
+    }
+
+    /// The on-disk bytes of a fixed sample, pinned so a codec change
+    /// cannot silently change the file format. The sweep clock is the
+    /// one ledger figure that differs between runs, so it is fixed.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let mut ckpt = sample_checkpoint(Date::ymd(2016, 3, 5));
+        ckpt.ledger.scan_nanos = 1_234_567;
+        assert_eq!(
+            tlscope_durable::fnv1a64(to_text(&ckpt).as_bytes()),
+            0x1fbd_f9c3_1594_b323
+        );
     }
 
     /// `load_dir` keeps the intact dates and quarantines a date file

@@ -1,4 +1,6 @@
-//! Scan accounting: lock-free counters for the active-scan engine.
+//! Scan accounting: the active-scan engine's counters, sweep clock
+//! and latency histograms, declared once in one
+//! [`tlscope_obs::ledger!`] table.
 //!
 //! The Censys pipeline the paper rides on (§3.2) ran IPv4-wide sweeps
 //! weekly for almost three years; at that scale the only way to know a
@@ -6,9 +8,10 @@
 //! handed to workers, how many were actually probed, how many probes
 //! completed a handshake, *and how many were lost to timeouts, dead
 //! hosts, or worker death*. [`ScanMetrics`] is that layer for the
-//! reproduction's active half, mirroring the passive pipeline's
-//! `PipelineMetrics`: a bag of atomic counters threaded through any
-//! number of sweep workers, all methods `&self`.
+//! reproduction's active half, declared like the passive pipeline's
+//! `PipelineMetrics`: one bag shared by any number of sweep workers,
+//! each adding a named-field [`ScanMetricsSnapshot`] delta once per
+//! sweep date, survey or checkpoint pass.
 //!
 //! Sweep clocks are *thread-time sums*, like the passive stage clocks:
 //! each worker adds the wall time it spent sweeping, so with `N` workers
@@ -16,327 +19,81 @@
 //! time — a descheduled worker's clock keeps running. Divide by elapsed
 //! wall time for effective parallelism.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use tlscope_obs::ledger::{rate, scaled};
+use tlscope_obs::JsonObj;
 
-use tlscope_obs::{Histogram, HistogramSnapshot, JsonObj};
-
-/// Shared, lock-free active-scan counters.
-///
-/// The accounting invariant of the sweep engine is two-part:
-/// `hosts_dispatched == hosts_probed + hosts_dropped` (every host
-/// index a sweep dispatched is either fully probed or explicitly given
-/// up on — exhausted retry budget, dead host, or a host quarantined
-/// because probing it panicked) and
-/// `handshakes_completed + handshakes_refused + probes_timed_out ==
-/// probes_sent` (every probe sent resolves exactly one way). Refused
-/// handshakes still count as probed hosts; only hosts the scanner
-/// never finished probing are drops.
-#[derive(Debug, Default)]
-pub struct ScanMetrics {
-    hosts_dispatched: AtomicU64,
-    hosts_probed: AtomicU64,
-    hosts_dropped: AtomicU64,
-    host_retries: AtomicU64,
-    probes_sent: AtomicU64,
-    handshakes_completed: AtomicU64,
-    handshakes_refused: AtomicU64,
-    probes_timed_out: AtomicU64,
-    workers_lost: AtomicU64,
-    sweeps_completed: AtomicU64,
-    scan_nanos: AtomicU64,
-
-    checkpoints_written: AtomicU64,
-    checkpoints_loaded: AtomicU64,
-    checkpoints_quarantined: AtomicU64,
-
-    // Latency distributions (observational only: never persisted in a
-    // checkpoint, never absorbed on resume, never part of snapshot
-    // equality).
-    sweep_hist: Histogram,
-    ckpt_write_hist: Histogram,
-    ckpt_load_hist: Histogram,
-}
-
-impl ScanMetrics {
-    /// A zeroed metrics bag.
-    pub fn new() -> Self {
-        ScanMetrics::default()
-    }
-
-    /// Record `hosts` claimed by a sweep worker (assigned, not yet
-    /// necessarily probed — the gap to `hosts_probed` is loss, and
-    /// must be matched by `hosts_dropped` for the ledger to balance).
-    pub fn record_dispatched(&self, hosts: u64) {
-        self.hosts_dispatched.fetch_add(hosts, Ordering::Relaxed);
-    }
-
-    /// Record one probed shard: `hosts` hosts receiving `probes`
-    /// probes, of which `completed` finished a handshake, `refused`
-    /// were turned away, and `timed_out` were sent but never resolved.
-    pub fn record_probed(
-        &self,
-        hosts: u64,
-        probes: u64,
-        completed: u64,
-        refused: u64,
-        timed_out: u64,
-    ) {
-        self.hosts_probed.fetch_add(hosts, Ordering::Relaxed);
-        self.probes_sent.fetch_add(probes, Ordering::Relaxed);
-        self.handshakes_completed
-            .fetch_add(completed, Ordering::Relaxed);
-        self.handshakes_refused
-            .fetch_add(refused, Ordering::Relaxed);
-        self.probes_timed_out
-            .fetch_add(timed_out, Ordering::Relaxed);
-    }
-
-    /// Record `hosts` dispatched hosts the scanner gave up on:
-    /// exhausted retry budget, dead-host window, or a host quarantined
-    /// because probing it panicked.
-    pub fn record_dropped(&self, hosts: u64) {
-        self.hosts_dropped.fetch_add(hosts, Ordering::Relaxed);
-    }
-
-    /// Record `attempts` retry attempts (connect attempts beyond each
-    /// host's first).
-    pub fn record_retries(&self, attempts: u64) {
-        self.host_retries.fetch_add(attempts, Ordering::Relaxed);
-    }
-
-    /// Record one campaign worker dying outside the date's panic
-    /// boundary (the dates it held are missing from the series).
-    pub fn record_worker_lost(&self) {
-        self.workers_lost.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one completed sweep taking `elapsed` of worker time.
-    pub fn record_sweep(&self, elapsed: Duration) {
-        self.sweeps_completed.fetch_add(1, Ordering::Relaxed);
-        self.scan_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.sweep_hist.record(elapsed);
-    }
-
-    /// Record the wall-clock of one checkpoint file write.
-    pub fn observe_checkpoint_write(&self, elapsed: Duration) {
-        self.ckpt_write_hist.record(elapsed);
-    }
-
-    /// Record the wall-clock of one checkpoint directory load pass.
-    pub fn observe_checkpoint_load(&self, elapsed: Duration) {
-        self.ckpt_load_hist.record(elapsed);
-    }
-
-    /// Fold another bag's latency histograms into this one — the
-    /// campaign runner's analog of [`absorb`] for the observational
-    /// side: per-date sweeps run against fresh bags whose *ledgers*
-    /// are absorbed via snapshots, so their timing distributions must
-    /// be carried over separately.
+tlscope_obs::ledger! {
+    /// Shared active-scan counters and latency histograms.
     ///
-    /// [`absorb`]: ScanMetrics::absorb
-    pub fn merge_latency_from(&self, other: &ScanMetrics) {
-        self.sweep_hist.merge(&other.sweep_hist);
-        self.ckpt_write_hist.merge(&other.ckpt_write_hist);
-        self.ckpt_load_hist.merge(&other.ckpt_load_hist);
+    /// The accounting invariant of the sweep engine is two-part:
+    /// `hosts_dispatched == hosts_probed + hosts_dropped` (every host
+    /// index a sweep dispatched is either fully probed or explicitly
+    /// given up on — exhausted retry budget, dead host, or a host
+    /// quarantined because probing it panicked) and
+    /// `handshakes_completed + handshakes_refused + probes_timed_out ==
+    /// probes_sent` (every probe sent resolves exactly one way). Refused
+    /// handshakes still count as probed hosts; only hosts the scanner
+    /// never finished probing are drops.
+    pub struct ScanMetrics;
+
+    /// A plain-value copy of [`ScanMetrics`]' counters, with derived
+    /// rates and a terminal rendering. It is also the delta a sweep
+    /// adds to the bag, and the per-date ledger a checkpoint stores.
+    pub struct ScanMetricsSnapshot {
+        /// Host indices claimed by sweep workers.
+        hosts_dispatched: Count,
+        /// Hosts actually probed (every probe in the set sent).
+        hosts_probed: Count,
+        /// Hosts given up on: retry budget exhausted (dead hosts, repeated
+        /// SYN loss / flakes) or quarantined because probing them
+        /// panicked.
+        hosts_dropped: Count,
+        /// Connect attempts beyond each host's first (the retry layer's
+        /// work).
+        host_retries: Count,
+        /// Individual probes sent (probed hosts × probes per host, plus
+        /// timed-out probes).
+        probes_sent: Count,
+        /// Probes that completed a handshake.
+        handshakes_completed: Count,
+        /// Probes refused (version or cipher mismatch).
+        handshakes_refused: Count,
+        /// Probes sent but never resolved (handshake timeout).
+        probes_timed_out: Count,
+        /// Campaign workers that died outside the date's panic boundary,
+        /// each costing the dates it held. Non-zero fails `repro`.
+        workers_lost: Count,
+        /// Sweeps finished.
+        sweeps_completed: Count,
+        /// Sweep wall-clock summed over worker threads, nanoseconds.
+        scan_nanos: Clock,
+        /// Checkpoint files written to the durable store.
+        checkpoints_written: Count,
+        /// Checkpoint files loaded cleanly on resume (dates skipped).
+        checkpoints_loaded: Count,
+        /// Damaged checkpoint files quarantined on resume (dates
+        /// re-swept).
+        checkpoints_quarantined: Count,
     }
 
-    /// Record one checkpoint file written to the durable store.
-    pub fn record_checkpoint_written(&self) {
-        self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+    /// Point-in-time latency distributions of the active-scan engine —
+    /// observational siblings of [`ScanMetricsSnapshot`], deliberately not
+    /// part of it (the snapshot is persisted per date and replayed on
+    /// resume; timing never is).
+    pub struct ScanLatency("scan latency") {
+        /// Wall-clock per completed sweep.
+        sweep: "sweep",
+        /// Wall-clock per checkpoint file write.
+        checkpoint_write: "ckpt-write",
+        /// Wall-clock per checkpoint directory load pass.
+        checkpoint_load: "ckpt-load",
     }
 
-    /// Record `n` checkpoint files loaded cleanly on resume (their
-    /// dates are skipped, not re-swept).
-    pub fn record_checkpoints_loaded(&self, n: u64) {
-        self.checkpoints_loaded.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` damaged checkpoint files quarantined on resume
-    /// (renamed to `*.ckpt.bad`; their dates are re-swept).
-    pub fn record_checkpoints_quarantined(&self, n: u64) {
-        self.checkpoints_quarantined.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Fold a stored per-date ledger back into this bag — the resume
-    /// path's replay of a skipped date's accounting, so a resumed
-    /// campaign's totals (and its two-part invariant) match an
-    /// uninterrupted run exactly.
-    ///
-    /// Only the sweep-ledger counters are absorbed; the checkpoint
-    /// counters describe *this* run's durable-store activity and are
-    /// never carried across runs.
-    pub fn absorb(&self, s: &ScanMetricsSnapshot) {
-        self.hosts_dispatched
-            .fetch_add(s.hosts_dispatched, Ordering::Relaxed);
-        self.hosts_probed
-            .fetch_add(s.hosts_probed, Ordering::Relaxed);
-        self.hosts_dropped
-            .fetch_add(s.hosts_dropped, Ordering::Relaxed);
-        self.host_retries
-            .fetch_add(s.host_retries, Ordering::Relaxed);
-        self.probes_sent.fetch_add(s.probes_sent, Ordering::Relaxed);
-        self.handshakes_completed
-            .fetch_add(s.handshakes_completed, Ordering::Relaxed);
-        self.handshakes_refused
-            .fetch_add(s.handshakes_refused, Ordering::Relaxed);
-        self.probes_timed_out
-            .fetch_add(s.probes_timed_out, Ordering::Relaxed);
-        self.workers_lost
-            .fetch_add(s.workers_lost, Ordering::Relaxed);
-        self.sweeps_completed
-            .fetch_add(s.sweeps_completed, Ordering::Relaxed);
-        self.scan_nanos.fetch_add(s.scan_nanos, Ordering::Relaxed);
-    }
-
-    /// Fold every counter and latency histogram of `other`, a bag
-    /// metered by another part of this same run, into this one:
-    /// [`absorb`] plus the checkpoint counters (this run's store
-    /// activity, whichever bag recorded it) plus
-    /// [`merge_latency_from`].
-    ///
-    /// [`absorb`]: ScanMetrics::absorb
-    /// [`merge_latency_from`]: ScanMetrics::merge_latency_from
-    pub fn merge_from(&self, other: &ScanMetrics) {
-        let s = other.snapshot();
-        self.absorb(&s);
-        self.checkpoints_written
-            .fetch_add(s.checkpoints_written, Ordering::Relaxed);
-        self.record_checkpoints_loaded(s.checkpoints_loaded);
-        self.record_checkpoints_quarantined(s.checkpoints_quarantined);
-        self.merge_latency_from(other);
-    }
-
-    /// A consistent-enough point-in-time copy of all counters.
-    pub fn snapshot(&self) -> ScanMetricsSnapshot {
-        ScanMetricsSnapshot {
-            hosts_dispatched: self.hosts_dispatched.load(Ordering::Relaxed),
-            hosts_probed: self.hosts_probed.load(Ordering::Relaxed),
-            hosts_dropped: self.hosts_dropped.load(Ordering::Relaxed),
-            host_retries: self.host_retries.load(Ordering::Relaxed),
-            probes_sent: self.probes_sent.load(Ordering::Relaxed),
-            handshakes_completed: self.handshakes_completed.load(Ordering::Relaxed),
-            handshakes_refused: self.handshakes_refused.load(Ordering::Relaxed),
-            probes_timed_out: self.probes_timed_out.load(Ordering::Relaxed),
-            workers_lost: self.workers_lost.load(Ordering::Relaxed),
-            sweeps_completed: self.sweeps_completed.load(Ordering::Relaxed),
-            scan_nanos: self.scan_nanos.load(Ordering::Relaxed),
-            checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
-            checkpoints_loaded: self.checkpoints_loaded.load(Ordering::Relaxed),
-            checkpoints_quarantined: self.checkpoints_quarantined.load(Ordering::Relaxed),
-        }
-    }
-
-    /// A point-in-time copy of the latency distributions. Kept apart
-    /// from [`snapshot`] so the per-date checkpoint ledger format and
-    /// its equality semantics are untouched.
-    ///
-    /// [`snapshot`]: ScanMetrics::snapshot
-    pub fn latency(&self) -> ScanLatency {
-        ScanLatency {
-            sweep: self.sweep_hist.snapshot(),
-            checkpoint_write: self.ckpt_write_hist.snapshot(),
-            checkpoint_load: self.ckpt_load_hist.snapshot(),
-        }
-    }
-}
-
-/// Point-in-time latency distributions of the active-scan engine —
-/// observational siblings of [`ScanMetricsSnapshot`], deliberately not
-/// part of it (the snapshot is persisted per date and replayed on
-/// resume; timing never is).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanLatency {
-    /// Wall-clock per completed sweep.
-    pub sweep: HistogramSnapshot,
-    /// Wall-clock per checkpoint file write.
-    pub checkpoint_write: HistogramSnapshot,
-    /// Wall-clock per checkpoint directory load pass.
-    pub checkpoint_load: HistogramSnapshot,
-}
-
-impl ScanLatency {
-    /// Multi-line terminal rendering, mirroring
-    /// [`ScanMetricsSnapshot::render`]'s column layout.
-    pub fn render(&self) -> String {
-        let mut out = String::from("scan latency\n");
-        for (label, hist) in [
-            ("sweep", &self.sweep),
-            ("ckpt-write", &self.checkpoint_write),
-            ("ckpt-load", &self.checkpoint_load),
-        ] {
-            out.push_str(&format!("  {:<11} {}\n", label, hist.render_line()));
-        }
-        out
-    }
-
-    fn to_json(self) -> String {
-        JsonObj::new()
-            .raw("sweep", &self.sweep.to_json())
-            .raw("checkpoint_write", &self.checkpoint_write.to_json())
-            .raw("checkpoint_load", &self.checkpoint_load.to_json())
-            .finish()
-    }
-}
-
-/// A plain-value copy of [`ScanMetrics`], with derived rates and a
-/// terminal rendering.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanMetricsSnapshot {
-    /// Host indices claimed by sweep workers.
-    pub hosts_dispatched: u64,
-    /// Hosts actually probed (every probe in the set sent).
-    pub hosts_probed: u64,
-    /// Hosts given up on: retry budget exhausted (dead hosts, repeated
-    /// SYN loss / flakes) or quarantined because probing them
-    /// panicked.
-    pub hosts_dropped: u64,
-    /// Connect attempts beyond each host's first (the retry layer's
-    /// work).
-    pub host_retries: u64,
-    /// Individual probes sent (probed hosts × probes per host, plus
-    /// timed-out probes).
-    pub probes_sent: u64,
-    /// Probes that completed a handshake.
-    pub handshakes_completed: u64,
-    /// Probes refused (version or cipher mismatch).
-    pub handshakes_refused: u64,
-    /// Probes sent but never resolved (handshake timeout).
-    pub probes_timed_out: u64,
-    /// Campaign workers that died outside the date's panic boundary,
-    /// each costing the dates it held. Non-zero fails `repro`.
-    pub workers_lost: u64,
-    /// Sweeps finished.
-    pub sweeps_completed: u64,
-    /// Sweep wall-clock summed over worker threads, nanoseconds.
-    pub scan_nanos: u64,
-    /// Checkpoint files written to the durable store.
-    pub checkpoints_written: u64,
-    /// Checkpoint files loaded cleanly on resume (dates skipped).
-    pub checkpoints_loaded: u64,
-    /// Damaged checkpoint files quarantined on resume (dates
-    /// re-swept).
-    pub checkpoints_quarantined: u64,
-}
-
-fn rate(count: u64, nanos: u64) -> f64 {
-    if nanos == 0 {
-        0.0
-    } else {
-        count as f64 / (nanos as f64 / 1e9)
-    }
-}
-
-fn scaled(v: f64) -> String {
-    if v >= 1e9 {
-        format!("{:.2}G", v / 1e9)
-    } else if v >= 1e6 {
-        format!("{:.2}M", v / 1e6)
-    } else if v >= 1e3 {
-        format!("{:.1}k", v / 1e3)
-    } else {
-        format!("{v:.0}")
+    balances {
+        // Every dispatched host was probed or dropped ...
+        hosts_dispatched = hosts_probed + hosts_dropped;
+        // ... and every probe sent completed, was refused, or timed out.
+        probes_sent = handshakes_completed + handshakes_refused + probes_timed_out;
     }
 }
 
@@ -356,15 +113,6 @@ impl ScanMetricsSnapshot {
     /// reachable, measured state, not a worker-death canary.
     pub fn hosts_lost(&self) -> u64 {
         self.hosts_dispatched.saturating_sub(self.hosts_probed)
-    }
-
-    /// The two-part sweep-engine accounting invariant: every
-    /// dispatched host was probed or dropped, and every probe sent
-    /// completed, was refused, or timed out.
-    pub fn accounting_holds(&self) -> bool {
-        self.hosts_dispatched == self.hosts_probed + self.hosts_dropped
-            && self.handshakes_completed + self.handshakes_refused + self.probes_timed_out
-                == self.probes_sent
     }
 
     /// Multi-line terminal rendering of the scan accounting, on the
@@ -401,11 +149,7 @@ impl ScanMetricsSnapshot {
             "  {:<11} {:>11} workers lost   ledger {}\n",
             "faults",
             self.workers_lost,
-            if self.accounting_holds() {
-                "balanced"
-            } else {
-                "IMBALANCED"
-            },
+            self.balance(),
         ));
         out.push_str(&format!(
             "  {:<11} {:>11} written {:>9} loaded {:>10} quarantined\n",
@@ -417,48 +161,26 @@ impl ScanMetricsSnapshot {
         out
     }
 
-    /// Schema identifier stamped into every [`to_json`] export; bump
-    /// it whenever the key set changes.
+    /// Schema identifier stamped into every [`to_json_with`] export;
+    /// bump it whenever the key set changes.
     ///
-    /// [`to_json`]: ScanMetricsSnapshot::to_json
-    pub const SCHEMA: &'static str = "tlscope-scan-stats-v2";
+    /// [`to_json_with`]: ScanMetricsSnapshot::to_json_with
+    pub const SCHEMA: &'static str = "tlscope-scan-stats-v3";
 
-    /// Machine-readable export with empty latency sections (no
-    /// histograms observed).
-    pub fn to_json(&self) -> String {
-        self.to_json_with(&ScanLatency::default())
-    }
-
-    /// Machine-readable export: `schema` version tag, every raw
-    /// counter under `counters`, the derived figures under `derived`,
-    /// and the latency distributions under `latency`. Keys are emitted
-    /// in a fixed order, so same-state exports are byte-identical.
+    /// Machine-readable export: `schema` version tag, the raw counters
+    /// by class under `counts`, `clocks` and `scheduling` (empty: no
+    /// scan counter depends on scheduling), the derived figures under
+    /// `derived`, and the latency distributions under `latency`. Keys
+    /// are emitted in a fixed order, so same-state exports are
+    /// byte-identical.
     pub fn to_json_with(&self, latency: &ScanLatency) -> String {
-        let counters = JsonObj::new()
-            .u64("hosts_dispatched", self.hosts_dispatched)
-            .u64("hosts_probed", self.hosts_probed)
-            .u64("hosts_dropped", self.hosts_dropped)
-            .u64("host_retries", self.host_retries)
-            .u64("probes_sent", self.probes_sent)
-            .u64("handshakes_completed", self.handshakes_completed)
-            .u64("handshakes_refused", self.handshakes_refused)
-            .u64("probes_timed_out", self.probes_timed_out)
-            .u64("workers_lost", self.workers_lost)
-            .u64("sweeps_completed", self.sweeps_completed)
-            .u64("scan_nanos", self.scan_nanos)
-            .u64("checkpoints_written", self.checkpoints_written)
-            .u64("checkpoints_loaded", self.checkpoints_loaded)
-            .u64("checkpoints_quarantined", self.checkpoints_quarantined)
-            .finish();
         let derived = JsonObj::new()
             .f64("hosts_per_sec", self.hosts_per_sec())
             .f64("probes_per_sec", self.probes_per_sec())
             .u64("hosts_lost", self.hosts_lost())
             .bool("accounting_holds", self.accounting_holds())
             .finish();
-        JsonObj::new()
-            .str("schema", ScanMetricsSnapshot::SCHEMA)
-            .raw("counters", &counters)
+        self.counter_sections(JsonObj::new().str("schema", ScanMetricsSnapshot::SCHEMA))
             .raw("derived", &derived)
             .raw("latency", &latency.to_json())
             .finish()
@@ -468,13 +190,36 @@ impl ScanMetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// One completed sweep of `delta` taking `elapsed`, recorded as
+    /// the sweep engine records it: one sweep and its clock added with
+    /// the delta, and one histogram sample.
+    fn sweep(m: &ScanMetrics, delta: ScanMetricsSnapshot, elapsed: Duration) {
+        m.add(&ScanMetricsSnapshot {
+            sweeps_completed: 1,
+            scan_nanos: elapsed.as_nanos() as u64,
+            ..delta
+        });
+        m.sweep.record(elapsed);
+    }
 
     #[test]
     fn counters_accumulate_and_account() {
         let m = ScanMetrics::new();
-        m.record_dispatched(10);
-        m.record_probed(10, 30, 24, 5, 1);
-        m.record_sweep(Duration::from_millis(2));
+        sweep(
+            &m,
+            ScanMetricsSnapshot {
+                hosts_dispatched: 10,
+                hosts_probed: 10,
+                probes_sent: 30,
+                handshakes_completed: 24,
+                handshakes_refused: 5,
+                probes_timed_out: 1,
+                ..Default::default()
+            },
+            Duration::from_millis(2),
+        );
         let s = m.snapshot();
         assert_eq!(s.hosts_dispatched, 10);
         assert_eq!(s.hosts_probed, 10);
@@ -501,13 +246,21 @@ mod tests {
     #[test]
     fn dropped_hosts_balance_the_ledger() {
         let m = ScanMetrics::new();
-        m.record_dispatched(8);
-        m.record_probed(5, 15, 15, 0, 0);
+        m.add(&ScanMetricsSnapshot {
+            hosts_dispatched: 8,
+            hosts_probed: 5,
+            probes_sent: 15,
+            handshakes_completed: 15,
+            ..Default::default()
+        });
         let s = m.snapshot();
         assert_eq!(s.hosts_lost(), 3);
         assert!(!s.accounting_holds(), "unaccounted loss must be visible");
-        m.record_dropped(3);
-        m.record_retries(6);
+        m.add(&ScanMetricsSnapshot {
+            hosts_dropped: 3,
+            host_retries: 6,
+            ..Default::default()
+        });
         let s = m.snapshot();
         assert_eq!(s.hosts_dropped, 3);
         assert_eq!(s.host_retries, 6);
@@ -518,21 +271,40 @@ mod tests {
     #[test]
     fn unresolved_probes_break_accounting() {
         let m = ScanMetrics::new();
-        m.record_dispatched(5);
         // 15 sent but only 14 resolved: a probe vanished without being
         // counted as completed, refused, or timed out.
-        m.record_probed(5, 15, 10, 3, 1);
+        m.add(&ScanMetricsSnapshot {
+            hosts_dispatched: 5,
+            hosts_probed: 5,
+            probes_sent: 15,
+            handshakes_completed: 10,
+            handshakes_refused: 3,
+            probes_timed_out: 1,
+            ..Default::default()
+        });
         assert!(!m.snapshot().accounting_holds());
-        m.record_probed(0, 0, 0, 0, 1);
+        m.add(&ScanMetricsSnapshot {
+            probes_timed_out: 1,
+            ..Default::default()
+        });
         assert!(m.snapshot().accounting_holds());
     }
 
     #[test]
     fn rates_follow_clock() {
         let m = ScanMetrics::new();
-        m.record_dispatched(1000);
-        m.record_probed(1000, 3000, 2800, 200, 0);
-        m.record_sweep(Duration::from_millis(100));
+        sweep(
+            &m,
+            ScanMetricsSnapshot {
+                hosts_dispatched: 1000,
+                hosts_probed: 1000,
+                probes_sent: 3000,
+                handshakes_completed: 2800,
+                handshakes_refused: 200,
+                ..Default::default()
+            },
+            Duration::from_millis(100),
+        );
         let s = m.snapshot();
         assert!((s.hosts_per_sec() - 10_000.0).abs() < 1.0);
         assert!((s.probes_per_sec() - 30_000.0).abs() < 1.0);
@@ -545,8 +317,13 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..500 {
-                        m.record_dispatched(1);
-                        m.record_probed(1, 3, 3, 0, 0);
+                        m.add(&ScanMetricsSnapshot {
+                            hosts_dispatched: 1,
+                            hosts_probed: 1,
+                            probes_sent: 3,
+                            handshakes_completed: 3,
+                            ..Default::default()
+                        });
                     }
                 });
             }
@@ -556,21 +333,40 @@ mod tests {
         assert!(s.accounting_holds());
     }
 
+    /// A per-date bag as a lossy date leaves it: 600 hosts dispatched,
+    /// 580 probed, 20 dropped, one worker lost.
+    fn lossy_date() -> ScanMetrics {
+        let per_date = ScanMetrics::new();
+        sweep(
+            &per_date,
+            ScanMetricsSnapshot {
+                hosts_dispatched: 600,
+                hosts_dropped: 20,
+                host_retries: 35,
+                workers_lost: 1,
+                hosts_probed: 580,
+                probes_sent: 1740,
+                handshakes_completed: 1500,
+                handshakes_refused: 200,
+                probes_timed_out: 40,
+                ..Default::default()
+            },
+            Duration::from_millis(7),
+        );
+        per_date
+    }
+
     #[test]
     fn absorb_replays_a_stored_ledger_exactly() {
-        let per_date = ScanMetrics::new();
-        per_date.record_dispatched(600);
-        per_date.record_probed(580, 1740, 1500, 200, 40);
-        per_date.record_dropped(20);
-        per_date.record_retries(35);
-        per_date.record_worker_lost();
-        per_date.record_sweep(Duration::from_millis(7));
-        let stored = per_date.snapshot();
+        let stored = lossy_date().snapshot();
         assert!(stored.accounting_holds());
 
         let campaign = ScanMetrics::new();
-        campaign.record_checkpoint_written();
-        campaign.absorb(&stored);
+        campaign.add(&ScanMetricsSnapshot {
+            checkpoints_written: 1,
+            ..Default::default()
+        });
+        campaign.add(&stored);
         let replayed = campaign.snapshot();
         // Every ledger counter carried over, checkpoint counters not.
         assert_eq!(replayed.hosts_dispatched, stored.hosts_dispatched);
@@ -591,26 +387,23 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_carries_every_counter_and_histogram() {
-        let part = ScanMetrics::new();
-        part.record_dispatched(600);
-        part.record_probed(580, 1740, 1500, 200, 40);
-        part.record_dropped(20);
-        part.record_retries(35);
-        part.record_worker_lost();
-        part.record_sweep(Duration::from_millis(7));
-        part.record_checkpoint_written();
-        part.record_checkpoints_loaded(3);
-        part.record_checkpoints_quarantined(1);
-        part.observe_checkpoint_write(Duration::from_micros(200));
-        part.observe_checkpoint_load(Duration::from_micros(80));
+    fn absorb_carries_every_counter_and_histogram() {
+        let part = lossy_date();
+        part.add(&ScanMetricsSnapshot {
+            checkpoints_written: 1,
+            checkpoints_loaded: 3,
+            checkpoints_quarantined: 1,
+            ..Default::default()
+        });
+        part.checkpoint_write.record(Duration::from_micros(200));
+        part.checkpoint_load.record(Duration::from_micros(80));
 
         let run = ScanMetrics::new();
-        run.merge_from(&part);
+        run.absorb(&part);
         assert_eq!(run.snapshot(), part.snapshot());
         assert_eq!(run.latency(), part.latency());
-        // Merging is additive: a second part adds, never replaces.
-        run.merge_from(&part);
+        // Absorbing is additive: a second part adds, never replaces.
+        run.absorb(&part);
         assert_eq!(run.snapshot().checkpoints_written, 2);
         assert_eq!(run.snapshot().hosts_probed, 2 * 580);
         assert_eq!(run.latency().sweep.count, 2);
@@ -622,9 +415,19 @@ mod tests {
         // label padded to 11 columns, separator space, 11-wide
         // right-aligned first figure ending at column 24.
         let m = ScanMetrics::new();
-        m.record_dispatched(10);
-        m.record_probed(10, 30, 24, 5, 1);
-        m.record_sweep(Duration::from_millis(2));
+        sweep(
+            &m,
+            ScanMetricsSnapshot {
+                hosts_dispatched: 10,
+                hosts_probed: 10,
+                probes_sent: 30,
+                handshakes_completed: 24,
+                handshakes_refused: 5,
+                probes_timed_out: 1,
+                ..Default::default()
+            },
+            Duration::from_millis(2),
+        );
         let text = m.snapshot().render();
         for line in text.lines().skip(1) {
             assert!(line.starts_with("  "), "indent: {line:?}");
@@ -647,12 +450,16 @@ mod tests {
     #[test]
     fn latency_histograms_record_merge_and_render() {
         let per_date = ScanMetrics::new();
-        per_date.record_sweep(Duration::from_millis(3));
+        sweep(
+            &per_date,
+            ScanMetricsSnapshot::default(),
+            Duration::from_millis(3),
+        );
 
         let campaign = ScanMetrics::new();
-        campaign.observe_checkpoint_write(Duration::from_micros(200));
-        campaign.observe_checkpoint_load(Duration::from_micros(80));
-        campaign.merge_latency_from(&per_date);
+        campaign.checkpoint_write.record(Duration::from_micros(200));
+        campaign.checkpoint_load.record(Duration::from_micros(80));
+        campaign.absorb(&per_date);
 
         let lat = campaign.latency();
         assert_eq!(lat.sweep.count, 1);
@@ -666,10 +473,10 @@ mod tests {
             );
         }
 
-        // Absorbing a stored ledger does not touch the histograms —
-        // the resume path replays counters only.
+        // Adding a stored ledger does not touch the histograms — the
+        // resume path replays counters only.
         let resumed = ScanMetrics::new();
-        resumed.absorb(&per_date.snapshot());
+        resumed.add(&per_date.snapshot());
         assert_eq!(resumed.latency().sweep.count, 0);
     }
 
@@ -678,9 +485,19 @@ mod tests {
         // The golden key-set test: any drift in the export schema must
         // be deliberate (bump SCHEMA and update this list).
         let m = ScanMetrics::new();
-        m.record_dispatched(10);
-        m.record_probed(10, 30, 24, 5, 1);
-        m.record_sweep(Duration::from_millis(2));
+        sweep(
+            &m,
+            ScanMetricsSnapshot {
+                hosts_dispatched: 10,
+                hosts_probed: 10,
+                probes_sent: 30,
+                handshakes_completed: 24,
+                handshakes_refused: 5,
+                probes_timed_out: 1,
+                ..Default::default()
+            },
+            Duration::from_millis(2),
+        );
         let snap = m.snapshot();
         let parsed = tlscope_obs::Json::parse(&snap.to_json_with(&m.latency())).unwrap();
         assert_eq!(
@@ -689,10 +506,17 @@ mod tests {
         );
         assert_eq!(
             parsed.keys(),
-            vec!["schema", "counters", "derived", "latency"]
+            vec![
+                "schema",
+                "counts",
+                "clocks",
+                "scheduling",
+                "derived",
+                "latency"
+            ]
         );
         assert_eq!(
-            parsed.get("counters").unwrap().keys(),
+            parsed.get("counts").unwrap().keys(),
             vec![
                 "hosts_dispatched",
                 "hosts_probed",
@@ -704,12 +528,13 @@ mod tests {
                 "probes_timed_out",
                 "workers_lost",
                 "sweeps_completed",
-                "scan_nanos",
                 "checkpoints_written",
                 "checkpoints_loaded",
                 "checkpoints_quarantined",
             ]
         );
+        assert_eq!(parsed.get("clocks").unwrap().keys(), vec!["scan_nanos"]);
+        assert!(parsed.get("scheduling").unwrap().keys().is_empty());
         assert_eq!(
             parsed.get("derived").unwrap().keys(),
             vec![
@@ -725,7 +550,7 @@ mod tests {
         );
         assert_eq!(
             parsed
-                .get("counters")
+                .get("counts")
                 .and_then(|c| c.get("hosts_probed"))
                 .and_then(|v| v.as_u64()),
             Some(snap.hosts_probed)
@@ -742,9 +567,12 @@ mod tests {
     #[test]
     fn worker_loss_is_counted_outside_the_ledger() {
         let m = ScanMetrics::new();
-        m.record_dispatched(512);
-        m.record_dropped(512);
-        m.record_worker_lost();
+        m.add(&ScanMetricsSnapshot {
+            hosts_dispatched: 512,
+            hosts_dropped: 512,
+            workers_lost: 1,
+            ..Default::default()
+        });
         let s = m.snapshot();
         assert_eq!(s.workers_lost, 1);
         assert_eq!(s.hosts_dropped, 512);

@@ -19,7 +19,7 @@ use tlscope_servers::ServerPopulation;
 
 use crate::checkpoint::{self, DateCheckpoint};
 use crate::faults::ScanFaults;
-use crate::metrics::ScanMetrics;
+use crate::metrics::{ScanMetrics, ScanMetricsSnapshot};
 use crate::sweep::{sweep_sharded_with, ScanSnapshot};
 
 /// First Censys scan used by the paper.
@@ -121,7 +121,7 @@ impl ScanCampaign {
     /// [`crate::checkpoint`]), and dates already present in the store
     /// are *skipped*: their snapshots fill the series directly and
     /// their ledgers are replayed into `metrics`
-    /// ([`ScanMetrics::absorb`]), so a resumed campaign returns
+    /// ([`ScanMetrics::add`]), so a resumed campaign returns
     /// snapshots and totals bit-identical to an uninterrupted run — at
     /// any worker count, under any fault profile. Damaged checkpoint
     /// files are quarantined (`*.ckpt.bad`, counted in
@@ -145,29 +145,32 @@ impl ScanCampaign {
         if let Some(dir) = checkpoint_dir {
             let load_started = Instant::now();
             let mut store = checkpoint::load_dir(dir)?;
-            metrics.observe_checkpoint_load(load_started.elapsed());
-            let mut loaded = 0u64;
+            metrics.checkpoint_load.record(load_started.elapsed());
+            // A stored ledger's checkpoint counters are zero, so the
+            // replayed sum counts this run's loads alone.
+            let mut replayed = ScanMetricsSnapshot {
+                checkpoints_quarantined: store.quarantined.len() as u64,
+                ..Default::default()
+            };
             for (slot, date) in series.iter_mut().zip(&self.dates) {
                 if let Some(ckpt) = store.completed.remove(date) {
-                    metrics.absorb(&ckpt.ledger);
+                    replayed += ckpt.ledger;
+                    replayed.checkpoints_loaded += 1;
                     *slot = Some(ckpt.snapshot);
-                    loaded += 1;
                 }
             }
-            metrics.record_checkpoints_loaded(loaded);
-            metrics.record_checkpoints_quarantined(store.quarantined.len() as u64);
+            metrics.add(&replayed);
         }
         let pending: Vec<usize> = (0..series.len()).filter(|&i| series[i].is_none()).collect();
         let progress =
             Progress::from_env("scan-campaign", self.dates.len() as u64, "dates", "hosts");
 
         // One date, end to end: sweep into a fresh per-date bag,
-        // persist (snapshot + ledger) if checkpointing, then fold the
-        // ledger into the campaign bag. The per-date bag is what makes
-        // the stored ledger lossless — and since all counters are
-        // additive, campaign totals are unchanged by the indirection.
-        // Latency histograms are merged separately: the stored ledger
-        // never carries timing, so resume replays counters only.
+        // persist (snapshot + ledger) if checkpointing, then absorb the
+        // bag into the campaign's. The per-date bag is what makes the
+        // stored ledger lossless — and since all counters are additive,
+        // campaign totals are unchanged by the indirection. The stored
+        // ledger never carries timing, so resume replays counters only.
         let ran = run_units(
             pending.len(),
             workers,
@@ -185,28 +188,30 @@ impl ScanCampaign {
                     &date_metrics,
                     &self.faults,
                 );
-                let ledger = date_metrics.snapshot();
                 if let Some(dir) = checkpoint_dir {
                     let write_started = Instant::now();
                     checkpoint::write_date(
                         dir,
                         &DateCheckpoint {
                             snapshot: snapshot.clone(),
-                            ledger,
+                            ledger: date_metrics.snapshot(),
                         },
                     )?;
-                    metrics.observe_checkpoint_write(write_started.elapsed());
-                    metrics.record_checkpoint_written();
+                    metrics.checkpoint_write.record(write_started.elapsed());
+                    metrics.add(&ScanMetricsSnapshot {
+                        checkpoints_written: 1,
+                        ..Default::default()
+                    });
                 }
-                metrics.absorb(&ledger);
-                metrics.merge_latency_from(&date_metrics);
+                metrics.absorb(&date_metrics);
                 Ok(snapshot)
             },
             |done: &mut Vec<(usize, ScanSnapshot)>, i, snapshot| done.push((pending[i], snapshot)),
         )?;
-        for _ in 0..ran.workers_lost {
-            metrics.record_worker_lost();
-        }
+        metrics.add(&ScanMetricsSnapshot {
+            workers_lost: ran.workers_lost as u64,
+            ..Default::default()
+        });
         for (slot, snapshot) in ran.parts.into_iter().flatten() {
             series[slot] = Some(snapshot);
         }

@@ -54,7 +54,7 @@ use tlscope_obs::Progress;
 use tlscope_servers::{negotiate, ParamsCache, ServerPopulation, ServerProfile};
 
 use crate::faults::{ScanFaults, MAX_PROBE_ATTEMPTS};
-use crate::metrics::ScanMetrics;
+use crate::metrics::{ScanMetrics, ScanMetricsSnapshot};
 use crate::probe::ProbeSet;
 
 /// Results of one full sweep.
@@ -150,15 +150,6 @@ pub struct ProbeFlight {
     pub refused: u64,
     /// Probes sent but never resolved (handshake timeout).
     pub timed_out: u64,
-}
-
-impl ProbeFlight {
-    fn add(&mut self, other: ProbeFlight) {
-        self.probes += other.probes;
-        self.completed += other.completed;
-        self.refused += other.refused;
-        self.timed_out += other.timed_out;
-    }
 }
 
 /// The counter-based host stream: a private RNG for host `index` of
@@ -330,27 +321,10 @@ fn probe_indexed_host(
     (HostOutcome::Dropped, (MAX_PROBE_ATTEMPTS - 1) as u64)
 }
 
-/// Accounting for one folded range of hosts (or survey sites).
-#[derive(Debug, Clone, Copy, Default)]
-struct RangeLedger {
-    probed: u64,
-    dropped: u64,
-    retries: u64,
-    flight: ProbeFlight,
-}
-
-impl RangeLedger {
-    fn add(&mut self, other: RangeLedger) {
-        self.probed += other.probed;
-        self.dropped += other.dropped;
-        self.retries += other.retries;
-        self.flight.add(other.flight);
-    }
-}
-
 /// Probe host indices `range` of the sweep at `(seed, date)` into
-/// `snap`. Every host of a sweep shares its date, so `cache` computes
-/// each cohort's curves once per date, not per host.
+/// `snap`, returning the range's probe and drop counts. Every host of
+/// a sweep shares its date, so `cache` computes each cohort's curves
+/// once per date, not per host.
 #[allow(clippy::too_many_arguments)]
 fn sweep_range(
     population: &ServerPopulation,
@@ -361,34 +335,37 @@ fn sweep_range(
     seed: u64,
     cache: &mut ParamsCache,
     snap: &mut ScanSnapshot,
-) -> RangeLedger {
-    let mut ledger = RangeLedger::default();
+) -> ScanMetricsSnapshot {
+    let mut delta = ScanMetricsSnapshot::default();
     for index in range {
         let sample = || population.sample_host(cache, date, &mut host_rng(seed, date, index));
         let (outcome, retries) =
             probe_indexed_host(sample, probes, faults, date, index, seed, snap);
-        ledger.retries += retries;
+        delta.host_retries += retries;
         match outcome {
             HostOutcome::Probed(flight) => {
-                ledger.probed += 1;
-                ledger.flight.add(flight);
+                delta.hosts_probed += 1;
+                delta.probes_sent += flight.probes;
+                delta.handshakes_completed += flight.completed;
+                delta.handshakes_refused += flight.refused;
+                delta.probes_timed_out += flight.timed_out;
             }
-            HostOutcome::Dropped => ledger.dropped += 1,
+            HostOutcome::Dropped => delta.hosts_dropped += 1,
         }
     }
-    ledger
+    delta
 }
 
 /// Fold hosts `0..hosts` of the sweep (or survey) at `date` into a
-/// fresh snapshot behind a panic boundary, then commit the date's
-/// accounting into `metrics` at once.
+/// fresh snapshot behind a panic boundary, then add the date's
+/// accounting to `metrics` at once.
 ///
 /// `fold` probes a host range into a snapshot `fresh` made, sharing
 /// one [`ParamsCache`] for the whole date (a memo: a panic leaves only
-/// whole entries in it). When the fold panics, the attempt is
-/// discarded and the date replayed host by host, each host into a
-/// one-host partial behind its own boundary, and the partials summed
-/// with `merge`. A host that panics alone is counted as dispatched and
+/// whole entries in it), and returns the range's scan delta. When the
+/// fold panics, the attempt is discarded and the date replayed host by
+/// host, each host into a one-host partial behind its own boundary,
+/// and the partials summed with `merge`. A host that panics alone is counted as dispatched and
 /// dropped and named in a flight report.
 fn fold_supervised<S>(
     date: Date,
@@ -396,48 +373,44 @@ fn fold_supervised<S>(
     metrics: &ScanMetrics,
     fresh: impl Fn() -> S,
     merge: impl Fn(&mut S, &S),
-    fold: impl Fn(&mut ParamsCache, Range<u64>, &mut S) -> RangeLedger,
+    fold: impl Fn(&mut ParamsCache, Range<u64>, &mut S) -> ScanMetricsSnapshot,
 ) -> S {
     let started = Instant::now();
     let mut cache = ParamsCache::default();
     let mut fold_fresh = |range| {
         let mut snap = fresh();
-        let ledger = fold(&mut cache, range, &mut snap);
-        (snap, ledger)
+        let delta = fold(&mut cache, range, &mut snap);
+        (snap, delta)
     };
-    let (snap, ledger) = match isolate(|| fold_fresh(0..hosts)) {
+    let (snap, delta) = match isolate(|| fold_fresh(0..hosts)) {
         Some(folded) => folded,
         None => {
-            let (mut snap, mut ledger) = (fresh(), RangeLedger::default());
+            let (mut snap, mut delta) = (fresh(), ScanMetricsSnapshot::default());
             for index in 0..hosts {
                 match isolate(|| fold_fresh(index..index + 1)) {
-                    Some((one, one_ledger)) => {
+                    Some((one, one_delta)) => {
                         merge(&mut snap, &one);
-                        ledger.add(one_ledger);
+                        delta += one_delta;
                     }
                     None => {
-                        ledger.dropped += 1;
+                        delta.hosts_dropped += 1;
                         tlscope_obs::flight::report(&format!(
                             "poison host quarantined (date {date}, host {index})"
                         ));
                     }
                 }
             }
-            (snap, ledger)
+            (snap, delta)
         }
     };
-    metrics.record_dispatched(hosts);
-    let flight = ledger.flight;
-    metrics.record_probed(
-        ledger.probed,
-        flight.probes,
-        flight.completed,
-        flight.refused,
-        flight.timed_out,
-    );
-    metrics.record_dropped(ledger.dropped);
-    metrics.record_retries(ledger.retries);
-    metrics.record_sweep(started.elapsed());
+    let elapsed = started.elapsed();
+    metrics.add(&ScanMetricsSnapshot {
+        hosts_dispatched: hosts,
+        sweeps_completed: 1,
+        scan_nanos: elapsed.as_nanos() as u64,
+        ..delta
+    });
+    metrics.sweep.record(elapsed);
     snap
 }
 
@@ -475,7 +448,6 @@ pub fn sweep_sharded_with(
 mod tests {
     use super::*;
     use crate::schedule::{schedule, ScanCampaign, CENSYS_START};
-    use crate::ScanMetricsSnapshot;
     use proptest::prelude::*;
     use std::sync::Mutex;
     use tlscope_servers::Quirk;
@@ -626,18 +598,17 @@ mod tests {
         hosts: u64,
         seed: u64,
         poison: u64,
-    ) -> (ScanSnapshot, RangeLedger) {
+    ) -> (ScanSnapshot, ScanMetricsSnapshot) {
         let probes = ProbeSet::campaign();
         let mut cache = ParamsCache::default();
         let mut snap = ScanSnapshot::new(date);
-        let mut ledger = RangeLedger::default();
+        let mut delta = ScanMetricsSnapshot::default();
         for range in [0..poison, poison + 1..hosts] {
-            let part = sweep_range(
+            delta += sweep_range(
                 population, &probes, faults, date, range, seed, &mut cache, &mut snap,
             );
-            ledger.add(part);
         }
-        (snap, ledger)
+        (snap, delta)
     }
 
     /// The ledger counters a resume replays: everything but the clock
@@ -717,22 +688,19 @@ mod tests {
                 ScanFaults::stress(),
             ] {
                 let mut expected = Vec::new();
-                let mut core = [hosts as u64 * n, 0, n, 0, 0, 0, 0, 0, n];
+                // Each date dispatches every host and drops the poison.
+                let mut total = ScanMetricsSnapshot {
+                    hosts_dispatched: hosts as u64 * n,
+                    hosts_dropped: n,
+                    sweeps_completed: n,
+                    ..Default::default()
+                };
                 for &date in &dates {
-                    let (snap, l) = swept_without(&pop, &faults, date, hosts as u64, seed, poison);
+                    let (snap, delta) = swept_without(&pop, &faults, date, hosts as u64, seed, poison);
                     expected.push(snap);
-                    for (slot, count) in core[1..8].iter_mut().zip([
-                        l.probed,
-                        l.dropped,
-                        l.retries,
-                        l.flight.probes,
-                        l.flight.completed,
-                        l.flight.refused,
-                        l.flight.timed_out,
-                    ]) {
-                        *slot += count;
-                    }
+                    total += delta;
                 }
+                let core = ledger_core(&total);
                 let campaign = ScanCampaign {
                     dates: dates.clone(),
                     hosts_per_sweep: hosts,
@@ -827,7 +795,8 @@ impl PulseSnapshot {
 const PULSE_SALT: u64 = 0x9D15E;
 
 /// Probe site indices `range` of the pulse survey at `(seed, date)`
-/// into `snap`. Site streams are salted with [`PULSE_SALT`].
+/// into `snap`, returning the range's probe counts. Site streams are
+/// salted with [`PULSE_SALT`].
 fn pulse_range(
     probes: &ProbeSet,
     population: &ServerPopulation,
@@ -836,35 +805,35 @@ fn pulse_range(
     seed: u64,
     cache: &mut ParamsCache,
     snap: &mut PulseSnapshot,
-) -> RangeLedger {
+) -> ScanMetricsSnapshot {
     use tlscope_servers::Destination;
-    let mut ledger = RangeLedger::default();
+    let mut delta = ScanMetricsSnapshot::default();
     for index in range {
         let mut rng = host_rng(seed ^ PULSE_SALT, date, index);
         let profile = population.sample_for_traffic(cache, Destination::Web, date, &mut rng);
         snap.sites += 1;
-        ledger.probed += 1;
-        ledger.flight.probes += 1;
+        delta.hosts_probed += 1;
+        delta.probes_sent += 1;
         match negotiate::decide(&profile, &probes.rc4_only.facts()) {
             Ok(d) => {
-                ledger.flight.completed += 1;
+                delta.handshakes_completed += 1;
                 if d.cipher.is_rc4() {
                     snap.rc4_supported += 1;
                     // Only RC4 supporters get the second, RC4-free probe.
-                    ledger.flight.probes += 1;
+                    delta.probes_sent += 1;
                     match negotiate::decide(&profile, &probes.chrome_2015_no_rc4.facts()) {
-                        Ok(_) => ledger.flight.completed += 1,
+                        Ok(_) => delta.handshakes_completed += 1,
                         Err(_) => {
-                            ledger.flight.refused += 1;
+                            delta.handshakes_refused += 1;
                             snap.rc4_only += 1;
                         }
                     }
                 }
             }
-            Err(_) => ledger.flight.refused += 1,
+            Err(_) => delta.handshakes_refused += 1,
         }
     }
-    ledger
+    delta
 }
 
 /// Run one SSL Pulse-style survey of `sites` sites per date of
@@ -908,9 +877,10 @@ pub fn pulse_surveys(
         |done: &mut Vec<(usize, PulseSnapshot)>, i, survey| done.push((i, survey)),
     )
     .unwrap_or_else(|e| unreachable!("surveys write no store: {e}"));
-    for _ in 0..ran.workers_lost {
-        metrics.record_worker_lost();
-    }
+    metrics.add(&ScanMetricsSnapshot {
+        workers_lost: ran.workers_lost as u64,
+        ..Default::default()
+    });
     let mut surveys = vec![None; dates.len()];
     for (i, survey) in ran.parts.into_iter().flatten() {
         surveys[i] = Some(survey);
