@@ -45,7 +45,8 @@ pub struct StudyConfig {
     pub start: Month,
     /// Last month of the passive window (paper: 2018-04).
     pub end: Month,
-    /// Ingestion worker threads (1 = serial). Defaults to the cores the
+    /// Worker threads for the months, the sweep dates and the
+    /// checkpoint-store loads (1 = serial). Defaults to the cores the
     /// machine reports.
     pub workers: usize,
     /// Tap fault injection.
@@ -55,7 +56,9 @@ pub struct StudyConfig {
     /// Scan-side fault injection (SYN loss, flakes, timeouts, dead
     /// hosts). Defaults to [`ScanFaults::none`] unless
     /// `TLSCOPE_SCAN_FAULT_PROFILE` names a profile, so calibration
-    /// anchors see a loss-free scanner out of the box.
+    /// anchors see a loss-free scanner out of the box; the default
+    /// panics when the variable names no profile
+    /// ([`ScanFaults::from_env`]).
     pub scan_faults: ScanFaults,
     /// When set, each completed month's partial aggregate is written
     /// to this directory, and months already checkpointed there are
@@ -179,8 +182,8 @@ impl Study {
     /// month is a self-contained unit of progress. With
     /// `cfg.checkpoint_dir` set, each completed partial is written
     /// atomically to `<dir>/<YYYY-MM>.ckpt` before being merged, and
-    /// months already checkpointed in the directory are loaded and
-    /// skipped — so an interrupted run resumes from the last completed
+    /// months already checkpointed in the directory are loaded (on the
+    /// same workers) and skipped — so an interrupted run resumes from the last completed
     /// month and, because merging is commutative and integer-exact,
     /// produces a final aggregate bit-identical to an uninterrupted
     /// one. The directory is claimed for this study first
@@ -219,7 +222,7 @@ impl Study {
             Some(dir) => {
                 tlscope_durable::claim(dir, &self.cfg.passive_study())?;
                 let load_started = Instant::now();
-                let load = checkpoint::load_dir(dir)?;
+                let load = checkpoint::load_dir_on(dir, self.cfg.workers)?;
                 metrics.checkpoint_load.record(load_started.elapsed());
                 metrics.add(&MetricsSnapshot {
                     checkpoints_loaded: load.completed.len() as u64,

@@ -37,7 +37,10 @@
 //! `baseline_prev_pr` is the `pipeline` row of the committed
 //! `BENCH_pipeline.json`, read before this run overwrites it, and
 //! `improvement.throughput_factor` is this run's pipeline conns/s over
-//! that row's. `alloc_reduction_factor` is against `baseline_pre_pr`.
+//! that row's. Both are `null` unless the committed file records a run
+//! of the same mode and connection count (a `--fast` run against the
+//! committed full run, say). `alloc_reduction_factor` is against
+//! `baseline_pre_pr`.
 //! The one timing that gates is the `heartbeat` row's ratio (see
 //! [`HEARTBEAT_RATIO_MIN`]).
 
@@ -61,14 +64,6 @@ const PRE_PR_INGEST_ALLOCS_PER_CONN: f64 = 53.988;
 const PRE_PR_PIPELINE_ALLOCS_PER_CONN: f64 = 102.089;
 const PRE_PR_PIPELINE_CONNS_PER_SEC: f64 = 97_929.0;
 
-/// Previous-PR fallback (owned-flow roundtrip, 16.0 budget).
-/// The emitted `baseline_prev_pr` is normally parsed at runtime from
-/// the committed `BENCH_pipeline.json`'s `pipeline` row — whatever the
-/// last PR recorded is the comparison point — and these constants only
-/// back it up when that file is missing or unreadable.
-const PREV_PR_PIPELINE_ALLOCS_PER_CONN: f64 = 13.119;
-const PREV_PR_PIPELINE_CONNS_PER_SEC: f64 = 146_219.0;
-
 /// Minimum hit rate for both wire-roundtrip caches on the clean
 /// profile; below this the amortisation story is broken.
 const CACHE_HIT_RATE_MIN: f64 = 0.9;
@@ -82,7 +77,7 @@ const CACHE_HIT_RATE_MIN: f64 = 0.9;
 /// the trajectory file.
 const HEARTBEAT_RATIO_MIN: f64 = 0.90;
 
-use tlscope_bench::{best_secs, json_number, PIPELINE_ALLOC_BUDGET_PER_CONN};
+use tlscope_bench::{best_secs, comparable_baseline, json_number, PIPELINE_ALLOC_BUDGET_PER_CONN};
 
 #[cfg(feature = "alloc-counter")]
 use tlscope_bench::alloc_counter;
@@ -104,30 +99,19 @@ fn generator(conns: u32) -> Generator {
     })
 }
 
-/// Previous-PR `(allocs_per_conn, conns_per_sec)` baseline, read from
-/// the committed trajectory file's `pipeline` row so the comparison
-/// point rolls forward automatically with each landed PR.
-fn prev_pr_baseline(path: &str) -> (f64, f64) {
-    let fallback = (
-        PREV_PR_PIPELINE_ALLOCS_PER_CONN,
-        PREV_PR_PIPELINE_CONNS_PER_SEC,
-    );
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return fallback;
-    };
+/// Previous-PR `(allocs_per_conn, conns_per_sec)` baseline: the
+/// `pipeline` row of a comparable committed trajectory file (see
+/// [`comparable_baseline`]), so the comparison point rolls forward
+/// with each landed PR.
+fn prev_pr_baseline(text: &str) -> Option<(f64, f64)> {
     // `"pipeline":` matches only the stage row — the longer
     // `pipeline_allocs_per_conn` / `pipeline_conns_per_sec` keys in the
     // baseline rows keep their own suffix before the colon.
-    let Some(row) = text.split("\"pipeline\":").nth(1) else {
-        return fallback;
-    };
-    match (
-        json_number(row, "\"allocs_per_conn\":"),
-        json_number(row, "\"conns_per_sec\":"),
-    ) {
-        (Some(apc), Some(cps)) => (apc, cps),
-        _ => fallback,
-    }
+    let row = text.split("\"pipeline\":").nth(1)?;
+    Some((
+        json_number(row, "\"allocs_per_conn\":")?,
+        json_number(row, "\"conns_per_sec\":").filter(|cps| *cps > 0.0)?,
+    ))
 }
 
 /// The middle value of an odd-length sample.
@@ -348,7 +332,19 @@ fn main() {
     // Read the previous PR's pipeline row before this run overwrites
     // the trajectory file.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    let (prev_pipe_apc, prev_pipe_cps) = prev_pr_baseline(out);
+    let mode = if fast { "fast" } else { "full" };
+    let prev = comparable_baseline(out, mode, "\"connections\":", conns)
+        .as_deref()
+        .and_then(prev_pr_baseline);
+    let (prev_row, throughput_factor) = match prev {
+        Some((apc, cps)) => (
+            format!(
+                "{{ \"pipeline_allocs_per_conn\": {apc:.3}, \"pipeline_conns_per_sec\": {cps:.0} }}"
+            ),
+            format!("{:.2}", pipeline_cps / cps),
+        ),
+        None => ("null".to_string(), "null".to_string()),
+    };
 
     let json = format!(
         concat!(
@@ -366,12 +362,12 @@ fn main() {
             "  \"parse_cache\": {{ \"hits\": {parse_hits}, \"misses\": {parse_misses}, \"hit_rate\": {parse_rate:.4} }},\n",
             "  \"offer_fold\": {{ \"uncached_ns_per_flow\": {f_uncached:.1}, \"memo_ns_per_flow\": {f_memo:.1}, \"saving_ns_per_flow\": {f_saving:.1} }},\n",
             "  \"baseline_pre_pr\": {{ \"gen_allocs_per_conn\": {pre_gen:.3}, \"ingest_allocs_per_conn\": {pre_ing:.3}, \"pipeline_allocs_per_conn\": {pre_pipe:.3}, \"pipeline_conns_per_sec\": {pre_cps:.0} }},\n",
-            "  \"baseline_prev_pr\": {{ \"pipeline_allocs_per_conn\": {prev_pipe:.3}, \"pipeline_conns_per_sec\": {prev_cps:.0} }},\n",
-            "  \"improvement\": {{ \"alloc_reduction_factor\": {red:.2}, \"throughput_factor\": {thr:.2} }},\n",
+            "  \"baseline_prev_pr\": {prev_row},\n",
+            "  \"improvement\": {{ \"alloc_reduction_factor\": {red:.2}, \"throughput_factor\": {thr} }},\n",
             "  \"budget\": {{ \"pipeline_allocs_per_conn_max\": {budget:.1}, \"cache_hit_rate_min\": {rate_min:.1}, \"heartbeat_ratio_min\": {beat_min:.2}, \"pass\": {pass} }}\n",
             "}}\n"
         ),
-        mode = if fast { "fast" } else { "full" },
+        mode = mode,
         conns = conns,
         counting = counting,
         gen_apc = gen_apc,
@@ -397,14 +393,9 @@ fn main() {
         pre_ing = PRE_PR_INGEST_ALLOCS_PER_CONN,
         pre_pipe = PRE_PR_PIPELINE_ALLOCS_PER_CONN,
         pre_cps = PRE_PR_PIPELINE_CONNS_PER_SEC,
-        prev_pipe = prev_pipe_apc,
-        prev_cps = prev_pipe_cps,
+        prev_row = prev_row,
         red = alloc_reduction,
-        thr = if pipeline_cps > 0.0 && prev_pipe_cps > 0.0 {
-            pipeline_cps / prev_pipe_cps
-        } else {
-            0.0
-        },
+        thr = throughput_factor,
         budget = PIPELINE_ALLOC_BUDGET_PER_CONN,
         rate_min = CACHE_HIT_RATE_MIN,
         beat_min = HEARTBEAT_RATIO_MIN,

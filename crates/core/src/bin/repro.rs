@@ -34,9 +34,6 @@ use tlscope::analysis::StudyConfig;
 use tlscope::report::{needs, ReportContext, RunError, EXPERIMENT_IDS};
 use tlscope::scanner::ScanFaults;
 
-/// Selects the campaign's scan fault profile (see `ScanFaults::from_env`).
-const SCAN_FAULT_ENV: &str = "TLSCOPE_SCAN_FAULT_PROFILE";
-
 struct Options {
     full: bool,
     csv: bool,
@@ -134,28 +131,6 @@ fn parse_seed(raw: &str) -> Option<u64> {
     }
 }
 
-/// The profile [`SCAN_FAULT_ENV`] names, by the name `ScanFaults`
-/// lists it under: `None` when the variable is unset, an error naming
-/// the variable and the accepted names when it names no profile (the
-/// study would silently run `none` under it).
-fn scan_fault_profile() -> Result<Option<&'static str>, String> {
-    let Some(raw) = std::env::var_os(SCAN_FAULT_ENV) else {
-        return Ok(None);
-    };
-    let named = raw.to_str().and_then(ScanFaults::profile);
-    ScanFaults::PROFILES
-        .into_iter()
-        .find(|name| named.is_some() && ScanFaults::profile(name) == named)
-        .map(Some)
-        .ok_or_else(|| {
-            format!(
-                "{SCAN_FAULT_ENV}={} names no scan fault profile (accepted: {})",
-                raw.to_string_lossy(),
-                ScanFaults::PROFILES.join(", ")
-            )
-        })
-}
-
 /// Write an exported metrics document atomically (tmp + rename via
 /// `tlscope::durable`) so a consumer polling the path never reads a
 /// torn JSON file.
@@ -181,13 +156,16 @@ fn main() -> ExitCode {
         }
     };
 
-    let scan_profile = match scan_fault_profile() {
-        Ok(profile) => profile,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    // `StudyConfig` reads the variable and panics on a name that is
+    // no profile; refuse it here instead, before any work.
+    let scan_profile =
+        match ScanFaults::env_profile(std::env::var_os(ScanFaults::PROFILE_ENV).as_deref()) {
+            Ok(profile) => profile,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
 
     let mut cfg = if opts.full {
         StudyConfig::default()

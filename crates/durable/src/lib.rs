@@ -15,17 +15,17 @@
 //!   instead of silently mis-parsed;
 //! - [`write_unit`] / [`open_unit`] — write one unit file atomically,
 //!   and check a unit text's header line and checksum;
-//! - [`load_units`] — fold every unit of a store in key order,
-//!   quarantining damaged files (`<key>.ckpt.bad`) so the caller
-//!   recomputes their units;
+//! - [`load_units`] — load every unit of a store on the caller's
+//!   workers, quarantining damaged files (`<key>.ckpt.bad`) so the
+//!   caller recomputes their units;
 //! - [`claim`] — stamp a store for one study and refuse it to any
 //!   other;
 //! - [`StoreError`] — the one error type of both stores;
 //! - [`write_atomic`] — tmp+rename writes, so a crash never leaves a
 //!   half-written file under the final name;
 //! - [`run_units`] / [`isolate`] — the one runner for units of work
-//!   (months, sweep dates, SSL-Pulse surveys) and the panic boundary
-//!   inside them (see [`runner`]).
+//!   (months, sweep dates, SSL-Pulse surveys, the files of a store
+//!   load) and the panic boundary inside them (see [`runner`]).
 //!
 //! Everything here is `std`-only (`tlscope-obs`, for the heartbeat, is
 //! too) and deliberately free of any tlscope domain types.
@@ -37,10 +37,12 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub mod runner;
 
 pub use runner::{isolate, run_units, Committed};
+use tlscope_obs::Progress;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -250,43 +252,87 @@ fn unit_files<K: FromStr>(dir: &Path) -> Result<Vec<(K, PathBuf)>, StoreError> {
     Ok(units)
 }
 
-/// Fold every unit of the store at `dir`, in key order.
+/// Load every unit of the store at `dir` on up to `workers` threads,
+/// through [`run_units`].
 ///
-/// Each `<key>.ckpt` whose stem parses as a `K` is read and handed to
-/// `fold` with its key, text and path. `fold` parses the text, rejects
-/// records of another unit than `key` as [`StoreError::Malformed`],
-/// and keeps what it parsed before the next file is read, so one
-/// unit's text is held at a time. A damaged file — invalid UTF-8, or
-/// rejected by `fold` with a damage error ([`StoreError::is_damage`])
-/// — is renamed to `<key>.ckpt.bad` and its quarantine path returned,
-/// so the caller recomputes its unit. Any other error aborts the load.
-/// A missing directory is a cold start.
-pub fn load_units<K: FromStr + Ord>(
+/// Each `<key>.ckpt` whose stem parses as a `K` is one unit. Its
+/// worker reads the file and hands its key, text and path to `unit`,
+/// which parses the text and rejects records of another unit than
+/// `key` as [`StoreError::Malformed`]. `commit` then folds the parsed
+/// unit into the worker's own accumulator, so a worker holds one
+/// unit's text and one parsed unit at a time. A damaged file — invalid
+/// UTF-8, or rejected by `unit` with a damage error
+/// ([`StoreError::is_damage`]) — is renamed to `<key>.ckpt.bad` by the
+/// worker that read it, so the caller recomputes its unit. Any other
+/// error aborts the load. A missing directory is a cold start.
+///
+/// Returns the workers' accumulators (which worker committed which
+/// unit depends on scheduling) and the quarantine paths in key order.
+///
+/// # Panics
+///
+/// When a worker dies (`unit` or `commit` panicked): the units it
+/// committed are lost with its accumulator, and a short load would
+/// silently recompute or drop them.
+pub fn load_units<K, P, A>(
     dir: &Path,
-    mut fold: impl FnMut(K, &str, &Path) -> Result<(), StoreError>,
-) -> Result<Vec<PathBuf>, StoreError> {
+    workers: usize,
+    unit: impl Fn(&K, &str, &Path) -> Result<P, StoreError> + Sync,
+    commit: impl Fn(&mut A, &K, P) + Sync,
+) -> Result<(Vec<A>, Vec<PathBuf>), StoreError>
+where
+    K: FromStr + Ord + Sync,
+    A: Default + Send,
+{
     let mut units = unit_files::<K>(dir)?;
     units.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut quarantined = Vec::new();
-    for (key, path) in units {
-        let folded = match fs::read_to_string(&path) {
-            Ok(text) => fold(key, &text, &path),
-            // Bit rot can make a file invalid UTF-8; that is damage to
-            // the file's content, not a filesystem failure.
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                Err(StoreError::Corrupt(path.clone()))
+    let task = format!("load {}", dir.display());
+    let progress = Progress::from_env(&task, units.len() as u64, "units", "bytes");
+    let bytes = AtomicU64::new(0);
+    let ran = run_units(
+        units.len(),
+        workers,
+        &progress,
+        || bytes.load(Ordering::Relaxed),
+        |i| {
+            let (key, path) = &units[i];
+            let parsed = match fs::read_to_string(path) {
+                Ok(text) => {
+                    bytes.fetch_add(text.len() as u64, Ordering::Relaxed);
+                    unit(key, &text, path)
+                }
+                // Bit rot can make a file invalid UTF-8; that is
+                // damage to the file's content, not a filesystem
+                // failure.
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    Err(StoreError::Corrupt(path.clone()))
+                }
+                Err(e) => Err(StoreError::Io(path.clone(), e)),
+            };
+            match parsed {
+                Ok(parsed) => Ok(Ok(parsed)),
+                Err(e) if e.is_damage() => quarantine(path)
+                    .map(Err)
+                    .map_err(|e| StoreError::Io(path.clone(), e)),
+                Err(e) => Err(e),
             }
-            Err(e) => Err(StoreError::Io(path.clone(), e)),
-        };
-        match folded {
-            Err(e) if e.is_damage() => {
-                let bad = quarantine(&path).map_err(|e| StoreError::Io(path, e))?;
-                quarantined.push(bad);
-            }
-            other => other?,
-        }
+        },
+        |(acc, bad): &mut (A, Vec<(usize, PathBuf)>), i, parsed| match parsed {
+            Ok(parsed) => commit(acc, &units[i].0, parsed),
+            Err(path) => bad.push((i, path)),
+        },
+    )?;
+    if ran.workers_lost > 0 {
+        panic!(
+            "checkpoint store {}: {} load worker(s) lost",
+            dir.display(),
+            ran.workers_lost
+        );
     }
-    Ok(quarantined)
+    let (parts, bad): (Vec<A>, Vec<_>) = ran.parts.into_iter().unzip();
+    let mut quarantined: Vec<(usize, PathBuf)> = bad.into_iter().flatten().collect();
+    quarantined.sort_by_key(|(i, _)| *i);
+    Ok((parts, quarantined.into_iter().map(|(_, p)| p).collect()))
 }
 
 /// Claim the store at `dir` for `study`, one line naming every input
@@ -421,54 +467,119 @@ mod tests {
 
     const HEADER: &str = "# test unit v1";
 
-    /// A fold that keeps each unit whose one record is `n\t<key>`.
-    fn keep_into(
-        kept: &mut Vec<u32>,
-    ) -> impl FnMut(u32, &str, &Path) -> Result<(), StoreError> + '_ {
-        |key, text, path| {
-            for (n, line) in open_unit(text, HEADER, path)? {
-                if line != format!("n\t{key}") {
-                    return Err(StoreError::Malformed(path.to_path_buf(), n));
-                }
+    /// Parse a unit whose one record is `n\t<key>`.
+    fn parse_unit(key: &u32, text: &str, path: &Path) -> Result<u32, StoreError> {
+        for (n, line) in open_unit(text, HEADER, path)? {
+            if line != format!("n\t{key}") {
+                return Err(StoreError::Malformed(path.to_path_buf(), n));
             }
-            kept.push(key);
-            Ok(())
+        }
+        Ok(*key)
+    }
+
+    /// Load the store at `dir` on `workers` threads with `unit`: the
+    /// kept keys, sorted, and the quarantine paths.
+    fn load_keys(
+        dir: &Path,
+        workers: usize,
+        unit: impl Fn(&u32, &str, &Path) -> Result<u32, StoreError> + Sync,
+    ) -> Result<(Vec<u32>, Vec<PathBuf>), StoreError> {
+        let (parts, quarantined) =
+            load_units(dir, workers, unit, |kept: &mut Vec<u32>, _, key| {
+                kept.push(key)
+            })?;
+        let mut kept: Vec<u32> = parts.into_iter().flatten().collect();
+        kept.sort_unstable();
+        Ok((kept, quarantined))
+    }
+
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Commit order across workers is scheduling order, so the kept
+    /// keys are compared sorted; the quarantine paths come back in key
+    /// order at every worker count.
+    #[test]
+    fn load_units_keeps_intact_units_and_quarantines_damage_at_any_worker_count() {
+        for workers in 1..=4 {
+            let dir = unique_dir(&format!("load-w{workers}"));
+            claim(&dir, "study").unwrap();
+            for key in [3u32, 1, 2, 4] {
+                write_unit(&dir, key, &seal(format!("{HEADER}\nn\t{key}\n"))).unwrap();
+            }
+            // Unit 2's file holds unit 1's record; unit 4 is not UTF-8.
+            fs::copy(dir.join("1.ckpt"), dir.join("2.ckpt")).unwrap();
+            fs::write(dir.join("4.ckpt"), b"\xff\xfe").unwrap();
+            // Not units: the stamp, a torn write, a stem that is no key.
+            fs::write(dir.join("5.ckpt.tmp"), "torn").unwrap();
+            fs::write(dir.join("x.ckpt"), "junk").unwrap();
+            let (kept, quarantined) = load_keys(&dir, workers, parse_unit).unwrap();
+            assert_eq!(kept, vec![1, 3], "workers = {workers}");
+            assert_eq!(
+                quarantined,
+                vec![dir.join("2.ckpt.bad"), dir.join("4.ckpt.bad")]
+            );
+            assert_eq!(
+                listing(&dir),
+                [
+                    "1.ckpt",
+                    "2.ckpt.bad",
+                    "3.ckpt",
+                    "4.ckpt.bad",
+                    "5.ckpt.tmp",
+                    STAMP_FILE,
+                    "x.ckpt"
+                ]
+            );
+            // A second load finds only the intact units.
+            let again = load_keys(&dir, workers, parse_unit).unwrap();
+            assert_eq!(again, (vec![1, 3], vec![]));
+            // A unit error that is not damage aborts the load.
+            let abort = load_keys(&dir, workers, |_, _, p| {
+                Err(StoreError::Foreign(p.into(), "x".into()))
+            });
+            assert!(matches!(abort, Err(StoreError::Foreign(..))));
+            fs::remove_dir_all(&dir).unwrap();
+            // A missing store is a cold start.
+            let cold = load_keys(&dir, workers, parse_unit).unwrap();
+            assert_eq!(cold, (vec![], vec![]));
+        }
+    }
+
+    /// Load a six-unit store whose unit 4 panics, then remove it.
+    fn load_with_a_panicking_unit(workers: usize) {
+        let dir = unique_dir(&format!("panic-w{workers}"));
+        for key in 1u32..=6 {
+            write_unit(&dir, key, &seal(format!("{HEADER}\nn\t{key}\n"))).unwrap();
+        }
+        let load = std::panic::catch_unwind(|| {
+            load_keys(&dir, workers, |key, text, path| {
+                assert_ne!(*key, 4, "unit 4 dies");
+                parse_unit(key, text, path)
+            })
+        });
+        fs::remove_dir_all(&dir).unwrap();
+        if let Err(panic) = load {
+            std::panic::resume_unwind(panic);
         }
     }
 
     #[test]
-    fn load_units_folds_in_key_order_and_quarantines_damage() {
-        let dir = unique_dir("load");
-        claim(&dir, "study").unwrap();
-        for key in [3u32, 1, 2, 4] {
-            write_unit(&dir, key, &seal(format!("{HEADER}\nn\t{key}\n"))).unwrap();
-        }
-        // Unit 2's file holds unit 1's record; unit 4 is not UTF-8.
-        fs::copy(dir.join("1.ckpt"), dir.join("2.ckpt")).unwrap();
-        fs::write(dir.join("4.ckpt"), b"\xff\xfe").unwrap();
-        // Not units: the stamp, a torn write, a stem that is no key.
-        fs::write(dir.join("5.ckpt.tmp"), "torn").unwrap();
-        fs::write(dir.join("x.ckpt"), "junk").unwrap();
-        let mut kept = Vec::new();
-        let quarantined = load_units(&dir, keep_into(&mut kept)).unwrap();
-        assert_eq!(kept, vec![1, 3]);
-        assert_eq!(
-            quarantined,
-            vec![dir.join("2.ckpt.bad"), dir.join("4.ckpt.bad")]
-        );
-        assert!(dir.join(STAMP_FILE).exists() && dir.join("x.ckpt").exists());
-        // A second load finds only the intact units.
-        let mut again = Vec::new();
-        assert!(load_units(&dir, keep_into(&mut again)).unwrap().is_empty());
-        assert_eq!(again, vec![1, 3]);
-        // A fold error that is not damage aborts the load.
-        let abort = load_units(&dir, |_: u32, _, p| {
-            Err(StoreError::Foreign(p.into(), "x".into()))
-        });
-        assert!(matches!(abort, Err(StoreError::Foreign(..))));
-        fs::remove_dir_all(&dir).unwrap();
-        // A missing store is a cold start.
-        assert!(load_units(&dir, keep_into(&mut again)).unwrap().is_empty());
+    #[should_panic(expected = "load worker(s) lost")]
+    fn a_panicking_unit_fails_a_one_worker_load() {
+        load_with_a_panicking_unit(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "load worker(s) lost")]
+    fn a_panicking_unit_fails_a_three_worker_load() {
+        load_with_a_panicking_unit(3);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The supervised unit runner shared by both apertures: the passive
-//! study's months, the scan campaign's sweep dates and the SSL-Pulse
-//! surveys.
+//! study's months, the scan campaign's sweep dates, the SSL-Pulse
+//! surveys and the unit files of a checkpoint-store load
+//! ([`load_units`](crate::load_units)).
 //!
 //! [`run_units`] hands unit indices to workers from one atomic
 //! counter. A worker runs its unit — the caller's supervised fold,
@@ -128,9 +129,9 @@ pub fn run_units<T, A: Default + Send>(
     };
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        if progress.is_enabled() {
-            scope.spawn(|| progress.run_ticker(&stop, || (done.load(Ordering::Relaxed), items())));
-        }
+        let ticker = progress.is_enabled().then(|| {
+            scope.spawn(|| progress.run_ticker(&stop, || (done.load(Ordering::Relaxed), items())))
+        });
         let handles: Vec<_> = (0..workers.clamp(1, units))
             .map(|_| scope.spawn(worker))
             .collect();
@@ -144,6 +145,9 @@ pub fn run_units<T, A: Default + Send>(
             }
         }
         stop.store(true, Ordering::Release);
+        if let Some(ticker) = ticker {
+            ticker.thread().unpark();
+        }
     });
     match failed.into_inner().unwrap_or_else(PoisonError::into_inner) {
         Some(e) => Err(e),

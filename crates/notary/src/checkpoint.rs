@@ -351,7 +351,7 @@ pub fn write_month(dir: &Path, month: Month, partial: &NotaryAggregate) -> Resul
     tlscope_durable::write_unit(dir, month, &to_text(partial))
 }
 
-/// Result of scanning a checkpoint directory with [`load_dir`].
+/// Result of scanning a checkpoint directory with [`load_dir_on`].
 #[derive(Debug)]
 pub struct DirLoad {
     /// Merge of every intact month partial.
@@ -364,28 +364,46 @@ pub struct DirLoad {
     pub quarantined: Vec<PathBuf>,
 }
 
-/// Scan a checkpoint directory: merge every completed month's partial
-/// into one aggregate, one file at a time, and report which months are
-/// already done.
+/// [`load_dir_on`] with one worker.
+pub fn load_dir(dir: &Path) -> Result<DirLoad, StoreError> {
+    load_dir_on(dir, 1)
+}
+
+/// Scan a checkpoint directory on up to `workers` threads: merge every
+/// completed month's partial into one aggregate and report which
+/// months are already done. Each worker parses one file at a time and
+/// merges it into an aggregate of its own; the workers' aggregates are
+/// merged into the first. Merging is commutative, so the aggregate
+/// equals a one-worker load's.
 ///
 /// A missing directory is a valid cold start. A damaged file
 /// (malformed, truncated, failing its checksum, or holding another
 /// month than its name) is quarantined — renamed to
 /// `<month>.ckpt.bad` — and its month reported incomplete, so a resume
 /// recomputes it instead of aborting; only filesystem errors abort.
-pub fn load_dir(dir: &Path) -> Result<DirLoad, StoreError> {
-    let mut aggregate = NotaryAggregate::new();
-    let mut completed = BTreeSet::new();
-    let quarantined = tlscope_durable::load_units(dir, |month: Month, text, path| {
-        let partial = from_text(text, path)?;
-        // The month line is the first record, on line 2.
-        if partial.iter_months().any(|(m, _)| *m != month) {
-            return Err(StoreError::Malformed(path.to_path_buf(), 2));
-        }
+pub fn load_dir_on(dir: &Path, workers: usize) -> Result<DirLoad, StoreError> {
+    let (parts, quarantined) = tlscope_durable::load_units(
+        dir,
+        workers,
+        |month: &Month, text, path| {
+            let partial = from_text(text, path)?;
+            // The month line is the first record, on line 2.
+            if partial.iter_months().any(|(m, _)| m != month) {
+                return Err(StoreError::Malformed(path.to_path_buf(), 2));
+            }
+            Ok(partial)
+        },
+        |(aggregate, completed): &mut (NotaryAggregate, BTreeSet<Month>), month, partial| {
+            aggregate.merge(partial);
+            completed.insert(*month);
+        },
+    )?;
+    let mut parts = parts.into_iter();
+    let (mut aggregate, mut completed) = parts.next().unwrap_or_default();
+    for (partial, months) in parts {
         aggregate.merge(partial);
-        completed.insert(month);
-        Ok(())
-    })?;
+        completed.extend(months);
+    }
     Ok(DirLoad {
         aggregate,
         completed,
@@ -396,6 +414,8 @@ pub fn load_dir(dir: &Path) -> Result<DirLoad, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use tlscope_chron::Month;
     use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
 
@@ -527,6 +547,89 @@ mod tests {
             from_text(&flipped, p),
             Err(StoreError::Corrupt(_)),
         ));
+    }
+
+    /// How the property below damages one unit of its store.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        Intact,
+        Truncated(usize),
+        Flipped(usize, u8),
+        /// The file holds the next unit's text.
+        Misnamed,
+    }
+
+    fn damage() -> impl Strategy<Value = Damage> {
+        prop_oneof![
+            Just(Damage::Intact),
+            Just(Damage::Intact),
+            any::<usize>().prop_map(Damage::Truncated),
+            (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Damage::Flipped(at, mask)),
+            Just(Damage::Misnamed),
+        ]
+    }
+
+    /// The bytes of unit `i` of a store of `texts`, damaged by `d`.
+    fn damaged(texts: &[String], i: usize, d: Damage) -> Vec<u8> {
+        let mut bytes = texts[i].clone().into_bytes();
+        match d {
+            Damage::Intact => {}
+            Damage::Truncated(at) => bytes.truncate(at % bytes.len()),
+            Damage::Flipped(at, mask) => {
+                let at = at % bytes.len();
+                bytes[at] ^= mask;
+            }
+            Damage::Misnamed => bytes = texts[(i + 1) % texts.len()].clone().into_bytes(),
+        }
+        bytes
+    }
+
+    fn file_names(paths: impl IntoIterator<Item = PathBuf>) -> Vec<String> {
+        paths
+            .into_iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// A store of 4–10 months with random damage loads the same on
+        /// 1–4 workers: an equal aggregate, the intact months completed,
+        /// the same quarantine list and the same files left on disk.
+        /// Each load gets a fresh copy of the store.
+        #[test]
+        fn load_dir_on_matches_one_worker(damages in vec(damage(), 4..=10)) {
+            let months: Vec<Month> = (0..damages.len() as i32)
+                .map(|i| Month::ym(2015, 1).add_months(i))
+                .collect();
+            let texts: Vec<String> = months.iter().map(|&m| to_text(&sample_partial(m))).collect();
+            let load = |workers: usize| {
+                let dir = unique_dir(&format!("prop-w{workers}"));
+                std::fs::create_dir_all(&dir).unwrap();
+                for (i, (m, &d)) in months.iter().zip(&damages).enumerate() {
+                    std::fs::write(dir.join(format!("{m}.ckpt")), damaged(&texts, i, d)).unwrap();
+                }
+                let load = load_dir_on(&dir, workers).unwrap();
+                let mut left = file_names(std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()));
+                left.sort();
+                std::fs::remove_dir_all(&dir).unwrap();
+                // Quarantine paths differ by directory alone.
+                (load.aggregate, load.completed, file_names(load.quarantined), left)
+            };
+            let one = load(1);
+            let intact: BTreeSet<Month> = months
+                .iter()
+                .zip(&damages)
+                .filter(|(_, d)| matches!(d, Damage::Intact))
+                .map(|(m, _)| *m)
+                .collect();
+            prop_assert_eq!(&one.1, &intact);
+            prop_assert!(one.2.windows(2).all(|w| w[0] < w[1]), "key order: {:?}", one.2);
+            for workers in 2..=4 {
+                prop_assert!(load(workers) == one, "workers = {}", workers);
+            }
+        }
     }
 
     #[test]

@@ -12,14 +12,14 @@
 //!   table, and emits the bag, its snapshots, their JSON sections
 //!   (`counts`, `clocks`, `scheduling`) and `accounting_holds`;
 //! * [`hist`] — lock-free, mergeable log2-bucketed latency
-//!   [`Histogram`](hist::Histogram)s (atomic buckets, p50/p90/p99/max
+//!   [`Histogram`]s (atomic buckets, p50/p90/p99/max
 //!   readout) for per-batch, per-sweep, per-month, and checkpoint
 //!   timing distributions;
 //! * [`json`] — a hand-rolled JSON writer and parser (no serde; the
 //!   build is fully offline) behind the schema-versioned
 //!   `--stats-json` / `--scan-stats-json` exports;
 //! * [`progress`] — the opt-in live heartbeat
-//!   ([`Progress`](progress::Progress), env `TLSCOPE_PROGRESS`)
+//!   ([`Progress`], env `TLSCOPE_PROGRESS`)
 //!   printing completed units, item rates, and ETA to stderr while a
 //!   long campaign runs;
 //! * [`flight`] — the panic flight recorder: a bounded per-worker ring

@@ -22,7 +22,8 @@ use std::time::{Duration, Instant};
 pub const PROGRESS_ENV: &str = "TLSCOPE_PROGRESS";
 
 /// Poll granularity of the ticker loop; also bounds how long a
-/// finished campaign waits for its heartbeat thread to notice.
+/// finished campaign that does not unpark its heartbeat thread waits
+/// for it to notice.
 const POLL: Duration = Duration::from_millis(50);
 
 /// An opt-in progress reporter for a campaign with a known number of
@@ -95,7 +96,9 @@ impl Progress {
     /// interval and a final summary line at the end. `sample` returns
     /// `(units_done, items_done)` from the shared metrics; it is
     /// called at most once per poll. Blocking — run it on a dedicated
-    /// (scoped) thread alongside the campaign workers.
+    /// (scoped) thread alongside the campaign workers, and unpark that
+    /// thread after setting `stop` so it ends at once rather than at
+    /// its next poll.
     pub fn run_ticker(&self, stop: &AtomicBool, sample: impl Fn() -> (u64, u64)) {
         let Some(interval) = self.interval else {
             return;
@@ -104,7 +107,7 @@ impl Progress {
         let mut last_print = Instant::now();
         let mut last_items = sample().1;
         while !stop.load(Ordering::Acquire) {
-            std::thread::sleep(POLL);
+            std::thread::park_timeout(POLL);
             if last_print.elapsed() < interval {
                 continue;
             }

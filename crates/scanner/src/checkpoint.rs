@@ -161,7 +161,7 @@ pub fn write_date(dir: &Path, ckpt: &DateCheckpoint) -> Result<(), StoreError> {
     tlscope_durable::write_unit(dir, ckpt.snapshot.date, &to_text(ckpt))
 }
 
-/// Result of scanning a scan-checkpoint directory with [`load_dir`].
+/// Result of scanning a scan-checkpoint directory with [`load_dir_on`].
 #[derive(Debug)]
 pub struct ScanDirLoad {
     /// Dates whose checkpoints loaded cleanly, with their contents.
@@ -172,24 +172,40 @@ pub struct ScanDirLoad {
     pub quarantined: Vec<PathBuf>,
 }
 
-/// Scan a checkpoint directory for completed campaign dates.
+/// [`load_dir_on`] with one worker.
+pub fn load_dir(dir: &Path) -> Result<ScanDirLoad, StoreError> {
+    load_dir_on(dir, 1)
+}
+
+/// Scan a checkpoint directory for completed campaign dates, on up to
+/// `workers` threads.
 ///
 /// A missing directory is a valid cold start. A damaged file
 /// (malformed, truncated, failing its checksum, or carrying another
 /// date than its name) is quarantined — renamed to `<date>.ckpt.bad` —
 /// and its date reported incomplete, so a resume re-sweeps it instead
 /// of aborting; only filesystem errors abort.
-pub fn load_dir(dir: &Path) -> Result<ScanDirLoad, StoreError> {
-    let mut completed = BTreeMap::new();
-    let quarantined = tlscope_durable::load_units(dir, |date: Date, text, path| {
-        let ckpt = from_text(text, path)?;
-        // The snap line, which carries the date, is line 2.
-        if ckpt.snapshot.date != date {
-            return Err(StoreError::Malformed(path.to_path_buf(), 2));
-        }
-        completed.insert(date, ckpt);
-        Ok(())
-    })?;
+pub fn load_dir_on(dir: &Path, workers: usize) -> Result<ScanDirLoad, StoreError> {
+    let (parts, quarantined) = tlscope_durable::load_units(
+        dir,
+        workers,
+        |date: &Date, text, path| {
+            let ckpt = from_text(text, path)?;
+            // The snap line, which carries the date, is line 2.
+            if ckpt.snapshot.date != *date {
+                return Err(StoreError::Malformed(path.to_path_buf(), 2));
+            }
+            Ok(ckpt)
+        },
+        |completed: &mut BTreeMap<Date, DateCheckpoint>, date, ckpt| {
+            completed.insert(*date, ckpt);
+        },
+    )?;
+    let mut parts = parts.into_iter();
+    let mut completed = parts.next().unwrap_or_default();
+    for part in parts {
+        completed.extend(part);
+    }
     Ok(ScanDirLoad {
         completed,
         quarantined,
@@ -202,6 +218,8 @@ mod tests {
     use crate::faults::ScanFaults;
     use crate::metrics::ScanMetrics;
     use crate::sweep::sweep_sharded_with;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use tlscope_servers::ServerPopulation;
 
     fn unique_dir(tag: &str) -> PathBuf {
@@ -276,6 +294,91 @@ mod tests {
         );
         assert_eq!(load.quarantined, vec![dir.join(format!("{d2}.ckpt.bad"))]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// How the property below damages one unit of its store.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        Intact,
+        Truncated(usize),
+        Flipped(usize, u8),
+        /// The file holds the next unit's text.
+        Misnamed,
+    }
+
+    fn damage() -> impl Strategy<Value = Damage> {
+        prop_oneof![
+            Just(Damage::Intact),
+            Just(Damage::Intact),
+            any::<usize>().prop_map(Damage::Truncated),
+            (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Damage::Flipped(at, mask)),
+            Just(Damage::Misnamed),
+        ]
+    }
+
+    /// The bytes of unit `i` of a store of `texts`, damaged by `d`.
+    fn damaged(texts: &[String], i: usize, d: Damage) -> Vec<u8> {
+        let mut bytes = texts[i].clone().into_bytes();
+        match d {
+            Damage::Intact => {}
+            Damage::Truncated(at) => bytes.truncate(at % bytes.len()),
+            Damage::Flipped(at, mask) => {
+                let at = at % bytes.len();
+                bytes[at] ^= mask;
+            }
+            Damage::Misnamed => bytes = texts[(i + 1) % texts.len()].clone().into_bytes(),
+        }
+        bytes
+    }
+
+    fn file_names(paths: impl IntoIterator<Item = PathBuf>) -> Vec<String> {
+        paths
+            .into_iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// A store of 4–10 dates with random damage loads the same on
+        /// 1–4 workers: the intact dates' checkpoints, the same
+        /// quarantine list and the same files left on disk. Each load
+        /// gets a fresh copy of the store.
+        #[test]
+        fn load_dir_on_matches_one_worker(damages in vec(damage(), 4..=10)) {
+            let dates: Vec<Date> = (0..damages.len() as i64)
+                .map(|i| Date::ymd(2016, 3, 5).add_days(7 * i))
+                .collect();
+            let ckpts: Vec<DateCheckpoint> = dates.iter().map(|&d| sample_checkpoint(d)).collect();
+            let texts: Vec<String> = ckpts.iter().map(to_text).collect();
+            let load = |workers: usize| {
+                let dir = unique_dir(&format!("prop-w{workers}"));
+                std::fs::create_dir_all(&dir).unwrap();
+                for (i, (date, &d)) in dates.iter().zip(&damages).enumerate() {
+                    std::fs::write(dir.join(format!("{date}.ckpt")), damaged(&texts, i, d)).unwrap();
+                }
+                let load = load_dir_on(&dir, workers).unwrap();
+                let mut left = file_names(std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()));
+                left.sort();
+                std::fs::remove_dir_all(&dir).unwrap();
+                // Quarantine paths differ by directory alone.
+                (load.completed, file_names(load.quarantined), left)
+            };
+            let one = load(1);
+            let intact: BTreeMap<Date, DateCheckpoint> = dates
+                .iter()
+                .zip(&damages)
+                .zip(ckpts)
+                .filter(|((_, d), _)| matches!(d, Damage::Intact))
+                .map(|((date, _), ckpt)| (*date, ckpt))
+                .collect();
+            prop_assert_eq!(&one.0, &intact);
+            prop_assert!(one.1.windows(2).all(|w| w[0] < w[1]), "key order: {:?}", one.1);
+            for workers in 2..=4 {
+                prop_assert!(load(workers) == one, "workers = {}", workers);
+            }
+        }
     }
 
     #[test]

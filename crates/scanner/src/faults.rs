@@ -17,6 +17,8 @@
 //! keyed by attempt number, so a host probed alone fails (or recovers)
 //! exactly as it does in the full sweep.
 
+use std::ffi::OsStr;
+
 use tlscope_chron::Date;
 
 /// Length of one dead-host window, in days. A host that draws "dead"
@@ -184,17 +186,49 @@ impl ScanFaults {
         }
     }
 
-    /// The profile named by the `TLSCOPE_SCAN_FAULT_PROFILE`
-    /// environment variable, falling back to `fallback` when the
-    /// variable is unset or names no known profile. This is how the CI
-    /// fault-matrix job re-runs the scanner tests under `stress`
-    /// without a code change.
+    /// The environment variable [`ScanFaults::from_env`] reads.
+    pub const PROFILE_ENV: &'static str = "TLSCOPE_SCAN_FAULT_PROFILE";
+
+    /// The profile a raw [`ScanFaults::PROFILE_ENV`] value selects, by
+    /// the name [`ScanFaults::PROFILES`] lists it under: `None` when
+    /// the variable is unset, and an error naming the variable, the
+    /// value and the accepted names when it is set to anything but a
+    /// profile name.
+    pub fn env_profile(raw: Option<&OsStr>) -> Result<Option<&'static str>, String> {
+        let Some(raw) = raw else {
+            return Ok(None);
+        };
+        let named = raw.to_str().and_then(ScanFaults::profile);
+        ScanFaults::PROFILES
+            .into_iter()
+            .find(|name| named.is_some() && ScanFaults::profile(name) == named)
+            .map(Some)
+            .ok_or_else(|| {
+                format!(
+                    "{}={} names no scan fault profile (accepted: {})",
+                    ScanFaults::PROFILE_ENV,
+                    raw.to_string_lossy(),
+                    ScanFaults::PROFILES.join(", ")
+                )
+            })
+    }
+
+    /// The profile the `TLSCOPE_SCAN_FAULT_PROFILE` environment
+    /// variable names, or `fallback` when it is unset. This is how the
+    /// CI fault-matrix job re-runs the scanner tests under `stress`
+    /// without a code change; `StudyConfig::default()` reads it too.
+    ///
+    /// # Panics
+    ///
+    /// When the variable names no profile ([`ScanFaults::env_profile`]):
+    /// a misspelled name would otherwise run `fallback` without a word.
     pub fn from_env(fallback: ScanFaults) -> ScanFaults {
-        std::env::var("TLSCOPE_SCAN_FAULT_PROFILE")
-            .ok()
-            .as_deref()
-            .and_then(ScanFaults::profile)
-            .unwrap_or(fallback)
+        let raw = std::env::var_os(ScanFaults::PROFILE_ENV);
+        match ScanFaults::env_profile(raw.as_deref()) {
+            Ok(Some(name)) => ScanFaults::profile(name).expect("every listed profile resolves"),
+            Ok(None) => fallback,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// True when `index` is dead for the [`DEAD_HOST_SPAN_DAYS`]
@@ -436,5 +470,23 @@ mod tests {
         // resolve to a valid profile.
         let f = ScanFaults::from_env(ScanFaults::none());
         assert!(f.validate().is_ok());
+    }
+
+    #[test]
+    fn env_profile_resolves_names_and_refuses_the_rest() {
+        let resolve = |raw: &str| ScanFaults::env_profile(Some(OsStr::new(raw)));
+        assert_eq!(ScanFaults::env_profile(None), Ok(None));
+        for name in ScanFaults::PROFILES {
+            assert_eq!(resolve(name), Ok(Some(name)));
+        }
+        assert_eq!(resolve("scan"), Ok(Some("defaults")));
+        for bad in ["strss", "", "Stress", "stress "] {
+            let err = resolve(bad).unwrap_err();
+            assert!(
+                err.contains(&format!("TLSCOPE_SCAN_FAULT_PROFILE={bad} "))
+                    && err.contains("(accepted: none, defaults, stress)"),
+                "{err}"
+            );
+        }
     }
 }

@@ -119,7 +119,7 @@ impl ScanCampaign {
     /// [`ScanSnapshot`] and per-date accounting ledger are persisted to
     /// `<dir>/<YYYY-MM-DD>.ckpt` (atomic tmp+rename, checksummed — see
     /// [`crate::checkpoint`]), and dates already present in the store
-    /// are *skipped*: their snapshots fill the series directly and
+    /// are loaded on the same `workers` and *skipped*: their snapshots fill the series directly and
     /// their ledgers are replayed into `metrics`
     /// ([`ScanMetrics::add`]), so a resumed campaign returns
     /// snapshots and totals bit-identical to an uninterrupted run — at
@@ -144,7 +144,7 @@ impl ScanCampaign {
         // totals match an uninterrupted run exactly.
         if let Some(dir) = checkpoint_dir {
             let load_started = Instant::now();
-            let mut store = checkpoint::load_dir(dir)?;
+            let mut store = checkpoint::load_dir_on(dir, workers)?;
             metrics.checkpoint_load.record(load_started.elapsed());
             // A stored ledger's checkpoint counters are zero, so the
             // replayed sum counts this run's loads alone.

@@ -13,6 +13,8 @@
 //! draws), and outage windows are a pure function of `(seed, date)`,
 //! so serial and sharded runs see identical fault patterns.
 
+use std::ffi::OsStr;
+
 use rand::rngs::SmallRng;
 use rand::RngExt;
 
@@ -153,8 +155,14 @@ impl FaultInjector {
         Ok(())
     }
 
+    /// The names [`FaultInjector::profile`] resolves, one per profile.
+    pub const PROFILES: [&'static str; 3] = ["none", "defaults", "stress"];
+
+    /// The environment variable [`FaultInjector::from_env`] reads.
+    const PROFILE_ENV: &'static str = "TLSCOPE_FAULT_PROFILE";
+
     /// Resolve a named fault profile: `none`, `defaults` (the tap
-    /// mix), or `stress`.
+    /// mix; `tap` is an alias), or `stress`.
     pub fn profile(name: &str) -> Option<Self> {
         match name {
             "none" => Some(FaultInjector::none()),
@@ -164,16 +172,47 @@ impl FaultInjector {
         }
     }
 
-    /// The profile named by the `TLSCOPE_FAULT_PROFILE` environment
-    /// variable, falling back to `fallback` when the variable is unset
-    /// or names no known profile. This is how the CI fault-matrix job
-    /// re-runs the pipeline tests under `stress` without a code change.
+    /// The profile a raw `TLSCOPE_FAULT_PROFILE` value selects, by the
+    /// name [`FaultInjector::PROFILES`] lists it under: `None` when the
+    /// variable is unset, and an error naming the variable, the value
+    /// and the accepted names when it is set to anything but a profile
+    /// name.
+    pub fn env_profile(raw: Option<&OsStr>) -> Result<Option<&'static str>, String> {
+        let Some(raw) = raw else {
+            return Ok(None);
+        };
+        let named = raw.to_str().and_then(FaultInjector::profile);
+        FaultInjector::PROFILES
+            .into_iter()
+            .find(|name| named.is_some() && FaultInjector::profile(name) == named)
+            .map(Some)
+            .ok_or_else(|| {
+                format!(
+                    "{}={} names no fault profile (accepted: {})",
+                    FaultInjector::PROFILE_ENV,
+                    raw.to_string_lossy(),
+                    FaultInjector::PROFILES.join(", ")
+                )
+            })
+    }
+
+    /// The profile the `TLSCOPE_FAULT_PROFILE` environment variable
+    /// names, or `fallback` when it is unset. One test reads it
+    /// (`notary/tests/pipeline.rs`), and the CI fault-matrix job runs
+    /// that test under `stress`.
+    ///
+    /// # Panics
+    ///
+    /// When the variable names no profile
+    /// ([`FaultInjector::env_profile`]): a misspelled name would
+    /// otherwise run `fallback` without a word.
     pub fn from_env(fallback: FaultInjector) -> FaultInjector {
-        std::env::var("TLSCOPE_FAULT_PROFILE")
-            .ok()
-            .as_deref()
-            .and_then(FaultInjector::profile)
-            .unwrap_or(fallback)
+        let raw = std::env::var_os(FaultInjector::PROFILE_ENV);
+        match FaultInjector::env_profile(raw.as_deref()) {
+            Ok(Some(name)) => FaultInjector::profile(name).expect("every listed profile resolves"),
+            Ok(None) => fallback,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// True when `date` falls inside a tap outage window. Pure in
@@ -242,6 +281,24 @@ impl FaultInjector {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn env_profile_resolves_names_and_refuses_the_rest() {
+        let resolve = |raw: &str| FaultInjector::env_profile(Some(OsStr::new(raw)));
+        assert_eq!(FaultInjector::env_profile(None), Ok(None));
+        for name in FaultInjector::PROFILES {
+            assert_eq!(resolve(name), Ok(Some(name)));
+        }
+        assert_eq!(resolve("tap"), Ok(Some("defaults")));
+        for bad in ["strss", "", "Stress", "stress "] {
+            let err = resolve(bad).unwrap_err();
+            assert!(
+                err.contains(&format!("TLSCOPE_FAULT_PROFILE={bad} "))
+                    && err.contains("(accepted: none, defaults, stress)"),
+                "{err}"
+            );
+        }
+    }
 
     #[test]
     fn none_is_identity() {
