@@ -492,6 +492,30 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
+    /// Both stores' stamps embed `{:?}` of the fault structs, so a
+    /// field or `Debug` change would make every existing store be
+    /// refused as foreign. The faults are set explicitly, so the
+    /// fault-matrix variable does not move the scan stamp.
+    #[test]
+    fn study_stamps_are_pinned() {
+        let cfg = StudyConfig {
+            faults: FaultInjector::tap_defaults(),
+            scan_faults: ScanFaults::none(),
+            ..StudyConfig::quick()
+        };
+        assert_eq!(
+            cfg.passive_study(),
+            "passive seed=475078674 connections_per_month=1500 faults=FaultInjector { \
+             drop_prob: 0.002, truncate_prob: 0.001, corrupt_prob: 0.0005, gap_prob: 0.0, \
+             duplicate_prob: 0.0, outage_prob: 0.0 }"
+        );
+        assert_eq!(
+            cfg.scan_study(),
+            "scan seed=475078674 scan_hosts=800 scan_faults=ScanFaults { syn_drop_prob: 0.0, \
+             timeout_prob: 0.0, flake_prob: 0.0, dead_host_prob: 0.0, panic_on_host: None }"
+        );
+    }
+
     fn unique_dir(tag: &str) -> PathBuf {
         let pid = std::process::id();
         let t = std::time::SystemTime::now()

@@ -45,39 +45,6 @@ pub fn best_secs(reps: u32, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// First numeric value following `key` in a JSON fragment. Enough of a
-/// parser for the benches' own trajectory files (read back for their
-/// `baseline_prev_pr` rows); anything surprising yields `None`.
-pub fn json_number(fragment: &str, key: &str) -> Option<f64> {
-    let rest = fragment.split(key).nth(1)?;
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The committed trajectory file at `path`, read before this run
-/// overwrites it, when it records a run of the same `mode` and size
-/// (the number after `size_key`): a throughput measured on another
-/// workload is no baseline. `None` otherwise, with a note on stderr,
-/// and the bench then emits `null` for `baseline_prev_pr` and
-/// `throughput_factor`.
-pub fn comparable_baseline(path: &str, mode: &str, size_key: &str, size: u32) -> Option<String> {
-    let text = std::fs::read_to_string(path).ok();
-    let comparable = text.as_deref().is_some_and(|t| {
-        t.contains(&format!("\"mode\": \"{mode}\""))
-            && json_number(t, size_key) == Some(f64::from(size))
-    });
-    if !comparable {
-        eprintln!(
-            "note: {path} records no {mode} run at {size_key} {size}; \
-             baseline_prev_pr and throughput_factor are null"
-        );
-    }
-    text.filter(|_| comparable)
-}
-
 /// A counting wrapper around the system allocator. Installed as the
 /// global allocator whenever this crate is built with the
 /// `alloc-counter` feature, so the `alloc` bench (and the alloc-budget

@@ -105,29 +105,33 @@ fn faulty_flows_are_tolerated() {
     assert!(agg.garbled_client > 0);
 }
 
-/// Runs under whatever `TLSCOPE_FAULT_PROFILE` names — the CI
-/// fault-matrix job sets `stress`, forcing heavy drops, truncation,
-/// corruption, gaps, duplication, and outages through the full
-/// pipeline; locally it falls back to the default tap mix.
+/// Every named tap profile — the stress mix forces heavy drops,
+/// truncation, corruption, gaps, duplication and outages through the
+/// full pipeline — keeps the sharded study equal to the serial
+/// reference, with every generated flow accounted for.
 #[test]
-fn env_fault_profile_never_breaks_equivalence() {
-    let faults = FaultInjector::from_env(FaultInjector::tap_defaults());
-    faults.validate().expect("profile must be valid");
-    let mut cfg = study_config(31, Month::ym(2017, 8), Month::ym(2017, 10), 800, faults);
-    cfg.workers = 4;
-    let study = Study::new(cfg);
-    let serial = serial_reference(&study);
-    let dispatched: usize = study
-        .months()
-        .into_iter()
-        .map(|m| study.generator().month(m).len())
-        .sum();
-    let metrics = PipelineMetrics::new();
-    assert_eq!(study.run_passive_metered(&metrics), serial);
-    let s = metrics.snapshot();
-    assert_eq!(s.flows_dispatched, dispatched as u64);
-    assert!(s.accounting_holds());
-    assert_eq!(s.shards_lost, 0);
+fn every_fault_profile_keeps_equivalence() {
+    for faults in [
+        FaultInjector::none(),
+        FaultInjector::tap_defaults(),
+        FaultInjector::stress(),
+    ] {
+        let mut cfg = study_config(31, Month::ym(2017, 8), Month::ym(2017, 10), 800, faults);
+        cfg.workers = 4;
+        let study = Study::new(cfg);
+        let serial = serial_reference(&study);
+        let dispatched: usize = study
+            .months()
+            .into_iter()
+            .map(|m| study.generator().month(m).len())
+            .sum();
+        let metrics = PipelineMetrics::new();
+        assert_eq!(study.run_passive_metered(&metrics), serial, "{faults:?}");
+        let s = metrics.snapshot();
+        assert_eq!(s.flows_dispatched, dispatched as u64, "{faults:?}");
+        assert!(s.accounting_holds(), "{faults:?}");
+        assert_eq!(s.shards_lost, 0, "{faults:?}");
+    }
 }
 
 /// Graceful degradation on realistic traffic: heavy truncation and

@@ -11,11 +11,11 @@
 //! patterns.
 //!
 //! Every draw is a pure function of `(seed, date, host_index, attempt)`
-//! through the same SplitMix64 counter construction the host sampler
-//! and the tap's outage windows use: no draw depends on RNG stream
-//! position, worker count, replay, or visit order. Retry draws are
-//! keyed by attempt number, so a host probed alone fails (or recovers)
-//! exactly as it does in the full sweep.
+//! through one SplitMix64 counter construction, `key` then `mix`,
+//! which the host sampler's stream seed goes through too: no draw
+//! depends on RNG stream position, worker count, replay, or visit
+//! order. Retry draws are keyed by attempt number, so a host probed
+//! alone fails (or recovers) exactly as it does in the full sweep.
 
 use std::ffi::OsStr;
 
@@ -32,26 +32,6 @@ pub const DEAD_HOST_SPAN_DAYS: i64 = 7;
 /// host as dropped (1 initial try + 2 retries).
 pub const MAX_PROBE_ATTEMPTS: u32 = 3;
 
-/// A probability field was invalid (checked constructor, see
-/// [`ScanFaults::checked`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanFaultConfigError {
-    /// Name of the offending field.
-    pub field: &'static str,
-}
-
-impl std::fmt::Display for ScanFaultConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "scan fault probability `{}` must be a finite value in [0, 1]",
-            self.field
-        )
-    }
-}
-
-impl std::error::Error for ScanFaultConfigError {}
-
 /// Probabilities of each active-scan fault, plus one deterministic
 /// failpoint used by tests to panic a sweep on purpose.
 ///
@@ -62,9 +42,7 @@ impl std::error::Error for ScanFaultConfigError {}
 /// retried. `dead_host_prob` applies per host per
 /// [`DEAD_HOST_SPAN_DAYS`]-day window and is *permanent* within the
 /// window: every attempt fails, and the host is eventually counted as
-/// dropped. Construct with [`ScanFaults::checked`] to validate the
-/// probabilities; the struct-literal escape hatch remains for tests,
-/// and [`ScanFaults::validate`] can be called on any value.
+/// dropped. [`ScanFaults::PROFILES`] names the profiles a run can pick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanFaults {
     /// Probability a connect attempt's SYN is silently dropped
@@ -91,7 +69,7 @@ pub struct ScanFaults {
 
 impl ScanFaults {
     /// No faults: every probe is answered or refused cleanly.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         ScanFaults {
             syn_drop_prob: 0.0,
             timeout_prob: 0.0,
@@ -104,7 +82,7 @@ impl ScanFaults {
     /// The default real-sweep fault mix: a few percent of hosts
     /// unreachable or flaky, a sub-percent handshake-timeout rate —
     /// the magnitudes an IPv4-wide TCP/443 sweep actually sees.
-    pub fn scan_defaults() -> Self {
+    pub const fn scan_defaults() -> Self {
         ScanFaults {
             syn_drop_prob: 0.01,
             timeout_prob: 0.005,
@@ -115,9 +93,10 @@ impl ScanFaults {
     }
 
     /// A high-fault profile exercising every recovery path: heavy SYN
-    /// loss, timeouts, flakes, and dead-host windows. Used by the CI
-    /// fault-matrix job (`TLSCOPE_SCAN_FAULT_PROFILE=stress`).
-    pub fn stress() -> Self {
+    /// loss, timeouts, flakes, and dead-host windows. The CI
+    /// fault-matrix job runs the scanner and study tests under it
+    /// (`TLSCOPE_SCAN_FAULT_PROFILE=stress`).
+    pub const fn stress() -> Self {
         ScanFaults {
             syn_drop_prob: 0.10,
             timeout_prob: 0.08,
@@ -127,63 +106,20 @@ impl ScanFaults {
         }
     }
 
-    /// Checked constructor over the four probabilities (in declaration
-    /// order): rejects NaN, negative, and >1.0 values instead of
-    /// silently misbehaving at draw time. Failpoints start unset.
-    pub fn checked(
-        syn_drop_prob: f64,
-        timeout_prob: f64,
-        flake_prob: f64,
-        dead_host_prob: f64,
-    ) -> Result<Self, ScanFaultConfigError> {
-        let faults = ScanFaults {
-            syn_drop_prob,
-            timeout_prob,
-            flake_prob,
-            dead_host_prob,
-            ..ScanFaults::none()
-        };
-        faults.validate()?;
-        Ok(faults)
-    }
+    /// The named profiles, the one table [`ScanFaults::profile`] and
+    /// [`ScanFaults::env_profile`] read.
+    pub const PROFILES: [(&'static str, ScanFaults); 3] = [
+        ("none", ScanFaults::none()),
+        ("defaults", ScanFaults::scan_defaults()),
+        ("stress", ScanFaults::stress()),
+    ];
 
-    /// Validate every probability field: finite and within `[0, 1]`.
-    pub fn validate(&self) -> Result<(), ScanFaultConfigError> {
-        for (field, p) in [
-            ("syn_drop_prob", self.syn_drop_prob),
-            ("timeout_prob", self.timeout_prob),
-            ("flake_prob", self.flake_prob),
-            ("dead_host_prob", self.dead_host_prob),
-        ] {
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(ScanFaultConfigError { field });
-            }
-        }
-        Ok(())
-    }
-
-    /// True when no fault can ever fire (all probabilities zero and no
-    /// failpoint armed) — the profile calibration anchors on.
-    pub fn is_none(&self) -> bool {
-        self.syn_drop_prob == 0.0
-            && self.timeout_prob == 0.0
-            && self.flake_prob == 0.0
-            && self.dead_host_prob == 0.0
-            && self.panic_on_host.is_none()
-    }
-
-    /// The names [`ScanFaults::profile`] resolves, one per profile.
-    pub const PROFILES: [&'static str; 3] = ["none", "defaults", "stress"];
-
-    /// Resolve a named fault profile: `none`, `defaults` (the real
-    /// sweep mix; `scan` is an alias), or `stress`.
+    /// The profile [`ScanFaults::PROFILES`] lists under `name`.
     pub fn profile(name: &str) -> Option<Self> {
-        match name {
-            "none" => Some(ScanFaults::none()),
-            "defaults" | "scan" => Some(ScanFaults::scan_defaults()),
-            "stress" => Some(ScanFaults::stress()),
-            _ => None,
-        }
+        ScanFaults::PROFILES
+            .iter()
+            .find(|(listed, _)| *listed == name)
+            .map(|&(_, faults)| faults)
     }
 
     /// The environment variable [`ScanFaults::from_env`] reads.
@@ -198,17 +134,16 @@ impl ScanFaults {
         let Some(raw) = raw else {
             return Ok(None);
         };
-        let named = raw.to_str().and_then(ScanFaults::profile);
         ScanFaults::PROFILES
-            .into_iter()
-            .find(|name| named.is_some() && ScanFaults::profile(name) == named)
-            .map(Some)
+            .iter()
+            .find(|(name, _)| raw == *name)
+            .map(|&(name, _)| Some(name))
             .ok_or_else(|| {
                 format!(
                     "{}={} names no scan fault profile (accepted: {})",
                     ScanFaults::PROFILE_ENV,
                     raw.to_string_lossy(),
-                    ScanFaults::PROFILES.join(", ")
+                    ScanFaults::PROFILES.map(|(name, _)| name).join(", ")
                 )
             })
     }
@@ -285,52 +220,29 @@ const SALT_TIMEOUT: u64 = 0x5CA4_FA17_0000_0003;
 const SALT_PROBE_STEP: u64 = 0x9fb2_1c65_1e98_df25;
 
 /// Mix `(seed, date-or-window, host index, attempt)` into one 64-bit
-/// counter key — the same multiplicative mixing the host sampler uses,
-/// extended by an attempt term so retry draws are independent.
-fn key(seed: u64, days: u64, index: u64, attempt: u32) -> u64 {
+/// counter key. The attempt term keeps retry draws independent; at
+/// attempt 0 it vanishes, which is the key the host sampler seeds from.
+pub(crate) fn key(seed: u64, days: u64, index: u64, attempt: u32) -> u64 {
     seed ^ days.wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ index.wrapping_mul(0xd1b5_4a32_d192_ed03)
         ^ (attempt as u64).wrapping_mul(0xa24b_aed4_963e_e407)
 }
 
-/// SplitMix64 finalisation of `z`, mapped to a uniform draw in [0, 1).
-fn unit(mut z: u64) -> f64 {
+/// SplitMix64 finalisation of `z`.
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / ((1u64 << 53) as f64)
+    z ^ (z >> 31)
+}
+
+/// [`mix`] of `z`, mapped to a uniform draw in [0, 1).
+fn unit(z: u64) -> f64 {
+    (mix(z) >> 11) as f64 / ((1u64 << 53) as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn checked_rejects_bad_probabilities() {
-        assert!(ScanFaults::checked(0.0, 0.0, 0.0, 0.0).is_ok());
-        assert!(ScanFaults::checked(1.0, 1.0, 1.0, 1.0).is_ok());
-        let nan = ScanFaults::checked(f64::NAN, 0.0, 0.0, 0.0);
-        assert_eq!(nan.unwrap_err().field, "syn_drop_prob");
-        let neg = ScanFaults::checked(0.0, -0.001, 0.0, 0.0);
-        assert_eq!(neg.unwrap_err().field, "timeout_prob");
-        let over = ScanFaults::checked(0.0, 0.0, 1.5, 0.0);
-        assert_eq!(over.unwrap_err().field, "flake_prob");
-        let inf = ScanFaults::checked(0.0, 0.0, 0.0, f64::INFINITY);
-        assert_eq!(inf.unwrap_err().field, "dead_host_prob");
-        let msg = inf.unwrap_err().to_string();
-        assert!(msg.contains("dead_host_prob"), "{msg}");
-    }
-
-    #[test]
-    fn validate_flags_struct_literals() {
-        let bad = ScanFaults {
-            dead_host_prob: f64::NAN,
-            ..ScanFaults::none()
-        };
-        assert_eq!(bad.validate().unwrap_err().field, "dead_host_prob");
-        assert!(ScanFaults::stress().validate().is_ok());
-        assert!(ScanFaults::scan_defaults().validate().is_ok());
-    }
 
     #[test]
     fn named_profiles_resolve() {
@@ -341,29 +253,18 @@ mod tests {
         );
         assert_eq!(ScanFaults::profile("stress"), Some(ScanFaults::stress()));
         assert_eq!(ScanFaults::profile("bogus"), None);
-        assert_eq!(
-            ScanFaults::profile("scan"),
-            Some(ScanFaults::scan_defaults())
-        );
-        let resolved: Vec<_> = ScanFaults::PROFILES
-            .iter()
-            .map(|name| ScanFaults::profile(name))
-            .collect();
-        assert_eq!(
-            resolved,
-            [
-                Some(ScanFaults::none()),
-                Some(ScanFaults::scan_defaults()),
-                Some(ScanFaults::stress())
-            ]
-        );
-        assert!(ScanFaults::none().is_none());
-        assert!(!ScanFaults::stress().is_none());
-        assert!(!ScanFaults {
-            panic_on_host: Some(1),
-            ..ScanFaults::none()
+        assert_eq!(ScanFaults::profile("scan"), None);
+        for (name, faults) in ScanFaults::PROFILES {
+            for p in [
+                faults.syn_drop_prob,
+                faults.timeout_prob,
+                faults.flake_prob,
+                faults.dead_host_prob,
+            ] {
+                assert!((0.0..=1.0).contains(&p), "{name}: {faults:?}");
+            }
+            assert_eq!(faults.panic_on_host, None, "{name}");
         }
-        .is_none());
     }
 
     #[test]
@@ -467,20 +368,19 @@ mod tests {
     fn env_selection_falls_back() {
         // The variable is not set in unit-test runs unless CI's
         // fault-matrix job sets it; in either case the call must
-        // resolve to a valid profile.
+        // resolve to a named profile.
         let f = ScanFaults::from_env(ScanFaults::none());
-        assert!(f.validate().is_ok());
+        assert!(ScanFaults::PROFILES.iter().any(|&(_, p)| p == f));
     }
 
     #[test]
     fn env_profile_resolves_names_and_refuses_the_rest() {
         let resolve = |raw: &str| ScanFaults::env_profile(Some(OsStr::new(raw)));
         assert_eq!(ScanFaults::env_profile(None), Ok(None));
-        for name in ScanFaults::PROFILES {
+        for (name, _) in ScanFaults::PROFILES {
             assert_eq!(resolve(name), Ok(Some(name)));
         }
-        assert_eq!(resolve("scan"), Ok(Some("defaults")));
-        for bad in ["strss", "", "Stress", "stress "] {
+        for bad in ["strss", "", "Stress", "stress ", "scan"] {
             let err = resolve(bad).unwrap_err();
             assert!(
                 err.contains(&format!("TLSCOPE_SCAN_FAULT_PROFILE={bad} "))

@@ -32,7 +32,7 @@ pub mod schedule;
 pub mod sweep;
 
 pub use checkpoint::{DateCheckpoint, ScanDirLoad};
-pub use faults::{ScanFaultConfigError, ScanFaults, DEAD_HOST_SPAN_DAYS, MAX_PROBE_ATTEMPTS};
+pub use faults::{ScanFaults, DEAD_HOST_SPAN_DAYS, MAX_PROBE_ATTEMPTS};
 pub use metrics::{ScanLatency, ScanMetrics, ScanMetricsSnapshot};
 pub use probe::{PreparedProbe, ProbeSet};
 pub use schedule::{schedule, ScanCampaign, CENSYS_END, CENSYS_START};

@@ -53,7 +53,7 @@ use tlscope_durable::{isolate, run_units};
 use tlscope_obs::Progress;
 use tlscope_servers::{negotiate, ParamsCache, ServerPopulation, ServerProfile};
 
-use crate::faults::{ScanFaults, MAX_PROBE_ATTEMPTS};
+use crate::faults::{key, mix, ScanFaults, MAX_PROBE_ATTEMPTS};
 use crate::metrics::{ScanMetrics, ScanMetricsSnapshot};
 use crate::probe::ProbeSet;
 
@@ -155,19 +155,12 @@ pub struct ProbeFlight {
 /// The counter-based host stream: a private RNG for host `index` of
 /// the sweep at `(seed, date)`.
 ///
-/// SplitMix64 finalisation over the mixed key, then `SmallRng`'s own
-/// SplitMix64 seed expansion — the same stateless construction the
-/// fault injector uses for outage windows, so a host's profile draw is
-/// a pure function of `(seed, date, index)` independent of worker
-/// count, replay, and visit order.
+/// The fault draws' counter key at attempt 0 through their SplitMix64
+/// finaliser, then `SmallRng`'s own SplitMix64 seed expansion, so a
+/// host's profile draw is a pure function of `(seed, date, index)`
+/// independent of worker count, replay, and visit order.
 fn host_rng(seed: u64, date: Date, index: u64) -> SmallRng {
-    let days = date.to_epoch_days() as u64;
-    let mut z =
-        seed ^ days.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ index.wrapping_mul(0xd1b5_4a32_d192_ed03);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    SmallRng::seed_from_u64(z)
+    SmallRng::seed_from_u64(mix(key(seed, date.to_epoch_days() as u64, index, 0)))
 }
 
 /// Probe one server with every sweep probe, skipping (and counting)

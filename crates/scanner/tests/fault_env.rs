@@ -13,7 +13,6 @@ use tlscope_servers::ServerPopulation;
 #[test]
 fn env_fault_profile_never_breaks_the_sweep_ledger() {
     let faults = ScanFaults::from_env(ScanFaults::scan_defaults());
-    faults.validate().expect("profile must be valid");
     let pop = ServerPopulation::new();
     let date = Date::ymd(2016, 11, 1);
     let metrics = ScanMetrics::new();
@@ -23,7 +22,7 @@ fn env_fault_profile_never_breaks_the_sweep_ledger() {
     assert_eq!(s.hosts_dispatched, 3000);
     assert_eq!(s.hosts_probed, snap.hosts);
     // Any non-zero profile must actually exercise the loss ledger.
-    if !faults.is_none() {
+    if faults != ScanFaults::none() {
         assert!(s.hosts_dropped > 0, "{s:?}");
         assert!(s.probes_timed_out > 0, "{s:?}");
     }

@@ -70,7 +70,7 @@ proptest! {
             s.probes_sent
         );
         prop_assert_eq!(s.sweeps_completed, 1);
-        if faults.is_none() {
+        if faults == ScanFaults::none() {
             prop_assert_eq!(s.hosts_dropped, 0);
             prop_assert_eq!(s.probes_timed_out, 0);
             prop_assert_eq!(s.probes_sent, 3 * hosts as u64);
@@ -117,7 +117,7 @@ proptest! {
         );
         prop_assert_eq!(s.sweeps_completed, campaign.dates.len() as u64);
         prop_assert_eq!(s.workers_lost, 0);
-        if faults.is_none() {
+        if faults == ScanFaults::none() {
             prop_assert_eq!(s.hosts_probed, dispatched);
         }
     }

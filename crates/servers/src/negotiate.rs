@@ -192,29 +192,14 @@ pub fn respond_facts(
     })
 }
 
-/// Negotiate like [`respond_facts`], but serialise the framed
-/// ServerHello handshake message straight into `w` — no [`ServerHello`]
-/// struct, no extension vector, zero heap allocations beyond `w`'s own
-/// storage. Returns the [`Decision`] so callers keep the negotiation
-/// outcome. Byte-identical to serialising
+/// Serialise the framed ServerHello for an already-made [`Decision`]
+/// straight into `w` — no [`ServerHello`] struct, no extension vector,
+/// no heap allocation beyond `w`'s own storage — so a caller holding a
+/// decision (the generator, looking up a serialised-flight template by
+/// [`Decision::template_key`]) builds the bytes without re-running
+/// negotiation. Byte-identical to
 /// `respond_facts(..)?.server_hello.write_handshake(w)` for the same
-/// inputs (pinned by `respond_facts_into_matches_respond_facts`).
-pub fn respond_facts_into(
-    profile: &ServerProfile,
-    facts: &ClientFacts<'_>,
-    server_random: [u8; 32],
-    w: &mut Writer,
-) -> Result<Decision, HandshakeFailure> {
-    let d = decide(profile, facts)?;
-    write_decision_into(&d, facts, server_random, w);
-    Ok(d)
-}
-
-/// Serialise the framed ServerHello for an already-made [`Decision`] —
-/// the write half of [`respond_facts_into`], split out so a caller
-/// holding a decision (e.g. one looking up a serialised-flight
-/// template by [`Decision::template_key`]) can build the bytes without
-/// re-running negotiation.
+/// inputs (pinned by `write_decision_into_matches_respond_facts`).
 pub fn write_decision_into(
     d: &Decision,
     facts: &ClientFacts<'_>,
@@ -678,7 +663,7 @@ mod tests {
     }
 
     #[test]
-    fn respond_facts_into_matches_respond_facts() {
+    fn write_decision_into_matches_respond_facts() {
         // The borrowed writer must emit byte-identical framed
         // ServerHellos across every structural variant: classic,
         // TLS 1.3 (selected_version + key_share), heartbeat,
@@ -773,7 +758,8 @@ mod tests {
             for (name, facts) in &facts_variants {
                 let owned = respond_facts(p, facts, [3; 32]);
                 let mut w = Writer::new();
-                let into = respond_facts_into(p, facts, [3; 32], &mut w);
+                let into =
+                    decide(p, facts).inspect(|d| write_decision_into(d, facts, [3; 32], &mut w));
                 match (owned, into) {
                     (Ok(n), Ok(d)) => {
                         let mut expect = Writer::new();

@@ -13,8 +13,6 @@
 //! draws), and outage windows are a pure function of `(seed, date)`,
 //! so serial and sharded runs see identical fault patterns.
 
-use std::ffi::OsStr;
-
 use rand::rngs::SmallRng;
 use rand::RngExt;
 
@@ -25,34 +23,11 @@ use tlscope_chron::Date;
 /// tap is dark for a *contiguous* span, not scattered single flows.
 pub const OUTAGE_SPAN_DAYS: i64 = 3;
 
-/// A probability field was invalid (checked constructor, see
-/// [`FaultInjector::checked`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultConfigError {
-    /// Name of the offending field.
-    pub field: &'static str,
-}
-
-impl std::fmt::Display for FaultConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "fault probability `{}` must be a finite value in [0, 1]",
-            self.field
-        )
-    }
-}
-
-impl std::error::Error for FaultConfigError {}
-
 /// Probabilities of each tap fault.
 ///
 /// `drop`, `truncate`, `corrupt`, `gap`, and `duplicate` apply per
 /// flow; `outage` applies per [`OUTAGE_SPAN_DAYS`]-day window (the
-/// whole window goes dark). Construct with [`FaultInjector::checked`]
-/// to validate the probabilities; the struct-literal escape hatch
-/// remains for tests, and [`FaultInjector::validate`] can be called on
-/// any value.
+/// whole window goes dark).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultInjector {
     /// Drop the flow entirely (monitor never sees it).
@@ -103,7 +78,8 @@ impl FaultInjector {
 
     /// A high-fault profile exercising every recovery path: heavy
     /// drops, truncation, corruption, gaps, duplication, and outages.
-    /// Used by the CI fault-matrix job (`TLSCOPE_FAULT_PROFILE=stress`).
+    /// The `tap-stress` benchmark workload runs it, and so do the
+    /// pipeline, study and byte-pin tests.
     pub fn stress() -> Self {
         FaultInjector {
             drop_prob: 0.05,
@@ -112,106 +88,6 @@ impl FaultInjector {
             gap_prob: 0.10,
             duplicate_prob: 0.05,
             outage_prob: 0.15,
-        }
-    }
-
-    /// Checked constructor over all six probabilities (in declaration
-    /// order): rejects NaN, negative, and >1.0 values instead of
-    /// silently misbehaving at sampling time.
-    pub fn checked(
-        drop_prob: f64,
-        truncate_prob: f64,
-        corrupt_prob: f64,
-        gap_prob: f64,
-        duplicate_prob: f64,
-        outage_prob: f64,
-    ) -> Result<Self, FaultConfigError> {
-        let inj = FaultInjector {
-            drop_prob,
-            truncate_prob,
-            corrupt_prob,
-            gap_prob,
-            duplicate_prob,
-            outage_prob,
-        };
-        inj.validate()?;
-        Ok(inj)
-    }
-
-    /// Validate every probability field: finite and within `[0, 1]`.
-    pub fn validate(&self) -> Result<(), FaultConfigError> {
-        for (field, p) in [
-            ("drop_prob", self.drop_prob),
-            ("truncate_prob", self.truncate_prob),
-            ("corrupt_prob", self.corrupt_prob),
-            ("gap_prob", self.gap_prob),
-            ("duplicate_prob", self.duplicate_prob),
-            ("outage_prob", self.outage_prob),
-        ] {
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(FaultConfigError { field });
-            }
-        }
-        Ok(())
-    }
-
-    /// The names [`FaultInjector::profile`] resolves, one per profile.
-    pub const PROFILES: [&'static str; 3] = ["none", "defaults", "stress"];
-
-    /// The environment variable [`FaultInjector::from_env`] reads.
-    const PROFILE_ENV: &'static str = "TLSCOPE_FAULT_PROFILE";
-
-    /// Resolve a named fault profile: `none`, `defaults` (the tap
-    /// mix; `tap` is an alias), or `stress`.
-    pub fn profile(name: &str) -> Option<Self> {
-        match name {
-            "none" => Some(FaultInjector::none()),
-            "defaults" | "tap" => Some(FaultInjector::tap_defaults()),
-            "stress" => Some(FaultInjector::stress()),
-            _ => None,
-        }
-    }
-
-    /// The profile a raw `TLSCOPE_FAULT_PROFILE` value selects, by the
-    /// name [`FaultInjector::PROFILES`] lists it under: `None` when the
-    /// variable is unset, and an error naming the variable, the value
-    /// and the accepted names when it is set to anything but a profile
-    /// name.
-    pub fn env_profile(raw: Option<&OsStr>) -> Result<Option<&'static str>, String> {
-        let Some(raw) = raw else {
-            return Ok(None);
-        };
-        let named = raw.to_str().and_then(FaultInjector::profile);
-        FaultInjector::PROFILES
-            .into_iter()
-            .find(|name| named.is_some() && FaultInjector::profile(name) == named)
-            .map(Some)
-            .ok_or_else(|| {
-                format!(
-                    "{}={} names no fault profile (accepted: {})",
-                    FaultInjector::PROFILE_ENV,
-                    raw.to_string_lossy(),
-                    FaultInjector::PROFILES.join(", ")
-                )
-            })
-    }
-
-    /// The profile the `TLSCOPE_FAULT_PROFILE` environment variable
-    /// names, or `fallback` when it is unset. One test reads it
-    /// (`notary/tests/pipeline.rs`), and the CI fault-matrix job runs
-    /// that test under `stress`.
-    ///
-    /// # Panics
-    ///
-    /// When the variable names no profile
-    /// ([`FaultInjector::env_profile`]): a misspelled name would
-    /// otherwise run `fallback` without a word.
-    pub fn from_env(fallback: FaultInjector) -> FaultInjector {
-        let raw = std::env::var_os(FaultInjector::PROFILE_ENV);
-        match FaultInjector::env_profile(raw.as_deref()) {
-            Ok(Some(name)) => FaultInjector::profile(name).expect("every listed profile resolves"),
-            Ok(None) => fallback,
-            Err(e) => panic!("{e}"),
         }
     }
 
@@ -238,21 +114,11 @@ impl FaultInjector {
         self.duplicate_prob > 0.0 && rng.random::<f64>() < self.duplicate_prob
     }
 
-    /// Apply per-flow byte faults. `None` means the flow was dropped.
-    pub fn apply(&self, mut flow: Vec<u8>, rng: &mut SmallRng) -> Option<Vec<u8>> {
-        if self.apply_in_place(&mut flow, rng) {
-            Some(flow)
-        } else {
-            None
-        }
-    }
-
-    /// Apply per-flow byte faults to a borrowed buffer — the same
-    /// draws, in the same order, as [`FaultInjector::apply`], so the
-    /// owned and in-place paths stay RNG-identical. Returns `false`
+    /// Apply per-flow byte faults to `flow` in place, each fault gated
+    /// so a zero probability consumes no RNG draws. Returns `false`
     /// when the flow was dropped (the buffer contents are then
     /// meaningless).
-    pub fn apply_in_place(&self, flow: &mut Vec<u8>, rng: &mut SmallRng) -> bool {
+    pub fn apply(&self, flow: &mut Vec<u8>, rng: &mut SmallRng) -> bool {
         if self.drop_prob > 0.0 && rng.random::<f64>() < self.drop_prob {
             return false;
         }
@@ -282,22 +148,9 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    #[test]
-    fn env_profile_resolves_names_and_refuses_the_rest() {
-        let resolve = |raw: &str| FaultInjector::env_profile(Some(OsStr::new(raw)));
-        assert_eq!(FaultInjector::env_profile(None), Ok(None));
-        for name in FaultInjector::PROFILES {
-            assert_eq!(resolve(name), Ok(Some(name)));
-        }
-        assert_eq!(resolve("tap"), Ok(Some("defaults")));
-        for bad in ["strss", "", "Stress", "stress "] {
-            let err = resolve(bad).unwrap_err();
-            assert!(
-                err.contains(&format!("TLSCOPE_FAULT_PROFILE={bad} "))
-                    && err.contains("(accepted: none, defaults, stress)"),
-                "{err}"
-            );
-        }
+    /// `flow` after the injector's byte faults, `None` when dropped.
+    fn apply(inj: FaultInjector, mut flow: Vec<u8>, rng: &mut SmallRng) -> Option<Vec<u8>> {
+        inj.apply(&mut flow, rng).then_some(flow)
     }
 
     #[test]
@@ -305,7 +158,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let data = vec![1u8, 2, 3, 4];
         assert_eq!(
-            FaultInjector::none().apply(data.clone(), &mut rng),
+            apply(FaultInjector::none(), data.clone(), &mut rng),
             Some(data)
         );
     }
@@ -317,7 +170,7 @@ mod tests {
             ..FaultInjector::none()
         };
         let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(inj.apply(vec![1, 2, 3], &mut rng), None);
+        assert_eq!(apply(inj, vec![1, 2, 3], &mut rng), None);
     }
 
     #[test]
@@ -327,7 +180,7 @@ mod tests {
             ..FaultInjector::none()
         };
         let mut rng = SmallRng::seed_from_u64(7);
-        let out = inj.apply(vec![9u8; 100], &mut rng).unwrap();
+        let out = apply(inj, vec![9u8; 100], &mut rng).unwrap();
         assert!(out.len() < 100);
     }
 
@@ -339,7 +192,7 @@ mod tests {
         };
         let mut rng = SmallRng::seed_from_u64(3);
         let data = vec![0u8; 64];
-        let out = inj.apply(data.clone(), &mut rng).unwrap();
+        let out = apply(inj, data.clone(), &mut rng).unwrap();
         assert_eq!(out.len(), data.len());
         let diff: u32 = out
             .iter()
@@ -357,7 +210,7 @@ mod tests {
         };
         let mut rng = SmallRng::seed_from_u64(5);
         let data: Vec<u8> = (0..200u8).collect();
-        let out = inj.apply(data.clone(), &mut rng).unwrap();
+        let out = apply(inj, data.clone(), &mut rng).unwrap();
         assert!(!out.is_empty(), "gap must never consume the whole flow");
         assert!(out.len() < data.len(), "gap must remove bytes");
         // The surviving bytes are a subsequence of the original flow:
@@ -374,62 +227,13 @@ mod tests {
     }
 
     #[test]
-    fn in_place_matches_owned_draw_for_draw() {
-        // The borrowed fast path relies on apply_in_place consuming the
-        // identical RNG stream as apply; run both over many flows under
-        // the stress mix and compare outputs and stream positions.
-        let inj = FaultInjector::stress();
-        let mut rng_a = SmallRng::seed_from_u64(77);
-        let mut rng_b = SmallRng::seed_from_u64(77);
-        for i in 0..2_000u32 {
-            let data: Vec<u8> = (0..(i % 97) as u8).collect();
-            let owned = inj.apply(data.clone(), &mut rng_a);
-            let mut buf = data;
-            let kept = inj.apply_in_place(&mut buf, &mut rng_b);
-            assert_eq!(owned.is_some(), kept, "drop divergence at flow {i}");
-            if let Some(owned) = owned {
-                assert_eq!(owned, buf, "byte divergence at flow {i}");
-            }
-        }
-        // Streams must end at the same position.
-        assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>());
-    }
-
-    #[test]
     fn default_rates_are_rare() {
         let inj = FaultInjector::tap_defaults();
         let mut rng = SmallRng::seed_from_u64(11);
         let survived = (0..10_000)
-            .filter(|_| inj.apply(vec![1, 2, 3], &mut rng).is_some())
+            .filter(|_| apply(inj, vec![1, 2, 3], &mut rng).is_some())
             .count();
         assert!(survived > 9_900);
-    }
-
-    #[test]
-    fn checked_rejects_bad_probabilities() {
-        assert!(FaultInjector::checked(0.0, 0.0, 0.0, 0.0, 0.0, 0.0).is_ok());
-        assert!(FaultInjector::checked(1.0, 1.0, 1.0, 1.0, 1.0, 1.0).is_ok());
-        let nan = FaultInjector::checked(f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0);
-        assert_eq!(nan.unwrap_err().field, "drop_prob");
-        let neg = FaultInjector::checked(0.0, -0.001, 0.0, 0.0, 0.0, 0.0);
-        assert_eq!(neg.unwrap_err().field, "truncate_prob");
-        let over = FaultInjector::checked(0.0, 0.0, 1.5, 0.0, 0.0, 0.0);
-        assert_eq!(over.unwrap_err().field, "corrupt_prob");
-        let inf = FaultInjector::checked(0.0, 0.0, 0.0, f64::INFINITY, 0.0, 0.0);
-        assert_eq!(inf.unwrap_err().field, "gap_prob");
-        assert!(FaultInjector::checked(0.0, 0.0, 0.0, 0.0, 2.0, 0.0).is_err());
-        assert!(FaultInjector::checked(0.0, 0.0, 0.0, 0.0, 0.0, -1.0).is_err());
-    }
-
-    #[test]
-    fn validate_flags_struct_literals() {
-        let bad = FaultInjector {
-            outage_prob: f64::NAN,
-            ..FaultInjector::none()
-        };
-        assert_eq!(bad.validate().unwrap_err().field, "outage_prob");
-        assert!(FaultInjector::stress().validate().is_ok());
-        assert!(FaultInjector::tap_defaults().validate().is_ok());
     }
 
     #[test]
@@ -481,16 +285,22 @@ mod tests {
     }
 
     #[test]
-    fn named_profiles_resolve() {
-        assert_eq!(FaultInjector::profile("none"), Some(FaultInjector::none()));
-        assert_eq!(
-            FaultInjector::profile("defaults"),
-            Some(FaultInjector::tap_defaults())
-        );
-        assert_eq!(
-            FaultInjector::profile("stress"),
-            Some(FaultInjector::stress())
-        );
-        assert_eq!(FaultInjector::profile("bogus"), None);
+    fn profile_probabilities_lie_in_the_unit_interval() {
+        for inj in [
+            FaultInjector::none(),
+            FaultInjector::tap_defaults(),
+            FaultInjector::stress(),
+        ] {
+            for p in [
+                inj.drop_prob,
+                inj.truncate_prob,
+                inj.corrupt_prob,
+                inj.gap_prob,
+                inj.duplicate_prob,
+                inj.outage_prob,
+            ] {
+                assert!((0.0..=1.0).contains(&p), "{inj:?}");
+            }
+        }
     }
 }

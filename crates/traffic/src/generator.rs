@@ -188,7 +188,7 @@ impl Generator {
                 &challenge,
                 &mut scratch.client_buf,
             );
-            if !self.cfg.faults.apply_in_place(&mut scratch.client_buf, rng) {
+            if !self.cfg.faults.apply(&mut scratch.client_buf, rng) {
                 return None;
             }
             return Some(FlowMeta {
@@ -356,10 +356,10 @@ impl Generator {
             }
         }
 
-        if !self.cfg.faults.apply_in_place(client_buf, rng) {
+        if !self.cfg.faults.apply(client_buf, rng) {
             return None;
         }
-        let has_server = self.cfg.faults.apply_in_place(server_buf, rng);
+        let has_server = self.cfg.faults.apply(server_buf, rng);
         Some(FlowMeta {
             date,
             port,
