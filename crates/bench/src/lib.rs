@@ -50,10 +50,10 @@ pub fn best_secs(reps: u32, mut f: impl FnMut()) -> f64 {
 /// `alloc-counter` feature, so the `alloc` bench (and the alloc-budget
 /// regression test) can report heap allocations per connection.
 ///
-/// Counters are thread-local: a measurement on one thread is not
+/// The counter is thread-local: a measurement on one thread is not
 /// polluted by concurrent test threads or allocator traffic elsewhere
-/// in the process. The thread locals are const-initialised `Cell`s, so
-/// reading them from inside `alloc` cannot itself allocate (no lazy
+/// in the process. The thread local is a const-initialised `Cell`, so
+/// reading it from inside `alloc` cannot itself allocate (no lazy
 /// init, no destructor registration).
 #[cfg(feature = "alloc-counter")]
 pub mod alloc_counter {
@@ -62,33 +62,31 @@ pub mod alloc_counter {
 
     thread_local! {
         static ALLOCS: Cell<u64> = const { Cell::new(0) };
-        static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Forwarding allocator that counts every `alloc`/`alloc_zeroed`/
     /// `realloc` on the calling thread. `dealloc` is free.
     pub struct CountingAlloc;
 
-    fn record(bytes: usize) {
+    fn record() {
         // try_with: the thread-local may be unavailable during thread
         // teardown; dropping a count there is fine.
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
     }
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            record(layout.size());
+            record();
             unsafe { System.alloc(layout) }
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            record(layout.size());
+            record();
             unsafe { System.alloc_zeroed(layout) }
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            record(new_size);
+            record();
             unsafe { System.realloc(ptr, layout, new_size) }
         }
 
@@ -100,20 +98,9 @@ pub mod alloc_counter {
     #[global_allocator]
     static GLOBAL: CountingAlloc = CountingAlloc;
 
-    /// Reset this thread's counters to zero.
-    pub fn reset() {
-        let _ = ALLOCS.try_with(|c| c.set(0));
-        let _ = ALLOC_BYTES.try_with(|c| c.set(0));
-    }
-
-    /// Heap allocations performed by this thread since the last `reset`.
+    /// Heap allocations performed by this thread so far.
     pub fn thread_allocations() -> u64 {
         ALLOCS.try_with(Cell::get).unwrap_or(0)
-    }
-
-    /// Bytes requested from the allocator by this thread since `reset`.
-    pub fn thread_alloc_bytes() -> u64 {
-        ALLOC_BYTES.try_with(Cell::get).unwrap_or(0)
     }
 
     /// Run `f` and return `(result, allocations)` for this thread.

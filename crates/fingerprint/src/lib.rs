@@ -31,10 +31,8 @@ pub mod db;
 pub mod duration;
 pub mod fp;
 pub mod intern;
-pub mod rich;
 
 pub use db::{Category, CoverageStats, FingerprintDb, InsertOutcome, Label};
 pub use duration::{DurationStats, Sighting, SightingTracker};
 pub use fp::{Fingerprint, Fnv64};
 pub use intern::{FpId, FpInterner};
-pub use rich::{CollisionStats, RichFingerprint};

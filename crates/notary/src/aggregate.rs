@@ -418,6 +418,136 @@ pub struct MonthlyStats {
     pub fp_flags: HashMap<FpId, FpClassFlags>,
 }
 
+/// Every counter of [`MonthlyStats`] but `fp_flags`, each named once
+/// with its checkpoint key, in on-disk key order: the macro emits the
+/// month merge and both halves of the checkpoint's `month`-line codec
+/// from this table.
+macro_rules! month_counts {
+    (
+        scalars { $($key:literal => $($field:ident).+,)* }
+        maps { $($tag:literal => $map:ident,)* }
+    ) => {
+        impl MonthlyStats {
+            /// Add every counter of `other` except `fp_flags`, whose ids
+            /// belong to `other`'s interner.
+            pub(crate) fn add_counts(&mut self, other: &MonthlyStats) {
+                $(self.$($field).+ += other.$($field).+;)*
+                $(
+                    for (key, n) in &other.$map {
+                        *self.$map.entry(*key).or_insert(0) += n;
+                    }
+                )*
+            }
+
+            /// Append `\t<key>=<value>` for every scalar counter, then
+            /// `\t<tag>:<key>=<value>` for every map entry, sorted.
+            pub(crate) fn write_counts(&self, out: &mut String) {
+                $(out.push_str(&format!("\t{}={}", $key, self.$($field).+));)*
+                $(
+                    let mut entries: Vec<_> = self.$map.iter().collect();
+                    entries.sort();
+                    for (key, val) in entries {
+                        out.push_str(&format!("\t{}:{key}={val}", $tag));
+                    }
+                )*
+            }
+
+            /// Set the scalar counter `key`, or the map entry a
+            /// `<tag>:<map key>` key names, to `val`; `None` for any
+            /// other key, which would otherwise silently drop a counter.
+            pub(crate) fn set_count(&mut self, key: &str, val: u64) -> Option<()> {
+                match key {
+                    $($key => self.$($field).+ = val,)*
+                    _ => {
+                        let (tag, map_key) = key.split_once(':')?;
+                        let map = match tag {
+                            $($tag => &mut self.$map,)*
+                            _ => return None,
+                        };
+                        map.insert(map_key.parse().ok()?, val);
+                    }
+                }
+                Some(())
+            }
+        }
+    };
+}
+
+month_counts! {
+    scalars {
+        "total" => total,
+        "sslv2" => sslv2,
+        "rejected" => rejected,
+        "missing_server" => missing_server,
+        "garbled_server" => garbled_server,
+        "answered" => answered,
+        "v_ssl2" => neg_version.ssl2,
+        "v_ssl3" => neg_version.ssl3,
+        "v_tls10" => neg_version.tls10,
+        "v_tls11" => neg_version.tls11,
+        "v_tls12" => neg_version.tls12,
+        "v_tls13" => neg_version.tls13,
+        "v_other" => neg_version.other,
+        "neg_rc4" => neg_rc4,
+        "neg_cbc" => neg_cbc,
+        "neg_aead" => neg_aead,
+        "neg_null" => neg_null,
+        "neg_null_null" => neg_null_null,
+        "neg_3des" => neg_3des,
+        "neg_des" => neg_des,
+        "neg_export" => neg_export,
+        "neg_anon" => neg_anon,
+        "neg_unoffered" => neg_unoffered,
+        "neg_fs" => neg_fs,
+        "kx_rsa" => neg_kx.rsa,
+        "kx_dhe" => neg_kx.dhe,
+        "kx_ecdhe" => neg_kx.ecdhe,
+        "kx_dh" => neg_kx.dh,
+        "kx_ecdh" => neg_kx.ecdh,
+        "kx_tls13" => neg_kx.tls13,
+        "kx_other" => neg_kx.other,
+        "na_128gcm" => neg_aead_alg.aes128gcm,
+        "na_256gcm" => neg_aead_alg.aes256gcm,
+        "na_chacha" => neg_aead_alg.chacha,
+        "na_ccm" => neg_aead_alg.ccm,
+        "na_other" => neg_aead_alg.other,
+        "hb_neg" => heartbeat_negotiated,
+        "adv_rc4" => adv_rc4,
+        "adv_cbc" => adv_cbc,
+        "adv_aead" => adv_aead,
+        "adv_des" => adv_des,
+        "adv_3des" => adv_3des,
+        "adv_export" => adv_export,
+        "adv_anon" => adv_anon,
+        "adv_null" => adv_null,
+        "adv_fs" => adv_fs,
+        "adv_hb" => adv_heartbeat,
+        "adv_tls13" => adv_tls13,
+        "aa_128gcm" => adv_aead_alg.aes128gcm,
+        "aa_256gcm" => adv_aead_alg.aes256gcm,
+        "aa_chacha" => adv_aead_alg.chacha,
+        "aa_ccm" => adv_aead_alg.ccm,
+        "aa_other" => adv_aead_alg.other,
+        // Raw PositionMean accumulators (micro-unit sum + sample count),
+        // so a reloaded partial is bit-identical.
+        "pa_sum" => pos_aead.sum_micro,
+        "pa_n" => pos_aead.n,
+        "pc_sum" => pos_cbc.sum_micro,
+        "pc_n" => pos_cbc.n,
+        "pr_sum" => pos_rc4.sum_micro,
+        "pr_n" => pos_rc4.n,
+        "pd_sum" => pos_des.sum_micro,
+        "pd_n" => pos_des.n,
+        "p3_sum" => pos_3des.sum_micro,
+        "p3_n" => pos_3des.n,
+    }
+    maps {
+        "curve" => curves,
+        "sv" => supported_versions_values,
+        "ext" => adv_extensions,
+    }
+}
+
 impl MonthlyStats {
     /// Percentage of monthly connections, given a counter.
     pub fn pct(&self, count: u64) -> f64 {
@@ -660,86 +790,7 @@ impl NotaryAggregate {
             .collect();
         for (month, stats) in other.months {
             let mine = self.months.entry(month).or_default();
-            mine.total += stats.total;
-            mine.sslv2 += stats.sslv2;
-            mine.rejected += stats.rejected;
-            mine.missing_server += stats.missing_server;
-            mine.garbled_server += stats.garbled_server;
-            mine.answered += stats.answered;
-            let v = &mut mine.neg_version;
-            let o = stats.neg_version;
-            v.ssl2 += o.ssl2;
-            v.ssl3 += o.ssl3;
-            v.tls10 += o.tls10;
-            v.tls11 += o.tls11;
-            v.tls12 += o.tls12;
-            v.tls13 += o.tls13;
-            v.other += o.other;
-            mine.neg_rc4 += stats.neg_rc4;
-            mine.neg_cbc += stats.neg_cbc;
-            mine.neg_aead += stats.neg_aead;
-            mine.neg_null += stats.neg_null;
-            mine.neg_null_null += stats.neg_null_null;
-            mine.neg_3des += stats.neg_3des;
-            mine.neg_des += stats.neg_des;
-            mine.neg_export += stats.neg_export;
-            mine.neg_anon += stats.neg_anon;
-            mine.neg_unoffered += stats.neg_unoffered;
-            mine.neg_fs += stats.neg_fs;
-            let k = &mut mine.neg_kx;
-            let ok = stats.neg_kx;
-            k.rsa += ok.rsa;
-            k.dhe += ok.dhe;
-            k.ecdhe += ok.ecdhe;
-            k.dh += ok.dh;
-            k.ecdh += ok.ecdh;
-            k.tls13 += ok.tls13;
-            k.other += ok.other;
-            let a = &mut mine.neg_aead_alg;
-            let oa = stats.neg_aead_alg;
-            a.aes128gcm += oa.aes128gcm;
-            a.aes256gcm += oa.aes256gcm;
-            a.chacha += oa.chacha;
-            a.ccm += oa.ccm;
-            a.other += oa.other;
-            for (curve, n) in stats.curves {
-                *mine.curves.entry(curve).or_insert(0) += n;
-            }
-            mine.heartbeat_negotiated += stats.heartbeat_negotiated;
-            mine.adv_rc4 += stats.adv_rc4;
-            mine.adv_cbc += stats.adv_cbc;
-            mine.adv_aead += stats.adv_aead;
-            mine.adv_des += stats.adv_des;
-            mine.adv_3des += stats.adv_3des;
-            mine.adv_export += stats.adv_export;
-            mine.adv_anon += stats.adv_anon;
-            mine.adv_null += stats.adv_null;
-            mine.adv_fs += stats.adv_fs;
-            mine.adv_heartbeat += stats.adv_heartbeat;
-            mine.adv_tls13 += stats.adv_tls13;
-            let a = &mut mine.adv_aead_alg;
-            let oa = stats.adv_aead_alg;
-            a.aes128gcm += oa.aes128gcm;
-            a.aes256gcm += oa.aes256gcm;
-            a.chacha += oa.chacha;
-            a.ccm += oa.ccm;
-            a.other += oa.other;
-            for (v, n) in stats.supported_versions_values {
-                *mine.supported_versions_values.entry(v).or_insert(0) += n;
-            }
-            for (t, n) in stats.adv_extensions {
-                *mine.adv_extensions.entry(t).or_insert(0) += n;
-            }
-            mine.pos_aead.sum_micro += stats.pos_aead.sum_micro;
-            mine.pos_aead.n += stats.pos_aead.n;
-            mine.pos_cbc.sum_micro += stats.pos_cbc.sum_micro;
-            mine.pos_cbc.n += stats.pos_cbc.n;
-            mine.pos_rc4.sum_micro += stats.pos_rc4.sum_micro;
-            mine.pos_rc4.n += stats.pos_rc4.n;
-            mine.pos_des.sum_micro += stats.pos_des.sum_micro;
-            mine.pos_des.n += stats.pos_des.n;
-            mine.pos_3des.sum_micro += stats.pos_3des.sum_micro;
-            mine.pos_3des.n += stats.pos_3des.n;
+            mine.add_counts(&stats);
             for (fp, flags) in stats.fp_flags {
                 mine.fp_flags.entry(remap[fp.index()]).or_insert(flags);
             }
@@ -1144,6 +1195,123 @@ mod tests {
         assert!((m.pct_curve(23) - 80.0).abs() < 1e-9);
         assert!((m.pct_curve(29) - 20.0).abs() < 1e-9);
         assert_eq!(m.pct_curve(24), 0.0);
+    }
+
+    /// A month with every `u64` counter set to a distinct value and
+    /// every counter map holding an entry. No `..Default::default()`: a
+    /// counter added to `MonthlyStats` or to one of its count structs
+    /// does not compile here until it is listed, and then fails the
+    /// test below until the counter table names it. `fp_flags` stays
+    /// empty: its ids belong to an aggregate's interner, it travels on
+    /// its own checkpoint lines, and `merge` remaps it.
+    fn every_counter_set() -> MonthlyStats {
+        MonthlyStats {
+            total: 1,
+            sslv2: 2,
+            rejected: 3,
+            missing_server: 4,
+            garbled_server: 5,
+            answered: 6,
+            neg_version: VersionCounts {
+                ssl2: 7,
+                ssl3: 8,
+                tls10: 9,
+                tls11: 10,
+                tls12: 11,
+                tls13: 12,
+                other: 13,
+            },
+            neg_rc4: 14,
+            neg_cbc: 15,
+            neg_aead: 16,
+            neg_null: 17,
+            neg_null_null: 18,
+            neg_3des: 19,
+            neg_des: 20,
+            neg_export: 21,
+            neg_anon: 22,
+            neg_unoffered: 23,
+            neg_fs: 24,
+            neg_kx: KxCounts {
+                rsa: 25,
+                dhe: 26,
+                ecdhe: 27,
+                dh: 28,
+                ecdh: 29,
+                tls13: 30,
+                other: 31,
+            },
+            neg_aead_alg: AeadCounts {
+                aes128gcm: 32,
+                aes256gcm: 33,
+                chacha: 34,
+                ccm: 35,
+                other: 36,
+            },
+            curves: HashMap::from([(23, 37)]),
+            heartbeat_negotiated: 38,
+            adv_rc4: 39,
+            adv_cbc: 40,
+            adv_aead: 41,
+            adv_des: 42,
+            adv_3des: 43,
+            adv_export: 44,
+            adv_anon: 45,
+            adv_null: 46,
+            adv_fs: 47,
+            adv_heartbeat: 48,
+            adv_tls13: 49,
+            adv_aead_alg: AeadCounts {
+                aes128gcm: 50,
+                aes256gcm: 51,
+                chacha: 52,
+                ccm: 53,
+                other: 54,
+            },
+            supported_versions_values: HashMap::from([(0x0304, 55)]),
+            adv_extensions: HashMap::from([(0xff01, 56)]),
+            pos_aead: PositionMean {
+                sum_micro: 57,
+                n: 58,
+            },
+            pos_cbc: PositionMean {
+                sum_micro: 59,
+                n: 60,
+            },
+            pos_rc4: PositionMean {
+                sum_micro: 61,
+                n: 62,
+            },
+            pos_des: PositionMean {
+                sum_micro: 63,
+                n: 64,
+            },
+            pos_3des: PositionMean {
+                sum_micro: 65,
+                n: 66,
+            },
+            fp_flags: HashMap::new(),
+        }
+    }
+
+    /// The counter table names every counter, each under its own key:
+    /// the merge and the checkpoint line both carry a counter that is
+    /// zero in every other test's data.
+    #[test]
+    fn counter_table_names_every_counter() {
+        let every = every_counter_set();
+        let mut merged = MonthlyStats::default();
+        merged.add_counts(&every);
+        assert_eq!(merged, every, "add_counts");
+        let mut line = String::new();
+        every.write_counts(&mut line);
+        let mut read = MonthlyStats::default();
+        for field in line.split('\t').skip(1) {
+            let (key, val) = field.split_once('=').unwrap();
+            read.set_count(key, val.parse().unwrap())
+                .unwrap_or_else(|| panic!("set_count refused {field}"));
+        }
+        assert_eq!(read, every, "write_counts then set_count");
     }
 
     mod memo_fold {

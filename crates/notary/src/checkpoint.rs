@@ -11,9 +11,10 @@
 //! crate. A complete directory is therefore also the saved run:
 //! rerunning the study on it generates no flow.
 //!
-//! A checkpoint is *lossless*: it carries the month counters (the
-//! month-line codec below, including the raw `PositionMean`
-//! accumulators), per-month fingerprint class flags, the fingerprint
+//! A checkpoint is *lossless*: it carries the month counters (one
+//! `month` line, keyed by the counter table beside [`MonthlyStats`],
+//! including the raw `PositionMean` accumulators), per-month
+//! fingerprint class flags, the fingerprint
 //! coverage counts, sighting windows, and the aggregate-level
 //! failure/salvage counters. All sections are emitted in sorted order
 //! so equal partials serialize to equal bytes.
@@ -23,7 +24,7 @@
 //! files to `*.ckpt.bad`, and the study stamp — is
 //! [`tlscope_durable`]'s.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use tlscope_chron::{Date, Month};
@@ -36,104 +37,6 @@ use crate::aggregate::{FpClassFlags, MonthlyStats, NotaryAggregate};
 /// `sum\tfnv1a:` footer.
 const HEADER: &str = "# tlscope checkpoint v2";
 
-/// The `month` line's scalar counters, each named once, in on-disk key
-/// order: the macro emits the writer and the setter from this table.
-macro_rules! scalars {
-    ($($key:literal => $($field:ident).+,)*) => {
-        /// Append `\t<key>=<value>` for every scalar counter of `s`.
-        fn write_scalars(out: &mut String, s: &MonthlyStats) {
-            $(out.push_str(&format!("\t{}={}", $key, s.$($field).+));)*
-        }
-
-        /// Set the scalar counter `key` of `s`; `None` for an unknown
-        /// key, which would otherwise silently drop a counter.
-        fn set_scalar(s: &mut MonthlyStats, key: &str, val: u64) -> Option<()> {
-            match key {
-                $($key => s.$($field).+ = val,)*
-                _ => return None,
-            }
-            Some(())
-        }
-    };
-}
-
-scalars! {
-    "total" => total,
-    "sslv2" => sslv2,
-    "rejected" => rejected,
-    "missing_server" => missing_server,
-    "garbled_server" => garbled_server,
-    "answered" => answered,
-    "v_ssl2" => neg_version.ssl2,
-    "v_ssl3" => neg_version.ssl3,
-    "v_tls10" => neg_version.tls10,
-    "v_tls11" => neg_version.tls11,
-    "v_tls12" => neg_version.tls12,
-    "v_tls13" => neg_version.tls13,
-    "v_other" => neg_version.other,
-    "neg_rc4" => neg_rc4,
-    "neg_cbc" => neg_cbc,
-    "neg_aead" => neg_aead,
-    "neg_null" => neg_null,
-    "neg_null_null" => neg_null_null,
-    "neg_3des" => neg_3des,
-    "neg_des" => neg_des,
-    "neg_export" => neg_export,
-    "neg_anon" => neg_anon,
-    "neg_unoffered" => neg_unoffered,
-    "neg_fs" => neg_fs,
-    "kx_rsa" => neg_kx.rsa,
-    "kx_dhe" => neg_kx.dhe,
-    "kx_ecdhe" => neg_kx.ecdhe,
-    "kx_dh" => neg_kx.dh,
-    "kx_ecdh" => neg_kx.ecdh,
-    "kx_tls13" => neg_kx.tls13,
-    "kx_other" => neg_kx.other,
-    "na_128gcm" => neg_aead_alg.aes128gcm,
-    "na_256gcm" => neg_aead_alg.aes256gcm,
-    "na_chacha" => neg_aead_alg.chacha,
-    "na_ccm" => neg_aead_alg.ccm,
-    "na_other" => neg_aead_alg.other,
-    "hb_neg" => heartbeat_negotiated,
-    "adv_rc4" => adv_rc4,
-    "adv_cbc" => adv_cbc,
-    "adv_aead" => adv_aead,
-    "adv_des" => adv_des,
-    "adv_3des" => adv_3des,
-    "adv_export" => adv_export,
-    "adv_anon" => adv_anon,
-    "adv_null" => adv_null,
-    "adv_fs" => adv_fs,
-    "adv_hb" => adv_heartbeat,
-    "adv_tls13" => adv_tls13,
-    "aa_128gcm" => adv_aead_alg.aes128gcm,
-    "aa_256gcm" => adv_aead_alg.aes256gcm,
-    "aa_chacha" => adv_aead_alg.chacha,
-    "aa_ccm" => adv_aead_alg.ccm,
-    "aa_other" => adv_aead_alg.other,
-    // Raw PositionMean accumulators (micro-unit sum + sample count),
-    // so a reloaded partial is bit-identical.
-    "pa_sum" => pos_aead.sum_micro,
-    "pa_n" => pos_aead.n,
-    "pc_sum" => pos_cbc.sum_micro,
-    "pc_n" => pos_cbc.n,
-    "pr_sum" => pos_rc4.sum_micro,
-    "pr_n" => pos_rc4.n,
-    "pd_sum" => pos_des.sum_micro,
-    "pd_n" => pos_des.n,
-    "p3_sum" => pos_3des.sum_micro,
-    "p3_n" => pos_3des.n,
-}
-
-/// Append `\t<tag>:<key>=<value>` for every entry of `map`, sorted.
-fn write_map(out: &mut String, tag: &str, map: &HashMap<u16, u64>) {
-    let mut entries: Vec<_> = map.iter().collect();
-    entries.sort();
-    for (key, val) in entries {
-        out.push_str(&format!("\t{tag}:{key}={val}"));
-    }
-}
-
 /// Parse the fields of one `month` line. Any unknown key or damaged
 /// field is `None`. `fp_flags` travel on separate `flag` lines.
 fn parse_month_line(line: &str) -> Option<(Month, MonthlyStats)> {
@@ -142,18 +45,7 @@ fn parse_month_line(line: &str) -> Option<(Month, MonthlyStats)> {
     let mut stats = MonthlyStats::default();
     for field in fields {
         let (key, val) = field.split_once('=')?;
-        let val: u64 = val.parse().ok()?;
-        if let Some((tag, map_key)) = key.split_once(':') {
-            let map = match tag {
-                "curve" => &mut stats.curves,
-                "sv" => &mut stats.supported_versions_values,
-                "ext" => &mut stats.adv_extensions,
-                _ => return None,
-            };
-            map.insert(map_key.parse().ok()?, val);
-        } else {
-            set_scalar(&mut stats, key, val)?;
-        }
+        stats.set_count(key, val.parse().ok()?)?;
     }
     Some((month, stats))
 }
@@ -207,10 +99,7 @@ pub fn to_text(partial: &NotaryAggregate) -> String {
     out.push('\n');
     for (month, stats) in partial.iter_months() {
         out.push_str(&format!("month\t{month}"));
-        write_scalars(&mut out, stats);
-        write_map(&mut out, "curve", &stats.curves);
-        write_map(&mut out, "sv", &stats.supported_versions_values);
-        write_map(&mut out, "ext", &stats.adv_extensions);
+        stats.write_counts(&mut out);
         out.push('\n');
         // On-disk flag lines key on the stable content hash (id64), not
         // the run-local dense id.

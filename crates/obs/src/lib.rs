@@ -22,17 +22,17 @@
 //!   ([`Progress`], env `TLSCOPE_PROGRESS`)
 //!   printing completed units, item rates, and ETA to stderr while a
 //!   long campaign runs;
-//! * [`flight`] — the panic flight recorder: a bounded per-worker ring
-//!   of recent structured events, dumped into a process-wide black box
-//!   by the pipelines' `catch_unwind` boundaries so poison flows and
-//!   poison hosts are diagnosable postmortem.
+//! * [`flight`] — the panic flight recorder: a bounded process-wide
+//!   black box into which the pipelines' `catch_unwind` boundaries file
+//!   one report per quarantined flow or host, naming its unit and item,
+//!   so poison flows and poison hosts are diagnosable postmortem.
 //!
 //! Everything here is observational: nothing in this crate
 //! participates in aggregate equality or the bit-identity properties
 //! of the pipelines it instruments, and everything is dependency-free.
-//! The histograms, the heartbeat and the flight recorder are lock-free
-//! (or thread-local) on their hot paths; a ledger bag takes one lock
-//! per committed unit of work, never per flow or host.
+//! The histograms and the heartbeat are lock-free on their hot paths;
+//! a ledger bag takes one lock per committed unit of work, and the
+//! black box one per report, never per flow or host.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +43,6 @@ pub mod json;
 pub mod ledger;
 pub mod progress;
 
-pub use flight::FlightEvent;
 pub use hist::{fmt_nanos, Histogram, HistogramSnapshot, BUCKETS};
 pub use json::{Json, JsonArr, JsonError, JsonObj};
 pub use progress::Progress;

@@ -46,28 +46,20 @@ pub struct DateCheckpoint {
 }
 
 /// Serialize one completed date to checkpoint text: versioned header,
-/// a `snap` line, a `ledger` line, and a checksum footer. Field order
-/// is fixed, so equal checkpoints produce equal bytes.
+/// a `snap` line, a `ledger` line, and a checksum footer. The `snap`
+/// line holds the date and then [`ScanSnapshot`]'s counters in their
+/// declaration order; the `ledger` line's order is fixed here. Equal
+/// checkpoints produce equal bytes.
 pub fn to_text(ckpt: &DateCheckpoint) -> String {
     let s = &ckpt.snapshot;
     let l = &ckpt.ledger;
     let mut out = String::from(HEADER);
     out.push('\n');
-    out.push_str(&format!(
-        "snap\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-        s.date,
-        s.hosts,
-        s.ssl3_supported,
-        s.answered,
-        s.chose_aead,
-        s.chose_cbc,
-        s.chose_rc4,
-        s.chose_3des,
-        s.chose_tls12,
-        s.export_supported,
-        s.heartbeat_supported,
-        s.heartbleed_vulnerable,
-    ));
+    out.push_str(&format!("snap\t{}", s.date));
+    for count in s.counts() {
+        out.push_str(&format!("\t{count}"));
+    }
+    out.push('\n');
     out.push_str(&format!(
         "ledger\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
         l.hosts_dispatched,
@@ -91,14 +83,16 @@ pub fn to_text(ckpt: &DateCheckpoint) -> String {
 /// [`StoreError::Corrupt`].
 pub fn from_text(text: &str, path: &Path) -> Result<DateCheckpoint, StoreError> {
     let bad = |n: usize| StoreError::Malformed(path.to_path_buf(), n);
-    // Both section lines carry exactly eleven u64 counters (the snap
-    // line after its leading date field).
-    fn counters(fields: &mut std::str::Split<'_, char>) -> Option<[u64; 11]> {
-        let mut out = [0u64; 11];
-        for slot in &mut out {
+    // Each section line carries exactly one u64 field per slot it
+    // fills (the snap line after its leading date field).
+    fn fill<const N: usize>(
+        slots: [&mut u64; N],
+        fields: &mut std::str::Split<'_, char>,
+    ) -> Option<()> {
+        for slot in slots {
             *slot = fields.next()?.parse().ok()?;
         }
-        fields.next().is_none().then_some(out)
+        fields.next().is_none().then_some(())
     }
     let mut snapshot: Option<ScanSnapshot> = None;
     let mut ledger: Option<ScanMetricsSnapshot> = None;
@@ -110,40 +104,28 @@ pub fn from_text(text: &str, path: &Path) -> Result<DateCheckpoint, StoreError> 
         match tag {
             "snap" if snapshot.is_none() => {
                 let date: Date = f.next().and_then(|v| v.parse().ok()).ok_or(bad(n))?;
-                let c = counters(&mut f).ok_or(bad(n))?;
-                snapshot = Some(ScanSnapshot {
-                    date,
-                    hosts: c[0],
-                    ssl3_supported: c[1],
-                    answered: c[2],
-                    chose_aead: c[3],
-                    chose_cbc: c[4],
-                    chose_rc4: c[5],
-                    chose_3des: c[6],
-                    chose_tls12: c[7],
-                    export_supported: c[8],
-                    heartbeat_supported: c[9],
-                    heartbleed_vulnerable: c[10],
-                });
+                let mut snap = ScanSnapshot::new(date);
+                fill(snap.counts_mut(), &mut f).ok_or(bad(n))?;
+                snapshot = Some(snap);
             }
             "ledger" if ledger.is_none() => {
-                let c = counters(&mut f).ok_or(bad(n))?;
-                ledger = Some(ScanMetricsSnapshot {
-                    hosts_dispatched: c[0],
-                    hosts_probed: c[1],
-                    hosts_dropped: c[2],
-                    host_retries: c[3],
-                    probes_sent: c[4],
-                    handshakes_completed: c[5],
-                    handshakes_refused: c[6],
-                    probes_timed_out: c[7],
-                    workers_lost: c[8],
-                    sweeps_completed: c[9],
-                    scan_nanos: c[10],
-                    checkpoints_written: 0,
-                    checkpoints_loaded: 0,
-                    checkpoints_quarantined: 0,
-                });
+                // The checkpoint counters are per-run and stay zero.
+                let mut l = ScanMetricsSnapshot::default();
+                let slots = [
+                    &mut l.hosts_dispatched,
+                    &mut l.hosts_probed,
+                    &mut l.hosts_dropped,
+                    &mut l.host_retries,
+                    &mut l.probes_sent,
+                    &mut l.handshakes_completed,
+                    &mut l.handshakes_refused,
+                    &mut l.probes_timed_out,
+                    &mut l.workers_lost,
+                    &mut l.sweeps_completed,
+                    &mut l.scan_nanos,
+                ];
+                fill(slots, &mut f).ok_or(bad(n))?;
+                ledger = Some(l);
             }
             // Duplicate sections or unknown tags are malformed.
             _ => return Err(bad(n)),

@@ -2,10 +2,10 @@
 //!
 //! Active scanning harness — the reproduction's analogue of the Censys /
 //! ZMap / ZGrab pipeline (§3.2 of *Coming of Age*, IMC 2018): byte-level
-//! scan probes (a 2015-Chrome-equivalent hello, an SSL3-only hello, an
-//! export-suite hello, a Heartbeat check), host sweeps over the
-//! simulated IPv4 population, and the weekly scan schedule covering
-//! 2015-08-22 … 2018-05-13.
+//! scan probes (a 2015-Chrome-equivalent hello, whose answer also gives
+//! Heartbeat support and the Heartbleed check, an SSL3-only hello, an
+//! export-suite hello), host sweeps over the simulated IPv4 population,
+//! and the weekly scan schedule covering 2015-08-22 … 2018-05-13.
 //!
 //! ```
 //! use tlscope_chron::Date;

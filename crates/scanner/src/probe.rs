@@ -75,15 +75,6 @@ pub fn export_only() -> ClientHello {
     )
 }
 
-/// Heartbeat probe: minimal strong offer plus the heartbeat extension.
-pub fn heartbeat_probe() -> ClientHello {
-    hello(
-        ProtocolVersion::Tls12,
-        &[0xc02f, 0xc013, 0x002f, 0x0035, 0x000a],
-        standard_extensions(),
-    )
-}
-
 /// RC4-only probe: the SSL Pulse-style support check (§5.3 — "19.1% of
 /// servers still support RC4 cipher suites").
 pub fn rc4_only() -> ClientHello {
@@ -204,7 +195,6 @@ impl Default for ProbeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlscope_wire::exts::ext_type as xt;
 
     #[test]
     fn chrome_probe_shape() {
@@ -232,12 +222,6 @@ mod tests {
     fn export_probe_offers_only_export() {
         let h = export_only();
         assert!(h.cipher_suites.iter().all(|c| c.is_export()));
-    }
-
-    #[test]
-    fn heartbeat_probe_carries_extension() {
-        let h = heartbeat_probe();
-        assert!(h.find_extension(xt::HEARTBEAT).is_some());
     }
 
     #[test]

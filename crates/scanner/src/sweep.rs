@@ -57,85 +57,120 @@ use crate::faults::{key, mix, ScanFaults, MAX_PROBE_ATTEMPTS};
 use crate::metrics::{ScanMetrics, ScanMetricsSnapshot};
 use crate::probe::ProbeSet;
 
-/// Results of one full sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanSnapshot {
-    /// Sweep date.
-    pub date: Date,
-    /// Hosts probed.
-    pub hosts: u64,
-    /// Hosts accepting the SSL3-only probe.
-    pub ssl3_supported: u64,
-    /// Hosts answering the 2015-Chrome probe at all.
-    pub answered: u64,
-    /// ... choosing an AEAD suite from it.
-    pub chose_aead: u64,
-    /// ... choosing a CBC suite (§5.2: 54 % → 35 %).
-    pub chose_cbc: u64,
-    /// ... choosing RC4 despite stronger offers (§5.3: 11.2 % → 3.4 %).
-    pub chose_rc4: u64,
-    /// ... choosing 3DES from the bottom of the list (§5.6: 0.54 % →
-    /// 0.25 %).
-    pub chose_3des: u64,
-    /// ... negotiating TLS 1.2 with the probe.
-    pub chose_tls12: u64,
-    /// Hosts accepting the export-only probe.
-    pub export_supported: u64,
-    /// Hosts echoing the Heartbeat extension (§5.4: 34 %).
-    pub heartbeat_supported: u64,
-    /// Hosts still Heartbleed-vulnerable (§5.4: 0.32 % in 2018-05).
-    pub heartbleed_vulnerable: u64,
+/// Declares a sweep's or survey's measurement record once: its date and
+/// its `u64` counters, each with its doc, the first counter being the
+/// population `pct` divides by. From that one list the macro emits the
+/// struct, `new`, `merge`, `pct`, and `counts`/`counts_mut`: the
+/// counters in declaration order, the order the scan checkpoint's
+/// `snap` line stores them in.
+macro_rules! snapshot {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident across $units:literal {
+            $(#[$date_doc:meta])*
+            pub date: Date,
+            $(#[$base_doc:meta])*
+            pub $base:ident: u64,
+            $(
+                $(#[$doc:meta])*
+                pub $field:ident: u64,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct $name {
+            $(#[$date_doc])*
+            pub date: Date,
+            $(#[$base_doc])*
+            pub $base: u64,
+            $(
+                $(#[$doc])*
+                pub $field: u64,
+            )*
+        }
+
+        impl $name {
+            const COUNTS: usize = 1 + [$(stringify!($field)),*].len();
+
+            /// An empty snapshot for `date` (all counters zero).
+            pub fn new(date: Date) -> Self {
+                $name {
+                    date,
+                    $base: 0,
+                    $($field: 0,)*
+                }
+            }
+
+            /// Fold another partial of the same sweep or survey into
+            /// this one. Pure integer sums, so merging is commutative
+            /// and associative: a replay's one-host partials, merged in
+            /// any order, reproduce the one-pass fold bit for bit.
+            ///
+            /// # Panics
+            /// When the dates differ: partials of different sweeps or
+            /// surveys are a bug, not data.
+            pub fn merge(&mut self, other: &$name) {
+                assert_eq!(
+                    self.date,
+                    other.date,
+                    concat!("merging snapshots across ", $units)
+                );
+                for (mine, theirs) in self.counts_mut().into_iter().zip(other.counts()) {
+                    *mine += theirs;
+                }
+            }
+
+            #[doc = concat!("Percentage of `count` over `", stringify!($base), "`.")]
+            pub fn pct(&self, count: u64) -> f64 {
+                if self.$base == 0 {
+                    0.0
+                } else {
+                    100.0 * count as f64 / self.$base as f64
+                }
+            }
+
+            /// The counters, in declaration order.
+            pub(crate) fn counts(&self) -> [u64; Self::COUNTS] {
+                [self.$base, $(self.$field),*]
+            }
+
+            /// The counters, in declaration order, to fill or add to.
+            pub(crate) fn counts_mut(&mut self) -> [&mut u64; Self::COUNTS] {
+                [&mut self.$base, $(&mut self.$field),*]
+            }
+        }
+    };
 }
 
-impl ScanSnapshot {
-    /// An empty snapshot for `date` (all counters zero).
-    pub fn new(date: Date) -> Self {
-        ScanSnapshot {
-            date,
-            hosts: 0,
-            ssl3_supported: 0,
-            answered: 0,
-            chose_aead: 0,
-            chose_cbc: 0,
-            chose_rc4: 0,
-            chose_3des: 0,
-            chose_tls12: 0,
-            export_supported: 0,
-            heartbeat_supported: 0,
-            heartbleed_vulnerable: 0,
-        }
-    }
-
-    /// Fold another partial snapshot of the *same sweep* into this
-    /// one. Pure integer sums, so merging is commutative and
-    /// associative: a replay's one-host partials, merged in any order,
-    /// reproduce the one-pass sweep bit for bit.
-    ///
-    /// # Panics
-    /// When the dates differ — partials from different sweeps are a
-    /// bug, not data.
-    pub fn merge(&mut self, other: &ScanSnapshot) {
-        assert_eq!(self.date, other.date, "merging snapshots across sweeps");
-        self.hosts += other.hosts;
-        self.ssl3_supported += other.ssl3_supported;
-        self.answered += other.answered;
-        self.chose_aead += other.chose_aead;
-        self.chose_cbc += other.chose_cbc;
-        self.chose_rc4 += other.chose_rc4;
-        self.chose_3des += other.chose_3des;
-        self.chose_tls12 += other.chose_tls12;
-        self.export_supported += other.export_supported;
-        self.heartbeat_supported += other.heartbeat_supported;
-        self.heartbleed_vulnerable += other.heartbleed_vulnerable;
-    }
-
-    /// Percentage helper over probed hosts.
-    pub fn pct(&self, count: u64) -> f64 {
-        if self.hosts == 0 {
-            0.0
-        } else {
-            100.0 * count as f64 / self.hosts as f64
-        }
+snapshot! {
+    /// Results of one full sweep.
+    pub struct ScanSnapshot across "sweeps" {
+        /// Sweep date.
+        pub date: Date,
+        /// Hosts probed.
+        pub hosts: u64,
+        /// Hosts accepting the SSL3-only probe.
+        pub ssl3_supported: u64,
+        /// Hosts answering the 2015-Chrome probe at all.
+        pub answered: u64,
+        /// ... choosing an AEAD suite from it.
+        pub chose_aead: u64,
+        /// ... choosing a CBC suite (§5.2: 54 % → 35 %).
+        pub chose_cbc: u64,
+        /// ... choosing RC4 despite stronger offers (§5.3: 11.2 % → 3.4 %).
+        pub chose_rc4: u64,
+        /// ... choosing 3DES from the bottom of the list (§5.6: 0.54 % →
+        /// 0.25 %).
+        pub chose_3des: u64,
+        /// ... negotiating TLS 1.2 with the probe.
+        pub chose_tls12: u64,
+        /// Hosts accepting the export-only probe.
+        pub export_supported: u64,
+        /// Hosts echoing the Heartbeat extension (§5.4: 34 %).
+        pub heartbeat_supported: u64,
+        /// Hosts still Heartbleed-vulnerable (§5.4: 0.32 % in 2018-05).
+        pub heartbleed_vulnerable: u64,
     }
 }
 
@@ -290,10 +325,6 @@ fn probe_indexed_host(
     seed: u64,
     snap: &mut ScanSnapshot,
 ) -> (HostOutcome, u64) {
-    // Flight-recorder breadcrumb before anything can die: if this host
-    // (or the failpoint below) panics, the report of the date's replay
-    // shows which host was in flight.
-    tlscope_obs::flight::record("host", index, date.to_epoch_days() as u64, seed);
     if faults.panic_on_host == Some(index) {
         panic!("scan fault failpoint: host {index}");
     }
@@ -733,53 +764,22 @@ mod tests {
     }
 }
 
-/// SSL Pulse-style popular-site survey (§5.3): probe `sites` servers
-/// drawn from the *traffic-weighted* population (the Alexa-top view,
-/// not the IPv4 host view) for RC4 support.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PulseSnapshot {
-    /// Survey date.
-    pub date: Date,
-    /// Sites probed.
-    pub sites: u64,
-    /// Sites that complete a handshake with an RC4-only offer
-    /// (paper: 92.8 % in 2013-10 → 19.1 % in 2018).
-    pub rc4_supported: u64,
-    /// Sites that support *only* RC4: they answer the RC4-only probe
-    /// but fail the full offer with RC4 removed (paper: 4,248 sites in
-    /// 2013 → 1 site in 2018).
-    pub rc4_only: u64,
-}
-
-impl PulseSnapshot {
-    /// An empty snapshot for `date` (all counters zero).
-    pub fn new(date: Date) -> Self {
-        PulseSnapshot {
-            date,
-            sites: 0,
-            rc4_supported: 0,
-            rc4_only: 0,
-        }
-    }
-
-    /// Fold another partial of the same survey in (commutative sums).
-    ///
-    /// # Panics
-    /// When the dates differ.
-    pub fn merge(&mut self, other: &PulseSnapshot) {
-        assert_eq!(self.date, other.date, "merging snapshots across surveys");
-        self.sites += other.sites;
-        self.rc4_supported += other.rc4_supported;
-        self.rc4_only += other.rc4_only;
-    }
-
-    /// Percentage helper over probed sites.
-    pub fn pct(&self, count: u64) -> f64 {
-        if self.sites == 0 {
-            0.0
-        } else {
-            100.0 * count as f64 / self.sites as f64
-        }
+snapshot! {
+    /// SSL Pulse-style popular-site survey (§5.3): probe `sites` servers
+    /// drawn from the *traffic-weighted* population (the Alexa-top view,
+    /// not the IPv4 host view) for RC4 support.
+    pub struct PulseSnapshot across "surveys" {
+        /// Survey date.
+        pub date: Date,
+        /// Sites probed.
+        pub sites: u64,
+        /// Sites that complete a handshake with an RC4-only offer
+        /// (paper: 92.8 % in 2013-10 → 19.1 % in 2018).
+        pub rc4_supported: u64,
+        /// Sites that support *only* RC4: they answer the RC4-only probe
+        /// but fail the full offer with RC4 removed (paper: 4,248 sites in
+        /// 2013 → 1 site in 2018).
+        pub rc4_only: u64,
     }
 }
 

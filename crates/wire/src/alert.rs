@@ -89,33 +89,6 @@ pub mod alert_desc {
     pub const NO_RENEGOTIATION: u8 = 100;
     /// unsupported_extension.
     pub const UNSUPPORTED_EXTENSION: u8 = 110;
-
-    /// Human-readable name for a description code, if registered.
-    pub fn name(d: u8) -> Option<&'static str> {
-        Some(match d {
-            CLOSE_NOTIFY => "close_notify",
-            UNEXPECTED_MESSAGE => "unexpected_message",
-            BAD_RECORD_MAC => "bad_record_mac",
-            RECORD_OVERFLOW => "record_overflow",
-            DECOMPRESSION_FAILURE => "decompression_failure",
-            HANDSHAKE_FAILURE => "handshake_failure",
-            BAD_CERTIFICATE => "bad_certificate",
-            UNSUPPORTED_CERTIFICATE => "unsupported_certificate",
-            CERTIFICATE_EXPIRED => "certificate_expired",
-            ILLEGAL_PARAMETER => "illegal_parameter",
-            UNKNOWN_CA => "unknown_ca",
-            DECODE_ERROR => "decode_error",
-            DECRYPT_ERROR => "decrypt_error",
-            PROTOCOL_VERSION => "protocol_version",
-            INSUFFICIENT_SECURITY => "insufficient_security",
-            INTERNAL_ERROR => "internal_error",
-            INAPPROPRIATE_FALLBACK => "inappropriate_fallback",
-            USER_CANCELED => "user_canceled",
-            NO_RENEGOTIATION => "no_renegotiation",
-            UNSUPPORTED_EXTENSION => "unsupported_extension",
-            _ => return None,
-        })
-    }
 }
 
 impl Alert {
@@ -150,11 +123,6 @@ impl Alert {
             .map_err(|_| WireError::TrailingBytes(r.remaining()))?;
         Ok(Alert { level, description })
     }
-
-    /// Human-readable description name.
-    pub fn description_name(self) -> Option<&'static str> {
-        alert_desc::name(self.description)
-    }
 }
 
 #[cfg(test)]
@@ -178,10 +146,6 @@ mod tests {
     #[test]
     fn known_codes() {
         assert_eq!(Alert::handshake_failure().to_bytes(), vec![2, 40]);
-        assert_eq!(alert_desc::name(40), Some("handshake_failure"));
-        assert_eq!(alert_desc::name(70), Some("protocol_version"));
-        assert_eq!(alert_desc::name(86), Some("inappropriate_fallback"));
-        assert_eq!(alert_desc::name(200), None);
     }
 
     #[test]

@@ -33,15 +33,6 @@ pub mod handshake_type {
     pub const FINISHED: u8 = 20;
 }
 
-/// Wrap a handshake body in its 4-byte header (type + u24 length).
-pub fn frame_handshake(typ: u8, body: &[u8]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(body.len() + 4);
-    w.u8(typ);
-    w.u24(body.len() as u32);
-    w.bytes(body);
-    w.into_bytes()
-}
-
 /// Split one handshake message off `r`: returns `(type, body)`.
 pub fn read_handshake<'a>(r: &mut Reader<'a>) -> WireResult<(u8, &'a [u8])> {
     let typ = r.u8()?;
@@ -141,13 +132,6 @@ impl ClientHello {
     pub fn write_handshake(&self, w: &mut Writer) {
         w.u8(handshake_type::CLIENT_HELLO);
         w.vec24(|w| self.write_body(w));
-    }
-
-    /// Serialise to the handshake *body* (without the 4-byte header).
-    pub fn to_body(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(128);
-        self.write_body(&mut w);
-        w.into_bytes()
     }
 
     /// Serialise to a framed handshake message.
@@ -266,13 +250,6 @@ impl ServerHello {
     pub fn write_handshake(&self, w: &mut Writer) {
         w.u8(handshake_type::SERVER_HELLO);
         w.vec24(|w| self.write_body(w));
-    }
-
-    /// Serialise to the handshake *body* (without the 4-byte header).
-    pub fn to_body(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(96);
-        self.write_body(&mut w);
-        w.into_bytes()
     }
 
     /// Serialise to a framed handshake message.
