@@ -5,18 +5,24 @@
 
 use std::process::Command;
 
-fn repro_stdout(args: &[&str]) -> Vec<u8> {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .env("TLSCOPE_PROGRESS", "off")
-        .output()
-        .expect("repro binary should spawn");
+fn repro() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    cmd.env("TLSCOPE_PROGRESS", "off");
+    cmd
+}
+
+fn stdout_of(cmd: &mut Command) -> Vec<u8> {
+    let out = cmd.output().expect("repro binary should spawn");
     assert!(
         out.status.success(),
         "repro failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     out.stdout
+}
+
+fn repro_stdout(args: &[&str]) -> Vec<u8> {
+    stdout_of(repro().args(args))
 }
 
 #[test]
@@ -28,6 +34,25 @@ fn quick_csv_all_is_byte_identical_across_runs() {
     let differs = first.lines().zip(second.lines()).find(|(a, b)| a != b);
     assert_eq!(differs, None, "first differing line of two runs");
     assert_eq!(first, second);
+}
+
+/// The quick run's artefacts are pinned: any change to an artefact
+/// byte fails here instead of going unnoticed. The scan fault profile
+/// is the one environment variable that changes what `repro` prints,
+/// so the child runs without it.
+#[test]
+fn quick_csv_all_is_pinned() {
+    let stdout = stdout_of(
+        repro()
+            .args(["--quick", "--csv", "all"])
+            .env_remove("TLSCOPE_SCAN_FAULT_PROFILE"),
+    );
+    assert_eq!(stdout.len(), 35_595);
+    assert_eq!(
+        tlscope::durable::fnv1a64(&stdout),
+        0x6d78_a31c_2a84_bd7e,
+        "the quick run's artefacts changed"
+    );
 }
 
 /// `--seed` takes the hex form the run header prints (`seed 0x…`,

@@ -7,9 +7,9 @@
 //! of fingerprinted traffic. [`SightingTracker`] reproduces those
 //! statistics from a stream of (fingerprint, date) observations.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 use tlscope_chron::Date;
+use tlscope_wire::fxhash::FxHashMap;
 
 /// First-seen / last-seen / volume record for one fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,13 +78,13 @@ impl DurationStats {
 /// high-volume aggregate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SightingTracker<K: Eq + Hash = u64> {
-    map: HashMap<K, Sighting>,
+    map: FxHashMap<K, Sighting>,
 }
 
 impl<K: Eq + Hash + Copy> Default for SightingTracker<K> {
     fn default() -> Self {
         SightingTracker {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
         }
     }
 }

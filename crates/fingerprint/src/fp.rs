@@ -15,20 +15,16 @@ use tlscope_wire::view::{ext_view, ClientHelloView};
 use tlscope_wire::{ext_type, ClientHello};
 
 /// Incremental FNV-1a, the hash behind [`Fingerprint::id64`].
-///
-/// Public so other layers that need a cheap content identity over wire
-/// bytes (the notary's masked hello hash) use the exact same mixing
-/// function instead of growing a second hand-rolled hash.
-pub struct Fnv64(u64);
+struct Fnv64(u64);
 
 impl Fnv64 {
     /// A fresh hasher at the FNV-1a 64-bit offset basis.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Fnv64(0xcbf29ce484222325)
     }
 
     /// Mix raw bytes into the running hash.
-    pub fn absorb(&mut self, bytes: &[u8]) {
+    fn absorb(&mut self, bytes: &[u8]) {
         for b in bytes {
             self.0 ^= u64::from(*b);
             self.0 = self.0.wrapping_mul(0x100000001b3);
@@ -36,19 +32,8 @@ impl Fnv64 {
     }
 
     /// Mix a big-endian u16 into the running hash.
-    pub fn absorb_u16(&mut self, v: u16) {
+    fn absorb_u16(&mut self, v: u16) {
         self.absorb(&v.to_be_bytes());
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64::new()
     }
 }
 

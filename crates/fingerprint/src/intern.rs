@@ -12,7 +12,7 @@
 //! allocation-ordered, so merging two interners is a remap table, not
 //! a re-hash of every fingerprint.
 
-use std::collections::HashMap;
+use tlscope_wire::fxhash::FxHashMap;
 
 use crate::fp::Fingerprint;
 
@@ -31,7 +31,7 @@ impl FpId {
 /// Fingerprint → dense id table.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct FpInterner {
-    ids: HashMap<u64, FpId>,
+    ids: FxHashMap<u64, FpId>,
     fps: Vec<Fingerprint>,
     id64s: Vec<u64>,
 }

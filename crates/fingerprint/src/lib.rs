@@ -34,5 +34,5 @@ pub mod intern;
 
 pub use db::{Category, CoverageStats, FingerprintDb, InsertOutcome, Label};
 pub use duration::{DurationStats, Sighting, SightingTracker};
-pub use fp::{Fingerprint, Fnv64};
+pub use fp::Fingerprint;
 pub use intern::{FpId, FpInterner};

@@ -14,10 +14,11 @@
 //! * heartbeat negotiation (§5.4) and TLS 1.3 advertisement /
 //!   negotiation with the draft-version mix (§6.4)
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use tlscope_chron::Month;
 use tlscope_fingerprint::{Fingerprint, FpId, FpInterner, Sighting, SightingTracker};
+use tlscope_wire::fxhash::FxHashMap;
 use tlscope_wire::{AeadAlg, Kx, ProtocolVersion};
 
 use crate::conn::{ClientOffer, ConnectionRecord, ServerOutcome};
@@ -368,7 +369,7 @@ pub struct MonthlyStats {
     /// Negotiated AEAD algorithms.
     pub neg_aead_alg: AeadCounts,
     /// Negotiated curve counts by wire id.
-    pub curves: HashMap<u16, u64>,
+    pub curves: FxHashMap<u16, u64>,
     /// Heartbeat negotiated (offered + echoed, §5.4).
     pub heartbeat_negotiated: u64,
 
@@ -397,10 +398,10 @@ pub struct MonthlyStats {
     /// Advertised AEAD algorithms (connection-weighted).
     pub adv_aead_alg: AeadCounts,
     /// supported_versions values seen (wire value → connections).
-    pub supported_versions_values: HashMap<u16, u64>,
+    pub supported_versions_values: FxHashMap<u16, u64>,
     /// Connections advertising each extension type (§9's RIE and
     /// Encrypt-then-MAC tracking, SNI/EMS adoption, ...).
-    pub adv_extensions: HashMap<u16, u64>,
+    pub adv_extensions: FxHashMap<u16, u64>,
 
     /// Mean first-offer positions per class.
     pub pos_aead: PositionMean,
@@ -415,7 +416,7 @@ pub struct MonthlyStats {
 
     /// Distinct fingerprints seen this month with their class flags,
     /// keyed by the owning aggregate's interned fingerprint id.
-    pub fp_flags: HashMap<FpId, FpClassFlags>,
+    pub fp_flags: FxHashMap<FpId, FpClassFlags>,
 }
 
 /// Every counter of [`MonthlyStats`] but `fp_flags`, each named once
@@ -1248,7 +1249,7 @@ mod tests {
                 ccm: 35,
                 other: 36,
             },
-            curves: HashMap::from([(23, 37)]),
+            curves: FxHashMap::from_iter([(23, 37)]),
             heartbeat_negotiated: 38,
             adv_rc4: 39,
             adv_cbc: 40,
@@ -1268,8 +1269,8 @@ mod tests {
                 ccm: 53,
                 other: 54,
             },
-            supported_versions_values: HashMap::from([(0x0304, 55)]),
-            adv_extensions: HashMap::from([(0xff01, 56)]),
+            supported_versions_values: FxHashMap::from_iter([(0x0304, 55)]),
+            adv_extensions: FxHashMap::from_iter([(0xff01, 56)]),
             pos_aead: PositionMean {
                 sum_micro: 57,
                 n: 58,
@@ -1290,7 +1291,7 @@ mod tests {
                 sum_micro: 65,
                 n: 66,
             },
-            fp_flags: HashMap::new(),
+            fp_flags: FxHashMap::default(),
         }
     }
 

@@ -12,13 +12,14 @@
 //! ingesting millions of flows reuses the same allocation throughout.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use tlscope_chron::{Date, Month};
-use tlscope_fingerprint::{Fingerprint, Fnv64};
+use tlscope_fingerprint::Fingerprint;
 use tlscope_wire::codec::Reader;
 use tlscope_wire::exts::ext_type;
+use tlscope_wire::fxhash::{hash_bytes, FxHashMap};
 use tlscope_wire::handshake::{handshake_type, read_handshake};
 use tlscope_wire::record::{sslv2_kind_as_suite, ContentType, RecordView};
 use tlscope_wire::view::{ext_view, ClientHelloView, ServerHelloView};
@@ -391,7 +392,7 @@ fn refill_client_offer(
 /// Default per-thread parse-cache capacity, in memoised hellos.
 const PARSE_CACHE_DEFAULT_CAPACITY: usize = 4096;
 
-/// Canonical stand-in absorbed for every GREASE-patterned u16 while
+/// Canonical stand-in written over every GREASE-patterned u16 before
 /// hashing, so two hellos differing only in their per-connection
 /// GREASE draws collide onto the same cache key.
 const GREASE_MARK: [u8; 2] = [0x0a, 0x0a];
@@ -424,12 +425,14 @@ struct HelloEntry {
 /// structure alone — this layer never sees generator metadata.
 #[derive(Debug)]
 struct HelloCache {
-    map: HashMap<u64, Box<HelloEntry>>,
+    map: FxHashMap<u64, Box<HelloEntry>>,
     order: VecDeque<u64>,
     capacity: usize,
     /// GREASE cipher-suite slots found by the *current* flow's masked
     /// scan, as (suite index, wire offset) — reused across flows.
     slots: Vec<(usize, usize)>,
+    /// The current flow's masked hello copy — reused across flows.
+    masked: Vec<u8>,
     /// Scratch offer for verify-mode re-parses.
     verify_offer: Option<Box<ClientOffer>>,
     stats: ParseCacheStats,
@@ -439,10 +442,11 @@ struct HelloCache {
 impl Default for HelloCache {
     fn default() -> Self {
         HelloCache {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             order: VecDeque::new(),
             capacity: PARSE_CACHE_DEFAULT_CAPACITY,
             slots: Vec::new(),
+            masked: Vec::new(),
             verify_offer: None,
             stats: ParseCacheStats::default(),
             flushed: ParseCacheStats::default(),
@@ -521,12 +525,12 @@ fn be16(b: &[u8], off: usize) -> u16 {
     u16::from_be_bytes([b[off], b[off + 1]])
 }
 
-/// Absorb an extension body holding a length-prefixed list of u16s,
-/// masking GREASE entries. `prefix` is the length-prefix width (1 for
-/// vec8, 2 for vec16). A body that fails strict validation is
-/// absorbed raw — deterministic either way, so correctness holds; it
-/// just forgoes GREASE collapsing for that hello.
-fn absorb_masked_u16_list(h: &mut Fnv64, body: &[u8], prefix: usize) {
+/// Mask the GREASE entries of an extension body holding a
+/// length-prefixed list of u16s. `prefix` is the length-prefix width
+/// (1 for vec8, 2 for vec16). A body that fails strict validation is
+/// left raw — deterministic either way, so correctness holds; it just
+/// forgoes GREASE collapsing for that hello.
+fn mask_u16_list(body: &mut [u8], prefix: usize) {
     let well_formed = body.len() >= prefix && {
         let list_len = if prefix == 1 {
             body[0] as usize
@@ -536,35 +540,32 @@ fn absorb_masked_u16_list(h: &mut Fnv64, body: &[u8], prefix: usize) {
         body.len() == prefix + list_len && list_len.is_multiple_of(2)
     };
     if !well_formed {
-        h.absorb(body);
         return;
     }
-    h.absorb(&body[..prefix]);
-    let mut p = prefix;
-    while p < body.len() {
-        if tlscope_wire::is_grease(be16(body, p)) {
-            h.absorb(&GREASE_MARK);
-        } else {
-            h.absorb(&body[p..p + 2]);
+    for entry in body[prefix..].chunks_exact_mut(2) {
+        if tlscope_wire::is_grease(be16(entry, 0)) {
+            entry.copy_from_slice(&GREASE_MARK);
         }
-        p += 2;
     }
 }
 
-/// Walk a coalesced ClientHello handshake, hashing every byte except
-/// the structurally-known volatile fields: the 32-byte random and the
-/// session-id contents are skipped (their lengths are still hashed),
-/// and GREASE-patterned u16s in the cipher list, extension type ids,
-/// supported_versions and supported_groups bodies are absorbed as the
-/// canonical [`GREASE_MARK`]. GREASE cipher-suite positions are
-/// recorded into `grease_suites` as (suite index, wire offset) so a
-/// cache hit can patch the memoised offer with this flow's values.
+/// Copy a coalesced ClientHello handshake into `masked`, overwrite the
+/// structurally-known volatile fields, and hash the copy a word at a
+/// time. The 32-byte random and the session-id contents are zeroed
+/// (their lengths stay), and GREASE-patterned u16s in the cipher list,
+/// extension type ids, supported_versions and supported_groups bodies
+/// become the canonical [`GREASE_MARK`]. GREASE cipher-suite positions
+/// are recorded into `grease_suites` as (suite index, wire offset) so
+/// a cache hit can patch the memoised offer with this flow's values.
 ///
 /// Returns `None` on any structural anomaly — the caller falls back
 /// to the full parse and the flow bypasses the cache.
-fn masked_hello_scan(bytes: &[u8], grease_suites: &mut Vec<(usize, usize)>) -> Option<u64> {
+fn masked_hello_scan(
+    bytes: &[u8],
+    grease_suites: &mut Vec<(usize, usize)>,
+    masked: &mut Vec<u8>,
+) -> Option<u64> {
     grease_suites.clear();
-    let mut h = Fnv64::new();
     if bytes.len() < 4 || bytes[0] != handshake_type::CLIENT_HELLO {
         return None;
     }
@@ -572,90 +573,82 @@ fn masked_hello_scan(bytes: &[u8], grease_suites: &mut Vec<(usize, usize)>) -> O
     if bytes.len() != 4 + body_len {
         return None;
     }
-    h.absorb(&bytes[..4]);
+    masked.clear();
+    masked.extend_from_slice(bytes);
+    let m = masked.as_mut_slice();
     let mut off = 4;
     // Legacy version, then the masked 32-byte random.
-    if bytes.len() < off + 2 + 32 + 1 {
+    if m.len() < off + 2 + 32 + 1 {
         return None;
     }
-    h.absorb(&bytes[off..off + 2]);
+    m[off + 2..off + 2 + 32].fill(0);
     off += 2 + 32;
-    // Session id: length hashed, contents masked.
-    let sid_len = bytes[off] as usize;
-    h.absorb(&bytes[off..=off]);
+    // Session id: length kept, contents masked.
+    let sid_len = m[off] as usize;
     off += 1;
-    if bytes.len() < off + sid_len + 2 {
+    if m.len() < off + sid_len + 2 {
         return None;
     }
+    m[off..off + sid_len].fill(0);
     off += sid_len;
     // Cipher suites: GREASE entries masked and their slots recorded.
-    let suites_len = be16(bytes, off) as usize;
-    h.absorb(&bytes[off..off + 2]);
+    let suites_len = be16(m, off) as usize;
     off += 2;
-    if !suites_len.is_multiple_of(2) || bytes.len() < off + suites_len {
+    if !suites_len.is_multiple_of(2) || m.len() < off + suites_len {
         return None;
     }
     for i in 0..suites_len / 2 {
         let p = off + 2 * i;
-        if tlscope_wire::is_grease(be16(bytes, p)) {
+        if tlscope_wire::is_grease(be16(m, p)) {
             grease_suites.push((i, p));
-            h.absorb(&GREASE_MARK);
-        } else {
-            h.absorb(&bytes[p..p + 2]);
+            m[p..p + 2].copy_from_slice(&GREASE_MARK);
         }
     }
     off += suites_len;
-    // Compression methods, hashed verbatim.
-    if bytes.len() < off + 1 {
+    // Compression methods, kept verbatim.
+    if m.len() < off + 1 {
         return None;
     }
-    let comp_len = bytes[off] as usize;
-    h.absorb(&bytes[off..=off]);
+    let comp_len = m[off] as usize;
     off += 1;
-    if bytes.len() < off + comp_len {
+    if m.len() < off + comp_len {
         return None;
     }
-    h.absorb(&bytes[off..off + comp_len]);
     off += comp_len;
-    if off == bytes.len() {
-        return Some(h.finish());
-    }
-    // Extension block.
-    if bytes.len() < off + 2 {
-        return None;
-    }
-    let ext_total = be16(bytes, off) as usize;
-    h.absorb(&bytes[off..off + 2]);
-    off += 2;
-    if bytes.len() != off + ext_total {
-        return None;
-    }
-    let end = bytes.len();
-    while off < end {
-        if end - off < 4 {
+    if off < m.len() {
+        // Extension block.
+        if m.len() < off + 2 {
             return None;
         }
-        let typ = be16(bytes, off);
-        if tlscope_wire::is_grease(typ) {
-            h.absorb(&GREASE_MARK);
-        } else {
-            h.absorb(&bytes[off..off + 2]);
-        }
-        h.absorb(&bytes[off + 2..off + 4]);
-        let ext_len = be16(bytes, off + 2) as usize;
-        off += 4;
-        if end - off < ext_len {
+        let ext_total = be16(m, off) as usize;
+        off += 2;
+        if m.len() != off + ext_total {
             return None;
         }
-        let body = &bytes[off..off + ext_len];
-        match typ {
-            ext_type::SUPPORTED_VERSIONS => absorb_masked_u16_list(&mut h, body, 1),
-            ext_type::SUPPORTED_GROUPS => absorb_masked_u16_list(&mut h, body, 2),
-            _ => h.absorb(body),
+        let end = m.len();
+        while off < end {
+            if end - off < 4 {
+                return None;
+            }
+            let typ = be16(m, off);
+            if tlscope_wire::is_grease(typ) {
+                m[off..off + 2].copy_from_slice(&GREASE_MARK);
+            }
+            let ext_len = be16(m, off + 2) as usize;
+            off += 4;
+            if end - off < ext_len {
+                return None;
+            }
+            let body = &mut m[off..off + ext_len];
+            match typ {
+                ext_type::SUPPORTED_VERSIONS => mask_u16_list(body, 1),
+                ext_type::SUPPORTED_GROUPS => mask_u16_list(body, 2),
+                _ => {}
+            }
+            off += ext_len;
         }
-        off += ext_len;
     }
-    Some(h.finish())
+    Some(hash_bytes(m))
 }
 
 /// Cache-aware variant of [`refill_client_offer`]: flows whose masked
@@ -678,7 +671,7 @@ fn refill_client_offer_cached(
         refill_offer(offer, &hello);
         return Some(salvaged);
     }
-    let Some(hash) = masked_hello_scan(bytes, &mut cache.slots) else {
+    let Some(hash) = masked_hello_scan(bytes, &mut cache.slots, &mut cache.masked) else {
         let hello = ClientHelloView::parse_handshake(bytes).ok()?;
         refill_offer(offer, &hello);
         return Some(salvaged);
@@ -1086,24 +1079,24 @@ mod tests {
     #[test]
     fn masked_scan_collapses_volatile_fields() {
         let mut hello = sample_hello();
-        let mut slots = Vec::new();
-        let h1 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots).unwrap();
+        let (mut slots, mut masked) = (Vec::new(), Vec::new());
+        let h1 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots, &mut masked).unwrap();
         assert!(slots.is_empty());
         // Different client random: same key.
         hello.random = [9; 32];
-        let h2 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots).unwrap();
+        let h2 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots, &mut masked).unwrap();
         assert_eq!(h1, h2);
         // Different cipher stack: different key.
         hello.cipher_suites.push(CipherSuite(0x1301));
-        let h3 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots).unwrap();
+        let h3 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots, &mut masked).unwrap();
         assert_ne!(h1, h3);
         // Session-id *contents* are masked but the length is hashed.
         hello.cipher_suites.pop();
         hello.session_id = vec![1; 32];
-        let h4 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots).unwrap();
+        let h4 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots, &mut masked).unwrap();
         assert_ne!(h1, h4);
         hello.session_id = vec![2; 32];
-        let h5 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots).unwrap();
+        let h5 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots, &mut masked).unwrap();
         assert_eq!(h4, h5);
     }
 
@@ -1111,18 +1104,67 @@ mod tests {
     fn masked_scan_collapses_grease_and_records_slots() {
         let mut hello = sample_hello();
         hello.cipher_suites.insert(0, CipherSuite(0x2a2a));
-        let mut slots = Vec::new();
-        let h1 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots).unwrap();
+        let (mut slots, mut masked) = (Vec::new(), Vec::new());
+        let h1 = masked_hello_scan(&hello.to_handshake_bytes(), &mut slots, &mut masked).unwrap();
         assert_eq!(slots.len(), 1);
         assert_eq!(slots[0].0, 0);
         // A different GREASE draw in the same slot: same key, and the
         // recorded wire offset reads back the new value.
         hello.cipher_suites[0] = CipherSuite(0xfafa);
         let hs = hello.to_handshake_bytes();
-        let h2 = masked_hello_scan(&hs, &mut slots).unwrap();
+        let h2 = masked_hello_scan(&hs, &mut slots, &mut masked).unwrap();
         assert_eq!(h1, h2);
         let (_, off) = slots[0];
         assert_eq!(u16::from_be_bytes([hs[off], hs[off + 1]]), 0xfafa);
+    }
+
+    #[test]
+    fn masked_key_notices_every_non_volatile_byte() {
+        // `sample_hello()` with a session id and a GREASE value in each
+        // masked place; `draw` picks the volatile values.
+        let hello_with = |draw: u8| {
+            let grease = |i: u8| u16::from(draw.wrapping_add(i) % 16) * 0x1010 + 0x0a0a;
+            let mut hello = sample_hello();
+            hello.random = [draw; 32];
+            hello.session_id = vec![draw; 8];
+            hello.cipher_suites.insert(1, CipherSuite(grease(0)));
+            let exts = hello.extensions.as_mut().unwrap();
+            exts.insert(0, Extension::new(grease(1), vec![]));
+            exts.push(Extension::supported_versions(&[
+                ProtocolVersion::Unknown(grease(2)),
+                ProtocolVersion::Tls13,
+                ProtocolVersion::Tls12,
+            ]));
+            exts[3] = Extension::supported_groups(&[NamedGroup(grease(3)), NamedGroup::X25519]);
+            hello.to_handshake_bytes()
+        };
+        let (mut slots, mut masked) = (Vec::new(), Vec::new());
+        let base = hello_with(1);
+        let key = masked_hello_scan(&base, &mut slots, &mut masked).unwrap();
+        // Rewriting the random, the session id and every GREASE value
+        // keeps the key; the bytes that moved are the volatile ones.
+        let other = hello_with(2);
+        assert_eq!(other.len(), base.len());
+        assert_eq!(
+            masked_hello_scan(&other, &mut slots, &mut masked),
+            Some(key)
+        );
+        let volatile: Vec<bool> = base.iter().zip(&other).map(|(a, b)| a != b).collect();
+        assert_eq!(volatile.iter().filter(|v| **v).count(), 32 + 8 + 4 * 2);
+        // Any other single byte, set to any other value, either breaks
+        // the structure or moves the key.
+        for (i, _) in volatile.iter().enumerate().filter(|(_, v)| !**v) {
+            for x in 0..=u8::MAX {
+                if x == base[i] {
+                    continue;
+                }
+                let mut flipped = base.clone();
+                flipped[i] = x;
+                if let Some(k) = masked_hello_scan(&flipped, &mut slots, &mut masked) {
+                    assert_ne!(k, key, "byte {i} set to {x:#04x}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use tlscope_servers::ClientFacts;
 use tlscope_wire::exts::ext_type;
-use tlscope_wire::{CipherSuite, ClientHello, Extension, NamedGroup, ProtocolVersion};
+use tlscope_wire::{CipherSuite, ClientHello, Extension, NamedGroup, ProtocolVersion, SuiteSet};
 
 fn hello(version: ProtocolVersion, suites: &[u16], extensions: Vec<Extension>) -> ClientHello {
     ClientHello {
@@ -94,9 +94,10 @@ pub fn chrome_2015_no_rc4() -> ClientHello {
 }
 
 /// A probe materialised once per campaign: the ClientHello itself plus
-/// the extension content negotiation reads (`supported_versions`,
-/// `supported_groups`), parsed up front so the per-host loop can borrow
-/// a [`ClientFacts`] without touching the heap.
+/// what negotiation reads from it (the offered-suite set and the
+/// `supported_versions` and `supported_groups` content), derived up
+/// front so the per-host loop can borrow a [`ClientFacts`] without
+/// touching the heap.
 ///
 /// The old path re-built every probe hello — fresh suite and extension
 /// `Vec`s — for every one of the thousands of hosts in a sweep;
@@ -104,6 +105,7 @@ pub fn chrome_2015_no_rc4() -> ClientHello {
 #[derive(Debug, Clone)]
 pub struct PreparedProbe {
     hello: ClientHello,
+    offered: SuiteSet,
     supported_versions: Option<Vec<ProtocolVersion>>,
     curves: Option<Vec<NamedGroup>>,
     has_renegotiation_info: bool,
@@ -111,8 +113,8 @@ pub struct PreparedProbe {
 }
 
 impl PreparedProbe {
-    /// Prepare `hello` for repeated probing: parse the extension
-    /// content [`facts`] will borrow.
+    /// Prepare `hello` for repeated probing: build its offered-suite
+    /// set and parse the extension content [`facts`] will borrow.
     ///
     /// [`facts`]: PreparedProbe::facts
     pub fn new(hello: ClientHello) -> Self {
@@ -125,6 +127,7 @@ impl PreparedProbe {
         let has_renegotiation_info = hello.find_extension(ext_type::RENEGOTIATION_INFO).is_some();
         let has_heartbeat = hello.find_extension(ext_type::HEARTBEAT).is_some();
         PreparedProbe {
+            offered: SuiteSet::of(&hello.cipher_suites),
             hello,
             supported_versions,
             curves,
@@ -145,6 +148,7 @@ impl PreparedProbe {
             legacy_version: self.hello.legacy_version,
             session_id: &self.hello.session_id,
             cipher_suites: &self.hello.cipher_suites,
+            offered: self.offered,
             supported_versions: self.supported_versions.as_deref(),
             curves: self.curves.as_deref(),
             has_renegotiation_info: self.has_renegotiation_info,

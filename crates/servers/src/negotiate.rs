@@ -10,7 +10,7 @@ use tlscope_wire::exts::{ext_body, ext_type, write_extension};
 use tlscope_wire::handshake::handshake_type;
 use tlscope_wire::{
     grease::is_grease, CipherSuite, ClientHello, EncMode, Extension, Kx, NamedGroup,
-    ProtocolVersion, ServerHello,
+    ProtocolVersion, ServerHello, SuiteSet,
 };
 
 use crate::profile::{Quirk, ServerProfile};
@@ -55,6 +55,11 @@ pub struct ClientFacts<'a> {
     pub session_id: &'a [u8],
     /// Offered suites in client order (GREASE and SCSVs included).
     pub cipher_suites: &'a [CipherSuite],
+    /// `SuiteSet::of(cipher_suites)`: the registered offered suites, so
+    /// cipher selection tests offer membership in O(1). A caller that
+    /// negotiates one offer many times (a scanner probe) computes it
+    /// once.
+    pub offered: SuiteSet,
     /// `supported_versions` extension content when that extension is
     /// present (GREASE included — filtered here exactly like
     /// [`ClientHello::offered_versions`]); `None` when absent.
@@ -89,6 +94,7 @@ pub fn respond(
         legacy_version: hello.legacy_version,
         session_id: &hello.session_id,
         cipher_suites: &hello.cipher_suites,
+        offered: SuiteSet::of(&hello.cipher_suites),
         supported_versions: versions.as_deref(),
         curves: curves.as_deref(),
         has_renegotiation_info: hello.find_extension(ext_type::RENEGOTIATION_INFO).is_some(),
@@ -125,6 +131,11 @@ pub fn decide(
     profile: &ServerProfile,
     facts: &ClientFacts<'_>,
 ) -> Result<Decision, HandshakeFailure> {
+    debug_assert_eq!(
+        facts.offered,
+        SuiteSet::of(facts.cipher_suites),
+        "ClientFacts::offered must be the set of cipher_suites"
+    );
     let version = negotiate_version(profile, facts)?;
     let cipher = select_cipher(profile, facts, version)?;
     let curve = select_curve(profile, facts, cipher, version);
@@ -312,15 +323,25 @@ fn negotiate_version(
     }
     // Classic path: min(client max, server max), bounded below by both.
     let client_max = match facts.supported_versions {
-        Some(vs) => vs
-            .iter()
-            .copied()
-            .filter(|v| !grease_version(*v) && !v.is_tls13_family())
-            .max_by_key(|v| v.rank()),
+        // The highest-ranked pre-1.3 entry; of equal ranks (every
+        // non-GREASE `Unknown` ranks 0) the last one offered.
+        Some(vs) => {
+            let mut max: Option<ProtocolVersion> = None;
+            for &v in vs {
+                if !grease_version(v)
+                    && !v.is_tls13_family()
+                    && max.is_none_or(|m| v.rank() >= m.rank())
+                {
+                    max = Some(v);
+                }
+            }
+            max
+        }
+        // The highest classic version not above the legacy field.
         None => CLASSIC_VERSIONS
             .into_iter()
-            .filter(|v| v.rank() <= facts.legacy_version.rank())
-            .max_by_key(|v| v.rank()),
+            .rev()
+            .find(|v| v.rank() <= facts.legacy_version.rank()),
     }
     .unwrap_or(facts.legacy_version);
     let chosen = if client_max.rank() <= profile.max_version.rank() {
@@ -388,20 +409,27 @@ fn select_cipher(
         Quirk::None => {}
     }
 
-    // Offer membership is a code-point compare; a suite is classified
-    // (`usable`, `ecdhe_feasible`: one registry lookup each) only once
-    // it is a candidate on both sides.
+    // Offer membership is a set test (the slice is searched only for a
+    // code point outside the registry, which no set holds); a suite is
+    // classified (`usable`, `ecdhe_feasible`: one registry lookup each)
+    // only once it is a candidate on both sides.
     let candidate = |c: &CipherSuite| usable(c) && ecdhe_feasible(profile, facts, *c);
     let choice = if profile.prefer_server_order {
-        profile
-            .preference
-            .iter()
-            .find(|c| facts.cipher_suites.contains(c) && candidate(c))
+        profile.preference.iter().find(|c| {
+            facts
+                .offered
+                .member(**c)
+                .unwrap_or_else(|| facts.cipher_suites.contains(c))
+                && candidate(c)
+        })
     } else {
-        facts
-            .cipher_suites
-            .iter()
-            .find(|c| profile.preference.contains(c) && candidate(c))
+        let preferred = SuiteSet::of(&profile.preference);
+        facts.cipher_suites.iter().find(|c| {
+            preferred
+                .member(**c)
+                .unwrap_or_else(|| profile.preference.contains(c))
+                && candidate(c)
+        })
     };
     choice.copied().ok_or(HandshakeFailure::NoCommonCipher)
 }
@@ -648,6 +676,7 @@ mod tests {
                 legacy_version: h.legacy_version,
                 session_id: &h.session_id,
                 cipher_suites: &h.cipher_suites,
+                offered: SuiteSet::of(&h.cipher_suites),
                 supported_versions: versions.as_deref(),
                 curves: curves.as_deref(),
                 has_renegotiation_info: h.find_extension(ext_type::RENEGOTIATION_INFO).is_some(),
@@ -675,6 +704,7 @@ mod tests {
                     legacy_version: ProtocolVersion::Tls12,
                     session_id: &[],
                     cipher_suites: &[CipherSuite(0xc02f), CipherSuite(0x002f)],
+                    offered: SuiteSet::of(&[CipherSuite(0xc02f), CipherSuite(0x002f)]),
                     supported_versions: None,
                     curves: None,
                     has_renegotiation_info: false,
@@ -688,6 +718,7 @@ mod tests {
                     legacy_version: ProtocolVersion::Tls12,
                     session_id: &[9, 9, 9],
                     cipher_suites: &[CipherSuite(0x002f)],
+                    offered: SuiteSet::of(&[CipherSuite(0x002f)]),
                     supported_versions: None,
                     curves: None,
                     has_renegotiation_info: false,
@@ -701,6 +732,7 @@ mod tests {
                     legacy_version: ProtocolVersion::Tls12,
                     session_id: &[1; 32],
                     cipher_suites: &[CipherSuite(0xc02b), CipherSuite(0xc013)],
+                    offered: SuiteSet::of(&[CipherSuite(0xc02b), CipherSuite(0xc013)]),
                     supported_versions: None,
                     curves: Some(&[NamedGroup::X25519, NamedGroup::SECP256R1]),
                     has_renegotiation_info: true,
@@ -714,6 +746,7 @@ mod tests {
                     legacy_version: ProtocolVersion::Tls12,
                     session_id: &[5; 8],
                     cipher_suites: &[CipherSuite(0x1301), CipherSuite(0xc02f)],
+                    offered: SuiteSet::of(&[CipherSuite(0x1301), CipherSuite(0xc02f)]),
                     supported_versions: Some(&[
                         ProtocolVersion::Tls13Draft(23),
                         ProtocolVersion::Tls12,
@@ -730,6 +763,7 @@ mod tests {
                     legacy_version: ProtocolVersion::Ssl3,
                     session_id: &[],
                     cipher_suites: &[CipherSuite(0x0005), CipherSuite(0x000a)],
+                    offered: SuiteSet::of(&[CipherSuite(0x0005), CipherSuite(0x000a)]),
                     supported_versions: None,
                     curves: None,
                     has_renegotiation_info: false,
@@ -868,13 +902,54 @@ mod tests {
         choice.ok_or(HandshakeFailure::NoCommonCipher)
     }
 
-    /// [`decide`] with the reference selection in place of
-    /// `select_cipher`.
+    /// The iterator form `negotiate_version` replaced, verbatim:
+    /// `max_by_key` keeps the last of equal ranks.
+    fn reference_negotiate_version(
+        profile: &ServerProfile,
+        facts: &ClientFacts<'_>,
+    ) -> Result<ProtocolVersion, HandshakeFailure> {
+        // TLS 1.3 path: exact-member match within the 1.3 family, mirroring
+        // how draft deployments only interoperated on equal draft numbers.
+        if let Some(server13) = profile.tls13 {
+            let offered13 = match facts.supported_versions {
+                Some(vs) => vs.iter().any(|v| !grease_version(*v) && *v == server13),
+                None => false,
+            };
+            if offered13 {
+                return Ok(server13);
+            }
+        }
+        // Classic path: min(client max, server max), bounded below by both.
+        let client_max = match facts.supported_versions {
+            Some(vs) => vs
+                .iter()
+                .copied()
+                .filter(|v| !grease_version(*v) && !v.is_tls13_family())
+                .max_by_key(|v| v.rank()),
+            None => CLASSIC_VERSIONS
+                .into_iter()
+                .filter(|v| v.rank() <= facts.legacy_version.rank())
+                .max_by_key(|v| v.rank()),
+        }
+        .unwrap_or(facts.legacy_version);
+        let chosen = if client_max.rank() <= profile.max_version.rank() {
+            client_max
+        } else {
+            profile.max_version
+        };
+        if chosen.rank() < profile.min_version.rank() {
+            return Err(HandshakeFailure::VersionMismatch);
+        }
+        Ok(chosen)
+    }
+
+    /// [`decide`] with the reference version ladder and selection in
+    /// place of `negotiate_version` and `select_cipher`.
     fn reference_decide(
         profile: &ServerProfile,
         facts: &ClientFacts<'_>,
     ) -> Result<Decision, HandshakeFailure> {
-        let version = negotiate_version(profile, facts)?;
+        let version = reference_negotiate_version(profile, facts)?;
         let cipher = reference_select_cipher(profile, facts, version)?;
         Ok(Decision {
             version,
@@ -938,8 +1013,11 @@ mod tests {
             (0..n).map(|_| suite(rng, preference)).collect()
         }
 
+        /// A version from every rank class: released, TLS 1.3 family,
+        /// GREASE, and non-GREASE `Unknown` values (all rank 0, so a
+        /// list holding several exercises the last-of-equal-ranks rule).
         fn version(rng: &mut SmallRng) -> ProtocolVersion {
-            match rng.random_range(0..10u8) {
+            match rng.random_range(0..11u8) {
                 0 => ProtocolVersion::Ssl2,
                 1 => ProtocolVersion::Ssl3,
                 2 => ProtocolVersion::Tls10,
@@ -948,6 +1026,7 @@ mod tests {
                 6 => ProtocolVersion::Tls13,
                 7 => ProtocolVersion::Tls13Draft(pick(rng, &[18, 23, 28])),
                 8 => ProtocolVersion::Tls13Experiment(2),
+                9 => ProtocolVersion::Unknown(0x0200 | u16::from(rng.random::<u8>())),
                 _ => ProtocolVersion::Unknown(grease_value(rng.random::<u8>())),
             }
         }
@@ -998,6 +1077,7 @@ mod tests {
                     legacy_version: self.legacy_version,
                     session_id: &[],
                     cipher_suites: &self.cipher_suites,
+                    offered: SuiteSet::of(&self.cipher_suites),
                     supported_versions: self.supported_versions.as_deref(),
                     curves: self.curves.as_deref(),
                     has_renegotiation_info: self.has_renegotiation_info,

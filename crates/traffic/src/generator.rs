@@ -13,16 +13,16 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
 use tlscope_chron::{Date, Month};
 use tlscope_clients::{catalog, Family, HelloEntropy, HelloPatches};
 use tlscope_servers::{negotiate, Destination, ParamsCache, ServerPopulation};
 use tlscope_wire::codec::{patch_bytes, Writer};
 use tlscope_wire::exts::ext_type;
+use tlscope_wire::fxhash::FxHashMap;
 use tlscope_wire::grease::grease_value;
 use tlscope_wire::handshake::handshake_type;
 use tlscope_wire::record::{ContentType, Record, RecordView};
-use tlscope_wire::{CipherSuite, NamedGroup, ProtocolVersion, Sslv2ClientHello};
+use tlscope_wire::{CipherSuite, NamedGroup, ProtocolVersion, Sslv2ClientHello, SuiteSet};
 
 use crate::faults::FaultInjector;
 use crate::market::Market;
@@ -305,6 +305,7 @@ impl Generator {
             legacy_version: cfg.legacy_version,
             session_id: &entropy.session_id,
             cipher_suites: ciphers,
+            offered: SuiteSet::of(ciphers),
             supported_versions,
             curves: groups,
             has_renegotiation_info: cfg.extensions.contains(&ext_type::RENEGOTIATION_INFO),
@@ -519,8 +520,8 @@ struct ClientTemplate {
 /// hundred entries per stream at most.
 #[derive(Default)]
 struct TemplateCache {
-    client: HashMap<(usize, usize, &'static str), ClientTemplate>,
-    server: HashMap<u64, Vec<u8>>,
+    client: FxHashMap<(usize, usize, &'static str), ClientTemplate>,
+    server: FxHashMap<u64, Vec<u8>>,
     hits: u64,
     misses: u64,
 }

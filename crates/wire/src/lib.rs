@@ -16,6 +16,8 @@
 //!   extension types ([`exts`]), protocol versions incl. TLS 1.3 drafts
 //!   ([`version`]).
 //! * **GREASE** handling ([`grease`]).
+//! * **Hashing** ([`fxhash`]): the fixed multiply hasher behind the
+//!   per-flow maps of the traffic, fingerprint and notary crates.
 //!
 //! The registries answer every classification question the paper's
 //! analysis asks: is this suite RC4/CBC/AEAD? export-grade? anonymous?
@@ -46,6 +48,7 @@ pub mod alert;
 pub mod codec;
 pub mod error;
 pub mod exts;
+pub mod fxhash;
 pub mod grease;
 pub mod groups;
 pub mod handshake;
@@ -63,6 +66,8 @@ pub use grease::{is_grease, strip_grease};
 pub use groups::NamedGroup;
 pub use handshake::{ClientHello, ServerHello};
 pub use record::{sniff, ContentType, Record, RecordView, Sslv2ClientHello, WireFlavor};
-pub use suites::{AeadAlg, Auth, CipherSuite, Enc, EncMode, Kx, Mac, SuiteClasses, SuiteInfo};
+pub use suites::{
+    AeadAlg, Auth, CipherSuite, Enc, EncMode, Kx, Mac, SuiteClasses, SuiteInfo, SuiteSet,
+};
 pub use version::ProtocolVersion;
 pub use view::{ClientHelloView, ExtensionsView, ServerHelloView};

@@ -236,6 +236,7 @@ pub struct CipherSuite(pub u16);
 
 impl CipherSuite {
     /// Registry lookup; `None` for unregistered/GREASE values.
+    #[inline]
     pub fn info(self) -> Option<&'static SuiteInfo> {
         crate::suites_table::lookup(self.0)
     }
@@ -342,17 +343,18 @@ impl CipherSuite {
     }
 
     /// Key-exchange bucket, if registered.
+    #[inline]
     pub fn kx(self) -> Option<Kx> {
         self.info().map(|i| i.kx)
     }
 
     /// Every class membership in a single registry lookup — exactly
     /// equivalent to calling each `is_*` predicate (and [`aead_alg`])
-    /// separately, but without repeating the binary search per
-    /// predicate. Unregistered, GREASE, and SCSV values belong to no
-    /// class. The per-connection aggregation fold classifies every
-    /// offered suite along all axes at once, which makes the repeated
-    /// lookups the hot path this amortises.
+    /// separately, but without repeating the lookup and the property
+    /// tests per predicate. Unregistered, GREASE, and SCSV values
+    /// belong to no class. The per-connection aggregation fold
+    /// classifies every offered suite along all axes at once, which
+    /// makes the repeated lookups the hot path this amortises.
     ///
     /// [`aead_alg`]: CipherSuite::aead_alg
     pub fn classes(self) -> SuiteClasses {
@@ -412,6 +414,37 @@ pub struct SuiteClasses {
     pub forward_secret: bool,
     /// [`CipherSuite::aead_alg`].
     pub aead_alg: Option<AeadAlg>,
+}
+
+/// A set of registered cipher suites, one bit per registry position
+/// ([`crate::suites_table::index_of`], always below 256), so a
+/// membership test is one index load and one bit test.
+///
+/// A code point outside the registry (GREASE, unassigned values) is
+/// never in a set: [`SuiteSet::member`] answers `None` for it, and a
+/// caller that must know whether such a value was offered looks in the
+/// suite list itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SuiteSet([u64; 4]);
+
+impl SuiteSet {
+    /// The registered suites among `suites`.
+    pub fn of(suites: &[CipherSuite]) -> SuiteSet {
+        let mut set = SuiteSet::default();
+        for s in suites {
+            if let Some(i) = crate::suites_table::index_of(s.0) {
+                set.0[i / 64] |= 1 << (i % 64);
+            }
+        }
+        set
+    }
+
+    /// Whether `suite` is in the set: `Some` for a registered code
+    /// point, `None` for one outside the registry.
+    #[inline]
+    pub fn member(&self, suite: CipherSuite) -> Option<bool> {
+        crate::suites_table::index_of(suite.0).map(|i| self.0[i / 64] & 1 << (i % 64) != 0)
+    }
 }
 
 impl CipherSuite {
