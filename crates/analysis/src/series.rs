@@ -105,7 +105,7 @@ impl Figure {
         out.push_str("month");
         for s in &self.series {
             out.push(',');
-            out.push_str(&s.label.replace(',', ";"));
+            out.push_str(&csv_field(&s.label));
         }
         out.push('\n');
         for (i, m) in self.months.iter().enumerate() {
@@ -221,15 +221,26 @@ impl Table {
         out
     }
 
-    /// Emit CSV.
+    /// Emit CSV, one line per row, each cell quoted where RFC 4180
+    /// needs it.
     pub fn to_csv(&self) -> String {
-        let mut out = self.headers.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
+        let mut out = String::new();
+        for cells in std::iter::once(&self.headers).chain(&self.rows) {
+            let fields: Vec<_> = cells.iter().map(|c| csv_field(c)).collect();
+            out += &(fields.join(",") + "\n");
         }
         out
+    }
+}
+
+/// `cell` as one CSV field (RFC 4180): in double quotes, with each
+/// inner quote doubled, when it holds a comma, a quote or a line
+/// break; as it is otherwise.
+fn csv_field(cell: &str) -> std::borrow::Cow<'_, str> {
+    if cell.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", cell.replace('"', "\"\"")).into()
+    } else {
+        cell.into()
     }
 }
 
@@ -290,6 +301,20 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("Version,Date\n"));
         assert_eq!(csv.lines().count(), 3);
+    }
+
+    #[test]
+    fn csv_fields_are_quoted_when_they_must_be() {
+        assert_eq!(csv_field("TLS 1.2"), "TLS 1.2");
+        assert_eq!(csv_field("75 (41.7%, 75)"), "\"75 (41.7%, 75)\"");
+        assert_eq!(csv_field("a \"b\""), "\"a \"\"b\"\"\"");
+        assert_eq!(csv_field("two\nlines"), "\"two\nlines\"");
+        let mut t = Table::new("t", "quoting", vec!["Statistic", "Value"]);
+        t.push_row(vec!["single-day".into(), "590 (84.8%, 590)".into()]);
+        assert_eq!(
+            t.to_csv(),
+            "Statistic,Value\nsingle-day,\"590 (84.8%, 590)\"\n"
+        );
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! The passive measurement uses a *fused* streaming runner: the
 //! observation window is sharded by month across worker threads, and
 //! each worker generates its month's flows and aggregates them in the
-//! same loop — no month is ever materialized. Partial aggregates are
-//! merged at the end (aggregation is commutative, so the result is
-//! identical to a serial run), and every stage reports into a shared
-//! [`PipelineMetrics`]. The panic boundary sits on the month: a month
+//! same loop — no month is ever materialized. Each worker owns one
+//! [`ExtractScratch`] (record slot and parse cache) for every month it
+//! folds. Partial aggregates are merged at the end (aggregation is
+//! commutative, so the result is identical to a serial run), and every
+//! stage reports into a shared [`PipelineMetrics`], which also holds
+//! the run's panic reports. The panic boundary sits on the month: a month
 //! whose fold panics is replayed flow by flow and only the poison flow
 //! is quarantined. Months are units of the runner the active side's
 //! sweep dates and SSL-Pulse surveys also go through
@@ -15,6 +17,7 @@
 //! boundary on the date.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use tlscope_durable::{isolate, run_units, StoreError};
@@ -22,8 +25,7 @@ use tlscope_obs::Progress;
 
 use tlscope_chron::Month;
 use tlscope_notary::{
-    checkpoint, flush_parse_cache_metrics, ingest_borrowed, MetricsSnapshot, NotaryAggregate,
-    PipelineMetrics,
+    checkpoint, ingest_borrowed, ExtractScratch, MetricsSnapshot, NotaryAggregate, PipelineMetrics,
 };
 use tlscope_scanner::{ScanCampaign, ScanFaults, ScanMetrics, ScanSnapshot};
 use tlscope_servers::ServerPopulation;
@@ -177,9 +179,10 @@ impl Study {
     ///
     /// Months are sharded across `cfg.workers` threads through an
     /// atomic work index; each worker streams its month's events and
-    /// folds them into a *fresh per-month partial* as they are drawn,
-    /// so peak memory stays at one event per worker and a completed
-    /// month is a self-contained unit of progress. With
+    /// folds them, through the one [`ExtractScratch`] it owns, into a
+    /// *fresh per-month partial* as they are drawn, so peak memory
+    /// stays at one event per worker and a completed month is a
+    /// self-contained unit of progress. With
     /// `cfg.checkpoint_dir` set, each completed partial is written
     /// atomically to `<dir>/<YYYY-MM>.ckpt` before being merged, and
     /// months already checkpointed in the directory are loaded (on the
@@ -192,23 +195,25 @@ impl Study {
     ///
     /// Each month is folded behind a panic boundary. A month that
     /// panics is replayed flow by flow (it is pure in `(seed, month)`),
-    /// the flow that panics alone is quarantined, and the month then
-    /// commits as usual. A panic outside that boundary kills its
-    /// worker; the months that worker had merged are counted in
+    /// the flow that panics alone is quarantined and named in a flight
+    /// report in `metrics`, and the month then commits as usual. A
+    /// panic outside that boundary kills its worker; the months that
+    /// worker had merged are counted in
     /// `shards_lost`, and every other month is still merged and
     /// returned.
     pub fn try_run_passive_metered(
         &self,
         metrics: &PipelineMetrics,
     ) -> Result<NotaryAggregate, StoreError> {
-        self.run_months(metrics, |agg, _, _, flow| {
-            ingest_borrowed(agg, flow.date, flow.port, flow.client, flow.server)
+        self.run_months(metrics, |agg, scratch, _, _, flow| {
+            ingest_borrowed(agg, scratch, flow.date, flow.port, flow.client, flow.server)
         })
     }
 
     /// The month-sharded runner behind [`Study::try_run_passive_metered`]:
-    /// one [`run_units`] call, a month per unit. Generic over the
-    /// per-flow fold `(partial, month, flow index, flow)` so tests can
+    /// one [`run_units`] call, a month per unit, each worker holding
+    /// its merged months and its scratch. Generic over the per-flow
+    /// fold `(partial, scratch, month, flow index, flow)` so tests can
     /// inject a fold that panics.
     fn run_months<F>(
         &self,
@@ -216,7 +221,7 @@ impl Study {
         fold: F,
     ) -> Result<NotaryAggregate, StoreError>
     where
-        F: Fn(&mut NotaryAggregate, Month, u64, FlowRef<'_>) + Sync,
+        F: Fn(&mut NotaryAggregate, &mut ExtractScratch, Month, u64, FlowRef<'_>) + Sync,
     {
         let (mut result, completed) = match &self.cfg.checkpoint_dir {
             Some(dir) => {
@@ -241,15 +246,18 @@ impl Study {
             .filter(|m| !completed.contains(m))
             .collect();
         let progress = Progress::from_env("passive-study", total_months, "months", "flows");
+        let started = AtomicUsize::new(0);
         let ran = run_units(
             months.len(),
             self.cfg.workers,
             &progress,
             || metrics.snapshot().flows_ingested,
-            |i| {
+            |(agg, scratch): &mut (NotaryAggregate, ExtractScratch), i| {
+                started.fetch_add(1, Ordering::Relaxed);
                 let month = months[i];
                 let month_started = Instant::now();
-                let (partial, month_metrics) = self.fold_month_supervised(month, &fold, metrics);
+                let (partial, month_metrics) =
+                    self.fold_month_supervised(month, scratch, &fold, metrics);
                 if let Some(dir) = &self.cfg.checkpoint_dir {
                     let write_started = Instant::now();
                     checkpoint::write_month(dir, month, &partial)?;
@@ -261,12 +269,18 @@ impl Study {
                 }
                 metrics.month.record(month_started.elapsed());
                 metrics.absorb(&month_metrics);
-                Ok(partial)
+                agg.merge(partial);
+                if started.load(Ordering::Relaxed) == months.len() {
+                    // Every month has a worker, so this one runs no
+                    // more: free its parse cache now rather than after
+                    // the last worker joins.
+                    *scratch = ExtractScratch::new();
+                }
+                Ok(())
             },
-            |agg: &mut NotaryAggregate, _, partial| agg.merge(partial),
         )?;
         let started = Instant::now();
-        for partial in ran.parts {
+        for (partial, _) in ran.parts {
             result.merge(partial);
         }
         metrics.add(&MetricsSnapshot {
@@ -285,27 +299,27 @@ impl Study {
     /// On a panic the attempt is discarded and the month replayed: each
     /// flow is folded into a one-flow partial behind its own boundary,
     /// survivors are merged, and a flow that panics alone is
-    /// quarantined by `(month, flow index)`. Counters go to a
-    /// month-local bag that the caller absorbs on commit, so the
+    /// quarantined and reported by `(month, flow index)`. Both attempts
+    /// fold through the worker's `scratch`. Counters and reports go to
+    /// a month-local bag that the caller absorbs on commit, so the
     /// discarded attempt is never counted.
     fn fold_month_supervised<F>(
         &self,
         month: Month,
+        scratch: &mut ExtractScratch,
         fold: &F,
         metrics: &PipelineMetrics,
     ) -> (NotaryAggregate, PipelineMetrics)
     where
-        F: Fn(&mut NotaryAggregate, Month, u64, FlowRef<'_>),
+        F: Fn(&mut NotaryAggregate, &mut ExtractScratch, Month, u64, FlowRef<'_>),
     {
         let first = PipelineMetrics::new();
         let attempt = isolate(|| {
-            self.fold_month(month, &first, |partial, index, flow| {
-                fold(partial, month, index, flow);
+            self.fold_month(month, &first, scratch, |partial, scratch, index, flow| {
+                fold(partial, scratch, month, index, flow);
                 true
             })
         });
-        // Parse-cache deltas go to the attempt's own bag, kept or not.
-        flush_parse_cache_metrics(&first);
         if let Some(partial) = attempt {
             return (partial, first);
         }
@@ -314,10 +328,10 @@ impl Study {
             ..Default::default()
         });
         let replay = PipelineMetrics::new();
-        let partial = self.fold_month(month, &replay, |partial, index, flow| {
+        let partial = self.fold_month(month, &replay, scratch, |partial, scratch, index, flow| {
             let one = isolate(|| {
                 let mut one = NotaryAggregate::new();
-                fold(&mut one, month, index, flow);
+                fold(&mut one, scratch, month, index, flow);
                 one
             });
             match one {
@@ -330,22 +344,22 @@ impl Study {
                         flows_quarantined: 1,
                         ..Default::default()
                     });
-                    tlscope_obs::flight::report(&format!(
+                    replay.report(&format!(
                         "poison flow quarantined (month {month}, flow {index})"
                     ));
                     false
                 }
             }
         });
-        flush_parse_cache_metrics(&replay);
         (partial, replay)
     }
 
-    /// Stream `month` into a fresh partial and add it to `metrics`
-    /// once, after the loop: the stream's tally, the flows dispatched
-    /// and ingested, the parse failures, and the two stage clocks.
-    /// `fold` reports whether it ingested the flow (`false`:
-    /// quarantined).
+    /// Stream `month` into a fresh partial, folding each flow through
+    /// `scratch`, and add it to `metrics` once, after the loop: the
+    /// stream's tally, the parse-cache counters `scratch` moved, the
+    /// flows dispatched and ingested, the parse failures, and the two
+    /// stage clocks. `fold` reports whether it ingested the flow
+    /// (`false`: quarantined). An attempt that panics adds nothing.
     ///
     /// The clocks are sampled: every [`TIMING_SAMPLE`]th flow by index
     /// (starting at 0) is timed with three clock reads — before
@@ -355,8 +369,10 @@ impl Study {
         &self,
         month: Month,
         metrics: &PipelineMetrics,
-        mut fold: impl FnMut(&mut NotaryAggregate, u64, FlowRef<'_>) -> bool,
+        scratch: &mut ExtractScratch,
+        mut fold: impl FnMut(&mut NotaryAggregate, &mut ExtractScratch, u64, FlowRef<'_>) -> bool,
     ) -> NotaryAggregate {
+        let cache_before = scratch.parse_cache_stats();
         let mut partial = NotaryAggregate::new();
         let (mut dispatched, mut ingested, mut sampled) = (0u64, 0u64, 0u64);
         let (mut gen_time, mut ingest_time) = (Duration::ZERO, Duration::ZERO);
@@ -370,7 +386,7 @@ impl Study {
                 break;
             };
             let generated = started.map(|t0| (t0, Instant::now()));
-            ingested += u64::from(fold(&mut partial, dispatched, flow));
+            ingested += u64::from(fold(&mut partial, scratch, dispatched, flow));
             if let Some((t0, t1)) = generated {
                 gen_time += t1 - t0;
                 ingest_time += t1.elapsed();
@@ -383,6 +399,7 @@ impl Study {
             n => (sum.as_nanos() * u128::from(dispatched) / u128::from(n)) as u64,
         };
         let tally = stream.tally();
+        let cache = scratch.parse_cache_stats();
         metrics.add(&MetricsSnapshot {
             flows_generated: tally.flows,
             bytes_generated: tally.wire_bytes,
@@ -397,6 +414,9 @@ impl Study {
             ingest_nanos: scaled(ingest_time),
             template_hits: tally.template_hits,
             template_misses: tally.template_misses,
+            parse_cache_hits: cache.hits - cache_before.hits,
+            parse_cache_misses: cache.misses - cache_before.misses,
+            parse_cache_evictions: cache.evictions - cache_before.evictions,
             ..Default::default()
         });
         partial
@@ -460,7 +480,6 @@ impl Study {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::Mutex;
     use tlscope_notary::MetricsSnapshot;
 
     #[test]
@@ -822,10 +841,14 @@ mod tests {
     fn fold_except(
         at: (Month, u64),
         poison: bool,
-    ) -> impl Fn(&mut NotaryAggregate, Month, u64, FlowRef<'_>) + Sync {
-        move |agg: &mut NotaryAggregate, month: Month, index: u64, flow: FlowRef<'_>| {
+    ) -> impl Fn(&mut NotaryAggregate, &mut ExtractScratch, Month, u64, FlowRef<'_>) + Sync {
+        move |agg: &mut NotaryAggregate,
+              scratch: &mut ExtractScratch,
+              month: Month,
+              index: u64,
+              flow: FlowRef<'_>| {
             if (month, index) != at {
-                ingest_borrowed(agg, flow.date, flow.port, flow.client, flow.server);
+                ingest_borrowed(agg, scratch, flow.date, flow.port, flow.client, flow.server);
             } else if poison {
                 panic!("poison flow {index} of {month}");
             }
@@ -908,15 +931,72 @@ mod tests {
         }
     }
 
-    /// Serialises the tests that file flight reports: the black box is
-    /// process-wide, and the poison property drains it.
-    static FLIGHT_BOX: Mutex<()> = Mutex::new(());
+    /// At one worker, the run's parse-cache counters are those of one
+    /// scratch folding the same months in order by hand: the worker's
+    /// scratch lives across its months.
+    #[test]
+    fn one_worker_parse_cache_counts_match_one_scratch_by_hand() {
+        let mut cfg = StudyConfig::quick();
+        cfg.start = Month::ym(2016, 11);
+        cfg.end = Month::ym(2017, 2);
+        cfg.connections_per_month = 300;
+        cfg.faults = FaultInjector::stress();
+        cfg.workers = 1;
+        let study = Study::new(cfg);
+        let (mut agg, mut scratch) = (NotaryAggregate::new(), ExtractScratch::new());
+        for month in study.months() {
+            let mut stream = study.generator().stream_month(month);
+            while let Some(f) = stream.next_flow() {
+                ingest_borrowed(&mut agg, &mut scratch, f.date, f.port, f.client, f.server);
+            }
+        }
+        let metrics = PipelineMetrics::new();
+        assert_eq!(study.run_passive_metered(&metrics), agg);
+        let (s, hand) = (metrics.snapshot(), scratch.parse_cache_stats());
+        assert!(hand.hits > 0 && hand.misses > 0, "{hand:?}");
+        assert_eq!(
+            (
+                s.parse_cache_hits,
+                s.parse_cache_misses,
+                s.parse_cache_evictions
+            ),
+            (hand.hits, hand.misses, hand.evictions)
+        );
+    }
+
+    /// Two studies running at once in one process each report their
+    /// own poison flow, and only it, in their own bag.
+    #[test]
+    fn concurrent_runs_keep_their_flight_reports_apart() {
+        let mut cfg = StudyConfig::quick();
+        cfg.start = Month::ym(2016, 1);
+        cfg.end = Month::ym(2016, 2);
+        cfg.connections_per_month = 80;
+        cfg.workers = 2;
+        let studies = [Study::new(cfg.clone()), Study::new(cfg)];
+        let poisons = [(Month::ym(2016, 1), 7), (Month::ym(2016, 2), 31)];
+        let bags = [PipelineMetrics::new(), PipelineMetrics::new()];
+        std::thread::scope(|s| {
+            for ((study, bag), at) in studies.iter().zip(&bags).zip(poisons) {
+                s.spawn(move || study.run_months(bag, fold_except(at, true)).unwrap());
+            }
+        });
+        for (bag, (month, index)) in bags.iter().zip(poisons) {
+            let reports = bag.reports();
+            assert_eq!(
+                reports,
+                [format!(
+                    "flight report: poison flow quarantined (month {month}, flow {index})\n"
+                )]
+            );
+            assert_eq!(bag.snapshot().flows_quarantined, 1);
+        }
+    }
 
     /// A fold that panics on every flow costs one replay per month and
     /// quarantines every flow; no month is lost.
     #[test]
     fn fully_poisoned_run_quarantines_every_flow() {
-        let _flight_box = FLIGHT_BOX.lock().unwrap_or_else(|p| p.into_inner());
         let mut cfg = StudyConfig::quick();
         cfg.start = Month::ym(2017, 1);
         cfg.end = Month::ym(2017, 3);
@@ -924,9 +1004,8 @@ mod tests {
         cfg.workers = 2;
         let metrics = PipelineMetrics::new();
         let agg = Study::new(cfg)
-            .run_months(&metrics, |_, _, _, _| panic!("always fails"))
+            .run_months(&metrics, |_, _, _, _, _| panic!("always fails"))
             .unwrap();
-        tlscope_obs::flight::drain_reports();
         assert_eq!(agg, NotaryAggregate::new());
         let s = metrics.snapshot();
         assert_eq!(s.months_replayed, 3);
@@ -952,7 +1031,6 @@ mod tests {
             month_of_year in 1u8..=3,
             draw in 0u64..1_000_000,
         ) {
-            let _flight_box = FLIGHT_BOX.lock().unwrap_or_else(|p| p.into_inner());
             let month = Month::ym(2016, month_of_year);
             for faults in [
                 FaultInjector::none(),
@@ -993,7 +1071,7 @@ mod tests {
                     prop_assert_eq!(s.shards_lost, 0);
                     prop_assert_eq!(generation_ledger(&s), generation_ledger(&clean.snapshot()));
                     let named = format!("month {}, flow {}", at.0, at.1);
-                    let reports = tlscope_obs::flight::drain_reports();
+                    let reports = metrics.reports();
                     prop_assert!(reports.iter().any(|r| r.contains(&named)), "{:?}", reports);
                 }
             }

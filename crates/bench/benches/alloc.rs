@@ -41,14 +41,13 @@
 //! `heartbeat` row's `ratio_vs_quiet`, the median ratio of quiet to
 //! heartbeat pairs timed within one run (see [`HEARTBEAT_RATIO_MIN`]).
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use tlscope::chron::Month;
 use tlscope::notary::conn::extract_with;
-use tlscope::notary::{
-    ingest_borrowed, parse_cache_stats, ConnectionRecord, ExtractScratch, NotaryAggregate,
-};
+use tlscope::notary::{ingest_borrowed, ConnectionRecord, ExtractScratch, NotaryAggregate};
 use tlscope::obs::Progress;
 use tlscope::traffic::{ConnectionEvent, FaultInjector, Generator, TrafficConfig};
 
@@ -120,14 +119,17 @@ fn main() {
     let month = Month::new(2015, 6).unwrap();
     let gen = generator(conns);
 
-    // Warm up thread-local scratch and lazy runtime state outside the
-    // counted regions; `warm` also serves as the pre-built owned flow
-    // set for the ingest stage.
+    // One extraction scratch serves every stage, as a study worker's
+    // one scratch serves its months. Warm it and lazy runtime state
+    // outside the counted regions; `warm` also serves as the pre-built
+    // owned flow set for the ingest stage.
+    let scratch = RefCell::new(ExtractScratch::new());
     let warm: Vec<ConnectionEvent> = gen.month(month);
     let mut agg = NotaryAggregate::new();
     for flow in warm.iter().take(64) {
         ingest_borrowed(
             &mut agg,
+            &mut scratch.borrow_mut(),
             flow.date,
             flow.port,
             &flow.client_flow,
@@ -150,10 +152,11 @@ fn main() {
     // --- Ingestion stage (extract + aggregate) over pre-built flows,
     // through the borrowed path. ---
     let ingest_stage = || {
-        let mut agg = NotaryAggregate::new();
+        let (mut agg, mut scratch) = (NotaryAggregate::new(), scratch.borrow_mut());
         for flow in &warm {
             ingest_borrowed(
                 &mut agg,
+                &mut scratch,
                 flow.date,
                 flow.port,
                 &flow.client_flow,
@@ -168,10 +171,11 @@ fn main() {
     // --- Fused pipeline: generate -> tap -> extract -> aggregate,
     // zero-copy end to end (the study runner's inner loop). ---
     let fused = || {
-        let mut agg = NotaryAggregate::new();
+        let (mut agg, mut scratch) = (NotaryAggregate::new(), scratch.borrow_mut());
         let mut stream = gen.stream_month(month);
         while let Some(flow) = stream.next_flow() {
-            ingest_borrowed(&mut agg, flow.date, flow.port, flow.client, flow.server);
+            let (date, port) = (flow.date, flow.port);
+            ingest_borrowed(&mut agg, &mut scratch, date, port, flow.client, flow.server);
         }
         std::hint::black_box(&agg);
     };
@@ -205,11 +209,19 @@ fn main() {
                     progress.run_ticker(&stop, || (0, published.load(Ordering::Relaxed)))
                 });
                 let secs = best_secs(2, || {
-                    let mut agg = NotaryAggregate::new();
+                    let (mut agg, mut scratch) = (NotaryAggregate::new(), scratch.borrow_mut());
                     let mut stream = gen.stream_month(month);
                     let mut flows = 0u64;
                     while let Some(flow) = stream.next_flow() {
-                        ingest_borrowed(&mut agg, flow.date, flow.port, flow.client, flow.server);
+                        let (date, port) = (flow.date, flow.port);
+                        ingest_borrowed(
+                            &mut agg,
+                            &mut scratch,
+                            date,
+                            port,
+                            flow.client,
+                            flow.server,
+                        );
                         flows += 1;
                         if flows.is_multiple_of(1024) {
                             published.store(flows, Ordering::Relaxed);
@@ -237,7 +249,7 @@ fn main() {
 
     // --- Cache effectiveness on the clean profile: one dedicated
     // stream run for the generation-side template cache, and one fused
-    // pass bracketed by thread-local counter snapshots for the
+    // pass bracketed by snapshots of the scratch's counters for the
     // ingestion-side parse cache (the cache is warm from the timed
     // stages above, as it is in a long study run). ---
     let (tmpl_hits, tmpl_misses) = {
@@ -247,9 +259,9 @@ fn main() {
         }
         stream.template_cache_stats()
     };
-    let parse_before = parse_cache_stats();
+    let parse_before = scratch.borrow().parse_cache_stats();
     fused();
-    let parse_after = parse_cache_stats();
+    let parse_after = scratch.borrow().parse_cache_stats();
     let parse_hits = parse_after.hits - parse_before.hits;
     let parse_misses = parse_after.misses - parse_before.misses;
     let tmpl_rate = hit_rate(tmpl_hits, tmpl_misses);

@@ -21,27 +21,36 @@
 #![cfg(feature = "alloc-counter")]
 
 use tlscope::chron::{Date, Month};
-use tlscope::notary::{ingest_borrowed, NotaryAggregate};
+use tlscope::notary::{ingest_borrowed, ExtractScratch, NotaryAggregate};
 use tlscope::scanner::{sweep_sharded_with, ScanFaults, ScanMetrics};
 use tlscope::servers::ServerPopulation;
 use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
 use tlscope_bench::{alloc_counter, PIPELINE_ALLOC_BUDGET_PER_CONN, SCAN_ALLOC_BUDGET_PER_HOST};
 
-fn fused_pipeline_allocs(conns: u32) -> u64 {
+/// Allocations of one fused pass over a month of `conns` connections,
+/// folded through `scratch`.
+fn fused_pipeline_allocs(conns: u32, scratch: &mut ExtractScratch) -> u64 {
     let gen = Generator::new(TrafficConfig {
         seed: 0x715C0,
         connections_per_month: conns,
         faults: FaultInjector::none(),
     });
     let month = Month::new(2015, 6).unwrap();
-    // Warm thread-local extraction scratch outside the counted region.
+    // Warm the extraction scratch outside the counted region.
     let mut agg = NotaryAggregate::new();
     let mut stream = gen.stream_month(month);
     for _ in 0..64 {
         let Some(flow) = stream.next_flow() else {
             break;
         };
-        ingest_borrowed(&mut agg, flow.date, flow.port, flow.client, flow.server);
+        ingest_borrowed(
+            &mut agg,
+            scratch,
+            flow.date,
+            flow.port,
+            flow.client,
+            flow.server,
+        );
     }
     drop(stream);
     drop(agg);
@@ -49,7 +58,14 @@ fn fused_pipeline_allocs(conns: u32) -> u64 {
         let mut agg = NotaryAggregate::new();
         let mut stream = gen.stream_month(month);
         while let Some(flow) = stream.next_flow() {
-            ingest_borrowed(&mut agg, flow.date, flow.port, flow.client, flow.server);
+            ingest_borrowed(
+                &mut agg,
+                scratch,
+                flow.date,
+                flow.port,
+                flow.client,
+                flow.server,
+            );
         }
         std::hint::black_box(&agg);
     });
@@ -59,8 +75,11 @@ fn fused_pipeline_allocs(conns: u32) -> u64 {
 #[test]
 fn marginal_pipeline_allocs_per_conn_stay_under_budget() {
     let (small, large) = (2_000u32, 6_000u32);
-    let a_small = fused_pipeline_allocs(small);
-    let a_large = fused_pipeline_allocs(large);
+    // One scratch for both passes, as one study worker keeps its
+    // scratch across months.
+    let mut scratch = ExtractScratch::new();
+    let a_small = fused_pipeline_allocs(small, &mut scratch);
+    let a_large = fused_pipeline_allocs(large, &mut scratch);
     // With the borrowed path the marginal cost can be ~zero; the
     // larger run may allocate no more than the smaller once tables
     // have grown, so the delta saturates instead of asserting growth.

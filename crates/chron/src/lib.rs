@@ -189,12 +189,6 @@ impl Date {
     pub fn add_days(self, days: i64) -> Self {
         Self::from_epoch_days(self.to_epoch_days() + days)
     }
-
-    /// Day of week, 0 = Monday .. 6 = Sunday (ISO).
-    pub fn weekday(self) -> u8 {
-        // 1970-01-01 was a Thursday (ISO index 3).
-        ((self.to_epoch_days() + 3).rem_euclid(7)) as u8
-    }
 }
 
 impl core::ops::Sub for Date {
@@ -284,24 +278,6 @@ impl Month {
         self.month
     }
 
-    /// First day of this month.
-    pub fn first_day(self) -> Date {
-        Date {
-            year: self.year,
-            month: self.month,
-            day: 1,
-        }
-    }
-
-    /// Last day of this month.
-    pub fn last_day(self) -> Date {
-        Date {
-            year: self.year,
-            month: self.month,
-            day: days_in_month(self.year as i32, self.month),
-        }
-    }
-
     /// Number of days in this month.
     pub fn len_days(self) -> u8 {
         days_in_month(self.year as i32, self.month)
@@ -345,13 +321,6 @@ impl Month {
             end,
             done: end < self,
         }
-    }
-
-    /// Fraction of the way through this month a given date falls,
-    /// in `[0, 1)`. Useful for interpolating monthly model curves.
-    pub fn fraction_of(self, date: Date) -> f64 {
-        debug_assert_eq!(date.month(), self);
-        f64::from(date.day() - 1) / f64::from(self.len_days())
     }
 }
 
@@ -467,14 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn weekday() {
-        // 1970-01-01 was a Thursday.
-        assert_eq!(Date::ymd(1970, 1, 1).weekday(), 3);
-        // 2018-10-31 (IMC'18 start) was a Wednesday.
-        assert_eq!(Date::ymd(2018, 10, 31).weekday(), 2);
-    }
-
-    #[test]
     fn month_arithmetic() {
         let m = Month::ym(2012, 2);
         assert_eq!(m.next(), Month::ym(2012, 3));
@@ -529,15 +490,6 @@ mod tests {
     #[test]
     fn month_boundaries() {
         let m = Month::ym(2016, 2);
-        assert_eq!(m.first_day(), Date::ymd(2016, 2, 1));
-        assert_eq!(m.last_day(), Date::ymd(2016, 2, 29));
         assert_eq!(m.len_days(), 29);
-    }
-
-    #[test]
-    fn fraction_of_month() {
-        let m = Month::ym(2018, 1);
-        assert_eq!(m.fraction_of(Date::ymd(2018, 1, 1)), 0.0);
-        assert!(m.fraction_of(Date::ymd(2018, 1, 31)) < 1.0);
     }
 }

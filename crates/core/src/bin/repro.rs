@@ -317,8 +317,9 @@ fn main() -> ExitCode {
         }
     }
     // Any flight reports filed by panic boundaries during the run come
-    // out last so they sit next to the exit status in a captured log.
-    for report in tlscope::obs::flight::drain_reports() {
+    // out last so they sit next to the exit status in a captured log:
+    // the passive run's, then the scans'.
+    for report in [ctx.metrics().reports(), ctx.scan_metrics().reports()].concat() {
         eprint!("{report}");
     }
     if failed {

@@ -6,7 +6,7 @@ use tlscope_analysis::{figures, sections, tables, Figure, Study, StudyConfig, Ta
 use tlscope_chron::Date;
 use tlscope_durable::StoreError;
 use tlscope_notary::{NotaryAggregate, PipelineMetrics};
-use tlscope_scanner::{ScanMetrics, ScanMetricsSnapshot, ScanSnapshot};
+use tlscope_scanner::{PulseSnapshot, ScanMetrics, ScanMetricsSnapshot, ScanSnapshot};
 
 /// A rendered experiment result.
 #[derive(Debug, Clone)]
@@ -40,6 +40,18 @@ impl Artifact {
             Artifact::Figure(f) => &f.id,
             Artifact::Table(t) => &t.id,
         }
+    }
+}
+
+impl From<Figure> for Artifact {
+    fn from(figure: Figure) -> Self {
+        Artifact::Figure(figure)
+    }
+}
+
+impl From<Table> for Artifact {
+    fn from(table: Table) -> Self {
+        Artifact::Table(table)
     }
 }
 
@@ -77,48 +89,95 @@ impl From<StoreError> for RunError {
     }
 }
 
-/// All experiment ids, in paper order.
-pub const EXPERIMENT_IDS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "s4.1",
-    "s5.1",
-    "s5.4",
-    "s5.5",
-    "s5.6",
-    "s6.1",
-    "s6.2",
-    "s6.3",
-    "s6.4",
-    "s7.3",
-    "s9-ext",
-    "ssl-pulse",
-    "censys",
-    "scan-accounting",
-    "impact",
-];
+/// What an artefact reads, with the render that turns it into the
+/// artefact.
+#[derive(Clone, Copy)]
+enum Render {
+    /// Nothing: a static table.
+    Nothing(fn() -> Artifact),
+    /// The passive aggregate.
+    Passive(fn(&NotaryAggregate) -> Artifact),
+    /// The active campaign's snapshots.
+    Scans(fn(&[ScanSnapshot]) -> Artifact),
+    /// Both apertures — the s5.x comparisons that set passive
+    /// observations against the active campaign. Scans run first.
+    Both(fn(&NotaryAggregate, &[ScanSnapshot]) -> Artifact),
+    /// The yearly SSL-Pulse surveys.
+    Pulse(fn(&[PulseSnapshot]) -> Artifact),
+    /// The campaign's own ledger.
+    Ledger(fn(&ScanMetricsSnapshot) -> Artifact),
+}
 
-/// Whether an experiment needs the passive run / the active campaign.
+/// Every artefact, in paper order: its id, what it reads and its
+/// render.
+const ARTIFACTS: [(&str, Render); 31] = {
+    use Render::*;
+    [
+        ("table1", Nothing(|| tables::table1().into())),
+        ("table2", Passive(|a| tables::table2(a).into())),
+        ("table3", Nothing(|| tables::table3().into())),
+        ("table4", Nothing(|| tables::table4().into())),
+        ("table5", Nothing(|| tables::table5().into())),
+        ("table6", Nothing(|| tables::table6().into())),
+        ("fig1", Passive(|a| figures::fig1(a).into())),
+        ("fig2", Passive(|a| figures::fig2(a).into())),
+        ("fig3", Passive(|a| figures::fig3(a).into())),
+        ("fig4", Passive(|a| figures::fig4(a).into())),
+        ("fig5", Passive(|a| figures::fig5(a).into())),
+        ("fig6", Passive(|a| figures::fig6(a).into())),
+        ("fig7", Passive(|a| figures::fig7(a).into())),
+        ("fig8", Passive(|a| figures::fig8(a).into())),
+        ("fig9", Passive(|a| figures::fig9(a).into())),
+        ("fig10", Passive(|a| figures::fig10(a).into())),
+        ("s4.1", Passive(|a| sections::s4_1(a).into())),
+        ("s5.1", Both(|a, s| sections::s5_1(a, s).into())),
+        ("s5.4", Both(|a, s| sections::s5_4(a, s).into())),
+        ("s5.5", Passive(|a| sections::s5_5(a).into())),
+        ("s5.6", Both(|a, s| sections::s5_6(a, s).into())),
+        ("s6.1", Passive(|a| sections::s6_1(a).into())),
+        ("s6.2", Passive(|a| sections::s6_2(a).into())),
+        ("s6.3", Passive(|a| sections::s6_3(a).into())),
+        ("s6.4", Passive(|a| sections::s6_4(a).into())),
+        ("s7.3", Passive(|a| sections::s7_3(a).into())),
+        ("s9-ext", Passive(|a| sections::s9_extensions(a).into())),
+        ("ssl-pulse", Pulse(|p| sections::ssl_pulse(p).into())),
+        ("censys", Scans(|s| sections::censys_series(s).into())),
+        (
+            "scan-accounting",
+            Ledger(|l| sections::scan_accounting(l).into()),
+        ),
+        ("impact", Passive(|a| impact_table(a).into())),
+    ]
+};
+
+/// All experiment ids, in paper order.
+pub const EXPERIMENT_IDS: &[&str] = &{
+    let mut ids = [""; ARTIFACTS.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = ARTIFACTS[i].0;
+        i += 1;
+    }
+    ids
+};
+
+/// The render of artefact `id`, if the registry has it.
+fn render(id: &str) -> Option<Render> {
+    ARTIFACTS
+        .iter()
+        .find(|(known, _)| *known == id)
+        .map(|(_, r)| *r)
+}
+
+/// Whether an experiment needs the passive run / the active campaign
+/// (the SSL-Pulse surveys count as active). An unknown id needs
+/// neither.
 pub fn needs(id: &str) -> (bool, bool) {
-    match id {
-        "table1" | "table3" | "table4" | "table5" | "table6" => (false, false),
-        "s5.1" | "s5.4" | "s5.6" => (true, true),
-        "censys" | "ssl-pulse" | "scan-accounting" => (false, true),
-        _ => (true, false),
+    match render(id) {
+        None | Some(Render::Nothing(_)) => (false, false),
+        Some(Render::Passive(_)) => (true, false),
+        Some(Render::Both(_)) => (true, true),
+        Some(Render::Scans(_) | Render::Pulse(_) | Render::Ledger(_)) => (false, true),
     }
 }
 
@@ -163,11 +222,6 @@ impl ReportContext {
     /// The passive aggregate if it has been computed or injected.
     pub fn passive_ref(&self) -> Option<&NotaryAggregate> {
         self.passive.as_ref()
-    }
-
-    /// The underlying study.
-    pub fn study(&self) -> &Study {
-        &self.study
     }
 
     /// Pipeline accounting for the passive run (all zeros until
@@ -215,89 +269,51 @@ impl ReportContext {
         Ok(self.scans.as_deref().unwrap())
     }
 
-    /// Run both apertures (scans first, then passive) and return them
-    /// together — the shared shape of the s5.x comparisons that set
-    /// passive observations against the active campaign.
-    fn passive_and_scans(&mut self) -> Result<(&NotaryAggregate, &[ScanSnapshot]), RunError> {
-        self.try_scans()?;
-        self.try_passive()?;
-        Ok((
-            self.passive.as_ref().unwrap(),
-            self.scans.as_deref().unwrap(),
-        ))
+    /// One SSL Pulse-style survey per year over the SSL Pulse window
+    /// (Oct 2013 on), one survey per unit of the runner the campaign
+    /// uses: survey probes land in the same scan ledger the sweeps
+    /// use, so `--scan-stats` sees them.
+    fn pulses(&self) -> Vec<PulseSnapshot> {
+        let cfg = self.study.config();
+        let dates: Vec<Date> = (2013..=2018)
+            .map(|year| match year {
+                2013 => Date::ymd(2013, 10, 1),
+                _ => Date::ymd(year, 4, 1),
+            })
+            .collect();
+        tlscope_scanner::pulse_surveys(
+            &tlscope_scanner::ProbeSet::campaign(),
+            &tlscope_servers::ServerPopulation::new(),
+            &dates,
+            cfg.scan_hosts,
+            cfg.seed,
+            cfg.workers,
+            &self.scan_metrics,
+        )
     }
 
-    /// Run one experiment by id. Checkpoint-store errors from either
-    /// aperture surface as [`RunError`] rather than aborting the
-    /// process.
+    /// Run one experiment by id, running first whatever it reads.
+    /// Checkpoint-store errors from either aperture surface as
+    /// [`RunError`] rather than aborting the process.
     pub fn run(&mut self, id: &str) -> Result<Artifact, RunError> {
-        Ok(match id {
-            "table1" => Artifact::Table(tables::table1()),
-            "table2" => Artifact::Table(tables::table2(self.try_passive()?)),
-            "table3" => Artifact::Table(tables::table3()),
-            "table4" => Artifact::Table(tables::table4()),
-            "table5" => Artifact::Table(tables::table5()),
-            "table6" => Artifact::Table(tables::table6()),
-            "fig1" => Artifact::Figure(figures::fig1(self.try_passive()?)),
-            "fig2" => Artifact::Figure(figures::fig2(self.try_passive()?)),
-            "fig3" => Artifact::Figure(figures::fig3(self.try_passive()?)),
-            "fig4" => Artifact::Figure(figures::fig4(self.try_passive()?)),
-            "fig5" => Artifact::Figure(figures::fig5(self.try_passive()?)),
-            "fig6" => Artifact::Figure(figures::fig6(self.try_passive()?)),
-            "fig7" => Artifact::Figure(figures::fig7(self.try_passive()?)),
-            "fig8" => Artifact::Figure(figures::fig8(self.try_passive()?)),
-            "fig9" => Artifact::Figure(figures::fig9(self.try_passive()?)),
-            "fig10" => Artifact::Figure(figures::fig10(self.try_passive()?)),
-            "s4.1" => Artifact::Table(sections::s4_1(self.try_passive()?)),
-            "s5.1" => {
-                let (passive, scans) = self.passive_and_scans()?;
-                Artifact::Table(sections::s5_1(passive, scans))
-            }
-            "s5.4" => {
-                let (passive, scans) = self.passive_and_scans()?;
-                Artifact::Table(sections::s5_4(passive, scans))
-            }
-            "s5.5" => Artifact::Table(sections::s5_5(self.try_passive()?)),
-            "s5.6" => {
-                let (passive, scans) = self.passive_and_scans()?;
-                Artifact::Table(sections::s5_6(passive, scans))
-            }
-            "s6.1" => Artifact::Table(sections::s6_1(self.try_passive()?)),
-            "s6.2" => Artifact::Table(sections::s6_2(self.try_passive()?)),
-            "s6.3" => Artifact::Table(sections::s6_3(self.try_passive()?)),
-            "s6.4" => Artifact::Table(sections::s6_4(self.try_passive()?)),
-            "s7.3" => Artifact::Table(sections::s7_3(self.try_passive()?)),
-            "s9-ext" => Artifact::Figure(sections::s9_extensions(self.try_passive()?)),
-            "ssl-pulse" => {
-                // Yearly surveys over the SSL Pulse window (Oct 2013
-                // on), one survey per unit of the runner the campaign
-                // uses: survey probes land in the same scan ledger the
-                // sweeps use, so `--scan-stats` sees them.
-                let cfg = self.study.config();
-                let dates: Vec<Date> = (2013..=2018)
-                    .map(|year| match year {
-                        2013 => Date::ymd(2013, 10, 1),
-                        _ => Date::ymd(year, 4, 1),
-                    })
-                    .collect();
-                let pulses = tlscope_scanner::pulse_surveys(
-                    &tlscope_scanner::ProbeSet::campaign(),
-                    &tlscope_servers::ServerPopulation::new(),
-                    &dates,
-                    cfg.scan_hosts,
-                    cfg.seed,
-                    cfg.workers,
-                    &self.scan_metrics,
-                );
-                Artifact::Table(sections::ssl_pulse(&pulses))
-            }
-            "censys" => Artifact::Figure(sections::censys_series(self.try_scans()?)),
-            "scan-accounting" => {
+        let render = render(id).ok_or_else(|| RunError::UnknownExperiment(id.to_string()))?;
+        Ok(match render {
+            Render::Nothing(f) => f(),
+            Render::Passive(f) => f(self.try_passive()?),
+            Render::Scans(f) => f(self.try_scans()?),
+            Render::Both(f) => {
                 self.try_scans()?;
-                Artifact::Table(sections::scan_accounting(&self.campaign_ledger))
+                self.try_passive()?;
+                f(
+                    self.passive.as_ref().unwrap(),
+                    self.scans.as_deref().unwrap(),
+                )
             }
-            "impact" => Artifact::Table(impact_table(self.try_passive()?)),
-            _ => return Err(RunError::UnknownExperiment(id.to_string())),
+            Render::Pulse(f) => f(&self.pulses()),
+            Render::Ledger(f) => {
+                self.try_scans()?;
+                f(&self.campaign_ledger)
+            }
         })
     }
 }

@@ -47,12 +47,42 @@ fn quick_csv_all_is_pinned() {
             .args(["--quick", "--csv", "all"])
             .env_remove("TLSCOPE_SCAN_FAULT_PROFILE"),
     );
-    assert_eq!(stdout.len(), 35_595);
+    assert_eq!(stdout.len(), 35_597);
     assert_eq!(
         tlscope::durable::fnv1a64(&stdout),
-        0x6d78_a31c_2a84_bd7e,
+        0xc099_a43c_4101_668c,
         "the quick run's artefacts changed"
     );
+}
+
+/// Fields in one CSV line: commas outside double quotes, plus one.
+fn fields(line: &str) -> usize {
+    let mut quoted = false;
+    let commas = line.chars().filter(|&c| {
+        quoted ^= c == '"';
+        c == ',' && !quoted
+    });
+    commas.count() + 1
+}
+
+/// Every CSV block `repro --csv` prints — a `# <id>` line, a header,
+/// then rows — has as many fields in each row as in its header.
+#[test]
+fn quick_csv_rows_have_as_many_fields_as_their_header() {
+    let stdout = String::from_utf8(repro_stdout(&["--quick", "--csv", "all"])).expect("utf-8 csv");
+    let mut header = None;
+    let mut blocks = 0;
+    for line in stdout.lines() {
+        if line.starts_with("# ") {
+            header = None;
+            blocks += 1;
+        } else if let Some(width) = header {
+            assert_eq!(fields(line), width, "row `{line}`");
+        } else {
+            header = Some(fields(line));
+        }
+    }
+    assert_eq!(blocks, 31);
 }
 
 /// `--seed` takes the hex form the run header prints (`seed 0x…`,

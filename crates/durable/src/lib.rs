@@ -294,7 +294,7 @@ where
         workers,
         &progress,
         || bytes.load(Ordering::Relaxed),
-        |i| {
+        |(acc, bad): &mut (A, Vec<(usize, PathBuf)>), i| {
             let (key, path) = &units[i];
             let parsed = match fs::read_to_string(path) {
                 Ok(text) => {
@@ -310,16 +310,14 @@ where
                 Err(e) => Err(StoreError::Io(path.clone(), e)),
             };
             match parsed {
-                Ok(parsed) => Ok(Ok(parsed)),
-                Err(e) if e.is_damage() => quarantine(path)
-                    .map(Err)
-                    .map_err(|e| StoreError::Io(path.clone(), e)),
-                Err(e) => Err(e),
+                Ok(parsed) => commit(acc, key, parsed),
+                Err(e) if e.is_damage() => {
+                    let moved = quarantine(path).map_err(|e| StoreError::Io(path.clone(), e))?;
+                    bad.push((i, moved));
+                }
+                Err(e) => return Err(e),
             }
-        },
-        |(acc, bad): &mut (A, Vec<(usize, PathBuf)>), i, parsed| match parsed {
-            Ok(parsed) => commit(acc, &units[i].0, parsed),
-            Err(path) => bad.push((i, path)),
+            Ok(())
         },
     )?;
     if ran.workers_lost > 0 {

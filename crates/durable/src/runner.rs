@@ -4,14 +4,15 @@
 //! ([`load_units`](crate::load_units)).
 //!
 //! [`run_units`] hands unit indices to workers from one atomic
-//! counter. A worker runs its unit — the caller's supervised fold,
-//! then its checkpoint write — and commits the result into a
-//! worker-local accumulator. The caller puts the panic boundary inside
-//! the unit with [`isolate`], around work a panic may discard (a whole
-//! month or date, then one flow or host of its replay). A panic
-//! anywhere else kills its worker: the units that worker committed are
-//! lost with its accumulator, and [`Committed`] reports what the
-//! surviving workers kept.
+//! counter. A worker runs each unit it claims — the caller's supervised
+//! fold, then its checkpoint write — and commits the result into a
+//! state of its own, which persists across the units that worker runs
+//! (the passive study keeps its worker's parse cache there). The caller
+//! puts the panic boundary inside the unit with [`isolate`], around
+//! work a panic may discard (a whole month or date, then one flow or
+//! host of its replay). A panic anywhere else kills its worker: the
+//! units that worker committed are lost with its state, and
+//! [`Committed`] reports what the surviving workers kept.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,10 +61,10 @@ pub fn isolate<T>(f: impl FnOnce() -> T) -> Option<T> {
 /// What the surviving workers of one [`run_units`] call committed.
 #[derive(Debug)]
 pub struct Committed<A> {
-    /// Each surviving worker's accumulator.
+    /// Each surviving worker's state.
     pub parts: Vec<A>,
-    /// Units the accumulators in `parts` hold. Every other unit was
-    /// lost with its worker.
+    /// Units the states in `parts` hold. Every other unit was lost
+    /// with its worker.
     pub committed: usize,
     /// Workers that died outside [`isolate`].
     pub workers_lost: usize,
@@ -72,9 +73,10 @@ pub struct Committed<A> {
 /// Run units `0..units` on up to `workers` threads, one code path at
 /// every worker count.
 ///
-/// Workers claim unit indices from an atomic counter. Each runs
-/// `unit(i)` and commits its result with `commit(acc, i, result)` into
-/// an accumulator of its own. After the first [`StoreError`] no worker
+/// Each worker starts from `A::default()` and claims unit indices from
+/// an atomic counter. `work(state, i)` runs unit `i` and commits its
+/// result into the worker's own `state`; a unit counts as committed
+/// when `work` returns `Ok`. After the first [`StoreError`] no worker
 /// claims another unit, and the error is returned once every worker
 /// has joined. Zero units spawn no thread.
 ///
@@ -83,13 +85,12 @@ pub struct Committed<A> {
 /// `units` (done before this run, such as units loaded from a store)
 /// plus every unit committed since; `items` reads its throughput
 /// counter.
-pub fn run_units<T, A: Default + Send>(
+pub fn run_units<A: Default + Send>(
     units: usize,
     workers: usize,
     progress: &Progress,
     items: impl Fn() -> u64 + Sync,
-    unit: impl Fn(usize) -> Result<T, StoreError> + Sync,
-    commit: impl Fn(&mut A, usize, T) + Sync,
+    work: impl Fn(&mut A, usize) -> Result<(), StoreError> + Sync,
 ) -> Result<Committed<A>, StoreError> {
     let mut ran = Committed {
         parts: Vec::new(),
@@ -106,26 +107,21 @@ pub fn run_units<T, A: Default + Send>(
     // holds a valid value.
     let failure = || failed.lock().unwrap_or_else(PoisonError::into_inner);
     let worker = || {
-        let mut acc = A::default();
+        let mut state = A::default();
         let mut committed = 0;
         while failure().is_none() {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= units {
                 break;
             }
-            match unit(i) {
-                Ok(result) => {
-                    commit(&mut acc, i, result);
-                    committed += 1;
-                    done.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    failure().get_or_insert(e);
-                    break;
-                }
+            if let Err(e) = work(&mut state, i) {
+                failure().get_or_insert(e);
+                break;
             }
+            committed += 1;
+            done.fetch_add(1, Ordering::Relaxed);
         }
-        (acc, committed)
+        (state, committed)
     };
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -137,8 +133,8 @@ pub fn run_units<T, A: Default + Send>(
             .collect();
         for handle in handles {
             match handle.join() {
-                Ok((acc, committed)) => {
-                    ran.parts.push(acc);
+                Ok((state, committed)) => {
+                    ran.parts.push(state);
                     ran.committed += committed;
                 }
                 Err(_) => ran.workers_lost += 1,
@@ -175,8 +171,10 @@ mod tests {
             workers,
             &heartbeat(units),
             || 0,
-            |i| Ok(i * i),
-            |acc: &mut Vec<(usize, usize)>, i, result| acc.push((i, result)),
+            |acc: &mut Vec<(usize, usize)>, i| {
+                acc.push((i, i * i));
+                Ok(())
+            },
         )
     }
 
@@ -205,8 +203,7 @@ mod tests {
             8,
             &heartbeat(0),
             || 0,
-            |_| -> Result<(), StoreError> { unreachable!("no unit to run") },
-            |_: &mut (), _, _| {},
+            |_: &mut (), _| unreachable!("no unit to run"),
         )
         .unwrap();
         // Every worker that runs leaves an accumulator or a loss.
@@ -228,7 +225,7 @@ mod tests {
                 workers,
                 &heartbeat(40),
                 || 0,
-                |i| {
+                |acc: &mut Vec<usize>, i| {
                     ran_on
                         .lock()
                         .unwrap()
@@ -238,9 +235,9 @@ mod tests {
                         QUIET_PANICS.with(|q| q.set(true));
                         panic!("unit {i} dies outside isolate");
                     }
-                    Ok(i)
+                    acc.push(i);
+                    Ok(())
                 },
-                |acc: &mut Vec<usize>, _, i| acc.push(i),
             )
             .unwrap();
             let ran_on = ran_on.into_inner().unwrap();
@@ -278,7 +275,7 @@ mod tests {
                 workers,
                 &heartbeat(UNITS),
                 || 0,
-                |i| {
+                |_: &mut (), i| {
                     started.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(Duration::from_micros(300));
                     finished.fetch_add(1, Ordering::SeqCst);
@@ -287,7 +284,6 @@ mod tests {
                         _ => Ok(()),
                     }
                 },
-                |_: &mut (), _, _| {},
             );
             let err = result.unwrap_err();
             assert!(
@@ -305,6 +301,32 @@ mod tests {
                 // error, far short of the queue.
                 assert!(started < UNITS / 4, "workers = {workers}: {started} ran");
             }
+        }
+    }
+
+    /// A worker's state persists across the units it runs: one worker's
+    /// state sees every unit, and three workers' unit counts sum to the
+    /// units run.
+    #[test]
+    fn a_workers_state_persists_across_its_units() {
+        for workers in [1, 3] {
+            let ran = run_units(
+                30,
+                workers,
+                &heartbeat(30),
+                || 0,
+                |seen: &mut usize, _| {
+                    *seen += 1;
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(ran.parts.len(), workers);
+            if workers == 1 {
+                assert_eq!(ran.parts, [30]);
+            }
+            assert_eq!(ran.parts.iter().sum::<usize>(), 30);
+            assert_eq!(ran.committed, 30);
         }
     }
 

@@ -133,46 +133,6 @@ impl Fingerprint {
         }
     }
 
-    /// Compute [`Self::id64`] straight off a borrowed view without
-    /// building the fingerprint — zero allocations, so a repeat
-    /// fingerprint can be recognised (via an interner keyed on id64)
-    /// before any feature vector is materialised.
-    pub fn id64_of_view(hello: &ClientHelloView<'_>) -> u64 {
-        let mut h = Fnv64::new();
-        for c in hello.cipher_suites() {
-            if !is_grease(c.0) {
-                h.absorb_u16(c.0);
-            }
-        }
-        h.absorb(&[0xff, 0xfe]);
-        if let Some(exts) = &hello.extensions {
-            for (t, _) in exts.iter() {
-                if !is_grease(t) {
-                    h.absorb_u16(t);
-                }
-            }
-        }
-        h.absorb(&[0xff, 0xfd]);
-        if let Some(gs) = hello
-            .find_extension(ext_type::SUPPORTED_GROUPS)
-            .and_then(|b| ext_view::supported_groups(b).ok())
-        {
-            for g in gs {
-                if !is_grease(g) {
-                    h.absorb_u16(g);
-                }
-            }
-        }
-        h.absorb(&[0xff, 0xfc]);
-        if let Some(f) = hello
-            .find_extension(ext_type::EC_POINT_FORMATS)
-            .and_then(|b| ext_view::ec_point_formats(b).ok())
-        {
-            h.absorb(f);
-        }
-        h.0
-    }
-
     /// Canonical text form: the four features joined by `;`, values
     /// dash-separated in hello order. Stable across versions; used as a
     /// database key.
@@ -246,13 +206,6 @@ impl Fingerprint {
         h.absorb(&[0xff, 0xfc]);
         h.absorb(&self.point_formats);
         h.0
-    }
-
-    /// True if any offered cipher satisfies `pred`.
-    pub fn any_cipher(&self, pred: impl Fn(tlscope_wire::CipherSuite) -> bool) -> bool {
-        self.ciphers
-            .iter()
-            .any(|c| pred(tlscope_wire::CipherSuite(*c)))
     }
 }
 
@@ -360,13 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn any_cipher_classifier() {
-        let fp = Fingerprint::from_client_hello(&hello(false));
-        assert!(fp.any_cipher(|c| c.is_aead()));
-        assert!(!fp.any_cipher(|c| c.is_rc4()));
-    }
-
-    #[test]
     fn view_extraction_matches_owned() {
         for with_grease in [false, true] {
             let h = hello(with_grease);
@@ -374,7 +320,6 @@ mod tests {
             let view = ClientHelloView::parse_handshake(&bytes).unwrap();
             let owned = Fingerprint::from_client_hello(&h);
             assert_eq!(Fingerprint::from_client_hello_view(&view), owned);
-            assert_eq!(Fingerprint::id64_of_view(&view), owned.id64());
         }
         // No extension block at all.
         let h = ClientHello {
@@ -389,7 +334,6 @@ mod tests {
         let view = ClientHelloView::parse_handshake(&bytes).unwrap();
         let owned = Fingerprint::from_client_hello(&h);
         assert_eq!(Fingerprint::from_client_hello_view(&view), owned);
-        assert_eq!(Fingerprint::id64_of_view(&view), owned.id64());
     }
 
     #[test]

@@ -327,10 +327,10 @@ mod tests {
                 ..FaultInjector::none()
             },
         });
-        let mut agg = NotaryAggregate::new();
+        let (mut agg, mut scratch) = (NotaryAggregate::new(), crate::ExtractScratch::new());
         let mut stream = g.stream_month(month);
         while let Some(f) = stream.next_flow() {
-            crate::ingest_borrowed(&mut agg, f.date, f.port, f.client, f.server);
+            crate::ingest_borrowed(&mut agg, &mut scratch, f.date, f.port, f.client, f.server);
         }
         agg
     }

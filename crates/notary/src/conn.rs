@@ -8,8 +8,10 @@
 //! borrowed straight from the flow, and the handshake is only ever
 //! copied when it actually spans multiple records — the common
 //! single-record case hands a borrowed slice to the hello parsers.
-//! The one coalesce buffer lives in [`ExtractScratch`] so a worker
-//! ingesting millions of flows reuses the same allocation throughout.
+//! The one coalesce buffer lives in [`ExtractScratch`], with the record
+//! slot and the parse cache, so a worker ingesting millions of flows
+//! reuses the same allocations throughout: each of the study's workers
+//! owns one scratch and passes it to every flow it folds.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -118,10 +120,10 @@ pub enum ExtractError {
     GarbledClient,
 }
 
-/// Reusable extraction state: one coalesce buffer plus one record
-/// slot — offer vectors included — shared by every flow a worker
-/// processes, so the steady state of [`extract_into`] performs no
-/// allocation at all.
+/// Reusable extraction state: one coalesce buffer, one record slot —
+/// offer vectors included — and the parse cache, shared by every flow
+/// a worker processes, so the steady state of [`extract_into`]
+/// performs no allocation at all.
 #[derive(Debug)]
 pub struct ExtractScratch {
     coalesce: Vec<u8>,
@@ -148,9 +150,24 @@ impl Default for ExtractScratch {
 }
 
 impl ExtractScratch {
-    /// Fresh scratch with no buffer capacity yet.
+    /// Fresh scratch with no buffer capacity yet and a parse cache of
+    /// the default capacity.
     pub fn new() -> Self {
         ExtractScratch::default()
+    }
+
+    /// Fresh scratch whose parse cache holds at most `capacity`
+    /// hellos. Capacity 0 disables memoisation entirely: every flow
+    /// takes the full-parse path and no counter moves.
+    pub fn with_cache_capacity(capacity: usize) -> Self {
+        let mut scratch = ExtractScratch::default();
+        scratch.cache.capacity = capacity;
+        scratch
+    }
+
+    /// This scratch's cumulative parse-cache counters.
+    pub fn parse_cache_stats(&self) -> ParseCacheStats {
+        self.cache.stats
     }
 }
 
@@ -175,12 +192,9 @@ fn empty_offer() -> ClientOffer {
 }
 
 thread_local! {
+    /// The scratch behind [`extract`] and [`parse_cache_set_capacity`]
+    /// alone; every other caller passes a scratch of its own.
     static SCRATCH: RefCell<ExtractScratch> = RefCell::new(ExtractScratch::new());
-}
-
-/// Run `f` with this thread's shared [`ExtractScratch`].
-pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ExtractScratch) -> R) -> R {
-    SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// Extract a connection record from tapped flows.
@@ -194,7 +208,7 @@ pub fn extract(
     client_flow: &[u8],
     server_flow: Option<&[u8]>,
 ) -> Result<ConnectionRecord, ExtractError> {
-    with_thread_scratch(|s| extract_with(date, port, client_flow, server_flow, s))
+    SCRATCH.with(|s| extract_with(date, port, client_flow, server_flow, &mut s.borrow_mut()))
 }
 
 /// Extract a connection record from tapped flows, reusing `scratch`
@@ -389,7 +403,7 @@ fn refill_client_offer(
     Some(salvaged)
 }
 
-/// Default per-thread parse-cache capacity, in memoised hellos.
+/// Default parse-cache capacity of a scratch, in memoised hellos.
 const PARSE_CACHE_DEFAULT_CAPACITY: usize = 4096;
 
 /// Canonical stand-in written over every GREASE-patterned u16 before
@@ -397,7 +411,7 @@ const PARSE_CACHE_DEFAULT_CAPACITY: usize = 4096;
 /// GREASE draws collide onto the same cache key.
 const GREASE_MARK: [u8; 2] = [0x0a, 0x0a];
 
-/// Cumulative parse-cache counters for one ingestion thread.
+/// Cumulative parse-cache counters of one [`ExtractScratch`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ParseCacheStats {
     /// Hellos served from the cache without a full parse.
@@ -436,7 +450,6 @@ struct HelloCache {
     /// Scratch offer for verify-mode re-parses.
     verify_offer: Option<Box<ClientOffer>>,
     stats: ParseCacheStats,
-    flushed: ParseCacheStats,
 }
 
 impl Default for HelloCache {
@@ -449,7 +462,6 @@ impl Default for HelloCache {
             masked: Vec::new(),
             verify_offer: None,
             stats: ParseCacheStats::default(),
-            flushed: ParseCacheStats::default(),
         }
     }
 }
@@ -462,40 +474,11 @@ fn verify_parse_cache() -> bool {
     *VERIFY.get_or_init(|| std::env::var("TLSCOPE_VERIFY_PARSE_CACHE").is_ok_and(|v| v == "1"))
 }
 
-/// Set this thread's parse-cache capacity, clearing its contents and
-/// counters. Capacity 0 disables memoisation entirely (every flow
-/// takes the full-parse path and no counters move).
+/// Give the calling thread's [`extract`] a fresh scratch whose parse
+/// cache holds at most `capacity` hellos
+/// ([`ExtractScratch::with_cache_capacity`]).
 pub fn parse_cache_set_capacity(capacity: usize) {
-    SCRATCH.with(|s| {
-        let cache = &mut s.borrow_mut().cache;
-        cache.capacity = capacity;
-        cache.map.clear();
-        cache.order.clear();
-        cache.stats = ParseCacheStats::default();
-        cache.flushed = ParseCacheStats::default();
-    });
-}
-
-/// Cumulative parse-cache counters for the calling thread.
-pub fn parse_cache_stats() -> ParseCacheStats {
-    SCRATCH.with(|s| s.borrow().cache.stats)
-}
-
-/// Drain the calling thread's parse-cache counter deltas (since the
-/// previous flush) into `metrics`, so per-thread caches roll up into
-/// the shared pipeline counters without double counting.
-pub fn flush_parse_cache_metrics(metrics: &crate::metrics::PipelineMetrics) {
-    SCRATCH.with(|s| {
-        let cache = &mut s.borrow_mut().cache;
-        let delta = crate::metrics::MetricsSnapshot {
-            parse_cache_hits: cache.stats.hits - cache.flushed.hits,
-            parse_cache_misses: cache.stats.misses - cache.flushed.misses,
-            parse_cache_evictions: cache.stats.evictions - cache.flushed.evictions,
-            ..Default::default()
-        };
-        cache.flushed = cache.stats;
-        metrics.add(&delta);
-    });
+    SCRATCH.set(ExtractScratch::with_cache_capacity(capacity));
 }
 
 /// Field-wise copy that reuses every destination vector's capacity.
@@ -1167,24 +1150,28 @@ mod tests {
         }
     }
 
+    /// Extract a client-only flow of `hello` through `scratch`.
+    fn extract_hello(hello: &ClientHello, scratch: &mut ExtractScratch) -> ConnectionRecord {
+        extract_with(
+            Date::ymd(2016, 3, 1),
+            443,
+            &client_bytes(hello),
+            None,
+            scratch,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn parse_cache_hit_matches_full_parse() {
-        // Each #[test] runs on its own thread, so this capacity only
-        // affects this test's thread-local cache.
-        parse_cache_set_capacity(64);
+        let mut scratch = ExtractScratch::with_cache_capacity(64);
         let mut hello = sample_hello();
         hello.cipher_suites.insert(0, CipherSuite(0x0a0a));
-        let first = extract(Date::ymd(2016, 3, 1), 443, &client_bytes(&hello), None)
-            .unwrap()
-            .client
-            .unwrap();
+        let first = extract_hello(&hello, &mut scratch).client.unwrap();
         hello.random = [7; 32];
         hello.cipher_suites[0] = CipherSuite(0x5a5a);
-        let second = extract(Date::ymd(2016, 3, 1), 443, &client_bytes(&hello), None)
-            .unwrap()
-            .client
-            .unwrap();
-        let stats = parse_cache_stats();
+        let second = extract_hello(&hello, &mut scratch).client.unwrap();
+        let stats = scratch.parse_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // The memoised id64 and fold match what a fresh hash and fold
         // of this flow would produce.
@@ -1200,43 +1187,49 @@ mod tests {
 
     #[test]
     fn salvaged_flows_bypass_the_cache() {
-        parse_cache_set_capacity(64);
+        let mut scratch = ExtractScratch::with_cache_capacity(64);
         let hello = sample_hello();
         let mut bytes = client_bytes(&hello);
         bytes.extend_from_slice(&[0x16, 0x03, 0x01, 0x00]); // severed record header
         for _ in 0..2 {
-            let rec = extract(Date::ymd(2016, 3, 1), 443, &bytes, None).unwrap();
+            let rec = extract_with(Date::ymd(2016, 3, 1), 443, &bytes, None, &mut scratch).unwrap();
             assert!(rec.salvaged);
             let offer = rec.client.unwrap();
             assert_eq!((offer.fp_id64, offer.fold), (None, None));
         }
-        assert_eq!(parse_cache_stats(), ParseCacheStats::default());
+        assert_eq!(scratch.parse_cache_stats(), ParseCacheStats::default());
     }
 
+    /// Capacity 0 disables the cache, whether set on a scratch of its
+    /// own or on the thread's scratch behind `extract`.
     #[test]
     fn zero_capacity_disables_the_cache() {
+        let mut scratch = ExtractScratch::with_cache_capacity(0);
         parse_cache_set_capacity(0);
         let hello = sample_hello();
         for _ in 0..2 {
+            extract_hello(&hello, &mut scratch);
             extract(Date::ymd(2016, 3, 1), 443, &client_bytes(&hello), None).unwrap();
         }
-        assert_eq!(parse_cache_stats(), ParseCacheStats::default());
+        assert_eq!(scratch.parse_cache_stats(), ParseCacheStats::default());
+        let thread_stats = SCRATCH.with(|s| s.borrow().parse_cache_stats());
+        assert_eq!(thread_stats, ParseCacheStats::default());
     }
 
     #[test]
     fn fifo_eviction_counts_and_bounds() {
-        parse_cache_set_capacity(2);
+        let mut scratch = ExtractScratch::with_cache_capacity(2);
         let mut hello = sample_hello();
         for n in 0..3u16 {
             hello.cipher_suites[0] = CipherSuite(0xc02f - n);
-            extract(Date::ymd(2016, 3, 1), 443, &client_bytes(&hello), None).unwrap();
+            extract_hello(&hello, &mut scratch);
         }
-        let stats = parse_cache_stats();
+        let stats = scratch.parse_cache_stats();
         assert_eq!((stats.misses, stats.evictions), (3, 1));
         // The oldest stack was evicted: replaying it misses again.
         hello.cipher_suites[0] = CipherSuite(0xc02f);
-        extract(Date::ymd(2016, 3, 1), 443, &client_bytes(&hello), None).unwrap();
-        assert_eq!(parse_cache_stats().misses, 4);
+        extract_hello(&hello, &mut scratch);
+        assert_eq!(scratch.parse_cache_stats().misses, 4);
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! the tolerant wire parsers, and aggregates them into the monthly
 //! counters behind every figure of the paper. The per-flow fold
 //! ([`ingest_borrowed`]) is what the month-sharded study runner in
-//! `tlscope-analysis` drives on its worker threads, with per-stage
-//! accounting in [`PipelineMetrics`]. Completed months persist through
+//! `tlscope-analysis` drives on its worker threads, each folding
+//! through the one [`ExtractScratch`] (record slot and parse cache) it
+//! owns, with per-stage accounting in [`PipelineMetrics`]. Completed months persist through
 //! [`checkpoint`], the lossless month codec of the checkpoint store in
 //! `tlscope-durable`; a complete store is the saved run.
 //!
 //! ```
-//! use tlscope_notary::{ingest_borrowed, NotaryAggregate};
+//! use tlscope_notary::{ingest_borrowed, ExtractScratch, NotaryAggregate};
 //! use tlscope_chron::Date;
 //! use tlscope_wire::record::Record;
 //! use tlscope_wire::{ClientHello, CipherSuite, ProtocolVersion};
@@ -30,9 +31,13 @@
 //!         .iter()
 //!         .flat_map(|r| r.to_bytes())
 //!         .collect();
-//! let mut agg = NotaryAggregate::new();
-//! ingest_borrowed(&mut agg, Date::ymd(2016, 5, 1), 443, &client, None);
-//! assert_eq!(agg.total(), 1);
+//! let (mut agg, mut scratch) = (NotaryAggregate::new(), ExtractScratch::new());
+//! for _ in 0..2 {
+//!     ingest_borrowed(&mut agg, &mut scratch, Date::ymd(2016, 5, 1), 443, &client, None);
+//! }
+//! assert_eq!(agg.total(), 2);
+//! // The second flow's hello came from the scratch's parse cache.
+//! assert_eq!(scratch.parse_cache_stats().hits, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,8 +55,8 @@ pub use aggregate::{
 };
 pub use checkpoint::DirLoad;
 pub use conn::{
-    flush_parse_cache_metrics, parse_cache_set_capacity, parse_cache_stats, ClientOffer,
-    ConnectionRecord, ExtractError, ExtractScratch, ParseCacheStats, ServerAnswer, ServerOutcome,
+    parse_cache_set_capacity, ClientOffer, ConnectionRecord, ExtractError, ExtractScratch,
+    ParseCacheStats, ServerAnswer, ServerOutcome,
 };
 pub use metrics::{MetricsSnapshot, PipelineLatency, PipelineMetrics};
 pub use pipeline::ingest_borrowed;

@@ -4,31 +4,31 @@
 //! The real Notary fans captured flows out to parallel Bro workers; the
 //! reproduction's fan-out is the month-sharded study runner
 //! (`tlscope_analysis::Study`), which folds the generator's borrowed
-//! flows straight through [`ingest_borrowed`] and puts its panic
-//! boundary on the month. This module holds that per-flow fold.
+//! flows straight through [`ingest_borrowed`], each worker with the one
+//! [`ExtractScratch`] it owns, and puts its panic boundary on the
+//! month. This module holds that per-flow fold.
 
 use tlscope_chron::Date;
 
 use crate::aggregate::NotaryAggregate;
-use crate::conn::{extract_into, with_thread_scratch};
+use crate::conn::{extract_into, ExtractScratch};
 
 /// Extract one borrowed flow and fold it into `agg` — the zero-copy
-/// fast path. The connection record is refilled into this thread's
-/// shared [`ExtractScratch`](crate::conn::ExtractScratch) slot and
-/// aggregated by reference, so the steady state allocates neither
-/// flow buffers nor record vectors. The fused study runner folds the
-/// generator's scratch borrows straight through here.
+/// fast path. The connection record is refilled into `scratch`'s
+/// record slot, through its parse cache, and aggregated by reference,
+/// so the steady state allocates neither flow buffers nor record
+/// vectors. Each of the study's workers passes the one scratch it owns
+/// for every flow it folds.
 pub fn ingest_borrowed(
     agg: &mut NotaryAggregate,
+    scratch: &mut ExtractScratch,
     date: Date,
     port: u16,
     client: &[u8],
     server: Option<&[u8]>,
 ) {
-    with_thread_scratch(
-        |scratch| match extract_into(date, port, client, server, scratch) {
-            Ok(rec) => agg.ingest(rec),
-            Err(e) => agg.ingest_failure(e),
-        },
-    )
+    match extract_into(date, port, client, server, scratch) {
+        Ok(rec) => agg.ingest(rec),
+        Err(e) => agg.ingest_failure(e),
+    }
 }

@@ -6,14 +6,15 @@
 
 use tlscope_analysis::{Study, StudyConfig};
 use tlscope_chron::Month;
-use tlscope_notary::{ingest_borrowed, NotaryAggregate, PipelineMetrics};
+use tlscope_notary::{ingest_borrowed, ExtractScratch, NotaryAggregate, PipelineMetrics};
 use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
 
 /// Fold every flow of `g`'s `month` into `agg`, one borrow at a time.
 fn fold_month(agg: &mut NotaryAggregate, g: &Generator, month: Month) {
+    let mut scratch = ExtractScratch::new();
     let mut stream = g.stream_month(month);
     while let Some(f) = stream.next_flow() {
-        ingest_borrowed(agg, f.date, f.port, f.client, f.server);
+        ingest_borrowed(agg, &mut scratch, f.date, f.port, f.client, f.server);
     }
 }
 
@@ -89,10 +90,11 @@ fn faulty_flows_are_tolerated() {
     });
     let events = g.month(Month::ym(2016, 6));
     let n = events.len();
-    let mut agg = NotaryAggregate::new();
+    let (mut agg, mut scratch) = (NotaryAggregate::new(), ExtractScratch::new());
     for e in &events {
         ingest_borrowed(
             &mut agg,
+            &mut scratch,
             e.date,
             e.port,
             &e.client_flow,

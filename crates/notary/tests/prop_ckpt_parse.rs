@@ -11,7 +11,7 @@ use std::path::Path;
 use proptest::prelude::*;
 use tlscope_chron::Month;
 use tlscope_durable::StoreError;
-use tlscope_notary::{checkpoint, ingest_borrowed, NotaryAggregate};
+use tlscope_notary::{checkpoint, ingest_borrowed, ExtractScratch, NotaryAggregate};
 use tlscope_traffic::{FaultInjector, Generator, TrafficConfig};
 
 fn sample_partial(seed: u64) -> NotaryAggregate {
@@ -24,10 +24,10 @@ fn sample_partial(seed: u64) -> NotaryAggregate {
             ..FaultInjector::none()
         },
     });
-    let mut agg = NotaryAggregate::new();
+    let (mut agg, mut scratch) = (NotaryAggregate::new(), ExtractScratch::new());
     let mut stream = g.stream_month(Month::ym(2016, 5));
     while let Some(f) = stream.next_flow() {
-        ingest_borrowed(&mut agg, f.date, f.port, f.client, f.server);
+        ingest_borrowed(&mut agg, &mut scratch, f.date, f.port, f.client, f.server);
     }
     agg
 }

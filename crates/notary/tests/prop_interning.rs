@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use tlscope_analysis::{Study, StudyConfig};
 use tlscope_chron::Month;
-use tlscope_notary::{ingest_borrowed, NotaryAggregate};
+use tlscope_notary::{ingest_borrowed, ExtractScratch, NotaryAggregate};
 use tlscope_traffic::{ConnectionEvent, FaultInjector, Generator, TrafficConfig};
 
 fn generator(seed: u64, n: u32, faults: FaultInjector) -> Generator {
@@ -26,9 +26,11 @@ fn ingest_all<'a>(
     agg: &mut NotaryAggregate,
     events: impl IntoIterator<Item = &'a ConnectionEvent>,
 ) {
+    let mut scratch = ExtractScratch::new();
     for e in events {
         ingest_borrowed(
             agg,
+            &mut scratch,
             e.date,
             e.port,
             &e.client_flow,
@@ -101,11 +103,11 @@ proptest! {
     ) {
         let faults = profile(profile_idx);
         let g = generator(seed, n, faults);
-        let mut serial = NotaryAggregate::new();
+        let (mut serial, mut scratch) = (NotaryAggregate::new(), ExtractScratch::new());
         for m in mon..mon + 3 {
             let mut stream = g.stream_month(Month::ym(year, m));
             while let Some(f) = stream.next_flow() {
-                ingest_borrowed(&mut serial, f.date, f.port, f.client, f.server);
+                ingest_borrowed(&mut serial, &mut scratch, f.date, f.port, f.client, f.server);
             }
         }
         for workers in 1usize..=8 {

@@ -3,9 +3,9 @@
 //! (clean, tap defaults, stress), ingestion with the parse cache
 //! enabled produces a [`NotaryAggregate`] bit-identical to ingestion
 //! with the cache disabled — every monthly counter,
-//! fingerprint count, sighting, and failure class. Dedicated threads
-//! give each run a fresh thread-local cache so capacities can be
-//! pinned per case. Run with `TLSCOPE_VERIFY_PARSE_CACHE=1` (the CI
+//! fingerprint count, sighting, and failure class. Each serial pass
+//! folds through a scratch of its own, built with the capacity the
+//! case pins. Run with `TLSCOPE_VERIFY_PARSE_CACHE=1` (the CI
 //! fault-matrix leg does) every hit additionally re-parses and asserts
 //! equality inline.
 
@@ -13,16 +13,9 @@ use proptest::prelude::*;
 use tlscope_analysis::{Study, StudyConfig};
 use tlscope_chron::Month;
 use tlscope_notary::{
-    ingest_borrowed, parse_cache_set_capacity, parse_cache_stats, NotaryAggregate, ParseCacheStats,
-    PipelineMetrics,
+    ingest_borrowed, ExtractScratch, NotaryAggregate, ParseCacheStats, PipelineMetrics,
 };
 use tlscope_traffic::{ConnectionEvent, FaultInjector, Generator, TrafficConfig};
-
-/// Run `f` on a dedicated thread: a fresh thread-local parse cache,
-/// whose capacity can be set without affecting any other test.
-fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
-    std::thread::scope(|s| s.spawn(f).join().expect("ingestion thread panicked"))
-}
 
 fn flows_for(seed: u64, year: i32, mon: u8, n: u32, faults: FaultInjector) -> Vec<ConnectionEvent> {
     let g = Generator::new(TrafficConfig {
@@ -33,12 +26,13 @@ fn flows_for(seed: u64, year: i32, mon: u8, n: u32, faults: FaultInjector) -> Ve
     g.month(Month::ym(year, mon))
 }
 
-/// Fold `flows` in order into a fresh aggregate on the current thread.
-fn fold_serial(flows: &[ConnectionEvent]) -> NotaryAggregate {
+/// Fold `flows` in order into a fresh aggregate through `scratch`.
+fn fold_serial(flows: &[ConnectionEvent], scratch: &mut ExtractScratch) -> NotaryAggregate {
     let mut agg = NotaryAggregate::new();
     for e in flows {
         ingest_borrowed(
             &mut agg,
+            scratch,
             e.date,
             e.port,
             &e.client_flow,
@@ -70,11 +64,8 @@ proptest! {
         let flows: Vec<ConnectionEvent> = (mon..mon + 2)
             .flat_map(|m| flows_for(seed, year, m, n, faults))
             .collect();
-        let uncached = on_fresh_thread(|| {
-            parse_cache_set_capacity(0);
-            fold_serial(&flows)
-        });
-        let cached_serial = on_fresh_thread(|| fold_serial(&flows));
+        let uncached = fold_serial(&flows, &mut ExtractScratch::with_cache_capacity(0));
+        let cached_serial = fold_serial(&flows, &mut ExtractScratch::new());
         prop_assert_eq!(&uncached, &cached_serial);
         // Study workers each carry their own cache; the merge must
         // still be bit-identical to the uncached serial pass.
@@ -90,8 +81,8 @@ proptest! {
         })
         .run_passive_metered(&metrics);
         prop_assert_eq!(&uncached, &parallel);
-        // Per-worker cache counters rolled up through the month flush:
-        // every hit or miss is a dispatched flow.
+        // Per-worker cache counters rolled up month by month: every
+        // hit or miss is a dispatched flow.
         let s = metrics.snapshot();
         prop_assert!(s.parse_cache_hits + s.parse_cache_misses <= s.flows_dispatched);
     }
@@ -103,14 +94,10 @@ proptest! {
         mon in 1u8..=12,
     ) {
         let flows = flows_for(seed, year, mon, 150, FaultInjector::none());
-        let uncached = on_fresh_thread(|| {
-            parse_cache_set_capacity(0);
-            fold_serial(&flows)
-        });
-        let (squeezed, stats) = on_fresh_thread(|| {
-            parse_cache_set_capacity(2);
-            (fold_serial(&flows), parse_cache_stats())
-        });
+        let uncached = fold_serial(&flows, &mut ExtractScratch::with_cache_capacity(0));
+        let mut tiny = ExtractScratch::with_cache_capacity(2);
+        let squeezed = fold_serial(&flows, &mut tiny);
+        let stats = tiny.parse_cache_stats();
         prop_assert_eq!(&uncached, &squeezed);
         // A 2-entry cache churns on a month's worth of client stacks.
         prop_assert!(stats.evictions > 0, "cap-2 cache never evicted: {:?}", stats);
@@ -128,12 +115,10 @@ fn full_truncation_bypasses_the_cache() {
         ..FaultInjector::none()
     };
     let flows = flows_for(1234, 2016, 4, 300, faults);
-    let (agg, stats) = on_fresh_thread(|| {
-        let agg = fold_serial(&flows);
-        (agg, parse_cache_stats())
-    });
+    let mut scratch = ExtractScratch::new();
+    let agg = fold_serial(&flows, &mut scratch);
     assert_eq!(
-        stats,
+        scratch.parse_cache_stats(),
         ParseCacheStats::default(),
         "damaged flows must bypass the cache"
     );

@@ -4,15 +4,18 @@
 //! The macro emits what used to be written out once per counter: the
 //! plain-value snapshot (`Copy`, compared and persisted bit-for-bit)
 //! and its `+=`; the shared bag, with `new`, `add(&delta)`,
-//! `snapshot`, `absorb(&bag)`, `latency` and one public
-//! [`Histogram`](crate::Histogram) field per latency row; the latency
+//! `snapshot`, `absorb(&bag)`, `latency`, one public
+//! [`Histogram`](crate::Histogram) field per latency row, and the run's
+//! panic reports (`report`, `reports`; see [`flight`](crate::flight));
+//! the latency
 //! snapshot with its render and JSON; the JSON counter sections, one
 //! per [`Class`]; and `accounting_holds`, from the declared balances.
 //!
 //! A bag is touched once per committed unit of work (a month, a sweep
 //! date, a survey, a checkpoint pass), never per flow or host, so its
-//! one lock costs nothing measurable, and it makes each `add` atomic:
-//! a reader never sees half a delta. The renders stay hand-written per
+//! counter lock costs nothing measurable, and it makes each `add`
+//! atomic: a reader never sees half a delta. Its flight box takes a
+//! lock of its own once per report. The renders stay hand-written per
 //! aperture: their rows mix counters with thread-seconds, scaled bytes
 //! and rates at per-figure widths.
 
@@ -27,8 +30,9 @@ pub enum Class {
     Count,
     /// Wall time summed over worker threads, in nanoseconds.
     Clock,
-    /// Depends on which worker ran which unit (the thread-local parse
-    /// cache's hits and misses), so it varies between identical runs.
+    /// Depends on which worker ran which unit (the hits and misses of
+    /// the parse cache each worker keeps across its months), so it
+    /// varies between identical runs.
     Scheduling,
 }
 
@@ -191,6 +195,7 @@ macro_rules! ledger {
         #[derive(Debug, Default)]
         pub struct $Bag {
             counts: ::std::sync::Mutex<$Snap>,
+            flight: $crate::flight::FlightBox,
             $( $(#[$h_meta])* pub $hist: $crate::Histogram, )*
         }
 
@@ -210,11 +215,26 @@ macro_rules! ledger {
                 *self.counts()
             }
 
-            /// Fold `other` into this bag: its counters added and its
-            /// latency histograms merged.
+            /// Fold `other` into this bag: its counters added, its
+            /// latency histograms merged and its panic reports filed
+            /// after this bag's.
             pub fn absorb(&self, other: &$Bag) {
                 self.add(&other.snapshot());
+                self.flight.absorb(&other.flight);
                 $( self.$hist.merge(&other.$hist); )*
+            }
+
+            /// File a panic report naming what died, `context`, in this
+            /// bag's bounded flight box.
+            pub fn report(&self, context: &str) {
+                self.flight.report(context);
+            }
+
+            /// This bag's panic reports, oldest first, as
+            /// `flight report: …` lines (see
+            /// [`FlightBox::reports`]($crate::flight::FlightBox::reports)).
+            pub fn reports(&self) -> Vec<String> {
+                self.flight.reports()
             }
 
             /// A point-in-time copy of the latency histograms, kept
@@ -269,6 +289,7 @@ macro_rules! ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::BLACK_BOX_CAPACITY;
 
     crate::ledger! {
         /// Test bag.
@@ -341,6 +362,46 @@ mod tests {
         let run = Bag::new();
         run.absorb(&bag);
         assert_eq!(run.snapshot(), bag.snapshot());
+    }
+
+    #[test]
+    fn black_box_collects_and_bounds_reports() {
+        let bag = Bag::new();
+        for i in 0..(BLACK_BOX_CAPACITY + 5) {
+            bag.report(&format!(
+                "poison flow quarantined (month 2015-06, flow {i})"
+            ));
+        }
+        let reports = bag.reports();
+        // Capacity reports plus the overflow note, oldest kept first.
+        assert_eq!(reports.len(), BLACK_BOX_CAPACITY + 1);
+        assert_eq!(
+            reports[0],
+            "flight report: poison flow quarantined (month 2015-06, flow 5)\n"
+        );
+        assert!(reports
+            .last()
+            .unwrap()
+            .contains("5 earlier reports dropped"));
+        assert!(Bag::new().reports().is_empty(), "a new bag has no reports");
+    }
+
+    /// `absorb` files the other bag's reports after this bag's, within
+    /// the same bound, and leaves the other bag's box as it was.
+    #[test]
+    fn absorb_carries_reports_up_within_the_bound() {
+        let (run, unit) = (Bag::new(), Bag::new());
+        run.report("first");
+        for i in 0..BLACK_BOX_CAPACITY {
+            unit.report(&format!("unit {i}"));
+        }
+        run.absorb(&unit);
+        run.absorb(&Bag::new());
+        let reports = run.reports();
+        assert_eq!(reports.len(), BLACK_BOX_CAPACITY + 1);
+        assert_eq!(reports[0], "flight report: unit 0\n");
+        assert!(reports[BLACK_BOX_CAPACITY].contains("1 earlier reports dropped"));
+        assert_eq!(unit.reports().len(), BLACK_BOX_CAPACITY);
     }
 
     #[test]

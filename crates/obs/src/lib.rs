@@ -22,16 +22,17 @@
 //!   ([`Progress`], env `TLSCOPE_PROGRESS`)
 //!   printing completed units, item rates, and ETA to stderr while a
 //!   long campaign runs;
-//! * [`flight`] — the panic flight recorder: a bounded process-wide
-//!   black box into which the pipelines' `catch_unwind` boundaries file
-//!   one report per quarantined flow or host, naming its unit and item,
-//!   so poison flows and poison hosts are diagnosable postmortem.
+//! * [`flight`] — the panic flight recorder: the bounded black box each
+//!   ledger bag holds, into which the pipelines' `catch_unwind`
+//!   boundaries file one report per quarantined flow or host, naming
+//!   its unit and item, so poison flows and poison hosts are
+//!   diagnosable postmortem, run by run.
 //!
 //! Everything here is observational: nothing in this crate
 //! participates in aggregate equality or the bit-identity properties
 //! of the pipelines it instruments, and everything is dependency-free.
 //! The histograms and the heartbeat are lock-free on their hot paths;
-//! a ledger bag takes one lock per committed unit of work, and the
+//! a ledger bag takes one lock per committed unit of work, and its
 //! black box one per report, never per flow or host.
 
 #![forbid(unsafe_code)]

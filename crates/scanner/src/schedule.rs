@@ -176,7 +176,7 @@ impl ScanCampaign {
             workers,
             &progress,
             || metrics.snapshot().hosts_probed,
-            |i| {
+            |done: &mut Vec<(usize, ScanSnapshot)>, i| {
                 let date = self.dates[pending[i]];
                 let date_metrics = ScanMetrics::new();
                 let snapshot = sweep_sharded_with(
@@ -204,9 +204,9 @@ impl ScanCampaign {
                     });
                 }
                 metrics.absorb(&date_metrics);
-                Ok(snapshot)
+                done.push((pending[i], snapshot));
+                Ok(())
             },
-            |done: &mut Vec<(usize, ScanSnapshot)>, i, snapshot| done.push((pending[i], snapshot)),
         )?;
         metrics.add(&ScanMetricsSnapshot {
             workers_lost: ran.workers_lost as u64,

@@ -38,7 +38,8 @@
 //! When the fold panics, the attempt is discarded and the date is
 //! replayed host by host, each host into a one-host partial behind its
 //! own boundary. A host that panics alone is counted as dispatched and
-//! dropped and named in a flight report by `(date, host index)`; the
+//! dropped and named in a flight report by `(date, host index)`, filed
+//! in the date's metrics bag; the
 //! date keeps every other host, so it equals the clean sweep minus
 //! that host. The date's accounting is committed once, after its fold.
 //! The passive study runner puts the same boundary on the month.
@@ -389,8 +390,9 @@ fn sweep_range(
 /// whole entries in it), and returns the range's scan delta. When the
 /// fold panics, the attempt is discarded and the date replayed host by
 /// host, each host into a one-host partial behind its own boundary,
-/// and the partials summed with `merge`. A host that panics alone is counted as dispatched and
-/// dropped and named in a flight report.
+/// and the partials summed with `merge`. A host that panics alone is
+/// counted as dispatched and dropped and named in a flight report in
+/// `metrics`.
 fn fold_supervised<S>(
     date: Date,
     hosts: u64,
@@ -418,7 +420,7 @@ fn fold_supervised<S>(
                     }
                     None => {
                         delta.hosts_dropped += 1;
-                        tlscope_obs::flight::report(&format!(
+                        metrics.report(&format!(
                             "poison host quarantined (date {date}, host {index})"
                         ));
                     }
@@ -473,7 +475,6 @@ mod tests {
     use super::*;
     use crate::schedule::{schedule, ScanCampaign, CENSYS_START};
     use proptest::prelude::*;
-    use std::sync::Mutex;
     use tlscope_servers::Quirk;
 
     /// A fault-free sweep, its accounting discarded.
@@ -608,10 +609,6 @@ mod tests {
         assert!(s.hosts_dropped > 0 && s.hosts_dropped < 400, "{s:?}");
     }
 
-    /// Serialises the tests that file flight reports: the black box is
-    /// process-wide, and the poison tests drain it.
-    static FLIGHT_BOX: Mutex<()> = Mutex::new(());
-
     /// The sweep at `(seed, date)` over every host but `poison`,
     /// through the private range sweep: what a poisoned date must
     /// equal.
@@ -653,7 +650,6 @@ mod tests {
 
     #[test]
     fn poison_host_costs_that_host_alone() {
-        let _flight_box = FLIGHT_BOX.lock().unwrap_or_else(|p| p.into_inner());
         let pop = ServerPopulation::new();
         let date = Date::ymd(2016, 9, 1);
         let faults = ScanFaults {
@@ -670,7 +666,7 @@ mod tests {
         assert_eq!((s.hosts_probed, s.hosts_dropped), (2999, 1));
         assert_eq!(s.workers_lost, 0);
         assert_eq!(snap.hosts, 2999);
-        let reports = tlscope_obs::flight::drain_reports();
+        let reports = metrics.reports();
         let named = format!("(date {date}, host 700)");
         assert!(reports.iter().any(|r| r.contains(&named)), "{reports:?}");
     }
@@ -701,7 +697,6 @@ mod tests {
             months in 2i64..=4,
             draw in 0u64..1_000_000,
         ) {
-            let _flight_box = FLIGHT_BOX.lock().unwrap_or_else(|p| p.into_inner());
             let pop = ServerPopulation::new();
             let dates = schedule(CENSYS_START, CENSYS_START.add_days(30 * (months - 1)), 30);
             let n = dates.len() as u64;
@@ -744,7 +739,7 @@ mod tests {
                         prop_assert!(s.accounting_holds(), "{:?}", s);
                         prop_assert_eq!(ledger_core(&s), core);
                         prop_assert_eq!(s.workers_lost, 0);
-                        let reports = tlscope_obs::flight::drain_reports();
+                        let reports = metrics.reports();
                         for date in &dates {
                             let named = format!("(date {date}, host {poison})");
                             prop_assert!(reports.iter().any(|r| r.contains(&named)), "{:?}", reports);
@@ -854,9 +849,9 @@ pub fn pulse_surveys(
         workers,
         &progress,
         || metrics.snapshot().hosts_probed,
-        |i| {
+        |done: &mut Vec<(usize, PulseSnapshot)>, i| {
             let date = dates[i];
-            Ok(fold_supervised(
+            let survey = fold_supervised(
                 date,
                 sites as u64,
                 metrics,
@@ -865,9 +860,10 @@ pub fn pulse_surveys(
                 |cache, range, snap| {
                     pulse_range(probes, population, date, range, seed, cache, snap)
                 },
-            ))
+            );
+            done.push((i, survey));
+            Ok(())
         },
-        |done: &mut Vec<(usize, PulseSnapshot)>, i, survey| done.push((i, survey)),
     )
     .unwrap_or_else(|e| unreachable!("surveys write no store: {e}"));
     metrics.add(&ScanMetricsSnapshot {

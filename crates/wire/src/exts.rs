@@ -305,15 +305,6 @@ impl Extension {
         r.expect_empty()?;
         Ok(NamedGroup(g))
     }
-
-    /// Decode a `heartbeat` body; returns the mode byte.
-    pub fn parse_heartbeat(&self) -> WireResult<u8> {
-        debug_assert_eq!(self.typ, ext_type::HEARTBEAT);
-        let mut r = Reader::new(&self.body);
-        let m = r.u8()?;
-        r.expect_empty()?;
-        Ok(m)
-    }
 }
 
 /// Extension-body serialisers, shared between the [`Extension`]
@@ -481,12 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_roundtrip() {
-        let e = Extension::heartbeat(1);
-        assert_eq!(e.parse_heartbeat().unwrap(), 1);
-    }
-
-    #[test]
     fn extension_list_roundtrip() {
         let exts = vec![
             Extension::server_name("example.org"),
@@ -532,9 +517,6 @@ mod tests {
             vec![0x00, 0x03, 0x00, 0x1d, 0x99],
         );
         assert!(e.parse_supported_groups().is_err());
-        // heartbeat with trailing garbage.
-        let e = Extension::new(ext_type::HEARTBEAT, vec![1, 2]);
-        assert!(e.parse_heartbeat().is_err());
         // server_name with a non-DNS entry only.
         let mut w = Writer::new();
         w.vec16(|w| {

@@ -123,11 +123,6 @@ impl NamedGroup {
     pub fn name(self) -> Option<&'static str> {
         self.info().map(|g| g.name)
     }
-
-    /// True for finite-field DH groups.
-    pub fn is_ffdhe(self) -> bool {
-        self.info().map(|g| g.ffdhe).unwrap_or(false)
-    }
 }
 
 impl fmt::Debug for NamedGroup {
@@ -187,13 +182,6 @@ mod tests {
     fn x25519_is_independent() {
         assert!(NamedGroup::X25519.info().unwrap().independent);
         assert!(!NamedGroup::SECP256R1.info().unwrap().independent);
-    }
-
-    #[test]
-    fn ffdhe_flag() {
-        assert!(NamedGroup(256).is_ffdhe());
-        assert!(!NamedGroup(23).is_ffdhe());
-        assert!(!NamedGroup(0x9999).is_ffdhe());
     }
 
     #[test]

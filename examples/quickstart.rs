@@ -9,7 +9,7 @@
 use tlscope::chron::Month;
 use tlscope::clients::{browsers, HelloEntropy};
 use tlscope::fingerprint::Fingerprint;
-use tlscope::notary::{ingest_borrowed, NotaryAggregate};
+use tlscope::notary::{ingest_borrowed, ExtractScratch, NotaryAggregate};
 use tlscope::servers::{negotiate, ServerProfile};
 use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
 use tlscope::wire::ClientHello;
@@ -52,11 +52,14 @@ fn main() {
         connections_per_month: 2_000,
         faults: FaultInjector::tap_defaults(),
     });
+    //    One extraction scratch (record slot and parse cache) serves
+    //    every flow, as each study worker keeps one for its months.
     let month = Month::ym(2015, 6);
-    let mut agg = NotaryAggregate::new();
+    let (mut agg, mut scratch) = (NotaryAggregate::new(), ExtractScratch::new());
     let mut stream = generator.stream_month(month);
     while let Some(flow) = stream.next_flow() {
-        ingest_borrowed(&mut agg, flow.date, flow.port, flow.client, flow.server);
+        let (date, port) = (flow.date, flow.port);
+        ingest_borrowed(&mut agg, &mut scratch, date, port, flow.client, flow.server);
     }
     let stats = agg.month(month).expect("month present");
     println!(

@@ -3,7 +3,7 @@
 
 use tlscope::analysis::{figures, Study, StudyConfig};
 use tlscope::chron::Month;
-use tlscope::notary::{ingest_borrowed, NotaryAggregate};
+use tlscope::notary::{ingest_borrowed, ExtractScratch, NotaryAggregate};
 use tlscope::traffic::{FaultInjector, Generator, TrafficConfig};
 
 /// Fold every flow of `months` at `n` clean connections a month into
@@ -15,11 +15,11 @@ fn serial(seed: u64, months: impl IntoIterator<Item = Month>, n: u32) -> NotaryA
         connections_per_month: n,
         faults: FaultInjector::none(),
     });
-    let mut agg = NotaryAggregate::new();
+    let (mut agg, mut scratch) = (NotaryAggregate::new(), ExtractScratch::new());
     for month in months {
         let mut stream = g.stream_month(month);
         while let Some(f) = stream.next_flow() {
-            ingest_borrowed(&mut agg, f.date, f.port, f.client, f.server);
+            ingest_borrowed(&mut agg, &mut scratch, f.date, f.port, f.client, f.server);
         }
     }
     agg
@@ -139,10 +139,11 @@ fn faults_do_not_break_aggregation() {
     });
     let month = Month::ym(2015, 3);
     let events = gen.month(month);
-    let mut agg = NotaryAggregate::new();
+    let (mut agg, mut scratch) = (NotaryAggregate::new(), ExtractScratch::new());
     for e in &events {
         ingest_borrowed(
             &mut agg,
+            &mut scratch,
             e.date,
             e.port,
             &e.client_flow,
