@@ -18,9 +18,9 @@
 //!
 //! The per-stage breakdown reports where the remaining allocations
 //! live: `gen` pulls borrowed flows from the generator's scratch, and
-//! `ingest` extracts-and-aggregates borrowed bytes through the
-//! thread-local record slot. The `pipeline` row is the fused borrowed
-//! path the study runner uses.
+//! `ingest` extracts-and-aggregates borrowed bytes through the record
+//! slot of the caller's `ExtractScratch`. The `pipeline` row is the
+//! fused borrowed path the study runner uses.
 //!
 //! Two cache rows report how well the wire roundtrip is amortised on
 //! the clean profile: `template_cache` (generation-side hello template

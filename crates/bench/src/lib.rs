@@ -14,13 +14,14 @@
 /// heap allocations per connection. Enforced by the `alloc` bench
 /// (full workload) and by the alloc-budget regression test (marginal
 /// cost, immune to one-time table growth). With the borrowed fast
-/// path — generation into reused scratch, extraction refilled into a
-/// thread-local record slot, flow buffers never owned — and server
-/// profiles that borrow their cipher and curve lists, what is left is
-/// amortized table growth, first-sight fingerprint interning and one
-/// client table per day: 0.28 allocs/conn at the fast workload. 1.0
-/// leaves headroom for allocator noise, while one allocation per
-/// connection creeping back in fails it.
+/// path — generation into reused scratch, extraction refilled into the
+/// record slot of the caller's `ExtractScratch`, flow buffers never
+/// owned — and server profiles that borrow their cipher and curve
+/// lists, what is left is amortized table growth, first-sight
+/// fingerprint interning and one client table per day: 0.28
+/// allocs/conn at the fast workload. 1.0 leaves headroom for allocator
+/// noise, while one allocation per connection creeping back in fails
+/// it.
 pub const PIPELINE_ALLOC_BUDGET_PER_CONN: f64 = 1.0;
 
 /// Regression budget for the active-scan hot loop, in heap

@@ -25,6 +25,7 @@ use rand::RngExt;
 use tlscope_chron::Date;
 use tlscope_wire::{NamedGroup, ProtocolVersion};
 
+use crate::population::{mix_total, web_traffic_mix};
 use crate::profile::{preference, Quirk, ServerProfile};
 use crate::ramps::{decay_after, plateau, ramp};
 
@@ -291,7 +292,8 @@ pub fn params(cohort: Cohort, date: Date) -> CohortParams {
     }
 }
 
-/// Memo for [`params`], keyed by `(cohort, day of month)`.
+/// Memo for [`params`], keyed by `(cohort, day of month)`, and for
+/// the web traffic mix, keyed by day of month.
 ///
 /// The parameter curves are pure functions of `(cohort, date)` but
 /// cost ~20 calendar-ramp evaluations (0.3–0.4 µs) per call, more than
@@ -301,11 +303,19 @@ pub fn params(cohort: Cohort, date: Date) -> CohortParams {
 /// share a date). A month has at most 31 distinct dates, so one slot
 /// per `(cohort, day)` — validated against the stored date so a cache
 /// crossing a month boundary simply recomputes — removes the
-/// recomputation without touching the RNG stream.
+/// recomputation without touching the RNG stream. The web traffic mix
+/// a web destination draws its cohort from is a pure function of the
+/// date too; its slot holds the mix with its left-to-right total, the
+/// sum a draw would otherwise take per connection.
 #[derive(Debug, Clone, Default)]
 pub struct ParamsCache {
     slots: Vec<Option<(Date, CohortParams)>>,
+    web_mixes: Vec<Option<(Date, WebMix)>>,
 }
+
+/// A weighted cohort mix (weights need not be normalised) and the
+/// left-to-right sum of its weights.
+pub(crate) type WebMix = ([(Cohort, f64); 5], f64);
 
 const COHORTS: usize = 6;
 const DAY_SLOTS: usize = 31;
@@ -334,6 +344,23 @@ impl ParamsCache {
                 let p = params(cohort, date);
                 self.slots[idx] = Some((date, p));
                 p
+            }
+        }
+    }
+
+    /// [`web_traffic_mix`] at `date` and its total, through the memo.
+    pub(crate) fn web_mix(&mut self, date: Date) -> WebMix {
+        if self.web_mixes.is_empty() {
+            self.web_mixes.resize(DAY_SLOTS, None);
+        }
+        let idx = date.day() as usize - 1;
+        match self.web_mixes[idx] {
+            Some((d, m)) if d == date => m,
+            _ => {
+                let mix = web_traffic_mix(date);
+                let m = (mix, mix_total(&mix));
+                self.web_mixes[idx] = Some((date, m));
+                m
             }
         }
     }
@@ -680,6 +707,14 @@ mod tests {
                     "{cohort:?} {date} hit"
                 );
             }
+            let mix = web_traffic_mix(date);
+            let want = format!("{:?}", (mix, mix.iter().map(|(_, w)| w).sum::<f64>()));
+            assert_eq!(format!("{:?}", cache.web_mix(date)), want, "web mix {date}");
+            assert_eq!(
+                format!("{:?}", cache.web_mix(date)),
+                want,
+                "web mix {date} hit"
+            );
         };
         for day in first..=last {
             check(&mut cache, Date::from_epoch_days(day));
@@ -687,10 +722,11 @@ mod tests {
         // The slots never grow, and the last pass left each holding its
         // day of December 2018.
         assert_eq!(cache.slots.len(), COHORTS * DAY_SLOTS);
-        assert!(cache
-            .slots
-            .iter()
-            .all(|s| matches!(s, Some((d, _)) if d.month() == Date::ymd(2018, 12, 1).month())));
+        assert_eq!(cache.web_mixes.len(), DAY_SLOTS);
+        let december =
+            |d: Option<Date>| d.is_some_and(|d| d.month() == Date::ymd(2018, 12, 1).month());
+        assert!(cache.slots.iter().all(|s| december(s.map(|(d, _)| d))));
+        assert!(cache.web_mixes.iter().all(|s| december(s.map(|(d, _)| d))));
         // Out of order, a slot is overwritten by older and newer dates
         // alike.
         let mut rng = SmallRng::seed_from_u64(0x5107);

@@ -43,17 +43,19 @@ pub struct Negotiated {
 /// Everything negotiation reads from a ClientHello, borrowed.
 ///
 /// The traffic generator knows these facts from the client
-/// configuration it emitted and fills the struct from reusable buffers
-/// without ever materialising a [`ClientHello`]; [`respond`] extracts
-/// them from a parsed hello. Both paths feed [`respond_facts`], so the
-/// negotiation logic itself exists once.
+/// configuration it emitted and fills the struct from a plan it
+/// resolves once per configuration, borrowing the configuration's own
+/// lists without ever materialising a [`ClientHello`]; [`respond`]
+/// extracts them from a parsed hello. Both paths feed
+/// [`respond_facts`], so the negotiation logic itself exists once.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientFacts<'a> {
     /// The legacy version field of the hello.
     pub legacy_version: ProtocolVersion,
     /// Session id to echo.
     pub session_id: &'a [u8],
-    /// Offered suites in client order (GREASE and SCSVs included).
+    /// Offered suites in client order, SCSVs included. GREASE values
+    /// may be included or left out: selection skips them.
     pub cipher_suites: &'a [CipherSuite],
     /// `SuiteSet::of(cipher_suites)`: the registered offered suites, so
     /// cipher selection tests offer membership in O(1). A caller that
@@ -61,11 +63,13 @@ pub struct ClientFacts<'a> {
     /// once.
     pub offered: SuiteSet,
     /// `supported_versions` extension content when that extension is
-    /// present (GREASE included — filtered here exactly like
-    /// [`ClientHello::offered_versions`]); `None` when absent.
+    /// present; `None` when absent. GREASE entries may be included or
+    /// left out: version negotiation skips them, as
+    /// [`ClientHello::offered_versions`] does.
     pub supported_versions: Option<&'a [ProtocolVersion]>,
-    /// `supported_groups` extension content when present (GREASE
-    /// included); `None` when absent.
+    /// `supported_groups` extension content when present; `None` when
+    /// absent. GREASE entries may be included or left out: curve
+    /// selection skips them.
     pub curves: Option<&'a [NamedGroup]>,
     /// renegotiation_info extension present.
     pub has_renegotiation_info: bool,
@@ -274,10 +278,10 @@ impl Decision {
     ///
     /// [`write_decision_into`] emits bytes that are a pure function of
     /// `(Decision, session id, has_renegotiation_info, has_extensions,
-    /// server_random)`; with an empty session id (the only case the
-    /// generator's template cache handles) everything but the random —
-    /// which the template patches — is captured here, so equal keys
-    /// mean bit-identical flights modulo the 32 random bytes.
+    /// server_random)`; with an empty session id (every generated
+    /// hello's: the generator resumes nothing) everything but the
+    /// random — which the template patches — is captured here, so equal
+    /// keys mean bit-identical flights modulo the 32 random bytes.
     pub fn template_key(&self, facts: &ClientFacts<'_>) -> u64 {
         let curve = match self.curve {
             Some(g) => 0x1_0000 | u64::from(g.0),

@@ -51,7 +51,7 @@ pub enum Destination {
 }
 
 /// Weighted cohort mix at a date; weights need not be normalised.
-fn web_traffic_mix(date: Date) -> [(Cohort, f64); 5] {
+pub(crate) fn web_traffic_mix(date: Date) -> [(Cohort, f64); 5] {
     // CDN termination grows over the window at the long tail's expense.
     let cdn = 0.06 + 0.20 * ramp(date, Date::ymd(2012, 1, 1), Date::ymd(2018, 1, 1));
     [
@@ -73,8 +73,13 @@ const HOST_MIX: [(Cohort, f64); 6] = [
     (Cohort::Mail, 0.05),
 ];
 
-fn pick_weighted(rng: &mut SmallRng, mix: &[(Cohort, f64)]) -> Cohort {
-    let total: f64 = mix.iter().map(|(_, w)| w).sum();
+/// The left-to-right sum of a mix's weights.
+pub(crate) fn mix_total(mix: &[(Cohort, f64)]) -> f64 {
+    mix.iter().map(|(_, w)| w).sum()
+}
+
+/// Draw a cohort in proportion to `mix`'s weights, whose sum is `total`.
+fn pick_weighted(rng: &mut SmallRng, mix: &[(Cohort, f64)], total: f64) -> Cohort {
     let mut draw = rng.random::<f64>() * total;
     for (c, w) in mix {
         if draw < *w {
@@ -106,7 +111,8 @@ impl ServerPopulation {
     ) -> ServerProfile {
         match dest {
             Destination::Web => {
-                sample(cache, pick_weighted(rng, &web_traffic_mix(date)), date, rng)
+                let (mix, total) = cache.web_mix(date);
+                sample(cache, pick_weighted(rng, &mix, total), date, rng)
             }
             Destination::Mail => sample(cache, Cohort::Mail, date, rng),
             Destination::Enterprise => sample(cache, Cohort::Enterprise, date, rng),
@@ -135,7 +141,12 @@ impl ServerPopulation {
         date: Date,
         rng: &mut SmallRng,
     ) -> ServerProfile {
-        sample(cache, pick_weighted(rng, &HOST_MIX), date, rng)
+        sample(
+            cache,
+            pick_weighted(rng, &HOST_MIX, mix_total(&HOST_MIX)),
+            date,
+            rng,
+        )
     }
 
     /// GRID endpoint: picks NULL when offered — TLS is only there for

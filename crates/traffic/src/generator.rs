@@ -14,15 +14,14 @@
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use tlscope_chron::{Date, Month};
-use tlscope_clients::{catalog, Family, HelloEntropy, HelloPatches};
+use tlscope_clients::{catalog, Family, HelloEntropy, HelloPatches, TlsConfig};
 use tlscope_servers::{negotiate, Destination, ParamsCache, ServerPopulation};
 use tlscope_wire::codec::{patch_bytes, Writer};
 use tlscope_wire::exts::ext_type;
 use tlscope_wire::fxhash::FxHashMap;
-use tlscope_wire::grease::grease_value;
 use tlscope_wire::handshake::handshake_type;
 use tlscope_wire::record::{ContentType, Record, RecordView};
-use tlscope_wire::{CipherSuite, NamedGroup, ProtocolVersion, Sslv2ClientHello, SuiteSet};
+use tlscope_wire::{CipherSuite, ProtocolVersion, Sslv2ClientHello, SuiteSet};
 
 use crate::faults::FaultInjector;
 use crate::market::Market;
@@ -74,6 +73,10 @@ pub struct Generator {
     population: ServerPopulation,
     /// Where each weight sits in a stream's per-day client tables.
     layout: DayLayout,
+    /// One plan per catalog era, indexed like the layout's era block.
+    eras: Vec<EraPlan>,
+    /// One plan per catalog family.
+    families: Vec<FamilyPlan>,
     cfg: TrafficConfig,
 }
 
@@ -82,10 +85,18 @@ impl Generator {
     pub fn new(cfg: TrafficConfig) -> Self {
         let market = Market::new();
         let layout = DayLayout::new(market.families());
+        let eras = market
+            .families()
+            .iter()
+            .flat_map(|f| f.eras.iter().map(|e| EraPlan::of(&e.tls)))
+            .collect();
+        let families = market.families().iter().map(FamilyPlan::of).collect();
         Generator {
             market,
             population: ServerPopulation::new(),
             layout,
+            eras,
+            families,
             cfg,
         }
     }
@@ -110,6 +121,17 @@ impl Generator {
     /// it is drawn, so peak memory stays at one event per worker
     /// instead of one month per worker.
     pub fn stream_month(&self, month: Month) -> MonthStream<'_> {
+        let days = (1..=month.len_days())
+            .map(|day| {
+                let date = Date::new(month.year(), month.month_of_year(), day)
+                    .expect("every day of a month is a date");
+                Day {
+                    date,
+                    dark: self.cfg.faults.in_outage(self.cfg.seed, date),
+                    table: Vec::new(),
+                }
+            })
+            .collect();
         MonthStream {
             generator: self,
             month,
@@ -126,16 +148,14 @@ impl Generator {
             outage_dropped: 0,
             duplicated: 0,
             scratch: GenScratch {
-                // One (lazily filled) client table per calendar day; a
-                // filled table is never empty, so an empty slot
-                // unambiguously means "not yet computed".
-                day_tables: vec![Vec::new(); month.len_days() as usize],
+                days,
                 ..GenScratch::default()
             },
         }
     }
 
-    /// Generate one connection straight into `scratch`'s flow buffers.
+    /// Generate one connection on day `day` (0-based) of the stream's
+    /// month straight into `scratch`'s flow buffers.
     ///
     /// The returned [`FlowMeta`] describes bytes left in
     /// `scratch.client_buf` / `scratch.server_buf`; nothing is heap-
@@ -144,36 +164,38 @@ impl Generator {
     /// owned implementation, so every pinned event stream is unchanged.
     fn connection_into(
         &self,
-        date: Date,
+        day: usize,
         rng: &mut SmallRng,
         scratch: &mut GenScratch,
     ) -> Option<FlowMeta> {
         // 1. Client family + era. Market and era shares are pure
         // functions of the calendar date, so within one month they take
-        // at most 31 distinct values — the scratch keeps one flat table
-        // per day (shares, era weights and their totals) instead of
+        // at most 31 distinct values — each day keeps one flat table
+        // (shares, era weights and their totals) instead of
         // re-interpolating ~45 anchor curves and re-summing the weights
         // per connection.
-        let day_idx = date.day() as usize - 1;
-        if scratch.day_tables[day_idx].is_empty() {
-            let GenScratch {
-                day_tables,
-                era_shares,
-                ..
-            } = scratch;
+        let Day { date, table, .. } = &mut scratch.days[day];
+        let date = *date;
+        if table.is_empty() {
             self.layout
-                .fill(&self.market, date, era_shares, &mut day_tables[day_idx]);
+                .fill(&self.market, date, &mut scratch.era_shares, table);
         }
-        let (fam_idx, era_idx) = self.layout.pick(&scratch.day_tables[day_idx], rng)?;
-        let family = &self.market.families()[fam_idx];
-        let era = &family.eras[era_idx];
+        let (fam_idx, era_idx) = self.layout.pick(table, rng)?;
+        let family = &self.families[fam_idx];
+        let cfg = &self.market.families()[fam_idx].eras[era_idx].tls;
+        // The era's index among all the catalog's eras: its plan's, and
+        // the era part of its client templates' key.
+        let era = self.layout.era_index(fam_idx, era_idx);
 
         // 2. Destination.
-        let (dest, port) = destination_for(family, rng);
+        let (dest, port) = family.destination.unwrap_or_else(|| web_destination(rng));
 
         // 3. Client bytes.
         let entropy = HelloEntropy::from_seed(rng.random::<u64>());
-        if era.tls.legacy_version == ProtocolVersion::Ssl2 {
+        // Generated hellos resume nothing, so the client template's
+        // session-id range and the server flight's echo are both empty.
+        debug_assert!(entropy.session_id.is_empty());
+        if cfg.legacy_version == ProtocolVersion::Ssl2 {
             const SSLV2_SPECS: &[u32] = &[
                 tlscope_wire::record::sslv2_cipher::RC4_128_WITH_MD5,
                 tlscope_wire::record::sslv2_cipher::DES_192_EDE3_CBC_WITH_MD5,
@@ -199,12 +221,10 @@ impl Generator {
         }
 
         let sni = sni_for(dest, rng);
-        let cfg = &era.tls;
-        cfg.hello_ciphers_into(&entropy, &mut scratch.ciphers);
-        let shuffled = family.name == "(cipher-shuffling client)";
-        if shuffled {
+        if family.shuffles {
             // §4.1: the fingerprint-exploding bug — unstable cipher
             // order per connection.
+            cfg.hello_ciphers_into(&entropy, &mut scratch.ciphers);
             shuffle(&mut scratch.ciphers, rng);
         }
         let record_version = if cfg.legacy_version.rank() <= ProtocolVersion::Ssl3.rank() {
@@ -214,8 +234,6 @@ impl Generator {
         };
         let GenScratch {
             ciphers,
-            versions,
-            curves,
             handshake,
             client_buf,
             server_buf,
@@ -224,28 +242,28 @@ impl Generator {
             ..
         } = scratch;
         // Client bytes via the template cache: for a stable-order
-        // config the serialised hello is a pure function of
-        // (family, era, sni) outside its patch map, so steady state is
-        // memcpy + patch. The shuffling client's suite order changes
-        // per connection and bypasses the cache, as would a non-empty
-        // session id (resumption would move every offset).
-        let cacheable = !shuffled && entropy.session_id.is_empty();
-        let client_key = (fam_idx, era_idx, sni);
-        let mut hit = false;
-        if cacheable {
-            if let Some(t) = templates.client.get(&client_key) {
-                client_buf.clear();
-                client_buf.extend_from_slice(&t.bytes);
-                t.patches.apply(client_buf, &entropy);
-                hit = true;
-            }
-        }
-        if hit {
+        // config the serialised hello is a pure function of (era, sni)
+        // outside its patch map, so steady state is memcpy + patch. The
+        // shuffling client's suite order changes per connection and
+        // bypasses the cache.
+        let client_key = (era * SNIS.len() + sni) as u32;
+        let template = if family.shuffles {
+            None
+        } else {
+            templates.client.get(&client_key)
+        };
+        if let Some(t) = template {
+            client_buf.clear();
+            client_buf.extend_from_slice(&t.bytes);
+            t.patches.apply(client_buf, &entropy);
             templates.hits += 1;
         } else {
+            if !family.shuffles {
+                cfg.hello_ciphers_into(&entropy, ciphers);
+            }
             let mut patches = None;
             with_writer(handshake, |w| {
-                patches = Some(cfg.write_hello_recording(Some(sni), &entropy, ciphers, w));
+                patches = Some(cfg.write_hello_recording(Some(SNIS[sni]), &entropy, ciphers, w));
             });
             client_buf.clear();
             Record::wrap_handshake_into(record_version, handshake, client_buf);
@@ -254,7 +272,7 @@ impl Generator {
             // shape the patch map's uniform +5 shift describes (real
             // hellos always do; a multi-record monster just stays
             // uncached).
-            if cacheable && header == 5 {
+            if !family.shuffles && header == 5 {
                 let mut patches = patches.expect("with_writer runs its closure");
                 patches.shift(header);
                 templates.client.insert(
@@ -268,10 +286,11 @@ impl Generator {
             templates.misses += 1;
         }
 
-        // 4. Server side. Negotiation runs on ClientFacts assembled
-        // from the configuration that just emitted the hello — the
-        // same information a parse of the client flow would recover,
-        // without materialising a ClientHello.
+        // 4. Server side. Negotiation runs on the era's plan and borrows
+        // the era's own suite, version and curve lists — the same
+        // information a parse of the client flow would recover, less
+        // the GREASE entries negotiation skips. Only the shuffling
+        // client's suite order is its own.
         let profile = self
             .population
             .sample_for_traffic(params_cache, dest, date, rng);
@@ -279,64 +298,33 @@ impl Generator {
         for chunk in server_random.chunks_mut(8) {
             chunk.copy_from_slice(&rng.random::<u64>().to_le_bytes());
         }
-        let supported_versions = if cfg.extensions.contains(&ext_type::SUPPORTED_VERSIONS) {
-            versions.clear();
-            if cfg.grease {
-                versions.push(ProtocolVersion::Unknown(grease_value(
-                    entropy.grease_draws[0],
-                )));
-            }
-            versions.extend(cfg.supported_versions.iter().copied());
-            Some(versions.as_slice())
+        let suites = if family.shuffles {
+            ciphers
         } else {
-            None
+            &cfg.ciphers
         };
-        let groups = if cfg.extensions.contains(&ext_type::SUPPORTED_GROUPS) {
-            curves.clear();
-            if cfg.grease {
-                curves.push(NamedGroup(grease_value(entropy.grease_draws[3])));
-            }
-            curves.extend(cfg.curves.iter().copied());
-            Some(curves.as_slice())
-        } else {
-            None
-        };
-        let facts = negotiate::ClientFacts {
-            legacy_version: cfg.legacy_version,
-            session_id: &entropy.session_id,
-            cipher_suites: ciphers,
-            offered: SuiteSet::of(ciphers),
-            supported_versions,
-            curves: groups,
-            has_renegotiation_info: cfg.extensions.contains(&ext_type::RENEGOTIATION_INFO),
-            has_heartbeat: cfg.extensions.contains(&ext_type::HEARTBEAT),
-            has_extensions: !cfg.extensions.is_empty() || cfg.grease,
-        };
+        let facts = self.eras[era].facts(cfg, suites);
         server_buf.clear();
         match negotiate::decide(&profile, &facts) {
             Ok(d) => {
                 // The whole server flight is a pure function of
-                // (Decision, echoed facts, server_random) when the
-                // session id is empty — so the flight is cached per
-                // template key and only the 32 random bytes at the
-                // fixed ServerHello offset are rewritten.
+                // (Decision, echoed facts, server_random) — so the
+                // flight is cached per template key and only the 32
+                // random bytes at the fixed ServerHello offset are
+                // rewritten.
                 let server_key = d.template_key(&facts);
-                if entropy.session_id.is_empty() {
-                    if let Some(bytes) = templates.server.get(&server_key) {
-                        server_buf.extend_from_slice(bytes);
-                        patch_bytes(server_buf, SERVER_RANDOM_OFFSET, &server_random);
-                        templates.hits += 1;
-                    } else {
-                        build_server_flight(&d, &facts, server_random, handshake, server_buf);
-                        debug_assert_eq!(
-                            &server_buf[SERVER_RANDOM_OFFSET..SERVER_RANDOM_OFFSET + 32],
-                            &server_random[..],
-                        );
-                        templates.server.insert(server_key, server_buf.clone());
-                        templates.misses += 1;
-                    }
+                if let Some(bytes) = templates.server.get(&server_key) {
+                    server_buf.extend_from_slice(bytes);
+                    patch_bytes(server_buf, SERVER_RANDOM_OFFSET, &server_random);
+                    templates.hits += 1;
                 } else {
                     build_server_flight(&d, &facts, server_random, handshake, server_buf);
+                    debug_assert_eq!(
+                        &server_buf[SERVER_RANDOM_OFFSET..SERVER_RANDOM_OFFSET + 32],
+                        &server_random[..],
+                    );
+                    templates.server.insert(server_key, server_buf.clone());
+                    templates.misses += 1;
                 }
             }
             Err(failure) => {
@@ -368,6 +356,98 @@ impl Generator {
         })
     }
 }
+
+/// The negotiation constants of one catalog era, resolved once: the
+/// set of suites it offers and which of the extensions negotiation
+/// reads its hello carries. With the era's own `ciphers`,
+/// `supported_versions` and `curves` lists they make the era's
+/// [`negotiate::ClientFacts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EraPlan {
+    /// `SuiteSet::of` the era's suites (GREASE is in no set).
+    offered: SuiteSet,
+    supported_versions: bool,
+    supported_groups: bool,
+    renegotiation_info: bool,
+    heartbeat: bool,
+    /// The hello has an extension block (GREASE alone makes one).
+    has_extensions: bool,
+}
+
+impl EraPlan {
+    fn of(tls: &TlsConfig) -> Self {
+        let has = |typ| tls.extensions.contains(&typ);
+        EraPlan {
+            offered: SuiteSet::of(&tls.ciphers),
+            supported_versions: has(ext_type::SUPPORTED_VERSIONS),
+            supported_groups: has(ext_type::SUPPORTED_GROUPS),
+            renegotiation_info: has(ext_type::RENEGOTIATION_INFO),
+            heartbeat: has(ext_type::HEARTBEAT),
+            has_extensions: !tls.extensions.is_empty() || tls.grease,
+        }
+    }
+
+    /// What negotiation reads from a hello of `tls` (this plan's era)
+    /// offering `cipher_suites`, the era's own list or a reordering of
+    /// it. Every list is borrowed without its GREASE entries, which
+    /// negotiation skips; the session id is empty.
+    fn facts<'a>(
+        &self,
+        tls: &'a TlsConfig,
+        cipher_suites: &'a [CipherSuite],
+    ) -> negotiate::ClientFacts<'a> {
+        negotiate::ClientFacts {
+            legacy_version: tls.legacy_version,
+            session_id: &[],
+            cipher_suites,
+            offered: self.offered,
+            supported_versions: self
+                .supported_versions
+                .then_some(tls.supported_versions.as_slice()),
+            curves: self.supported_groups.then_some(tls.curves.as_slice()),
+            has_renegotiation_info: self.renegotiation_info,
+            has_heartbeat: self.heartbeat,
+            has_extensions: self.has_extensions,
+        }
+    }
+}
+
+/// A family's per-connection constants, resolved once from its name.
+#[derive(Debug, Clone, Copy)]
+struct FamilyPlan {
+    /// Where every connection of the family goes; `None` draws each
+    /// connection's destination from the web mix.
+    destination: Option<(Destination, u16)>,
+    /// The family shuffles its suite order per connection.
+    shuffles: bool,
+}
+
+impl FamilyPlan {
+    fn of(family: &Family) -> Self {
+        FamilyPlan {
+            destination: FIXED_DESTINATIONS
+                .iter()
+                .find(|(name, ..)| *name == family.name)
+                .map(|&(_, dest, port)| (dest, port)),
+            shuffles: family.name == SHUFFLING_FAMILY,
+        }
+    }
+}
+
+/// The families whose every connection goes to one destination and
+/// port; every other family draws its destinations from the web mix.
+const FIXED_DESTINATIONS: [(&str, Destination, u16); 7] = [
+    ("Globus GridFTP", Destination::Grid, 2811),
+    ("Nagios NRPE", Destination::Nagios, 5666),
+    ("Legacy Nagios probe (SSLv2)", Destination::Sslv2Relic, 5666),
+    ("Thunderbird", Destination::Mail, 993),
+    ("Apple Mail", Destination::Mail, 993),
+    ("Splunk forwarder", Destination::Splunk, 9997),
+    ("Interwise", Destination::Interwise, 443),
+];
+
+/// The §4.1 client whose suite order changes per connection.
+const SHUFFLING_FAMILY: &str = "(cipher-shuffling client)";
 
 /// Where one generated connection's bytes are: the flows live in the
 /// stream's [`GenScratch`] buffers, this carries everything else.
@@ -451,6 +531,12 @@ impl DayLayout {
         }
     }
 
+    /// Position of `family`'s era `era` in the era block, which is
+    /// also its index among all the catalog's eras.
+    fn era_index(&self, family: usize, era: usize) -> usize {
+        self.era_offsets[family] + era
+    }
+
     fn eras_of<'t>(&self, table: &'t [f64], family: usize) -> &'t [f64] {
         let at = self.eras_at();
         &table[at + self.era_offsets[family]..at + self.era_offsets[family + 1]]
@@ -470,6 +556,17 @@ impl DayLayout {
     }
 }
 
+/// One calendar day of a stream's month, resolved when the stream is
+/// made.
+struct Day {
+    date: Date,
+    /// The tap is dark all day (an outage window).
+    dark: bool,
+    /// Client-draw weights (layout: [`DayLayout`]); empty until the
+    /// day's first connection fills it, and never empty after.
+    table: Vec<f64>,
+}
+
 /// Per-stream reusable buffers. Every connection draws through these
 /// instead of allocating fresh intermediates — including the flow
 /// bytes themselves: `client_buf`/`server_buf` hold the current
@@ -477,17 +574,16 @@ impl DayLayout {
 /// ([`Generator::month`]) copies them out.
 #[derive(Default)]
 struct GenScratch {
-    /// Client-draw weights, one flat table per day of the month (slot
-    /// `day - 1`; empty = not yet computed; layout: [`DayLayout`]).
-    /// Sized by [`Generator::stream_month`].
-    day_tables: Vec<Vec<f64>>,
+    /// The month's days (slot `day - 1`), made by
+    /// [`Generator::stream_month`].
+    days: Vec<Day>,
     /// Memoised cohort parameter curves for profile sampling.
     params_cache: ParamsCache,
     /// Scratch for one family's era weights while a day table fills.
     era_shares: Vec<f64>,
+    /// The on-wire suite list (GREASE included) of a hello being
+    /// serialised (a template miss) or shuffled.
     ciphers: Vec<CipherSuite>,
-    versions: Vec<ProtocolVersion>,
-    curves: Vec<NamedGroup>,
     handshake: Vec<u8>,
     client_buf: Vec<u8>,
     server_buf: Vec<u8>,
@@ -509,18 +605,19 @@ struct ClientTemplate {
 
 /// Per-stream cache of serialised wire flights.
 ///
-/// Client flows are keyed by (family, era, sni) — the hello bytes are
-/// a pure function of that triple outside the patch map (the calendar
-/// day shifts *which* stacks appear, never their bytes, so day is
-/// deliberately not part of the key). Server flights are keyed by
-/// [`Decision::template_key`](tlscope_servers::Decision::template_key)
+/// Client flows are keyed by (era, sni), packed as `era × SNIS.len() +
+/// sni` over the catalog's era index and [`SNIS`] — the hello bytes
+/// are a pure function of that pair outside the patch map (the
+/// calendar day shifts *which* stacks appear, never their bytes, so
+/// day is deliberately not part of the key). Server flights are keyed
+/// by [`Decision::template_key`](tlscope_servers::Decision::template_key)
 /// and re-randomised by patching the server random in place. Both maps
 /// are unbounded: the key space is the client catalog × a handful of
 /// SNIs, resp. the set of distinct negotiation outcomes — a few
 /// hundred entries per stream at most.
 #[derive(Default)]
 struct TemplateCache {
-    client: FxHashMap<(usize, usize, &'static str), ClientTemplate>,
+    client: FxHashMap<u32, ClientTemplate>,
     server: FxHashMap<u64, Vec<u8>>,
     hits: u64,
     misses: u64,
@@ -642,14 +739,12 @@ impl MonthStream<'_> {
     /// Generate the next captured connection into scratch, skipping
     /// the ones the tap loses, and mark a duplicate for replay.
     fn draw(&mut self) -> Option<FlowMeta> {
-        let faults = &self.generator.cfg.faults;
         // Shares drift within a month; sampling per connection-day
         // keeps the curves smooth without recomputing per event.
         while self.remaining > 0 {
             self.remaining -= 1;
-            let day = self.rng.random_range(1..=self.month.len_days());
-            let date = Date::new(self.month.year(), self.month.month_of_year(), day).unwrap();
-            if faults.in_outage(self.generator.cfg.seed, date) {
+            let day = usize::from(self.rng.random_range(1..=self.month.len_days())) - 1;
+            if self.scratch.days[day].dark {
                 // The tap is dark: the connection happened on the wire
                 // but was never captured. The check precedes generation
                 // — an outage costs no RNG draws, mirroring a capture
@@ -659,9 +754,9 @@ impl MonthStream<'_> {
             }
             if let Some(meta) =
                 self.generator
-                    .connection_into(date, &mut self.rng, &mut self.scratch)
+                    .connection_into(day, &mut self.rng, &mut self.scratch)
             {
-                if faults.duplicates(&mut self.rng) {
+                if self.generator.cfg.faults.duplicates(&mut self.rng) {
                     self.duplicated += 1;
                     self.pending = Some(meta);
                 }
@@ -738,52 +833,57 @@ fn pick_index(rng: &mut SmallRng, weights: &[f64], total: f64) -> Option<usize> 
     weights.iter().rposition(|w| *w > 0.0)
 }
 
-fn destination_for(family: &Family, rng: &mut SmallRng) -> (Destination, u16) {
-    match family.name {
-        "Globus GridFTP" => (Destination::Grid, 2811),
-        "Nagios NRPE" => (Destination::Nagios, 5666),
-        "Legacy Nagios probe (SSLv2)" => (Destination::Sslv2Relic, 5666),
-        "Thunderbird" | "Apple Mail" => (Destination::Mail, 993),
-        "Splunk forwarder" => (Destination::Splunk, 9997),
-        "Interwise" => (Destination::Interwise, 443),
-        _ => {
-            let draw = rng.random::<f64>();
-            if draw < 0.9830 {
-                (Destination::Web, 443)
-            } else if draw < 0.9930 {
-                (Destination::Enterprise, 443)
-            } else if draw < 0.9970 {
-                (Destination::Iot, 8443)
-            } else if draw < 0.9986 {
-                (Destination::BankLegacy, 443)
-            } else if draw < 0.9990 {
-                (Destination::Gost, 443)
-            } else {
-                (Destination::Nagios, 5666)
-            }
-        }
+/// The destination of a connection from a family without a fixed one.
+fn web_destination(rng: &mut SmallRng) -> (Destination, u16) {
+    let draw = rng.random::<f64>();
+    if draw < 0.9830 {
+        (Destination::Web, 443)
+    } else if draw < 0.9930 {
+        (Destination::Enterprise, 443)
+    } else if draw < 0.9970 {
+        (Destination::Iot, 8443)
+    } else if draw < 0.9986 {
+        (Destination::BankLegacy, 443)
+    } else if draw < 0.9990 {
+        (Destination::Gost, 443)
+    } else {
+        (Destination::Nagios, 5666)
     }
 }
 
-fn sni_for(dest: Destination, rng: &mut SmallRng) -> &'static str {
-    const WEB: &[&str] = &[
-        "www.example.com",
-        "search.example.org",
-        "social.example.net",
-        "video.example.com",
-        "news.example.org",
-        "shop.example.net",
-    ];
+/// Every SNI a generated hello names: the six web hosts, one host per
+/// named destination (in [`sni_for`]'s order), then the internal host
+/// every other destination names.
+const SNIS: [&str; 14] = [
+    "www.example.com",
+    "search.example.org",
+    "social.example.net",
+    "video.example.com",
+    "news.example.org",
+    "shop.example.net",
+    "imap.example.org",
+    "gridftp.example.edu",
+    "nagios.example.edu",
+    "meet.interwise.example",
+    "gost.example.ru",
+    "bankmellat.example.ir",
+    "splunk.example.corp",
+    "internal.example.corp",
+];
+
+/// The index in [`SNIS`] of the host a connection to `dest` names; a
+/// web connection draws one of the six web hosts.
+fn sni_for(dest: Destination, rng: &mut SmallRng) -> usize {
     match dest {
-        Destination::Web => WEB[rng.random_range(0..WEB.len())],
-        Destination::Mail => "imap.example.org",
-        Destination::Grid => "gridftp.example.edu",
-        Destination::Nagios => "nagios.example.edu",
-        Destination::Interwise => "meet.interwise.example",
-        Destination::Gost => "gost.example.ru",
-        Destination::BankLegacy => "bankmellat.example.ir",
-        Destination::Splunk => "splunk.example.corp",
-        _ => "internal.example.corp",
+        Destination::Web => rng.random_range(0..6),
+        Destination::Mail => 6,
+        Destination::Grid => 7,
+        Destination::Nagios => 8,
+        Destination::Interwise => 9,
+        Destination::Gost => 10,
+        Destination::BankLegacy => 11,
+        Destination::Splunk => 12,
+        _ => 13,
     }
 }
 
@@ -805,6 +905,119 @@ mod tests {
             connections_per_month: 500,
             faults: FaultInjector::none(),
         })
+    }
+
+    #[test]
+    fn plans_match_the_catalog() {
+        let g = small_gen();
+        let families = g.market.families();
+        // Every name the plans match on is a catalog family's, once: a
+        // renamed family would otherwise drop silently into the web mix
+        // or stop shuffling.
+        for name in FIXED_DESTINATIONS
+            .iter()
+            .map(|&(name, ..)| name)
+            .chain([SHUFFLING_FAMILY])
+        {
+            let matches = families.iter().filter(|f| f.name == name).count();
+            assert_eq!(matches, 1, "{name:?} names {matches} catalog families");
+        }
+        let fixed = g.families.iter().filter(|p| p.destination.is_some());
+        assert_eq!(fixed.count(), FIXED_DESTINATIONS.len());
+        assert_eq!(g.families.iter().filter(|p| p.shuffles).count(), 1);
+
+        // Each era's plan is what its configuration's hello gives, at
+        // the era's place in the day tables' era block.
+        assert_eq!(g.eras.len(), g.layout.era_offsets[families.len()]);
+        let mut ciphers = Vec::new();
+        for (f, family) in families.iter().enumerate() {
+            for (e, era) in family.eras.iter().enumerate() {
+                let tls = &era.tls;
+                let plan = g.eras[g.layout.era_index(f, e)];
+                let at = format!("{} {}", family.name, era.versions);
+                for seed in 0..8 {
+                    tls.hello_ciphers_into(&HelloEntropy::from_seed(seed), &mut ciphers);
+                    assert_eq!(plan.offered, SuiteSet::of(&ciphers), "{at}");
+                }
+                let has = |typ| tls.extensions.contains(&typ);
+                assert_eq!(
+                    plan,
+                    EraPlan {
+                        offered: plan.offered,
+                        supported_versions: has(ext_type::SUPPORTED_VERSIONS),
+                        supported_groups: has(ext_type::SUPPORTED_GROUPS),
+                        renegotiation_info: has(ext_type::RENEGOTIATION_INFO),
+                        heartbeat: has(ext_type::HEARTBEAT),
+                        has_extensions: tls
+                            .build_hello(None, &HelloEntropy::zero())
+                            .extensions
+                            .is_some(),
+                    },
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn grease_entries_never_change_a_negotiation() {
+        // The plan's facts borrow the era's own lists, which lack the
+        // hello's GREASE suite, supported_versions and supported_groups
+        // entries. Negotiating on the hello itself (several GREASE
+        // draws) must give the same answer, byte for byte, for every
+        // catalog era against profiles sampled for every destination
+        // across the study window.
+        use tlscope_servers::ServerProfile;
+        let g = small_gen();
+        let destinations = [
+            Destination::Web,
+            Destination::Mail,
+            Destination::Grid,
+            Destination::Nagios,
+            Destination::Sslv2Relic,
+            Destination::Interwise,
+            Destination::Gost,
+            Destination::BankLegacy,
+            Destination::Splunk,
+            Destination::Enterprise,
+            Destination::Iot,
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x67ea5e);
+        let mut cache = ParamsCache::default();
+        let mut greased = 0;
+        for year in 2012..=2018 {
+            let date = Date::ymd(year, 4, 15);
+            let profiles: Vec<ServerProfile> = destinations
+                .iter()
+                .flat_map(|&dest| [dest; 4])
+                .map(|dest| {
+                    g.population
+                        .sample_for_traffic(&mut cache, dest, date, &mut rng)
+                })
+                .collect();
+            for (f, family) in g.market.families().iter().enumerate() {
+                for (e, era) in family.eras.iter().enumerate() {
+                    let tls = &era.tls;
+                    let plain = g.eras[g.layout.era_index(f, e)].facts(tls, &tls.ciphers);
+                    greased += usize::from(tls.grease);
+                    for seed in 0..4u64 {
+                        let entropy = HelloEntropy::from_seed(seed.wrapping_mul(0x9e37_79b9));
+                        let hello = tls.build_hello(Some(SNIS[0]), &entropy);
+                        for profile in &profiles {
+                            assert_eq!(
+                                negotiate::respond_facts(profile, &plain, entropy.random),
+                                negotiate::respond(profile, &hello, entropy.random),
+                                "{} {} against {} at {date}",
+                                family.name,
+                                era.versions,
+                                profile.cohort,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(greased > 0, "no catalog era GREASEs");
     }
 
     #[test]
