@@ -8,7 +8,7 @@
 //! cargo bench -p tlscope-bench --bench scan --features alloc-counter -- --fast
 //! ```
 //!
-//! It measures five things about one Censys-style sweep, each run
+//! It measures six things about one Censys-style sweep, each run
 //! through `sweep_sharded_with` on one thread (a campaign parallelises
 //! across dates, never inside one):
 //!
@@ -31,6 +31,12 @@
 //! 5. **Memo ablation** — one `params(cohort, date)` computation
 //!    against one `ParamsCache` hit, the saving every sampled host
 //!    gets from the memo.
+//! 6. **Decision memo** — the date's hosts swept (one `DecisionMemo`
+//!    for the date) against the same hosts sampled and folded through
+//!    `probe_host_with`, which negotiates every probe, in ns/host; and
+//!    the date's distinct negotiation keys with the hit rate a fresh
+//!    per-date memo gets. The hit rate is gated against
+//!    [`SCAN_MEMO_HIT_RATE_MIN`]: the bench exits non-zero below it.
 //!
 //! Timings are single-run reports and gate nothing. Back-to-back runs
 //! of unchanged code on a shared 2-core host differed by over 40 %, so
@@ -43,10 +49,11 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlscope::chron::Date;
 use tlscope::scanner::{
-    probe_host, sweep_sharded_with, PreparedProbe, ProbeSet, ScanFaults, ScanMetrics, ScanSnapshot,
+    probe_host, probe_host_with, sweep_host, sweep_sharded_with, DecisionMemo, PreparedProbe,
+    ProbeSet, ScanFaults, ScanMetrics, ScanSnapshot,
 };
 use tlscope::servers::{negotiate, params, Cohort, CohortParams, ParamsCache, ServerPopulation};
-use tlscope_bench::{best_secs, SCAN_ALLOC_BUDGET_PER_HOST};
+use tlscope_bench::{best_secs, SCAN_ALLOC_BUDGET_PER_HOST, SCAN_MEMO_HIT_RATE_MIN};
 
 #[cfg(feature = "alloc-counter")]
 use tlscope_bench::alloc_counter;
@@ -165,7 +172,30 @@ fn main() {
         })
     };
     let uncached_secs = curves(&mut |c| params(c, date));
-    let hit_secs = curves(&mut |c| cache.params(c, date));
+    let hit_secs = curves(&mut |c| *cache.params(c, date));
+
+    // --- Decision memo: the sweep (one memo for the date) against the
+    // same hosts folded through `probe_host_with`, which negotiates
+    // every probe; then a fresh memo over the date's hosts.
+    let by_hand = || {
+        let mut cache = ParamsCache::default();
+        let mut snap = ScanSnapshot::new(date);
+        for index in 0..u64::from(hosts) {
+            let host = sweep_host(&pop, &mut cache, SEED, date, index);
+            probe_host_with(&probes, &host, &mut snap);
+        }
+        snap
+    };
+    assert_eq!(by_hand(), sweep(hosts), "the memo moved the sweep");
+    let by_hand_secs = best_secs(reps, || {
+        std::hint::black_box(by_hand());
+    });
+    let mut memo = DecisionMemo::new(probes.sweep_probes());
+    let mut cache = ParamsCache::default();
+    for index in 0..u64::from(hosts) {
+        let _ = memo.decide(&sweep_host(&pop, &mut cache, SEED, date, index));
+    }
+    let memo_keys = memo.configurations();
 
     let n = hosts as f64;
     let serial_apc = serial_allocs as f64 / n;
@@ -174,8 +204,11 @@ fn main() {
     let serial_hps = n / serial_secs;
     let faulted_hps = n / faulted_secs;
     let counting = cfg!(feature = "alloc-counter");
-    let budget_pass = !counting
+    let alloc_pass = !counting
         || (serial_apc <= SCAN_ALLOC_BUDGET_PER_HOST && faulted_apc <= SCAN_ALLOC_BUDGET_PER_HOST);
+    let hit_rate = memo.hits() as f64 / n;
+    let hit_pass = hit_rate >= SCAN_MEMO_HIT_RATE_MIN;
+    let budget_pass = alloc_pass && hit_pass;
     let reduction = if counting && serial_apc > 0.0 {
         naive_apc / serial_apc
     } else {
@@ -196,9 +229,10 @@ fn main() {
             "  \"faulted\": {{ \"profile\": \"stress\", \"hosts_per_sec\": {f_hps:.0}, \"allocs_per_host\": {f_apc:.3}, \"hosts_dropped\": {f_dropped}, \"probes_timed_out\": {f_timed}, \"host_retries\": {f_retries}, \"accounting_holds\": {f_acct} }},\n",
             "  \"layers\": {{ \"sample_ns_per_host\": {l_sample:.1}, \"decide_chrome_ns_per_host\": {l_chrome:.1}, \"decide_ssl3_ns_per_host\": {l_ssl3:.1}, \"decide_export_ns_per_host\": {l_export:.1}, \"decide_ns_per_host\": {l_decide:.1} }},\n",
             "  \"params_memo\": {{ \"uncached_ns_per_call\": {m_uncached:.1}, \"hit_ns_per_call\": {m_hit:.1}, \"saving_ns_per_call\": {m_saving:.1} }},\n",
+            "  \"decision_memo\": {{ \"memo_ns_per_host\": {d_memo:.1}, \"direct_ns_per_host\": {d_direct:.1}, \"saving_ns_per_host\": {d_saving:.1}, \"distinct_keys\": {d_keys}, \"hit_rate\": {d_hits:.4} }},\n",
             "  \"baseline_naive_probe_rebuild\": {{ \"allocs_per_host\": {naive_apc:.3} }},\n",
             "  \"improvement\": {{ \"alloc_reduction_factor\": {red:.1} }},\n",
-            "  \"budget\": {{ \"allocs_per_host_max\": {budget:.2}, \"pass\": {pass} }}\n",
+            "  \"budget\": {{ \"allocs_per_host_max\": {budget:.2}, \"memo_hit_rate_min\": {hit_min:.2}, \"pass\": {pass} }}\n",
             "}}\n"
         ),
         mode = mode,
@@ -221,9 +255,15 @@ fn main() {
         m_uncached = per_call_ns(uncached_secs),
         m_hit = per_call_ns(hit_secs),
         m_saving = per_call_ns(uncached_secs - hit_secs),
+        d_memo = per_host_ns(serial_secs),
+        d_direct = per_host_ns(by_hand_secs),
+        d_saving = per_host_ns(by_hand_secs - serial_secs),
+        d_keys = memo_keys,
+        d_hits = hit_rate,
         naive_apc = naive_apc,
         red = reduction,
         budget = SCAN_ALLOC_BUDGET_PER_HOST,
+        hit_min = SCAN_MEMO_HIT_RATE_MIN,
         pass = budget_pass,
     );
 
@@ -232,10 +272,17 @@ fn main() {
         eprintln!("warning: could not write {out}: {e}");
     }
 
-    if !budget_pass {
+    if !alloc_pass {
         eprintln!(
             "scan alloc budget exceeded: serial {serial_apc:.3} / faulted {faulted_apc:.3} allocs/host > {SCAN_ALLOC_BUDGET_PER_HOST:.2}"
         );
+    }
+    if !hit_pass {
+        eprintln!(
+            "decision memo hit rate {hit_rate:.4} < floor {SCAN_MEMO_HIT_RATE_MIN:.2} ({memo_keys} keys over {hosts} hosts)"
+        );
+    }
+    if !budget_pass {
         std::process::exit(1);
     }
 }

@@ -35,6 +35,13 @@ pub const PIPELINE_ALLOC_BUDGET_PER_CONN: f64 = 1.0;
 /// (that cost ~1.9 allocs/host).
 pub const SCAN_ALLOC_BUDGET_PER_HOST: f64 = 0.25;
 
+/// Floor for the share of a sweep date's hosts whose probe outcomes a
+/// fresh per-date decision memo answers without negotiating, enforced
+/// by the `scan` bench. The fast bench's 2,000 hosts share a few
+/// hundred negotiation keys; the floor fails when the key stops
+/// collapsing hosts, say because it gained a per-host field.
+pub const SCAN_MEMO_HIT_RATE_MIN: f64 = 0.75;
+
 /// Best-of-`reps` wall time of `f` in seconds; `f` must be repeatable.
 pub fn best_secs(reps: u32, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;

@@ -34,9 +34,9 @@ pub mod sweep;
 pub use checkpoint::{DateCheckpoint, ScanDirLoad};
 pub use faults::{ScanFaults, DEAD_HOST_SPAN_DAYS, MAX_PROBE_ATTEMPTS};
 pub use metrics::{ScanLatency, ScanMetrics, ScanMetricsSnapshot};
-pub use probe::{PreparedProbe, ProbeSet};
+pub use probe::{DecisionMemo, Outcome, PreparedProbe, ProbeSet};
 pub use schedule::{schedule, ScanCampaign, CENSYS_END, CENSYS_START};
 pub use sweep::{
-    probe_host, probe_host_with, pulse_surveys, sweep_sharded_with, ProbeFlight, PulseSnapshot,
-    ScanSnapshot,
+    probe_host, probe_host_with, probe_site_with, pulse_site, pulse_surveys, sweep_host,
+    sweep_sharded_with, ProbeFlight, PulseSnapshot, ScanSnapshot,
 };

@@ -6,8 +6,13 @@
 //! scans offer SSL 3 as the sole version, and others look for
 //! export-grade support. Each probe here is a genuine ClientHello.
 
-use tlscope_servers::ClientFacts;
+use std::collections::hash_map::Entry;
+
+use tlscope_servers::{
+    negotiate, ClientFacts, Decision, HandshakeFailure, NegotiationKey, ServerProfile,
+};
 use tlscope_wire::exts::ext_type;
+use tlscope_wire::fxhash::FxHashMap;
 use tlscope_wire::{CipherSuite, ClientHello, Extension, NamedGroup, ProtocolVersion, SuiteSet};
 
 fn hello(version: ProtocolVersion, suites: &[u16], extensions: Vec<Extension>) -> ClientHello {
@@ -188,11 +193,91 @@ impl ProbeSet {
             chrome_2015_no_rc4: PreparedProbe::new(chrome_2015_no_rc4()),
         }
     }
+
+    /// The probes a sweep sends every host, in the order they go out:
+    /// 2015 Chrome, SSL3-only, export.
+    pub fn sweep_probes(&self) -> [&PreparedProbe; 3] {
+        [&self.chrome_2015, &self.ssl3_only, &self.export_only]
+    }
+
+    /// The probes an SSL-Pulse survey may send a site: RC4-only, then
+    /// (to an RC4 supporter) the Chrome offer without RC4.
+    pub fn pulse_probes(&self) -> [&PreparedProbe; 2] {
+        [&self.rc4_only, &self.chrome_2015_no_rc4]
+    }
 }
 
 impl Default for ProbeSet {
     fn default() -> Self {
         ProbeSet::campaign()
+    }
+}
+
+/// How one probe's handshake with a server configuration ends.
+pub type Outcome = Result<Decision, HandshakeFailure>;
+
+/// Each of `probes` negotiated against `profile`, with no memo.
+pub(crate) fn decide_each<const N: usize>(
+    probes: [&PreparedProbe; N],
+    profile: &ServerProfile,
+) -> [Outcome; N] {
+    probes.map(|probe| negotiate::decide(profile, &probe.facts()))
+}
+
+/// What `N` fixed probes decide against each server configuration met,
+/// each configuration decided once.
+///
+/// A decision is a pure function of the probe and of the profile's
+/// negotiation inputs, which [`ServerProfile::negotiation_key`] names
+/// exactly, so every host sharing a key gets the same outcomes. A sweep
+/// date or survey holds one memo for all its hosts: a weekly date of
+/// 12,000 hosts meets about 490–670 configurations. A profile without a key
+/// (an owned list, which only tests build) is decided directly. An
+/// entry is inserted only once all `N` outcomes are decided, so a
+/// panic never leaves part of one behind.
+#[derive(Debug)]
+pub struct DecisionMemo<'p, const N: usize> {
+    probes: [&'p PreparedProbe; N],
+    decided: FxHashMap<NegotiationKey, [Outcome; N]>,
+    hits: u64,
+}
+
+impl<'p, const N: usize> DecisionMemo<'p, N> {
+    /// An empty memo for `probes`, in the order [`decide`] returns
+    /// their outcomes.
+    ///
+    /// [`decide`]: DecisionMemo::decide
+    pub fn new(probes: [&'p PreparedProbe; N]) -> Self {
+        DecisionMemo {
+            probes,
+            decided: FxHashMap::default(),
+            hits: 0,
+        }
+    }
+
+    /// Each probe's outcome against `profile`, from the memo when its
+    /// configuration was decided before.
+    pub fn decide(&mut self, profile: &ServerProfile) -> [Outcome; N] {
+        let Some(key) = profile.negotiation_key() else {
+            return decide_each(self.probes, profile);
+        };
+        match self.decided.entry(key) {
+            Entry::Occupied(hit) => {
+                self.hits += 1;
+                *hit.get()
+            }
+            Entry::Vacant(miss) => *miss.insert(decide_each(self.probes, profile)),
+        }
+    }
+
+    /// Distinct configurations decided so far.
+    pub fn configurations(&self) -> usize {
+        self.decided.len()
+    }
+
+    /// Lookups answered from the memo.
+    pub fn hits(&self) -> u64 {
+        self.hits
     }
 }
 
@@ -233,6 +318,64 @@ mod tests {
         let h = chrome_2015_no_rc4();
         assert!(!h.cipher_suites.iter().any(|c| c.is_rc4()));
         assert!(h.cipher_suites.len() < chrome_2015().cipher_suites.len());
+    }
+
+    /// Profiles sharing a negotiation key get the same outcome from
+    /// every campaign probe: over both population views (the host view
+    /// and every traffic destination), 2012–2018, the first profile of
+    /// each key answers for all the others, as a memo hit does.
+    #[test]
+    fn equal_negotiation_keys_decide_alike_for_every_probe() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        use std::collections::HashMap;
+        use tlscope_chron::Date;
+        use tlscope_servers::{Destination, ParamsCache, ServerPopulation};
+
+        let probes = ProbeSet::campaign();
+        let pop = ServerPopulation::new();
+        let mut rng = SmallRng::seed_from_u64(0x6E60);
+        let mut cache = ParamsCache::default();
+        let mut first: HashMap<NegotiationKey, (ServerProfile, [Outcome; 5])> = HashMap::new();
+        let mut profiles = 0;
+        for year in 2012..=2018 {
+            for month in [1, 4, 7, 10] {
+                let date = Date::ymd(year, month, 15);
+                let mut sampled: Vec<_> = (0..300)
+                    .map(|_| pop.sample_host(&mut cache, date, &mut rng))
+                    .collect();
+                for dest in Destination::ALL {
+                    for _ in 0..30 {
+                        sampled.push(pop.sample_for_traffic(&mut cache, dest, date, &mut rng));
+                    }
+                }
+                for profile in sampled {
+                    profiles += 1;
+                    let key = profile
+                        .negotiation_key()
+                        .expect("sampled lists are borrowed");
+                    let outcomes = [
+                        &probes.chrome_2015,
+                        &probes.ssl3_only,
+                        &probes.export_only,
+                        &probes.rc4_only,
+                        &probes.chrome_2015_no_rc4,
+                    ]
+                    .map(|probe| negotiate::decide(&profile, &probe.facts()));
+                    match first.entry(key) {
+                        Entry::Occupied(seen) => {
+                            let (earlier, want) = seen.get();
+                            assert_eq!(outcomes, *want, "{earlier:?} vs {profile:?}");
+                        }
+                        Entry::Vacant(slot) => {
+                            slot.insert((profile, outcomes));
+                        }
+                    }
+                }
+            }
+        }
+        // Hosts share keys: the property compared many pairs.
+        assert!(first.len() * 4 < profiles, "{} keys", first.len());
     }
 
     #[test]

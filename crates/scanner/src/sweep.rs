@@ -17,6 +17,18 @@
 //! [`ScanSnapshot::merge`] (a commutative integer sum) equals the
 //! sweep folded in one pass, bit for bit.
 //!
+//! ## One negotiation per configuration and date
+//!
+//! Every host of a date is sent the same probes, and a probe's outcome
+//! is a pure function of the profile's negotiation inputs, which
+//! [`ServerProfile::negotiation_key`] names exactly. Each sweep date and
+//! survey therefore holds one [`DecisionMemo`]: a configuration is
+//! negotiated the first time the date meets it, and every later host
+//! with its key is answered from the memo. The memo draws nothing and
+//! is consulted after a host's profile and fault draws, so every
+//! stream, snapshot and ledger stays where it was. [`probe_host_with`]
+//! and [`probe_site_with`] negotiate every probe, as the reference.
+//!
 //! ## Fault model and the retry layer
 //!
 //! Real IPv4-wide sweeps lose probes constantly — unanswered SYNs,
@@ -52,11 +64,11 @@ use rand::SeedableRng;
 use tlscope_chron::Date;
 use tlscope_durable::{isolate, run_units};
 use tlscope_obs::Progress;
-use tlscope_servers::{negotiate, ParamsCache, ServerPopulation, ServerProfile};
+use tlscope_servers::{Destination, ParamsCache, ServerPopulation, ServerProfile};
 
 use crate::faults::{key, mix, ScanFaults, MAX_PROBE_ATTEMPTS};
 use crate::metrics::{ScanMetrics, ScanMetricsSnapshot};
-use crate::probe::ProbeSet;
+use crate::probe::{decide_each, DecisionMemo, Outcome, PreparedProbe, ProbeSet};
 
 /// Declares a sweep's or survey's measurement record once: its date and
 /// its `u64` counters, each with its doc, the first counter being the
@@ -199,14 +211,27 @@ fn host_rng(seed: u64, date: Date, index: u64) -> SmallRng {
     SmallRng::seed_from_u64(mix(key(seed, date.to_epoch_days() as u64, index, 0)))
 }
 
-/// Probe one server with every sweep probe, skipping (and counting)
+/// The server at host `index` of the sweep at `(seed, date)`: the
+/// profile the sweep probes there, drawn from the host's own stream
+/// with the cohort curves served from `cache`.
+pub fn sweep_host(
+    population: &ServerPopulation,
+    cache: &mut ParamsCache,
+    seed: u64,
+    date: Date,
+    index: u64,
+) -> ServerProfile {
+    population.sample_host(cache, date, &mut host_rng(seed, date, index))
+}
+
+/// Fold one server's outcomes for the sweep probes
+/// ([`ProbeSet::sweep_probes`]) into `snap`, skipping (and counting)
 /// any probe `times_out` says was lost mid-handshake. The hot path of
-/// the scan engine: with the probe set prepared once per campaign,
-/// deciding all three probes touches no heap at all
-/// ([`negotiate::decide`] allocates nothing).
+/// the scan engine: the outcomes come from the date's
+/// [`DecisionMemo`], and folding them touches no heap.
 fn probe_host_timed(
-    probes: &ProbeSet,
-    profile: &ServerProfile,
+    [chrome, ssl3, export]: [Outcome; 3],
+    heartbleed_vulnerable: bool,
     snap: &mut ScanSnapshot,
     mut times_out: impl FnMut(u32) -> bool,
 ) -> ProbeFlight {
@@ -218,7 +243,7 @@ fn probe_host_timed(
     if times_out(0) {
         flight.timed_out += 1;
     } else {
-        match negotiate::decide(profile, &probes.chrome_2015.facts()) {
+        match chrome {
             Ok(d) => {
                 flight.completed += 1;
                 snap.answered += 1;
@@ -235,7 +260,7 @@ fn probe_host_timed(
                     // The Heartbleed check: a malformed heartbeat against a
                     // heartbeat-answering host. The profile's vulnerability
                     // flag *is* the server behaviour being measured.
-                    if profile.heartbleed_vulnerable {
+                    if heartbleed_vulnerable {
                         snap.heartbleed_vulnerable += 1;
                     }
                 }
@@ -249,7 +274,7 @@ fn probe_host_timed(
     if times_out(1) {
         flight.timed_out += 1;
     } else {
-        match negotiate::decide(profile, &probes.ssl3_only.facts()) {
+        match ssl3 {
             Ok(_) => {
                 flight.completed += 1;
                 snap.ssl3_supported += 1;
@@ -265,7 +290,7 @@ fn probe_host_timed(
     if times_out(2) {
         flight.timed_out += 1;
     } else {
-        match negotiate::decide(profile, &probes.export_only.facts()) {
+        match export {
             Ok(d) => {
                 flight.completed += 1;
                 if d.cipher.is_export() {
@@ -280,13 +305,15 @@ fn probe_host_timed(
 }
 
 /// Probe one server with every sweep probe from `probes` and fold into
-/// `snap`, with no faults in play.
+/// `snap`, with no faults in play. Each probe is decided directly, with
+/// no memo: the reference a memoised sweep must equal.
 pub fn probe_host_with(
     probes: &ProbeSet,
     profile: &ServerProfile,
     snap: &mut ScanSnapshot,
 ) -> ProbeFlight {
-    probe_host_timed(probes, profile, snap, |_| false)
+    let outcomes = decide_each(probes.sweep_probes(), profile);
+    probe_host_timed(outcomes, profile.heartbleed_vulnerable, snap, |_| false)
 }
 
 /// Probe one server with every scan and fold into `snap`.
@@ -319,7 +346,7 @@ enum HostOutcome {
 /// drawn at most once regardless of attempts.
 fn probe_indexed_host(
     mut sample: impl FnMut() -> ServerProfile,
-    probes: &ProbeSet,
+    memo: &mut DecisionMemo<'_, 3>,
     faults: &ScanFaults,
     date: Date,
     index: u64,
@@ -338,7 +365,8 @@ fn probe_indexed_host(
         if faults.flakes(seed, date, index, attempt, profile.scan_flake_bias()) {
             continue;
         }
-        let flight = probe_host_timed(probes, profile, snap, |probe| {
+        let outcomes = memo.decide(profile);
+        let flight = probe_host_timed(outcomes, profile.heartbleed_vulnerable, snap, |probe| {
             faults.times_out(seed, date, index, attempt, probe)
         });
         return (HostOutcome::Probed(flight), attempt as u64);
@@ -346,35 +374,38 @@ fn probe_indexed_host(
     (HostOutcome::Dropped, (MAX_PROBE_ATTEMPTS - 1) as u64)
 }
 
+/// Count one probed host's flight into `delta`.
+fn count_probed(delta: &mut ScanMetricsSnapshot, flight: ProbeFlight) {
+    delta.hosts_probed += 1;
+    delta.probes_sent += flight.probes;
+    delta.handshakes_completed += flight.completed;
+    delta.handshakes_refused += flight.refused;
+    delta.probes_timed_out += flight.timed_out;
+}
+
 /// Probe host indices `range` of the sweep at `(seed, date)` into
 /// `snap`, returning the range's probe and drop counts. Every host of
 /// a sweep shares its date, so `cache` computes each cohort's curves
-/// once per date, not per host.
+/// and `memo` each server configuration's decisions once per date, not
+/// per host.
 #[allow(clippy::too_many_arguments)]
 fn sweep_range(
     population: &ServerPopulation,
-    probes: &ProbeSet,
     faults: &ScanFaults,
     date: Date,
     range: Range<u64>,
     seed: u64,
     cache: &mut ParamsCache,
+    memo: &mut DecisionMemo<'_, 3>,
     snap: &mut ScanSnapshot,
 ) -> ScanMetricsSnapshot {
     let mut delta = ScanMetricsSnapshot::default();
     for index in range {
-        let sample = || population.sample_host(cache, date, &mut host_rng(seed, date, index));
-        let (outcome, retries) =
-            probe_indexed_host(sample, probes, faults, date, index, seed, snap);
+        let sample = || sweep_host(population, cache, seed, date, index);
+        let (outcome, retries) = probe_indexed_host(sample, memo, faults, date, index, seed, snap);
         delta.host_retries += retries;
         match outcome {
-            HostOutcome::Probed(flight) => {
-                delta.hosts_probed += 1;
-                delta.probes_sent += flight.probes;
-                delta.handshakes_completed += flight.completed;
-                delta.handshakes_refused += flight.refused;
-                delta.probes_timed_out += flight.timed_out;
-            }
+            HostOutcome::Probed(flight) => count_probed(&mut delta, flight),
             HostOutcome::Dropped => delta.hosts_dropped += 1,
         }
     }
@@ -386,26 +417,28 @@ fn sweep_range(
 /// accounting to `metrics` at once.
 ///
 /// `fold` probes a host range into a snapshot `fresh` made, sharing
-/// one [`ParamsCache`] for the whole date (a memo: a panic leaves only
-/// whole entries in it), and returns the range's scan delta. When the
-/// fold panics, the attempt is discarded and the date replayed host by
-/// host, each host into a one-host partial behind its own boundary,
-/// and the partials summed with `merge`. A host that panics alone is
-/// counted as dispatched and dropped and named in a flight report in
-/// `metrics`.
-fn fold_supervised<S>(
+/// one [`ParamsCache`] and one [`DecisionMemo`] of `probes` for the
+/// whole date (memos: a panic leaves only whole entries in them), and
+/// returns the range's scan delta. When the fold panics, the attempt is
+/// discarded and the date replayed host by host, each host into a
+/// one-host partial behind its own boundary, and the partials summed
+/// with `merge`. A host that panics alone is counted as dispatched and
+/// dropped and named in a flight report in `metrics`.
+fn fold_supervised<'p, S, const N: usize>(
     date: Date,
     hosts: u64,
     metrics: &ScanMetrics,
+    probes: [&'p PreparedProbe; N],
     fresh: impl Fn() -> S,
     merge: impl Fn(&mut S, &S),
-    fold: impl Fn(&mut ParamsCache, Range<u64>, &mut S) -> ScanMetricsSnapshot,
+    fold: impl Fn(&mut ParamsCache, &mut DecisionMemo<'p, N>, Range<u64>, &mut S) -> ScanMetricsSnapshot,
 ) -> S {
     let started = Instant::now();
     let mut cache = ParamsCache::default();
+    let mut memo = DecisionMemo::new(probes);
     let mut fold_fresh = |range| {
         let mut snap = fresh();
-        let delta = fold(&mut cache, range, &mut snap);
+        let delta = fold(&mut cache, &mut memo, range, &mut snap);
         (snap, delta)
     };
     let (snap, delta) = match isolate(|| fold_fresh(0..hosts)) {
@@ -462,10 +495,11 @@ pub fn sweep_sharded_with(
         date,
         hosts as u64,
         metrics,
+        probes.sweep_probes(),
         || ScanSnapshot::new(date),
         ScanSnapshot::merge,
-        |cache, range, snap| {
-            sweep_range(population, &probes, faults, date, range, seed, cache, snap)
+        |cache, memo, range, snap| {
+            sweep_range(population, faults, date, range, seed, cache, memo, snap)
         },
     )
 }
@@ -622,11 +656,12 @@ mod tests {
     ) -> (ScanSnapshot, ScanMetricsSnapshot) {
         let probes = ProbeSet::campaign();
         let mut cache = ParamsCache::default();
+        let mut memo = DecisionMemo::new(probes.sweep_probes());
         let mut snap = ScanSnapshot::new(date);
         let mut delta = ScanMetricsSnapshot::default();
         for range in [0..poison, poison + 1..hosts] {
             delta += sweep_range(
-                population, &probes, faults, date, range, seed, &mut cache, &mut snap,
+                population, faults, date, range, seed, &mut cache, &mut memo, &mut snap,
             );
         }
         (snap, delta)
@@ -782,44 +817,76 @@ snapshot! {
 /// sweep's at the same `(seed, date)`.
 const PULSE_SALT: u64 = 0x9D15E;
 
-/// Probe site indices `range` of the pulse survey at `(seed, date)`
-/// into `snap`, returning the range's probe counts. Site streams are
-/// salted with [`PULSE_SALT`].
-fn pulse_range(
+/// The site at index `index` of the pulse survey at `(seed, date)`:
+/// the profile the survey probes there, drawn from the site's own
+/// stream (salted apart from the sweep's) with the cohort curves served
+/// from `cache`.
+pub fn pulse_site(
+    population: &ServerPopulation,
+    cache: &mut ParamsCache,
+    seed: u64,
+    date: Date,
+    index: u64,
+) -> ServerProfile {
+    let mut rng = host_rng(seed ^ PULSE_SALT, date, index);
+    population.sample_for_traffic(cache, Destination::Web, date, &mut rng)
+}
+
+/// Fold one site's outcomes for the pulse probes
+/// ([`ProbeSet::pulse_probes`]) into `snap`. Only an RC4 supporter is
+/// sent the second, RC4-free probe.
+fn probe_site([rc4_only, no_rc4]: [Outcome; 2], snap: &mut PulseSnapshot) -> ProbeFlight {
+    let mut flight = ProbeFlight {
+        probes: 1,
+        ..ProbeFlight::default()
+    };
+    snap.sites += 1;
+    match rc4_only {
+        Ok(d) => {
+            flight.completed += 1;
+            if d.cipher.is_rc4() {
+                snap.rc4_supported += 1;
+                flight.probes += 1;
+                match no_rc4 {
+                    Ok(_) => flight.completed += 1,
+                    Err(_) => {
+                        flight.refused += 1;
+                        snap.rc4_only += 1;
+                    }
+                }
+            }
+        }
+        Err(_) => flight.refused += 1,
+    }
+    flight
+}
+
+/// Probe one site with the SSL-Pulse probes from `probes` and fold into
+/// `snap`. Each probe is decided directly, with no memo: the reference
+/// a memoised survey must equal.
+pub fn probe_site_with(
     probes: &ProbeSet,
+    profile: &ServerProfile,
+    snap: &mut PulseSnapshot,
+) -> ProbeFlight {
+    probe_site(decide_each(probes.pulse_probes(), profile), snap)
+}
+
+/// Probe site indices `range` of the pulse survey at `(seed, date)`
+/// into `snap`, returning the range's probe counts.
+fn pulse_range(
     population: &ServerPopulation,
     date: Date,
     range: Range<u64>,
     seed: u64,
     cache: &mut ParamsCache,
+    memo: &mut DecisionMemo<'_, 2>,
     snap: &mut PulseSnapshot,
 ) -> ScanMetricsSnapshot {
-    use tlscope_servers::Destination;
     let mut delta = ScanMetricsSnapshot::default();
     for index in range {
-        let mut rng = host_rng(seed ^ PULSE_SALT, date, index);
-        let profile = population.sample_for_traffic(cache, Destination::Web, date, &mut rng);
-        snap.sites += 1;
-        delta.hosts_probed += 1;
-        delta.probes_sent += 1;
-        match negotiate::decide(&profile, &probes.rc4_only.facts()) {
-            Ok(d) => {
-                delta.handshakes_completed += 1;
-                if d.cipher.is_rc4() {
-                    snap.rc4_supported += 1;
-                    // Only RC4 supporters get the second, RC4-free probe.
-                    delta.probes_sent += 1;
-                    match negotiate::decide(&profile, &probes.chrome_2015_no_rc4.facts()) {
-                        Ok(_) => delta.handshakes_completed += 1,
-                        Err(_) => {
-                            delta.handshakes_refused += 1;
-                            snap.rc4_only += 1;
-                        }
-                    }
-                }
-            }
-            Err(_) => delta.handshakes_refused += 1,
-        }
+        let profile = pulse_site(population, cache, seed, date, index);
+        count_probed(&mut delta, probe_site(memo.decide(&profile), snap));
     }
     delta
 }
@@ -855,10 +922,11 @@ pub fn pulse_surveys(
                 date,
                 sites as u64,
                 metrics,
+                probes.pulse_probes(),
                 || PulseSnapshot::new(date),
                 PulseSnapshot::merge,
-                |cache, range, snap| {
-                    pulse_range(probes, population, date, range, seed, cache, snap)
+                |cache, memo, range, snap| {
+                    pulse_range(population, date, range, seed, cache, memo, snap)
                 },
             );
             done.push((i, survey));
@@ -920,7 +988,8 @@ mod pulse_tests {
             .map(|&date| {
                 let mut snap = PulseSnapshot::new(date);
                 let mut cache = ParamsCache::default();
-                pulse_range(&probes, &pop, date, 0..700, 11, &mut cache, &mut snap);
+                let mut memo = DecisionMemo::new(probes.pulse_probes());
+                pulse_range(&pop, date, 0..700, 11, &mut cache, &mut memo, &mut snap);
                 snap
             })
             .collect();

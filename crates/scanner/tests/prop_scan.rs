@@ -10,15 +10,19 @@
 //! cadences, fault profiles, and host counts (including zero), plus the
 //! two-part accounting invariant (`dispatched == probed + dropped` and
 //! `completed + refused + timed_out == sent`) and the merge
-//! commutativity a date's host-by-host replay relies on.
+//! commutativity a date's host-by-host replay relies on. The hand-driven
+//! loops also fold each date's hosts one by one through the un-memoised
+//! probe path, which the sweep's and survey's per-date decision memo
+//! must equal.
 
 use proptest::prelude::*;
 use tlscope_chron::Date;
 use tlscope_scanner::{
-    pulse_surveys, schedule, sweep_sharded_with, ProbeSet, ScanCampaign, ScanFaults, ScanMetrics,
+    probe_host_with, probe_site_with, pulse_site, pulse_surveys, schedule, sweep_host,
+    sweep_sharded_with, ProbeSet, PulseSnapshot, ScanCampaign, ScanFaults, ScanMetrics,
     ScanSnapshot, CENSYS_START,
 };
-use tlscope_servers::ServerPopulation;
+use tlscope_servers::{ParamsCache, ServerPopulation};
 
 /// The named profiles a sweep can run under, as a proptest strategy.
 fn fault_profile() -> impl Strategy<Value = ScanFaults> {
@@ -38,6 +42,33 @@ fn sweep(
     faults: &ScanFaults,
 ) -> ScanSnapshot {
     sweep_sharded_with(pop, date, hosts, seed, 1, &ScanMetrics::new(), faults)
+}
+
+/// The fault-free sweep at `(seed, date)` folded by hand: each host
+/// sampled and probed through `probe_host_with`, which decides every
+/// probe directly.
+fn swept_by_hand(pop: &ServerPopulation, date: Date, hosts: u32, seed: u64) -> ScanSnapshot {
+    let probes = ProbeSet::campaign();
+    let mut cache = ParamsCache::default();
+    let mut snap = ScanSnapshot::new(date);
+    for index in 0..u64::from(hosts) {
+        let host = sweep_host(pop, &mut cache, seed, date, index);
+        probe_host_with(&probes, &host, &mut snap);
+    }
+    snap
+}
+
+/// The survey at `(seed, date)` folded by hand through
+/// `probe_site_with`, site by site.
+fn surveyed_by_hand(pop: &ServerPopulation, date: Date, sites: u32, seed: u64) -> PulseSnapshot {
+    let probes = ProbeSet::campaign();
+    let mut cache = ParamsCache::default();
+    let mut snap = PulseSnapshot::new(date);
+    for index in 0..u64::from(sites) {
+        let site = pulse_site(pop, &mut cache, seed, date, index);
+        probe_site_with(&probes, &site, &mut snap);
+    }
+    snap
 }
 
 proptest! {
@@ -79,7 +110,8 @@ proptest! {
 
     /// A parallel campaign equals its dates swept one at a time by
     /// hand, at any worker count, cadence, and fault profile,
-    /// snapshots in date order.
+    /// snapshots in date order; without faults, each date also equals
+    /// its hosts folded one by one through `probe_host_with`.
     #[test]
     fn parallel_campaign_matches_a_hand_driven_loop(
         seed in 0u64..1_000_000,
@@ -102,6 +134,11 @@ proptest! {
             .iter()
             .map(|&date| sweep(&pop, date, hosts, seed, &faults))
             .collect();
+        if faults == ScanFaults::none() {
+            for (&date, swept) in campaign.dates.iter().zip(&by_hand) {
+                prop_assert_eq!(swept, &swept_by_hand(&pop, date, hosts, seed));
+            }
+        }
         let metrics = ScanMetrics::new();
         let parallel = campaign.run_parallel(&pop, workers, &metrics);
         prop_assert_eq!(&by_hand, &parallel);
@@ -124,7 +161,8 @@ proptest! {
 
     /// Surveys run as units equal the same surveys run one date at a
     /// time, at any worker count: the `PULSE_SALT` site streams do not
-    /// move with the schedule.
+    /// move with the schedule. Each equals its sites folded one by one
+    /// through `probe_site_with`.
     #[test]
     fn pulse_surveys_match_a_hand_driven_loop(
         seed in 0u64..1_000_000,
@@ -139,6 +177,9 @@ proptest! {
             .iter()
             .flat_map(|&date| pulse_surveys(&probes, &pop, &[date], sites, seed, 1, &ScanMetrics::new()))
             .collect();
+        for (&date, survey) in dates.iter().zip(&by_hand) {
+            prop_assert_eq!(survey, &surveyed_by_hand(&pop, date, sites, seed));
+        }
         let metrics = ScanMetrics::new();
         let run = pulse_surveys(&probes, &pop, &dates, sites, seed, workers, &metrics);
         prop_assert_eq!(&by_hand, &run);

@@ -332,20 +332,17 @@ impl ParamsCache {
         }
     }
 
-    /// [`params`] through the memo.
-    pub fn params(&mut self, cohort: Cohort, date: Date) -> CohortParams {
+    /// [`params`] through the memo, lent from its slot.
+    pub fn params(&mut self, cohort: Cohort, date: Date) -> &CohortParams {
         if self.slots.is_empty() {
             self.slots.resize(COHORTS * DAY_SLOTS, None);
         }
         let idx = Self::cohort_index(cohort) * DAY_SLOTS + (date.day() as usize - 1);
-        match self.slots[idx] {
-            Some((d, p)) if d == date => p,
-            _ => {
-                let p = params(cohort, date);
-                self.slots[idx] = Some((date, p));
-                p
-            }
+        let slot = &mut self.slots[idx];
+        if slot.as_ref().is_none_or(|(d, _)| *d != date) {
+            *slot = Some((date, params(cohort, date)));
         }
+        &slot.as_ref().expect("the slot holds `date`").1
     }
 
     /// [`web_traffic_mix`] at `date` and its total, through the memo.
@@ -700,9 +697,9 @@ mod tests {
         let check = |cache: &mut ParamsCache, date: Date| {
             for cohort in cohorts {
                 let want = bits(params(cohort, date));
-                assert_eq!(bits(cache.params(cohort, date)), want, "{cohort:?} {date}");
+                assert_eq!(bits(*cache.params(cohort, date)), want, "{cohort:?} {date}");
                 assert_eq!(
-                    bits(cache.params(cohort, date)),
+                    bits(*cache.params(cohort, date)),
                     want,
                     "{cohort:?} {date} hit"
                 );

@@ -39,4 +39,4 @@ pub use negotiate::{
     Negotiated,
 };
 pub use population::{Destination, ServerPopulation};
-pub use profile::{preference, Quirk, ServerProfile};
+pub use profile::{preference, NegotiationKey, Quirk, ServerProfile};

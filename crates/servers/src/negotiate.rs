@@ -974,20 +974,6 @@ mod tests {
         use tlscope_wire::grease::grease_value;
         use tlscope_wire::suites_table::SUITES;
 
-        const DESTINATIONS: [Destination; 11] = [
-            Destination::Web,
-            Destination::Mail,
-            Destination::Grid,
-            Destination::Nagios,
-            Destination::Sslv2Relic,
-            Destination::Interwise,
-            Destination::Gost,
-            Destination::BankLegacy,
-            Destination::Splunk,
-            Destination::Enterprise,
-            Destination::Iot,
-        ];
-
         fn pick<T: Copy>(rng: &mut SmallRng, from: &[T]) -> T {
             from[rng.random_range(0..from.len())]
         }
@@ -1140,7 +1126,7 @@ mod tests {
                 let date = Date::from_epoch_days(rng.random_range(first..=last));
 
                 let mut profiles = vec![pop.sample_host(&mut cache, date, &mut rng)];
-                for dest in DESTINATIONS {
+                for dest in Destination::ALL {
                     profiles.push(pop.sample_for_traffic(&mut cache, dest, date, &mut rng));
                 }
                 let unoffered = suite(&mut rng, &[]);

@@ -50,6 +50,23 @@ pub enum Destination {
     Iot,
 }
 
+impl Destination {
+    /// Every destination, in declaration order.
+    pub const ALL: [Destination; 11] = [
+        Destination::Web,
+        Destination::Mail,
+        Destination::Grid,
+        Destination::Nagios,
+        Destination::Sslv2Relic,
+        Destination::Interwise,
+        Destination::Gost,
+        Destination::BankLegacy,
+        Destination::Splunk,
+        Destination::Enterprise,
+        Destination::Iot,
+    ];
+}
+
 /// Weighted cohort mix at a date; weights need not be normalised.
 pub(crate) fn web_traffic_mix(date: Date) -> [(Cohort, f64); 5] {
     // CDN termination grows over the window at the long tail's expense.
@@ -375,24 +392,11 @@ mod tests {
         let pop = ServerPopulation::new();
         let mut rng = SmallRng::seed_from_u64(3);
         let mut cache = ParamsCache::default();
-        let dests = [
-            Destination::Web,
-            Destination::Mail,
-            Destination::Grid,
-            Destination::Nagios,
-            Destination::Sslv2Relic,
-            Destination::Interwise,
-            Destination::Gost,
-            Destination::BankLegacy,
-            Destination::Splunk,
-            Destination::Enterprise,
-            Destination::Iot,
-        ];
         for year in [2012, 2015, 2018] {
             let date = Date::ymd(year, 4, 1);
             for _ in 0..200 {
                 let mut profiles = vec![pop.sample_host(&mut cache, date, &mut rng)];
-                for dest in dests {
+                for dest in Destination::ALL {
                     profiles.push(pop.sample_for_traffic(&mut cache, dest, date, &mut rng));
                 }
                 for p in profiles {

@@ -13,7 +13,7 @@ use std::borrow::Cow;
 use tlscope_wire::{CipherSuite, NamedGroup, ProtocolVersion};
 
 /// Out-of-spec server behaviours observed in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Quirk {
     /// Standards-compliant server.
     None,
@@ -64,7 +64,67 @@ pub struct ServerProfile {
     pub quirk: Quirk,
 }
 
+/// Every input [`crate::negotiate::decide`] reads from a
+/// [`ServerProfile`], as one exact `Copy` key: equal keys mean equal
+/// decisions for every client.
+///
+/// The scalar fields are held by value, the preference and curve lists
+/// by the address and length of their `'static` borrow. A `'static`
+/// slice of plain values is never freed, moved or changed, so one
+/// address and length name one content for the life of the process;
+/// two equal lists at different addresses make two keys, a memo miss
+/// but never a wrong answer. No hash stands in for a value, so no
+/// collision can merge two configurations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct NegotiationKey {
+    max_version: ProtocolVersion,
+    min_version: ProtocolVersion,
+    tls13: Option<ProtocolVersion>,
+    prefer_server_order: bool,
+    heartbeat: bool,
+    quirk: Quirk,
+    /// The preference list's address and length.
+    preference: (usize, usize),
+    /// The curve list's address and length.
+    curves: (usize, usize),
+}
+
 impl ServerProfile {
+    /// The exact key of everything negotiation reads from this profile,
+    /// or `None` when a list is owned (only tests build one): an owned
+    /// list has no lasting address, so its profile is decided directly.
+    /// `cohort` and `heartbleed_vulnerable` are left out; no decision
+    /// reads them.
+    pub fn negotiation_key(&self) -> Option<NegotiationKey> {
+        // An exhaustive pattern: a new field fails to compile here until
+        // it is keyed or named as unread.
+        let ServerProfile {
+            cohort: _,
+            max_version,
+            min_version,
+            tls13,
+            preference,
+            prefer_server_order,
+            curves,
+            heartbeat,
+            heartbleed_vulnerable: _,
+            quirk,
+        } = self;
+        let (Cow::Borrowed(preference), Cow::Borrowed(curves)) = (preference, curves) else {
+            return None;
+        };
+        Some(NegotiationKey {
+            max_version: *max_version,
+            min_version: *min_version,
+            tls13: *tls13,
+            prefer_server_order: *prefer_server_order,
+            heartbeat: *heartbeat,
+            quirk: *quirk,
+            preference: (preference.as_ptr() as usize, preference.len()),
+            curves: (curves.as_ptr() as usize, curves.len()),
+        })
+    }
+
     /// True when SSL 3 handshakes are accepted.
     pub fn supports_ssl3(&self) -> bool {
         self.min_version.rank() <= ProtocolVersion::Ssl3.rank()
@@ -304,6 +364,78 @@ mod tests {
         let relic = ServerProfile::baseline("iot").scan_flake_bias();
         assert!(cdn < base && base < tail && tail < relic);
         assert_eq!(base, 1.0);
+    }
+
+    #[test]
+    fn negotiation_key_names_every_field_decide_reads() {
+        // Statics, so a prefix shares its list's address.
+        static SUITES: [CipherSuite; 3] = [
+            CipherSuite(0xc02f),
+            CipherSuite(0x002f),
+            CipherSuite(0x000a),
+        ];
+        static CURVES: [NamedGroup; 2] = [NamedGroup::SECP256R1, NamedGroup::SECP384R1];
+        // Every field named, no `..`: a new field fails to compile here
+        // until this test (and the key) account for it.
+        let base = ServerProfile {
+            cohort: "base",
+            max_version: ProtocolVersion::Tls12,
+            min_version: ProtocolVersion::Tls10,
+            tls13: None,
+            preference: Cow::Borrowed(&SUITES),
+            prefer_server_order: true,
+            curves: Cow::Borrowed(&CURVES),
+            heartbeat: false,
+            heartbleed_vulnerable: false,
+            quirk: Quirk::ChooseUnoffered(CipherSuite(0x0081)),
+        };
+        let key = base.negotiation_key();
+        assert!(key.is_some());
+        type Edit = fn(&mut ServerProfile);
+        let key_with = |edit: Edit| {
+            let mut p = base.clone();
+            edit(&mut p);
+            p.negotiation_key()
+        };
+        // Each input of `decide` moves the key on its own; the lists by
+        // address and by length alike.
+        let decided: [(&str, Edit); 11] = [
+            ("max_version", |p| p.max_version = ProtocolVersion::Tls11),
+            ("min_version", |p| p.min_version = ProtocolVersion::Ssl3),
+            ("tls13", |p| p.tls13 = Some(ProtocolVersion::Tls13Draft(18))),
+            ("preference", |p| {
+                p.preference = Cow::Borrowed(preference::cbc_era())
+            }),
+            ("preference length", |p| {
+                p.preference = Cow::Borrowed(&SUITES[..2])
+            }),
+            ("prefer_server_order", |p| p.prefer_server_order = false),
+            ("curves", |p| {
+                p.curves = Cow::Borrowed(&[NamedGroup::X25519])
+            }),
+            ("curves length", |p| p.curves = Cow::Borrowed(&CURVES[..1])),
+            ("heartbeat", |p| p.heartbeat = true),
+            ("quirk", |p| p.quirk = Quirk::PreferRc4),
+            ("unoffered suite", |p| {
+                p.quirk = Quirk::ChooseUnoffered(CipherSuite(0x0080))
+            }),
+        ];
+        for (field, edit) in decided {
+            let moved = key_with(edit);
+            assert!(
+                moved.is_some() && moved != key,
+                "{field} did not move the key"
+            );
+        }
+        // What no decision reads leaves it.
+        assert_eq!(key_with(|p| p.cohort = "other"), key);
+        assert_eq!(key_with(|p| p.heartbleed_vulnerable = true), key);
+        // An owned list has no lasting address, so no key.
+        assert_eq!(
+            key_with(|p| p.preference = Cow::Owned(SUITES.to_vec())),
+            None
+        );
+        assert_eq!(key_with(|p| p.curves = Cow::Owned(CURVES.to_vec())), None);
     }
 
     #[test]
