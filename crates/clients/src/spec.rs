@@ -11,6 +11,7 @@ use tlscope_chron::Date;
 use tlscope_fingerprint::{Category, Fingerprint};
 use tlscope_wire::codec::{patch_bytes, patch_u16, Writer};
 use tlscope_wire::exts::{ext_body, ext_type, write_extension};
+use tlscope_wire::fxhash::splitmix64;
 use tlscope_wire::grease::{grease_value, is_grease};
 use tlscope_wire::handshake::handshake_type;
 use tlscope_wire::{CipherSuite, ClientHello, Extension, NamedGroup, ProtocolVersion};
@@ -445,10 +446,7 @@ impl HelloEntropy {
         let mut state = seed;
         let mut next = move || {
             state = state.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
+            splitmix64(state)
         };
         let mut random = [0u8; 32];
         for chunk in random.chunks_mut(8) {

@@ -45,35 +45,45 @@ pub struct DateCheckpoint {
     pub ledger: ScanMetricsSnapshot,
 }
 
+/// The `ledger` line's counters, in their stored order: every
+/// [`ScanMetricsSnapshot`] counter but the checkpoint ones, which are
+/// per-run and never persisted. The one list both codec directions
+/// read.
+fn ledger_counts(l: &mut ScanMetricsSnapshot) -> [&mut u64; 11] {
+    [
+        &mut l.hosts_dispatched,
+        &mut l.hosts_probed,
+        &mut l.hosts_dropped,
+        &mut l.host_retries,
+        &mut l.probes_sent,
+        &mut l.handshakes_completed,
+        &mut l.handshakes_refused,
+        &mut l.probes_timed_out,
+        &mut l.workers_lost,
+        &mut l.sweeps_completed,
+        &mut l.scan_nanos,
+    ]
+}
+
 /// Serialize one completed date to checkpoint text: versioned header,
 /// a `snap` line, a `ledger` line, and a checksum footer. The `snap`
 /// line holds the date and then [`ScanSnapshot`]'s counters in their
-/// declaration order; the `ledger` line's order is fixed here. Equal
-/// checkpoints produce equal bytes.
+/// declaration order; the `ledger` line holds the counters
+/// `ledger_counts` lists, in its order. Equal checkpoints produce equal
+/// bytes.
 pub fn to_text(ckpt: &DateCheckpoint) -> String {
-    let s = &ckpt.snapshot;
-    let l = &ckpt.ledger;
+    let (s, mut ledger) = (&ckpt.snapshot, ckpt.ledger);
     let mut out = String::from(HEADER);
     out.push('\n');
     out.push_str(&format!("snap\t{}", s.date));
     for count in s.counts() {
         out.push_str(&format!("\t{count}"));
     }
+    out.push_str("\nledger");
+    for count in ledger_counts(&mut ledger) {
+        out.push_str(&format!("\t{count}"));
+    }
     out.push('\n');
-    out.push_str(&format!(
-        "ledger\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-        l.hosts_dispatched,
-        l.hosts_probed,
-        l.hosts_dropped,
-        l.host_retries,
-        l.probes_sent,
-        l.handshakes_completed,
-        l.handshakes_refused,
-        l.probes_timed_out,
-        l.workers_lost,
-        l.sweeps_completed,
-        l.scan_nanos,
-    ));
     tlscope_durable::seal(out)
 }
 
@@ -111,20 +121,7 @@ pub fn from_text(text: &str, path: &Path) -> Result<DateCheckpoint, StoreError> 
             "ledger" if ledger.is_none() => {
                 // The checkpoint counters are per-run and stay zero.
                 let mut l = ScanMetricsSnapshot::default();
-                let slots = [
-                    &mut l.hosts_dispatched,
-                    &mut l.hosts_probed,
-                    &mut l.hosts_dropped,
-                    &mut l.host_retries,
-                    &mut l.probes_sent,
-                    &mut l.handshakes_completed,
-                    &mut l.handshakes_refused,
-                    &mut l.probes_timed_out,
-                    &mut l.workers_lost,
-                    &mut l.sweeps_completed,
-                    &mut l.scan_nanos,
-                ];
-                fill(slots, &mut f).ok_or(bad(n))?;
+                fill(ledger_counts(&mut l), &mut f).ok_or(bad(n))?;
                 ledger = Some(l);
             }
             // Duplicate sections or unknown tags are malformed.

@@ -11,15 +11,18 @@
 //! patterns.
 //!
 //! Every draw is a pure function of `(seed, date, host_index, attempt)`
-//! through one SplitMix64 counter construction, `key` then `mix`,
-//! which the host sampler's stream seed goes through too: no draw
-//! depends on RNG stream position, worker count, replay, or visit
-//! order. Retry draws are keyed by attempt number, so a host probed
-//! alone fails (or recovers) exactly as it does in the full sweep.
+//! through one SplitMix64 counter construction: `key`, then the shared
+//! finaliser ([`splitmix64`](tlscope_wire::fxhash::splitmix64)), whose
+//! unit draw the faults read and whose output seeds the host sampler's
+//! stream. No draw depends on RNG stream position, worker count,
+//! replay, or visit order. Retry draws are keyed by attempt number, so
+//! a host probed alone fails (or recovers) exactly as it does in the
+//! full sweep.
 
 use std::ffi::OsStr;
 
 use tlscope_chron::Date;
+use tlscope_wire::fxhash::splitmix_unit;
 
 /// Length of one dead-host window, in days. A host that draws "dead"
 /// stays dark for the whole window — the scan-side analogue of the
@@ -174,7 +177,7 @@ impl ScanFaults {
             return false;
         }
         let window = date.to_epoch_days().div_euclid(DEAD_HOST_SPAN_DAYS) as u64;
-        unit(key(seed, window, index, 0) ^ SALT_DEAD) < self.dead_host_prob
+        splitmix_unit(key(seed, window, index, 0) ^ SALT_DEAD) < self.dead_host_prob
     }
 
     /// True when attempt `attempt` at host `index` loses its SYN
@@ -184,7 +187,7 @@ impl ScanFaults {
             return false;
         }
         let days = date.to_epoch_days() as u64;
-        unit(key(seed, days, index, attempt) ^ SALT_SYN) < self.syn_drop_prob
+        splitmix_unit(key(seed, days, index, attempt) ^ SALT_SYN) < self.syn_drop_prob
     }
 
     /// True when the established connection of attempt `attempt` at
@@ -196,7 +199,8 @@ impl ScanFaults {
             return false;
         }
         let days = date.to_epoch_days() as u64;
-        unit(key(seed, days, index, attempt) ^ SALT_FLAKE) < (self.flake_prob * bias).min(1.0)
+        splitmix_unit(key(seed, days, index, attempt) ^ SALT_FLAKE)
+            < (self.flake_prob * bias).min(1.0)
     }
 
     /// True when probe number `probe` of attempt `attempt` at host
@@ -207,7 +211,7 @@ impl ScanFaults {
         }
         let days = date.to_epoch_days() as u64;
         let k = key(seed, days, index, attempt) ^ (probe as u64).wrapping_mul(SALT_PROBE_STEP);
-        unit(k ^ SALT_TIMEOUT) < self.timeout_prob
+        splitmix_unit(k ^ SALT_TIMEOUT) < self.timeout_prob
     }
 }
 
@@ -226,18 +230,6 @@ pub(crate) fn key(seed: u64, days: u64, index: u64, attempt: u32) -> u64 {
     seed ^ days.wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ index.wrapping_mul(0xd1b5_4a32_d192_ed03)
         ^ (attempt as u64).wrapping_mul(0xa24b_aed4_963e_e407)
-}
-
-/// SplitMix64 finalisation of `z`.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// [`mix`] of `z`, mapped to a uniform draw in [0, 1).
-fn unit(z: u64) -> f64 {
-    (mix(z) >> 11) as f64 / ((1u64 << 53) as f64)
 }
 
 #[cfg(test)]

@@ -38,5 +38,5 @@ pub use probe::{DecisionMemo, Outcome, PreparedProbe, ProbeSet};
 pub use schedule::{schedule, ScanCampaign, CENSYS_END, CENSYS_START};
 pub use sweep::{
     probe_host, probe_host_with, probe_site_with, pulse_site, pulse_surveys, sweep_host,
-    sweep_sharded_with, ProbeFlight, PulseSnapshot, ScanSnapshot,
+    sweep_sharded_with, PulseSnapshot, ScanSnapshot,
 };

@@ -64,9 +64,10 @@ use rand::SeedableRng;
 use tlscope_chron::Date;
 use tlscope_durable::{isolate, run_units};
 use tlscope_obs::Progress;
-use tlscope_servers::{Destination, ParamsCache, ServerPopulation, ServerProfile};
+use tlscope_servers::{Decision, Destination, ParamsCache, ServerPopulation, ServerProfile};
+use tlscope_wire::fxhash::splitmix64;
 
-use crate::faults::{key, mix, ScanFaults, MAX_PROBE_ATTEMPTS};
+use crate::faults::{key, ScanFaults, MAX_PROBE_ATTEMPTS};
 use crate::metrics::{ScanMetrics, ScanMetricsSnapshot};
 use crate::probe::{decide_each, DecisionMemo, Outcome, PreparedProbe, ProbeSet};
 
@@ -187,19 +188,6 @@ snapshot! {
     }
 }
 
-/// Per-host probe accounting returned by [`probe_host_with`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProbeFlight {
-    /// Probes sent to the host.
-    pub probes: u64,
-    /// Probes that completed a handshake.
-    pub completed: u64,
-    /// Probes the host refused.
-    pub refused: u64,
-    /// Probes sent but never resolved (handshake timeout).
-    pub timed_out: u64,
-}
-
 /// The counter-based host stream: a private RNG for host `index` of
 /// the sweep at `(seed, date)`.
 ///
@@ -208,7 +196,7 @@ pub struct ProbeFlight {
 /// host's profile draw is a pure function of `(seed, date, index)`
 /// independent of worker count, replay, and visit order.
 fn host_rng(seed: u64, date: Date, index: u64) -> SmallRng {
-    SmallRng::seed_from_u64(mix(key(seed, date.to_epoch_days() as u64, index, 0)))
+    SmallRng::seed_from_u64(splitmix64(key(seed, date.to_epoch_days() as u64, index, 0)))
 }
 
 /// The server at host `index` of the sweep at `(seed, date)`: the
@@ -224,96 +212,79 @@ pub fn sweep_host(
     population.sample_host(cache, date, &mut host_rng(seed, date, index))
 }
 
-/// Fold one server's outcomes for the sweep probes
-/// ([`ProbeSet::sweep_probes`]) into `snap`, skipping (and counting)
-/// any probe `times_out` says was lost mid-handshake. The hot path of
-/// the scan engine: the outcomes come from the date's
+/// Count one probe into `ledger` as sent, then as timed out (when
+/// `timed_out`), refused or completed. Returns the decision of a
+/// completed handshake.
+fn resolve(
+    outcome: Outcome,
+    timed_out: bool,
+    ledger: &mut ScanMetricsSnapshot,
+) -> Option<Decision> {
+    ledger.probes_sent += 1;
+    if timed_out {
+        ledger.probes_timed_out += 1;
+        return None;
+    }
+    match outcome {
+        Ok(d) => {
+            ledger.handshakes_completed += 1;
+            Some(d)
+        }
+        Err(_) => {
+            ledger.handshakes_refused += 1;
+            None
+        }
+    }
+}
+
+/// Fold one probed host's outcomes for the sweep probes
+/// ([`ProbeSet::sweep_probes`]) into `snap` and `ledger`, resolving as
+/// timed out each probe `times_out` says was lost mid-handshake. The hot
+/// path of the scan engine: the outcomes come from the date's
 /// [`DecisionMemo`], and folding them touches no heap.
-fn probe_host_timed(
+fn tally_host(
     [chrome, ssl3, export]: [Outcome; 3],
-    heartbleed_vulnerable: bool,
+    profile: &ServerProfile,
+    times_out: impl Fn(u32) -> bool,
     snap: &mut ScanSnapshot,
-    mut times_out: impl FnMut(u32) -> bool,
-) -> ProbeFlight {
-    let mut flight = ProbeFlight::default();
+    ledger: &mut ScanMetricsSnapshot,
+) {
+    ledger.hosts_probed += 1;
     snap.hosts += 1;
-
-    // 2015-Chrome probe.
-    flight.probes += 1;
-    if times_out(0) {
-        flight.timed_out += 1;
-    } else {
-        match chrome {
-            Ok(d) => {
-                flight.completed += 1;
-                snap.answered += 1;
-                let class = d.cipher.classes();
-                snap.chose_aead += u64::from(class.aead);
-                snap.chose_cbc += u64::from(class.cbc);
-                snap.chose_rc4 += u64::from(class.rc4);
-                snap.chose_3des += u64::from(class.tdes);
-                if d.version == tlscope_wire::ProtocolVersion::Tls12 {
-                    snap.chose_tls12 += 1;
-                }
-                if d.heartbeat {
-                    snap.heartbeat_supported += 1;
-                    // The Heartbleed check: a malformed heartbeat against a
-                    // heartbeat-answering host. The profile's vulnerability
-                    // flag *is* the server behaviour being measured.
-                    if heartbleed_vulnerable {
-                        snap.heartbleed_vulnerable += 1;
-                    }
-                }
-            }
-            Err(_) => flight.refused += 1,
+    let chrome = resolve(chrome, times_out(0), ledger);
+    let ssl3 = resolve(ssl3, times_out(1), ledger);
+    let export = resolve(export, times_out(2), ledger);
+    if let Some(d) = chrome {
+        snap.answered += 1;
+        let class = d.cipher.classes();
+        snap.chose_aead += u64::from(class.aead);
+        snap.chose_cbc += u64::from(class.cbc);
+        snap.chose_rc4 += u64::from(class.rc4);
+        snap.chose_3des += u64::from(class.tdes);
+        snap.chose_tls12 += u64::from(d.version == tlscope_wire::ProtocolVersion::Tls12);
+        if d.heartbeat {
+            snap.heartbeat_supported += 1;
+            // The Heartbleed check: a malformed heartbeat against a
+            // heartbeat-answering host. The profile's vulnerability
+            // flag *is* the server behaviour being measured.
+            snap.heartbleed_vulnerable += u64::from(profile.heartbleed_vulnerable);
         }
     }
-
-    // SSL3-only probe.
-    flight.probes += 1;
-    if times_out(1) {
-        flight.timed_out += 1;
-    } else {
-        match ssl3 {
-            Ok(_) => {
-                flight.completed += 1;
-                snap.ssl3_supported += 1;
-            }
-            Err(_) => flight.refused += 1,
-        }
-    }
-
+    snap.ssl3_supported += u64::from(ssl3.is_some());
     // Export probe: supported if the server completes with an export
     // suite (the Interwise-style downgrade also counts — that is the
     // point of the scan).
-    flight.probes += 1;
-    if times_out(2) {
-        flight.timed_out += 1;
-    } else {
-        match export {
-            Ok(d) => {
-                flight.completed += 1;
-                if d.cipher.is_export() {
-                    snap.export_supported += 1;
-                }
-            }
-            Err(_) => flight.refused += 1,
-        }
-    }
-
-    flight
+    snap.export_supported += u64::from(export.is_some_and(|d| d.cipher.is_export()));
 }
 
 /// Probe one server with every sweep probe from `probes` and fold into
 /// `snap`, with no faults in play. Each probe is decided directly, with
 /// no memo: the reference a memoised sweep must equal.
-pub fn probe_host_with(
-    probes: &ProbeSet,
-    profile: &ServerProfile,
-    snap: &mut ScanSnapshot,
-) -> ProbeFlight {
+pub fn probe_host_with(probes: &ProbeSet, profile: &ServerProfile, snap: &mut ScanSnapshot) {
     let outcomes = decide_each(probes.sweep_probes(), profile);
-    probe_host_timed(outcomes, profile.heartbleed_vulnerable, snap, |_| false)
+    // Nothing reads a reference fold's ledger.
+    let ledger = &mut ScanMetricsSnapshot::default();
+    tally_host(outcomes, profile, |_| false, snap, ledger);
 }
 
 /// Probe one server with every scan and fold into `snap`.
@@ -325,69 +296,22 @@ pub fn probe_host(profile: &ServerProfile, snap: &mut ScanSnapshot) {
     probe_host_with(&ProbeSet::campaign(), profile, snap);
 }
 
-/// How probing one dispatched host resolved under the fault model.
-enum HostOutcome {
-    /// The host was probed (possibly after retries).
-    Probed(ProbeFlight),
-    /// The attempt budget ran out; the host was given up on.
-    Dropped,
-}
-
-/// Probe dispatched host `index` under `faults`, retrying transient
-/// connect failures up to [`MAX_PROBE_ATTEMPTS`] times. Returns the
-/// outcome plus the number of retries (attempts beyond the first).
-///
-/// Order per attempt mirrors a real probe: dead-host windows and SYN
-/// loss kill the connect before anything is sent; a flake kills the
-/// established connection before probing (flakier cohorts flake more,
-/// via [`ServerProfile::scan_flake_bias`]); per-probe timeouts land
-/// after the probe is on the wire, so they count as sent. The profile
-/// `sample` draws is a pure function of `(seed, date, index)` and is
-/// drawn at most once regardless of attempts.
-fn probe_indexed_host(
-    mut sample: impl FnMut() -> ServerProfile,
-    memo: &mut DecisionMemo<'_, 3>,
-    faults: &ScanFaults,
-    date: Date,
-    index: u64,
-    seed: u64,
-    snap: &mut ScanSnapshot,
-) -> (HostOutcome, u64) {
-    if faults.panic_on_host == Some(index) {
-        panic!("scan fault failpoint: host {index}");
-    }
-    let mut profile: Option<ServerProfile> = None;
-    for attempt in 0..MAX_PROBE_ATTEMPTS {
-        if faults.host_dead(seed, date, index) || faults.syn_dropped(seed, date, index, attempt) {
-            continue;
-        }
-        let profile = profile.get_or_insert_with(&mut sample);
-        if faults.flakes(seed, date, index, attempt, profile.scan_flake_bias()) {
-            continue;
-        }
-        let outcomes = memo.decide(profile);
-        let flight = probe_host_timed(outcomes, profile.heartbleed_vulnerable, snap, |probe| {
-            faults.times_out(seed, date, index, attempt, probe)
-        });
-        return (HostOutcome::Probed(flight), attempt as u64);
-    }
-    (HostOutcome::Dropped, (MAX_PROBE_ATTEMPTS - 1) as u64)
-}
-
-/// Count one probed host's flight into `delta`.
-fn count_probed(delta: &mut ScanMetricsSnapshot, flight: ProbeFlight) {
-    delta.hosts_probed += 1;
-    delta.probes_sent += flight.probes;
-    delta.handshakes_completed += flight.completed;
-    delta.handshakes_refused += flight.refused;
-    delta.probes_timed_out += flight.timed_out;
-}
-
 /// Probe host indices `range` of the sweep at `(seed, date)` into
-/// `snap`, returning the range's probe and drop counts. Every host of
-/// a sweep shares its date, so `cache` computes each cohort's curves
+/// `snap` under `faults`, returning the range's ledger delta. Every host
+/// of a sweep shares its date, so `cache` computes each cohort's curves
 /// and `memo` each server configuration's decisions once per date, not
 /// per host.
+///
+/// A host's profile is drawn once, before its attempts: the draw is a
+/// pure function of `(seed, date, index)`, so drawing it for a host
+/// that is then dropped moves no stream. Each of up to
+/// [`MAX_PROBE_ATTEMPTS`] attempts mirrors a real probe: dead-host
+/// windows and SYN loss kill the connect before anything is sent; a
+/// flake kills the established connection before probing (flakier
+/// cohorts flake more, via [`ServerProfile::scan_flake_bias`]). The
+/// first attempt that connects is probed, its retries counted; per-probe
+/// timeouts land after the probe is on the wire, so they count as sent.
+/// A host no attempt connects to is dropped.
 #[allow(clippy::too_many_arguments)]
 fn sweep_range(
     population: &ServerPopulation,
@@ -401,13 +325,23 @@ fn sweep_range(
 ) -> ScanMetricsSnapshot {
     let mut delta = ScanMetricsSnapshot::default();
     for index in range {
-        let sample = || sweep_host(population, cache, seed, date, index);
-        let (outcome, retries) = probe_indexed_host(sample, memo, faults, date, index, seed, snap);
-        delta.host_retries += retries;
-        match outcome {
-            HostOutcome::Probed(flight) => count_probed(&mut delta, flight),
-            HostOutcome::Dropped => delta.hosts_dropped += 1,
+        if faults.panic_on_host == Some(index) {
+            panic!("scan fault failpoint: host {index}");
         }
+        let profile = sweep_host(population, cache, seed, date, index);
+        let connects = (0..MAX_PROBE_ATTEMPTS).find(|&attempt| {
+            !(faults.host_dead(seed, date, index)
+                || faults.syn_dropped(seed, date, index, attempt)
+                || faults.flakes(seed, date, index, attempt, profile.scan_flake_bias()))
+        });
+        let Some(attempt) = connects else {
+            delta.host_retries += u64::from(MAX_PROBE_ATTEMPTS - 1);
+            delta.hosts_dropped += 1;
+            continue;
+        };
+        delta.host_retries += u64::from(attempt);
+        let times_out = |probe| faults.times_out(seed, date, index, attempt, probe);
+        tally_host(memo.decide(&profile), &profile, times_out, snap, &mut delta);
     }
     delta
 }
@@ -833,47 +767,32 @@ pub fn pulse_site(
 }
 
 /// Fold one site's outcomes for the pulse probes
-/// ([`ProbeSet::pulse_probes`]) into `snap`. Only an RC4 supporter is
-/// sent the second, RC4-free probe.
-fn probe_site([rc4_only, no_rc4]: [Outcome; 2], snap: &mut PulseSnapshot) -> ProbeFlight {
-    let mut flight = ProbeFlight {
-        probes: 1,
-        ..ProbeFlight::default()
-    };
+/// ([`ProbeSet::pulse_probes`]) into `snap` and `ledger`. Only an RC4
+/// supporter is sent the second, RC4-free probe.
+fn tally_site(
+    [rc4_only, no_rc4]: [Outcome; 2],
+    snap: &mut PulseSnapshot,
+    ledger: &mut ScanMetricsSnapshot,
+) {
+    ledger.hosts_probed += 1;
     snap.sites += 1;
-    match rc4_only {
-        Ok(d) => {
-            flight.completed += 1;
-            if d.cipher.is_rc4() {
-                snap.rc4_supported += 1;
-                flight.probes += 1;
-                match no_rc4 {
-                    Ok(_) => flight.completed += 1,
-                    Err(_) => {
-                        flight.refused += 1;
-                        snap.rc4_only += 1;
-                    }
-                }
-            }
-        }
-        Err(_) => flight.refused += 1,
+    if resolve(rc4_only, false, ledger).is_some_and(|d| d.cipher.is_rc4()) {
+        snap.rc4_supported += 1;
+        snap.rc4_only += u64::from(resolve(no_rc4, false, ledger).is_none());
     }
-    flight
 }
 
 /// Probe one site with the SSL-Pulse probes from `probes` and fold into
 /// `snap`. Each probe is decided directly, with no memo: the reference
 /// a memoised survey must equal.
-pub fn probe_site_with(
-    probes: &ProbeSet,
-    profile: &ServerProfile,
-    snap: &mut PulseSnapshot,
-) -> ProbeFlight {
-    probe_site(decide_each(probes.pulse_probes(), profile), snap)
+pub fn probe_site_with(probes: &ProbeSet, profile: &ServerProfile, snap: &mut PulseSnapshot) {
+    // Nothing reads a reference fold's ledger.
+    let ledger = &mut ScanMetricsSnapshot::default();
+    tally_site(decide_each(probes.pulse_probes(), profile), snap, ledger);
 }
 
 /// Probe site indices `range` of the pulse survey at `(seed, date)`
-/// into `snap`, returning the range's probe counts.
+/// into `snap`, returning the range's ledger delta.
 fn pulse_range(
     population: &ServerPopulation,
     date: Date,
@@ -886,7 +805,7 @@ fn pulse_range(
     let mut delta = ScanMetricsSnapshot::default();
     for index in range {
         let profile = pulse_site(population, cache, seed, date, index);
-        count_probed(&mut delta, probe_site(memo.decide(&profile), snap));
+        tally_site(memo.decide(&profile), snap, &mut delta);
     }
     delta
 }
@@ -948,6 +867,29 @@ pub fn pulse_surveys(
 #[cfg(test)]
 mod pulse_tests {
     use super::*;
+    use std::borrow::Cow;
+    use tlscope_wire::CipherSuite;
+
+    /// A site that supports RC4 alone answers the RC4-only probe and
+    /// refuses the offer without RC4: it counts as an RC4-only site,
+    /// and its second probe as sent and refused. The modelled
+    /// population has no such site, so no survey reaches this branch.
+    #[test]
+    fn rc4_only_site_refuses_the_second_probe() {
+        let mut profile = ServerProfile::baseline("rc4-only");
+        profile.preference = Cow::Owned(vec![CipherSuite(0x0005), CipherSuite(0x0004)]);
+        let outcomes = decide_each(ProbeSet::campaign().pulse_probes(), &profile);
+        let mut snap = PulseSnapshot::new(Date::ymd(2013, 10, 1));
+        let mut ledger = ScanMetricsSnapshot::default();
+        tally_site(outcomes, &mut snap, &mut ledger);
+        assert_eq!((snap.sites, snap.rc4_supported, snap.rc4_only), (1, 1, 1));
+        let resolved = (
+            ledger.probes_sent,
+            ledger.handshakes_completed,
+            ledger.handshakes_refused,
+        );
+        assert_eq!(resolved, (2, 1, 1), "{ledger:?}");
+    }
 
     #[test]
     fn rc4_support_declines_like_ssl_pulse() {

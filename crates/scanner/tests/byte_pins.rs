@@ -1,14 +1,17 @@
 //! Byte pins for the scanner: the snapshots two sweep dates produce,
 //! clean and under the stress fault profile; the six SSL-Pulse
-//! surveys; and a four-date monthly campaign with its ledger.
+//! surveys with their ledger; and a four-date monthly campaign with
+//! its ledger.
 //!
 //! Each case hashes its snapshots (their `Debug` form, every counter
 //! in declaration order) with FNV-1a. The sweep digests were recorded
 //! before server profiles borrowed their cipher and curve lists; the
 //! survey and campaign digests were recorded on the chunk-sharded
 //! sweep engine, before dates and surveys became units of the shared
-//! runner. Both changes must leave every sampled host and probe
-//! outcome where it was. The fault profiles are named explicitly (not
+//! runner; the survey ledger digests were recorded before the
+//! per-host fold began counting probes straight into the ledger. Each
+//! change must leave every sampled host, probe outcome and ledger
+//! count where it was. The fault profiles are named explicitly (not
 //! read from the environment), so the pins hold in every CI
 //! fault-matrix cell.
 
@@ -74,14 +77,33 @@ fn pulse_dates() -> Vec<Date> {
         .collect()
 }
 
+/// Each case pins the six surveys and, beside them, the ledger they
+/// leave: the surveys alone would not see a refused second probe booked
+/// as completed, since that moves no survey counter and the ledger
+/// still balances.
 #[test]
 fn pulse_surveys_are_pinned() {
     let (pop, probes) = (ServerPopulation::new(), ProbeSet::campaign());
-    for (sites, seed, digest) in [
-        (800, 0x5CA7, 0xa7f9_5bfe_5f7a_640f_u64),
-        (800, 0x1C51_2012, 0xef94_69e2_d383_3a7c),
-        (4_000, 0x5CA7, 0x7a78_80a7_6b32_8561),
-        (4_000, 0x1C51_2012, 0x9913_80c7_1921_2a60),
+    for (sites, seed, digest, ledger_digest) in [
+        (
+            800,
+            0x5CA7,
+            0xa7f9_5bfe_5f7a_640f_u64,
+            0x8299_dfc2_770d_7fa7_u64,
+        ),
+        (
+            800,
+            0x1C51_2012,
+            0xef94_69e2_d383_3a7c,
+            0x1b62_2620_403c_5bcd,
+        ),
+        (4_000, 0x5CA7, 0x7a78_80a7_6b32_8561, 0x52b7_d195_8a2f_4577),
+        (
+            4_000,
+            0x1C51_2012,
+            0x9913_80c7_1921_2a60,
+            0xc167_c822_004a_9ec7,
+        ),
     ] {
         for workers in [1, 2] {
             let metrics = ScanMetrics::new();
@@ -99,6 +121,16 @@ fn pulse_surveys_are_pinned() {
                 fnv1a64(text.as_bytes()),
                 digest,
                 "{sites} sites, seed {seed:#x}, workers {workers}: surveys moved"
+            );
+            // The clock is the one ledger field a rerun may move.
+            let ledger = ScanMetricsSnapshot {
+                scan_nanos: 0,
+                ..metrics.snapshot()
+            };
+            assert_eq!(
+                fnv1a64(format!("{ledger:?}").as_bytes()),
+                ledger_digest,
+                "{sites} sites, seed {seed:#x}, workers {workers}: ledger moved ({ledger:?})"
             );
         }
     }

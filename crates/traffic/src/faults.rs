@@ -17,6 +17,7 @@ use rand::rngs::SmallRng;
 use rand::RngExt;
 
 use tlscope_chron::Date;
+use tlscope_wire::fxhash::splitmix_unit;
 
 /// Length of one outage window, in days. Outages model the paper's
 /// tap-level blackouts (node reboots, capture-process crashes): the
@@ -101,11 +102,7 @@ impl FaultInjector {
         }
         let window = date.to_epoch_days().div_euclid(OUTAGE_SPAN_DAYS) as u64;
         // SplitMix64 over (seed, window) → uniform in [0, 1).
-        let mut z = seed ^ window.wrapping_mul(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 / ((1u64 << 53) as f64) < self.outage_prob
+        splitmix_unit(seed ^ window.wrapping_mul(0x9e3779b97f4a7c15)) < self.outage_prob
     }
 
     /// Whether the tap duplicates this flow (drawn per flow; gated so

@@ -1,5 +1,8 @@
 //! One fixed multiply hasher for the integer-keyed maps every flow
-//! touches, and the word-wise byte hash under it.
+//! touches, the word-wise byte hash under it, and the one SplitMix64
+//! finaliser ([`splitmix64`], with its unit draw [`splitmix_unit`]) that
+//! the counter-based streams of the generator, the tap and the scanner
+//! derive their draws from.
 //!
 //! An integer key costs one multiply instead of SipHash's rounds. The
 //! price is std's `RandomState` defence against hash flooding: with a
@@ -95,6 +98,24 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
         h = fold_mul(word(&b[..8]) ^ h, word(&b[8..]) ^ SEED[1]);
     }
     fold_mul(h, K)
+}
+
+/// The SplitMix64 finaliser: a bijective scramble of `z` in which
+/// every input bit reaches every output bit. Counter-based draws key a
+/// counter (seed, date, index, ...) and pass it through here; a
+/// SplitMix64 generator passes its state after each golden-ratio step.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// [`splitmix64`] of `z`, mapped to a uniform draw in [0, 1) from its
+/// top 53 bits.
+#[inline]
+pub fn splitmix_unit(z: u64) -> f64 {
+    (splitmix64(z) >> 11) as f64 / ((1u64 << 53) as f64)
 }
 
 #[cfg(test)]

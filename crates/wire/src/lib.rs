@@ -17,7 +17,9 @@
 //!   ([`version`]).
 //! * **GREASE** handling ([`grease`]).
 //! * **Hashing** ([`fxhash`]): the fixed multiply hasher behind the
-//!   per-flow maps of the traffic, fingerprint and notary crates.
+//!   per-flow maps of the traffic, fingerprint and notary crates, and
+//!   the SplitMix64 finaliser behind the generator's hello entropy, the
+//!   tap's outage windows and the scanner's host streams and faults.
 //!
 //! The registries answer every classification question the paper's
 //! analysis asks: is this suite RC4/CBC/AEAD? export-grade? anonymous?
